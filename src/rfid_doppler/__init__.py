@@ -18,8 +18,6 @@ from .bounds import (
     c_t_dual,
     c_t_single,
     doppler_shift,
-    erf,
-    erf_inv,
     evaluate_bounds,
     mcrb_ask_finite_l,
     mcrb_sigma_sq,
@@ -51,7 +49,6 @@ from .protocol import (
 from .baseband import (
     BasebandFrame,
     ChannelParams,
-    StateSegment,
     add_awgn,
     dump_frame,
     encode_fm0,

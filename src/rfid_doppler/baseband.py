@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -134,21 +134,6 @@ def rect_states(n_symbols: int, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StateSegment:
-    """One maximal run of a single backscatter state (exact boundaries)."""
-
-    start: Fraction      # seconds from the frame origin
-    duration: Fraction   # seconds
-    state: int           # 0 or 1
-
-    def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("segment duration must be positive")
-        if self.state not in (0, 1):
-            raise ValueError("state must be 0 or 1")
-
-
-@dataclass(frozen=True)
 class ChannelParams:
     """Doppler shift, link quality, sampling and randomness of one frame."""
 
@@ -187,27 +172,6 @@ class BasebandFrame:
     part_spans: list[tuple[float, float]]
     part_kinds: list[str]
     truth: FrameTruth
-    _parts: list = field(repr=False, default_factory=list)   # (start: Fraction, states)
-    _half_interval: Fraction = field(repr=False, default=Fraction(0))
-
-    def segments(self) -> list[StateSegment]:
-        """Exact piecewise-constant state segments (maximal runs, per part)."""
-        out: list[StateSegment] = []
-        h = self._half_interval
-        for start, states in self._parts:
-            run_state = int(states[0])
-            run_len = 0
-            offset = 0
-            for s in states:
-                if int(s) == run_state:
-                    run_len += 1
-                else:
-                    out.append(StateSegment(start + offset * h, run_len * h, run_state))
-                    offset += run_len
-                    run_state = int(s)
-                    run_len = 1
-            out.append(StateSegment(start + offset * h, run_len * h, run_state))
-        return out
 
     @property
     def n_samples(self) -> int:
@@ -334,9 +298,7 @@ def _assemble_frame(built: list, blf_hz: float, modulation: str, waveform_model:
                        bits_rn16=bits_rn16, bits_epc=bits_epc, seed=params.seed)
     return BasebandFrame(sample_rate_hz=fs, samples=samples, sample_state=sample_state,
                          part_slices=part_slices, part_spans=part_spans,
-                         part_kinds=part_kinds, truth=truth,
-                         _parts=[(start, states) for _, start, states in built],
-                         _half_interval=half)
+                         part_kinds=part_kinds, truth=truth)
 
 
 def synthesize_reply(timing: Optional[protocol.ReplyTiming], mode: protocol.ReaderMode,

@@ -11,15 +11,18 @@ Conventions
   P_S/N0 ratio in Hz); dB conversion happens only at interfaces.
 * The Doppler shift is signed, positive toward the antenna; the bounds use
   magnitudes only.
-* erf/erf_inv are implemented here against a documented accuracy contract
-  (erf(erf_inv(y)) = y to 1e-12 relative) so results do not depend on
-  platform math libraries.
+* Error probabilities enter through the upper-tail normal quantile
+  z = Q^-1(p) = sqrt(2) erfinv(1 - 2p), taken from the standard library's
+  ``NormalDist.inv_cdf`` (AS241, full double precision deep into the tail);
+  the forward tail uses ``math.erfc``, which keeps its relative precision
+  where ``1 + erf`` cancels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 from . import protocol
@@ -27,7 +30,7 @@ from . import protocol
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 THERMAL_NOISE_DBM_HZ = -174.0   # thermal noise floor at room temperature
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_STANDARD_NORMAL = NormalDist()
 
 
 # ---------------------------------------------------------------------------
@@ -46,122 +49,9 @@ def db_from_linear(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-# ---------------------------------------------------------------------------
-# Error function and its inverse
-# ---------------------------------------------------------------------------
-
-def erf(x: float) -> float:
-    """Error function, accurate to ~1e-15 relative.
-
-    Maclaurin series for |x| <= 2, complementary continued fraction beyond.
-    """
-    if x != x:  # NaN
-        return x
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    if ax <= 2.0:
-        # sum_{n>=0} (-1)^n x^(2n+1) / (n! (2n+1)), term recurrence in x^2
-        x2 = x * x
-        term = x
-        total = x
-        for n in range(1, 200):
-            term *= -x2 / n
-            contrib = term / (2 * n + 1)
-            total += contrib
-            if abs(contrib) < 1e-18 * abs(total):
-                break
-        return _TWO_OVER_SQRT_PI * total
-    sign = 1.0 if x > 0 else -1.0
-    return sign * (1.0 - erfc(ax))
-
-
-def erfc(x: float) -> float:
-    """Complementary error function.
-
-    Uses 1 - erf for x < 2 and a Lentz-evaluated continued fraction for the
-    tail, where it keeps full relative precision.
-    """
-    if x < 2.0:
-        return 1.0 - erf(x)
-    # erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    tiny = 1e-300
-    f = x if x != 0.0 else tiny
-    c = f
-    d = 0.0
-    for n in range(1, 300):
-        a_n = n / 2.0
-        d = x + a_n * d
-        if d == 0.0:
-            d = tiny
-        c = x + a_n / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x * x) / (math.sqrt(math.pi) * f)
-
-
-# Acklam's rational approximation to the standard normal quantile, used as
-# the initial guess for erf_inv (|relative error| < 1.2e-9 before refinement).
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
-def _ndtri_approx(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
-def erf_inv(y: float) -> float:
-    """Inverse error function on (-1, 1).
-
-    Rational initial guess (Acklam) refined by Newton iterations against the
-    in-module erf/erfc; satisfies erf(erf_inv(y)) = y to <= 1e-12 relative.
-    """
-    if not -1.0 < y < 1.0:
-        raise ValueError(f"erf_inv domain is (-1, 1), got {y}")
-    if y == 0.0:
-        return 0.0
-    sign = 1.0 if y > 0 else -1.0
-    ay = abs(y)
-    x = _ndtri_approx((1.0 + ay) / 2.0) / math.sqrt(2.0)
-    if ay <= 0.9:
-        for _ in range(4):
-            step = (erf(x) - ay) * (math.sqrt(math.pi) / 2.0) * math.exp(x * x)
-            x -= step
-            if abs(step) < 1e-16 * (1.0 + abs(x)):
-                break
-    else:
-        # Newton on erfc avoids the 1 - erf cancellation near the tail.
-        q = 1.0 - ay
-        for _ in range(4):
-            step = (erfc(x) - q) * (math.sqrt(math.pi) / 2.0) * math.exp(x * x)
-            x += step
-            if abs(step) < 1e-16 * (1.0 + abs(x)):
-                break
-    return sign * x
+def _z(p: float) -> float:
+    """Upper-tail standard normal quantile Q^-1(p) = sqrt(2) erfinv(1 - 2p)."""
+    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +151,14 @@ def doppler_shift(v: float, f_c_hz: float, c: float = SPEED_OF_LIGHT) -> float:
 def sigma_max_sq(scenario: MotionScenario) -> float:
     """Largest estimation variance that still meets the scenario's error rate.
 
-    v^2 f_c^2 / (2 c^2 erf_inv(1 - 2 P_err)^2); undefined for v = 0, where no
-    threshold separates static from moving.
+    v^2 f_c^2 / (c^2 Q^-1(P_err)^2), i.e. v^2 f_c^2 / (2 c^2 erfinv(1 - 2 P_err)^2);
+    undefined for v = 0, where no threshold separates static from moving.
     """
     if scenario.v <= 0:
         raise ValueError("sigma_max_sq requires v > 0 (no threshold exists at v = 0)")
-    e = erf_inv(1.0 - 2.0 * scenario.p_err)
+    z = _z(scenario.p_err)
     ratio = scenario.v * scenario.f_c_hz / scenario.c
-    return ratio * ratio / (2.0 * e * e)
+    return ratio * ratio / (z * z)
 
 
 def c_t_single(t0: float) -> float:
@@ -318,27 +208,30 @@ def mcrb_ask_finite_l(base_mcrb: float, l_symbols: int) -> float:
 
 def v_min(c_t: float, ps_n0_linear: float, f_c_hz: float, p_err: float,
           c: float = SPEED_OF_LIGHT) -> float:
-    """Smallest tag speed distinguishable from static at error rate p_err."""
+    """Smallest tag speed distinguishable from static at error rate p_err.
+
+    c Q^-1(p_err) / (pi f_c) * sqrt(3 / (2 C_T P_S/N0)).
+    """
     if not 0.0 < p_err < 0.5:
         raise ValueError(f"p_err must lie in (0, 0.5), got {p_err}")
     if f_c_hz <= 0:
         raise ValueError(f"carrier frequency must be positive, got {f_c_hz}")
     if c_t <= 0 or ps_n0_linear <= 0:
         raise ValueError("timing factor and P_S/N0 must be positive")
-    e = erf_inv(1.0 - 2.0 * p_err)
-    return c * e / (math.pi * f_c_hz) * math.sqrt(3.0 / c_t / ps_n0_linear)
+    return c * _z(p_err) / (math.pi * f_c_hz) * math.sqrt(1.5 / c_t / ps_n0_linear)
 
 
 def required_ps_n0(v: float, c_t: float, f_c_hz: float, p_err: float,
                    c: float = SPEED_OF_LIGHT) -> float:
     """P_S/N0 in dB-Hz making v the minimum detectable speed (inverts v_min)."""
+    if not 0.0 < p_err < 0.5:
+        raise ValueError(f"p_err must lie in (0, 0.5), got {p_err}")
     if v <= 0:
         raise ValueError(f"tag speed must be positive, got {v}")
     if c_t <= 0:
         raise ValueError(f"timing factor must be positive, got {c_t}")
-    e = erf_inv(1.0 - 2.0 * p_err)
-    k = c * e / (math.pi * f_c_hz)
-    return db_from_linear(3.0 * k * k / (c_t * v * v))
+    k = c * _z(p_err) / (math.pi * f_c_hz)
+    return db_from_linear(1.5 * k * k / (c_t * v * v))
 
 
 def required_ps_dbm(v: float, c_t: float, f_c_hz: float, p_err: float,
@@ -350,7 +243,7 @@ def required_ps_dbm(v: float, c_t: float, f_c_hz: float, p_err: float,
 def ps_n0_from_ber(blf_hz: float, m: int, ber: float) -> float:
     """P_S/N0 in dB-Hz at which orthogonal signaling reaches the given BER.
 
-    10 log10(2 BLF erf_inv(1 - 2 BER)^2 / M), from BER = Q(sqrt(Eb/N0)) with
+    10 log10(BLF Q^-1(BER)^2 / M), from BER = Q(sqrt(Eb/N0)) with
     Eb = P_S M / BLF.
     """
     if blf_hz <= 0:
@@ -359,8 +252,8 @@ def ps_n0_from_ber(blf_hz: float, m: int, ber: float) -> float:
         raise ValueError(f"spread factor must be >= 1, got {m}")
     if not 0.0 < ber < 0.5:
         raise ValueError(f"BER must lie in (0, 0.5), got {ber}")
-    e = erf_inv(1.0 - 2.0 * ber)
-    return db_from_linear(2.0 * blf_hz * e * e / m)
+    z = _z(ber)
+    return db_from_linear(blf_hz * z * z / m)
 
 
 def noise_density_from_sensitivity(p_s_dbm: float, ber: float, blf_hz: float,
@@ -374,14 +267,13 @@ def p_err_from_sigma(sigma_sq: float, v: float, f_c_hz: float,
                      c: float = SPEED_OF_LIGHT) -> float:
     """Classification error rate of the half-Doppler threshold test.
 
-    0.5 (1 + erf((x - mu)/sqrt(2 sigma^2))) with mu the moving tag's Doppler
-    shift and threshold x = mu/2; inverse of sigma_max_sq.
+    Q((mu - x)/sigma) = 0.5 erfc(mu / (2 sqrt(2 sigma^2))) with mu the moving
+    tag's Doppler shift and threshold x = mu/2; inverse of sigma_max_sq.
     """
     if sigma_sq <= 0:
         raise ValueError(f"variance must be positive, got {sigma_sq}")
     mu = doppler_shift(v, f_c_hz, c)
-    x = mu / 2.0
-    return 0.5 * (1.0 + erf((x - mu) / math.sqrt(2.0 * sigma_sq)))
+    return 0.5 * math.erfc(mu / (2.0 * math.sqrt(2.0 * sigma_sq)))
 
 
 def evaluate_bounds(scenario: MotionScenario, c_t: float, link: LinkBudget) -> BoundResult:

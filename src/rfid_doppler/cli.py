@@ -2,8 +2,9 @@
 
 Subcommands: bounds, vmin, figure, simulate-mcrb, simulate-detect,
 noise-figure.  Each accepts --config (flat key = value file) with individual
-flags overriding file values.  Exit codes: 0 success, 2 configuration error,
-3 failed --check comparison.
+flags overriding file values; a flag's text goes through the same parser as
+the config-file value of its field.  Exit codes: 0 success, 2 configuration
+error, 3 failed --check comparison.
 """
 
 from __future__ import annotations
@@ -15,20 +16,6 @@ import sys
 from . import bounds, experiments, protocol
 from .experiments import CheckFailure, ConfigError, ExperimentConfig
 
-# argparse dest names that map one-to-one onto ExperimentConfig fields
-_CONFIG_DESTS = ("mode_label", "blf_hz", "encoding", "trext", "epc_bits", "f_c_hz",
-                 "p_err", "ps_n0_dbhz", "p_s_dbm", "n0_dbm_hz", "nf_db", "v", "v_grid",
-                 "trials", "seed", "waveform_model", "modulation", "parts",
-                 "sample_rate_hz", "ask_zeroing", "search_halfwidth_hz",
-                 "estimator_model", "sigma_sq_hz2")
-
-
-def _float_list(text: str) -> list[float]:
-    values = [float(x) for x in text.split(",") if x.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma-separated number list")
-    return values
-
 
 def _add_output(sp):
     sp.add_argument("--config", metavar="FILE", help="flat key = value config file")
@@ -37,43 +24,44 @@ def _add_output(sp):
 
 def _add_scenario(sp):
     sp.add_argument("--mode", dest="mode_label", help="reader mode label, e.g. 'Mode 290'")
-    sp.add_argument("--blf", dest="blf_hz", type=float, help="explicit BLF in Hz")
+    sp.add_argument("--blf", dest="blf_hz", help="explicit BLF in Hz")
     sp.add_argument("--encoding", help="FM0 or Miller-2/4/8 (with --blf)")
     sp.add_argument("--trext", dest="trext", action=argparse.BooleanOptionalAction,
                     default=None, help="pilot tone on/off")
-    sp.add_argument("--epc-bits", dest="epc_bits", type=int, choices=(96, 128, 256))
-    sp.add_argument("--f-c", dest="f_c_hz", type=float, help="carrier frequency in Hz")
-    sp.add_argument("--p-err", dest="p_err", type=float, help="target error probability")
+    sp.add_argument("--epc-bits", dest="epc_bits", choices=("96", "128", "256"))
+    sp.add_argument("--f-c", dest="f_c_hz", help="carrier frequency in Hz")
+    sp.add_argument("--p-err", dest="p_err", help="target error probability")
     sp.add_argument("--parts", choices=("rn16", "epc", "both"))
 
 
 def _add_link(sp):
-    sp.add_argument("--ps-n0", dest="ps_n0_dbhz", type=float, help="P_S/N0 in dB-Hz")
-    sp.add_argument("--p-s-dbm", dest="p_s_dbm", type=float, help="received tag power")
-    sp.add_argument("--n0", dest="n0_dbm_hz", type=float, help="noise density in dBm-Hz")
-    sp.add_argument("--nf", dest="nf_db", type=float, help="receiver noise figure in dB")
+    sp.add_argument("--ps-n0", dest="ps_n0_dbhz", help="P_S/N0 in dB-Hz")
+    sp.add_argument("--p-s-dbm", dest="p_s_dbm", help="received tag power")
+    sp.add_argument("--n0", dest="n0_dbm_hz", help="noise density in dBm-Hz")
+    sp.add_argument("--nf", dest="nf_db", help="receiver noise figure in dB")
 
 
 def _add_simulation(sp):
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--trials")
+    sp.add_argument("--seed")
     sp.add_argument("--modulation", choices=("ask", "psk"))
     sp.add_argument("--waveform-model", dest="waveform_model", choices=("gen2", "rect"))
-    sp.add_argument("--sample-rate", dest="sample_rate_hz", type=float)
+    sp.add_argument("--sample-rate", dest="sample_rate_hz")
     sp.add_argument("--ask-zeroing", dest="ask_zeroing",
                     action=argparse.BooleanOptionalAction, default=None,
                     help="zero absorb intervals before ASK estimation")
-    sp.add_argument("--search-halfwidth", dest="search_halfwidth_hz", type=float)
-    sp.add_argument("--v", type=float, help="tag speed in m/s")
+    sp.add_argument("--search-halfwidth", dest="search_halfwidth_hz")
+    sp.add_argument("--v", help="tag speed in m/s")
 
 
 def _build_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config) if getattr(args, "config", None) \
         else ExperimentConfig()
-    for dest in _CONFIG_DESTS:
-        value = getattr(args, dest, None)
+    for key in experiments._CONFIG_FIELDS:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(config, dest, value)
+            # flags hold text, except the on/off switches, which parse as 'True'/'False'
+            config.set_field(key, str(value))
     return config
 
 
@@ -139,31 +127,13 @@ def _cmd_vmin(args) -> int:
     return 0
 
 
-def _parse_override_value(key: str, text: str):
-    listy = key.endswith("_list") or "grid" in key
-    pieces = [p.strip() for p in text.split(",") if p.strip()]
-    items = []
-    for piece in pieces:
-        try:
-            items.append(int(piece))
-        except ValueError:
-            try:
-                items.append(float(piece))
-            except ValueError:
-                # non-numeric override, e.g. parts_list=rn16,epc or mode_label=...
-                return pieces if listy else text
-    if listy:
-        return items if key == "epc_bits_list" else [float(x) for x in items]
-    return items[0] if len(items) == 1 else items
-
-
 def _cmd_figure(args) -> int:
     overrides = {}
     for item in args.set or []:
-        if "=" not in item:
+        key, sep, value = item.partition("=")
+        if not sep:
             raise ConfigError(f"--set: expected KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = _parse_override_value(key.strip(), value)
+        overrides[key.strip()] = value
     comments, fieldnames, rows = experiments.figure_dataset(
         args.id, overrides, trials=args.trials or 0, seed=args.seed or 0)
     experiments.write_csv(args.out or sys.stdout, comments, fieldnames, rows)
@@ -187,8 +157,8 @@ def _cmd_simulate_mcrb(args) -> int:
             raise ConfigError("sweep: expected PARAM=V1,V2,... "
                               "(param ps_n0_dbhz or t0_s)")
         param, values = args.sweep.split("=", 1)
-        config.sweep_param = param.strip()
-        config.sweep_values = _float_list(values)
+        config.set_field("sweep_param", param)
+        config.set_field("sweep_values", values)
     comments, fieldnames, rows = experiments.run_mcrb_experiment(config)
     experiments.write_csv(args.out or sys.stdout, comments, fieldnames, rows)
     if args.check:
@@ -201,7 +171,7 @@ def _check_detect_rows(rows) -> None:
         p = row["p_err_predicted"]
         n = 2 * row["trials"]
         halfwidth = 2.5758 * math.sqrt(p * (1.0 - p) / n)
-        if abs(row["error_rate"] - p) > halfwidth:
+        if not abs(row["error_rate"] - p) <= halfwidth:
             raise CheckFailure(
                 f"error rate {row['error_rate']:.6g} outside the 99% interval "
                 f"around {p:.6g} (halfwidth {halfwidth:.6g}) at v = {row['v_m_per_s']}")
@@ -234,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="print every bound for one configuration")
     _add_output(sp); _add_scenario(sp); _add_link(sp)
-    sp.add_argument("--v", type=float, help="tag speed in m/s")
+    sp.add_argument("--v", help="tag speed in m/s")
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("vmin", help="print the minimum detectable tag speed")
@@ -262,11 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate-detect",
                         help="Monte Carlo check of classification error rates")
     _add_output(sp); _add_scenario(sp); _add_link(sp); _add_simulation(sp)
-    sp.add_argument("--v-grid", dest="v_grid", type=_float_list,
-                    metavar="V1,V2,...", help="tag speeds to sweep")
+    sp.add_argument("--v-grid", dest="v_grid", metavar="V1,V2,...",
+                    help="tag speeds to sweep")
     sp.add_argument("--estimator", dest="estimator_model",
                     choices=("gaussian", "baseband"))
-    sp.add_argument("--sigma-sq", dest="sigma_sq_hz2", type=float,
+    sp.add_argument("--sigma-sq", dest="sigma_sq_hz2",
                     help="pin the estimator variance in Hz^2")
     sp.add_argument("--check", action="store_true",
                     help="exit 3 unless error rates match the prediction")

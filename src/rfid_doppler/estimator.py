@@ -38,7 +38,6 @@ class WipedSignal:
     samples: np.ndarray
     support_mask: np.ndarray
     sample_rate_hz: float
-    t_origin: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ def wipe_modulation(frame: BasebandFrame, ask_zeroing: bool = True) -> WipedSign
         raise ValueError(f"unknown modulation {frame.truth.modulation!r}")
     samples[~mask] = 0.0
     return WipedSignal(samples=samples, support_mask=mask,
-                       sample_rate_hz=frame.sample_rate_hz, t_origin=0.0)
+                       sample_rate_hz=frame.sample_rate_hz)
 
 
 def _periodogram_eval(z: np.ndarray, tau: np.ndarray):
@@ -108,7 +107,7 @@ def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0,
         raise ValueError("support mask is empty, nothing to estimate from")
 
     n = w.samples.size
-    t = w.t_origin + np.arange(n) / fs
+    t = np.arange(n) / fs
 
     if block_len_s is None:
         block_len_s = 1.0 / (16.0 * search_halfwidth_hz)

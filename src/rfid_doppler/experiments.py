@@ -4,12 +4,13 @@ Everything here is deterministic for a given (config, seed): per-trial seeds
 are derived from the master seed with an iterated SplitMix64 mix,
 
     trial_seed = derive_seed(master_seed, grid_index, trial_index)
-    bits RNG key  = derive_seed(trial_seed, 0)
-    noise seed    = derive_seed(trial_seed, 1)
+    bits RNG key of sub-trial k = derive_seed(trial_seed, 2 k)
+    noise seed of sub-trial k   = derive_seed(trial_seed, 2 k + 1)
 
-(the detection experiment additionally uses subindices 2/3 for its moving
-frame), and all generators are counter-based Philox, so results do not depend
-on execution order and re-runs produce byte-identical CSV.
+A sub-trial is one synthesized frame: MCRB trials and the static frame of a
+detection trial are sub-trial k = 0, the moving frame is k = 1.  All
+generators are counter-based Philox, so results do not depend on execution
+order and re-runs produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -122,12 +123,8 @@ class ExperimentConfig:
         if self.sigma_sq_hz2 is not None and self.sigma_sq_hz2 <= 0:
             raise ConfigError(f"sigma_sq_hz2: must be positive, got {self.sigma_sq_hz2}")
         for name in ("v_grid", "sweep_values"):
-            grid = getattr(self, name)
-            if grid is not None:
-                if len(grid) == 0:
-                    raise ConfigError(f"{name}: must be non-empty")
-                if any(b <= a for a, b in zip(grid, grid[1:])):
-                    raise ConfigError(f"{name}: values must be strictly increasing")
+            if getattr(self, name) is not None:
+                _parsed(name, _increasing, getattr(self, name))
         if (self.sweep_param is None) != (self.sweep_values is None):
             raise ConfigError("sweep_param: sweep_param and sweep_values go together")
         if self.sweep_param is not None and self.sweep_param not in ("ps_n0_dbhz", "t0_s"):
@@ -151,15 +148,10 @@ class ExperimentConfig:
     def set_field(self, key: str, value: str) -> None:
         """Set one field from its textual config form."""
         try:
-            fld = _CONFIG_FIELDS[key]
+            parse = _CONFIG_FIELDS[key]
         except KeyError:
             raise ConfigError(f"{key}: unknown config key") from None
-        try:
-            setattr(self, key, fld(value))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: {exc}") from None
+        setattr(self, key, _parsed(key, parse, value))
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return dataclasses.replace(self, **kwargs)
@@ -177,40 +169,76 @@ class ExperimentConfig:
         return out
 
 
+def _parsed(key: str, parse, value):
+    """parse(value), reporting a failure as a ConfigError that names the key."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text.strip()!r}")
+    return value
+
+
+def _items(text: str) -> list[str]:
+    items = [x.strip() for x in text.split(",") if x.strip()]
+    if not items:
+        raise ValueError("expected a comma-separated list")
+    return items
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    return [_finite(x) for x in _items(text)]
+
+
+def _increasing(grid: list) -> list:
+    if len(grid) == 0:
+        raise ValueError("must be non-empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("values must be strictly increasing")
+    return grid
+
+
+def _grid(text: str) -> list[float]:
+    return _increasing(_float_list(text))
 
 
 def _opt_str(text: str):
     return None if text.strip().lower() in ("", "none") else text.strip()
 
 
+# Parser of each field's text form, shared by config files and CLI flags
+# (every flag's dest is the field name).
 _CONFIG_FIELDS = {
     "mode_label": _opt_str,
-    "blf_hz": float,
+    "blf_hz": _finite,
     "encoding": str,
     "trext": parse_bool,
     "epc_bits": int,
-    "f_c_hz": float,
-    "p_err": float,
-    "ps_n0_dbhz": float,
-    "p_s_dbm": float,
-    "n0_dbm_hz": float,
-    "nf_db": float,
-    "v": float,
-    "v_grid": _float_list,
+    "f_c_hz": _finite,
+    "p_err": _finite,
+    "ps_n0_dbhz": _finite,
+    "p_s_dbm": _finite,
+    "n0_dbm_hz": _finite,
+    "nf_db": _finite,
+    "v": _finite,
+    "v_grid": _grid,
     "trials": int,
     "seed": int,
     "waveform_model": str,
     "modulation": str,
     "parts": str,
-    "sample_rate_hz": float,
+    "sample_rate_hz": _finite,
     "ask_zeroing": parse_bool,
-    "search_halfwidth_hz": float,
+    "search_halfwidth_hz": _finite,
     "estimator_model": str,
-    "sigma_sq_hz2": float,
+    "sigma_sq_hz2": _finite,
     "sweep_param": _opt_str,
-    "sweep_values": _float_list,
+    "sweep_values": _grid,
 }
 
 
@@ -255,28 +283,54 @@ def _random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.int8)
 
 
-def _estimate_trial_error(frame, config: ExperimentConfig, f_d_true: float) -> float:
-    wiped = estimator.wipe_modulation(frame, ask_zeroing=config.ask_zeroing)
-    report = estimator.estimate_doppler(wiped, search_halfwidth_hz=config.search_halfwidth_hz)
-    return report.f_hat_hz - f_d_true
+def _reply_frame(config: ExperimentConfig, mode: protocol.ReaderMode, timing):
+    """Frame builder for the configured parts of the mode's reply."""
+    def build(bits_rng, params):
+        bits_rn16 = bits_epc = None
+        if config.waveform_model == "gen2":
+            if config.parts in ("rn16", "both"):
+                bits_rn16 = _random_bits(bits_rng, protocol.RN16_BITS)
+            if config.parts in ("epc", "both"):
+                bits_epc = _random_bits(bits_rng, mode.epc_bits + protocol.CRC16_BITS)
+        return baseband.synthesize_reply(timing, mode, config.modulation,
+                                         config.waveform_model, bits_rn16, bits_epc,
+                                         params, parts=config.parts)
+    return build
 
 
-def _reply_trial(config, mode, timing, ratio_dbhz, grid_index, trial, f_d_true) -> float:
-    trial_seed = derive_seed(config.seed, grid_index, trial)
-    bits_rng = _rng(derive_seed(trial_seed, 0))
-    bits_rn16 = bits_epc = None
-    if config.waveform_model == "gen2":
-        if config.parts in ("rn16", "both"):
-            bits_rn16 = _random_bits(bits_rng, protocol.RN16_BITS)
-        if config.parts in ("epc", "both"):
-            bits_epc = _random_bits(bits_rng, mode.epc_bits + protocol.CRC16_BITS)
-    params = baseband.ChannelParams(f_d_hz=f_d_true, ps_n0_dbhz=ratio_dbhz,
+def _burst_frame(config: ExperimentConfig, mode: protocol.ReaderMode, n_symbols: int):
+    """Frame builder for a single part of n_symbols symbols starting at t = 0."""
+    enc = mode.encoding
+
+    def build(bits_rng, params):
+        if config.waveform_model == "rect":
+            states = baseband.rect_states(n_symbols, enc.spread_factor)
+        else:
+            payload = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1
+            bits = _random_bits(bits_rng, payload)
+            if enc.is_miller:
+                states = baseband.encode_miller(bits, enc.spread_factor, mode.trext)
+            else:
+                states = baseband.encode_fm0(bits, mode.trext)
+        return baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params,
+                                         waveform_model=config.waveform_model)
+    return build
+
+
+def _trial_f_hat(config: ExperimentConfig, build_frame, ratio_dbhz: float,
+                 trial_seed: int, k: int, f_d: float) -> float:
+    """Doppler estimate from sub-trial k of a trial: one frame at shift f_d."""
+    if not abs(f_d) < config.search_halfwidth_hz:
+        raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
+                          f"search window, search_halfwidth_hz = "
+                          f"{config.search_halfwidth_hz:.6g} Hz")
+    params = baseband.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ratio_dbhz,
                                     sample_rate_hz=config.sample_rate_hz,
-                                    seed=derive_seed(trial_seed, 1))
-    frame = baseband.synthesize_reply(timing, mode, config.modulation,
-                                      config.waveform_model, bits_rn16, bits_epc,
-                                      params, parts=config.parts)
-    return _estimate_trial_error(frame, config, f_d_true)
+                                    seed=derive_seed(trial_seed, 2 * k + 1))
+    frame = build_frame(_rng(derive_seed(trial_seed, 2 * k)), params)
+    wiped = estimator.wipe_modulation(frame, ask_zeroing=config.ask_zeroing)
+    return estimator.estimate_doppler(
+        wiped, search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz
 
 
 def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) -> int:
@@ -289,27 +343,12 @@ def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) 
     return n
 
 
-def _burst_trial(config, mode, n_symbols, ratio_dbhz, grid_index, trial, f_d_true) -> float:
-    trial_seed = derive_seed(config.seed, grid_index, trial)
-    enc = mode.encoding
-    if config.waveform_model == "rect":
-        states = baseband.rect_states(n_symbols, enc.spread_factor)
-    else:
-        payload = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1
-        bits = _random_bits(_rng(derive_seed(trial_seed, 0)), payload)
-        if enc.is_miller:
-            states = baseband.encode_miller(bits, enc.spread_factor, mode.trext)
-        else:
-            states = baseband.encode_fm0(bits, mode.trext)
-    params = baseband.ChannelParams(f_d_hz=f_d_true, ps_n0_dbhz=ratio_dbhz,
-                                    sample_rate_hz=config.sample_rate_hz,
-                                    seed=derive_seed(trial_seed, 1))
-    frame = baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params,
-                                      waveform_model=config.waveform_model)
-    return _estimate_trial_error(frame, config, f_d_true)
-
-
-def _error_stats(errors: np.ndarray) -> dict:
+def _error_stats(config: ExperimentConfig, build_frame, ratio_dbhz: float,
+                 grid_index: int, f_d_true: float) -> dict:
+    """Run the trials of one grid point; statistics of their estimation errors."""
+    errors = np.array([_trial_f_hat(config, build_frame, ratio_dbhz,
+                                    derive_seed(config.seed, grid_index, i), 0, f_d_true)
+                       - f_d_true for i in range(config.trials)])
     n = errors.size
     return {
         "trials": int(n),
@@ -348,31 +387,28 @@ def run_mcrb_experiment(config: ExperimentConfig):
             t0 = n_symbols * float(protocol.symbol_period(mode.blf_hz, mode.encoding))
             c_t = bounds.c_t_single(t0)
             mcrb = bounds.mcrb_sigma_sq(c_t, link.ps_n0_linear)
-            errors = np.array([_burst_trial(config, mode, n_symbols, link.ps_n0_dbhz,
-                                            gi, i, f_d_true)
-                               for i in range(config.trials)])
+            stats = _error_stats(config, _burst_frame(config, mode, n_symbols),
+                                 link.ps_n0_dbhz, gi, f_d_true)
             rows.append({"t0_requested_s": t0_req, "t0_s": t0, "n_symbols": n_symbols,
                          "ps_n0_dbhz": link.ps_n0_dbhz, "modulation": config.modulation,
                          "waveform_model": config.waveform_model, "c_t_s3": c_t,
-                         "f_d_true_hz": f_d_true, "mcrb_var_hz2": mcrb,
-                         **_error_stats(errors)})
+                         "f_d_true_hz": f_d_true, "mcrb_var_hz2": mcrb, **stats})
         return comments, MCRB_BURST_FIELDS, rows
 
     timing = protocol.reply_timing(mode)
     c_t = bounds.timing_factor(timing, config.parts)
     ratios = config.sweep_values if config.sweep_param == "ps_n0_dbhz" \
         else [link.ps_n0_dbhz]
+    build_frame = _reply_frame(config, mode, timing)
     for gi, ratio in enumerate(ratios):
         mcrb = bounds.mcrb_sigma_sq(c_t, bounds.linear_from_db(ratio))
-        errors = np.array([_reply_trial(config, mode, timing, ratio, gi, i, f_d_true)
-                           for i in range(config.trials)])
+        stats = _error_stats(config, build_frame, ratio, gi, f_d_true)
         rows.append({"ps_n0_dbhz": ratio, "parts": config.parts,
                      "modulation": config.modulation,
                      "waveform_model": config.waveform_model,
                      "t_rn16_s": float(timing.t_rn16), "t_pause_s": float(timing.t_pause),
                      "t_epc_s": float(timing.t_epc), "c_t_s3": c_t,
-                     "f_d_true_hz": f_d_true, "mcrb_var_hz2": mcrb,
-                     **_error_stats(errors)})
+                     "f_d_true_hz": f_d_true, "mcrb_var_hz2": mcrb, **stats})
     return comments, MCRB_REPLY_FIELDS, rows
 
 
@@ -417,35 +453,18 @@ def run_detection_experiment(config: ExperimentConfig):
             est_static = sd * rng.standard_normal(config.trials)
             est_moving = f_d + sd * rng.standard_normal(config.trials)
         else:
-            est_static = np.empty(config.trials)
-            est_moving = np.empty(config.trials)
             mode = resolve_reader_mode(config)
             timing = protocol.reply_timing(mode)
             c_t = bounds.timing_factor(timing, config.parts)
             # link ratio at which the estimation bound equals sigma_sq
             ratio_dbhz = bounds.db_from_linear(
                 3.0 / (2.0 * math.pi ** 2 * c_t * sigma_sq))
-            for i in range(config.trials):
-                trial_seed = derive_seed(config.seed, gi, i)
-                for off, (f_true, sink) in enumerate([(0.0, est_static), (f_d, est_moving)]):
-                    bits_rng = _rng(derive_seed(trial_seed, 2 * off))
-                    bits_rn16 = bits_epc = None
-                    if config.waveform_model == "gen2":
-                        if config.parts in ("rn16", "both"):
-                            bits_rn16 = _random_bits(bits_rng, protocol.RN16_BITS)
-                        if config.parts in ("epc", "both"):
-                            bits_epc = _random_bits(bits_rng,
-                                                    mode.epc_bits + protocol.CRC16_BITS)
-                    params = baseband.ChannelParams(
-                        f_d_hz=f_true, ps_n0_dbhz=ratio_dbhz,
-                        sample_rate_hz=config.sample_rate_hz,
-                        seed=derive_seed(trial_seed, 2 * off + 1))
-                    frame = baseband.synthesize_reply(timing, mode, config.modulation,
-                                                      config.waveform_model, bits_rn16,
-                                                      bits_epc, params, parts=config.parts)
-                    wiped = estimator.wipe_modulation(frame, ask_zeroing=config.ask_zeroing)
-                    sink[i] = estimator.estimate_doppler(
-                        wiped, search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz
+            build_frame = _reply_frame(config, mode, timing)
+            seeds = [derive_seed(config.seed, gi, i) for i in range(config.trials)]
+            est_static = np.array([_trial_f_hat(config, build_frame, ratio_dbhz, seed, 0, 0.0)
+                                   for seed in seeds])
+            est_moving = np.array([_trial_f_hat(config, build_frame, ratio_dbhz, seed, 1, f_d)
+                                   for seed in seeds])
 
         err_static = int(np.count_nonzero(est_static >= threshold))
         err_moving = int(np.count_nonzero(est_moving < threshold))
@@ -466,39 +485,11 @@ def _geomspace(lo: float, hi: float, n: int) -> list[float]:
     return [float(x) for x in np.geomspace(lo, hi, n)]
 
 
-def _pop(overrides: dict, key: str, default):
-    return overrides.pop(key, default)
-
-
 _MILLER8_40K = protocol.ReaderMode("Miller-8/40kHz", 40_000.0, protocol.MILLER8)
 
 
-def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
-                   trials: int = 0, seed: int = 0):
-    """Analytic dataset behind one of the paper-style figures.
-
-    Returns (comments, fieldnames, rows).  Figures 4, 8, 9, 10 and 11 are
-    purely closed-form; figures 5 and 7 optionally add Monte Carlo columns
-    when ``trials`` > 0 (figure 7 simulates its marked operating point only).
-    """
-    builders = {4: _figure4, 5: _figure5, 7: _figure7, 8: _figure8,
-                9: _figure9, 10: _figure10, 11: _figure11}
-    try:
-        builder = builders[int(figure_id)]
-    except (KeyError, ValueError):
-        raise ConfigError(f"figure_id: unknown figure {figure_id!r}, "
-                          f"expected one of {sorted(builders)}") from None
-    overrides = dict(overrides or {})
-    comments, fieldnames, rows = builder(overrides, trials, seed)
-    if overrides:
-        raise ConfigError(f"overrides: unused keys {sorted(overrides)}")
-    return comments, fieldnames, rows
-
-
-def _figure4(ov, trials, seed):
-    f_c = _pop(ov, "f_c_hz", 868e6)
-    v_grid = _pop(ov, "v_grid", _geomspace(0.01, 10.0, 61))
-    p_errs = _pop(ov, "p_err_list", [0.05, 0.01, 0.001])
+def _figure4(params, trials, seed):
+    f_c, v_grid, p_errs = params["f_c_hz"], params["v_grid"], params["p_err_list"]
     rows = [{"v_m_per_s": v, "p_err": p,
              "sigma_max_sq_hz2": bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, p))}
             for p in p_errs for v in v_grid]
@@ -506,22 +497,16 @@ def _figure4(ov, trials, seed):
     return comments, ["v_m_per_s", "p_err", "sigma_max_sq_hz2"], rows
 
 
-def _figure5(ov, trials, seed):
-    t0_grid = _pop(ov, "t0_grid_s", _geomspace(1e-4, 1e-1, 61))
-    ratios = _pop(ov, "ps_n0_dbhz_list", [30.0, REFERENCE_PS_N0_DBHZ, 80.0])
-    blf_hz = _pop(ov, "blf_hz", 640_000.0)
-    encoding = _pop(ov, "encoding", "FM0")
-    modulation = _pop(ov, "modulation", "ask")
-    waveform_model = _pop(ov, "waveform_model", "gen2")
-    sample_rate_hz = _pop(ov, "sample_rate_hz", None)
+def _figure5(params, trials, seed):
+    t0_grid, ratios = params["t0_grid_s"], params["ps_n0_dbhz_list"]
     fieldnames = ["t0_s", "ps_n0_dbhz", "mcrb_var_hz2"]
     rows = []
     sim_config = None
     if trials > 0:
         sim_config = ExperimentConfig(
-            mode_label=None, blf_hz=blf_hz, encoding=encoding,
-            modulation=modulation, waveform_model=waveform_model,
-            sample_rate_hz=sample_rate_hz, trials=trials)
+            mode_label=None, blf_hz=params["blf_hz"], encoding=params["encoding"],
+            modulation=params["modulation"], waveform_model=params["waveform_model"],
+            sample_rate_hz=params["sample_rate_hz"], trials=trials)
         fieldnames += ["t0_simulated_s", "trials", "emp_var_hz2"]
     for ratio in ratios:
         for t0 in t0_grid:
@@ -542,10 +527,8 @@ def _figure5(ov, trials, seed):
     return comments, fieldnames, rows
 
 
-def _figure7(ov, trials, seed):
-    ratio = _pop(ov, "ps_n0_dbhz", REFERENCE_PS_N0_DBHZ)
-    modulation = _pop(ov, "modulation", "ask")
-    pause_grid = _pop(ov, "t_pause_grid_s", _geomspace(1e-4, 1.0, 61))
+def _figure7(params, trials, seed):
+    ratio, pause_grid = params["ps_n0_dbhz"], params["t_pause_grid_s"]
     timing = protocol.reply_timing(_MILLER8_40K)
     t_rn16, t_epc = float(timing.t_rn16), float(timing.t_epc)
     operating_pause = float(timing.t_pause)
@@ -569,7 +552,7 @@ def _figure7(ov, trials, seed):
                 if marked:
                     cfg = ExperimentConfig(mode_label=None, blf_hz=40_000.0,
                                            encoding="Miller8", ps_n0_dbhz=ratio,
-                                           modulation=modulation,
+                                           modulation=params["modulation"],
                                            waveform_model="gen2", parts="both",
                                            trials=trials, seed=seed)
                     _, _, sim_rows = run_mcrb_experiment(cfg)
@@ -583,15 +566,12 @@ def _figure7(ov, trials, seed):
     return comments, fieldnames, rows
 
 
-def _figure8(ov, trials, seed):
-    f_c = _pop(ov, "f_c_hz", 868e6)
-    v_grid = _pop(ov, "v_grid", _geomspace(0.01, 10.0, 61))
-    p_errs = _pop(ov, "p_err_list", [0.05, 0.01, 0.001])
-    parts_list = _pop(ov, "parts_list", ["rn16", "epc", "both"])
+def _figure8(params, trials, seed):
+    f_c, v_grid = params["f_c_hz"], params["v_grid"]
     timing = protocol.reply_timing(_MILLER8_40K)
     rows = []
-    for p_err in p_errs:
-        for parts in parts_list:
+    for p_err in params["p_err_list"]:
+        for parts in params["parts_list"]:
             c_t = bounds.timing_factor(timing, parts)
             for v in v_grid:
                 rows.append({"v_m_per_s": v, "p_err": p_err, "parts": parts,
@@ -600,14 +580,10 @@ def _figure8(ov, trials, seed):
     return comments, ["v_m_per_s", "p_err", "parts", "ps_n0_dbhz"], rows
 
 
-def _figure9(ov, trials, seed):
-    f_c = _pop(ov, "f_c_hz", 868e6)
-    p_err = _pop(ov, "p_err", 0.001)
-    v_grid = _pop(ov, "v_grid", _geomspace(0.01, 10.0, 61))
-    combos = _pop(ov, "combos", [("FM0", 640e3), ("Miller2", 640e3), ("Miller4", 640e3),
-                                 ("Miller8", 640e3), ("Miller8", 40e3)])
+def _figure9(params, trials, seed):
+    f_c, p_err, v_grid = params["f_c_hz"], params["p_err"], params["v_grid"]
     rows = []
-    for enc_name, blf in combos:
+    for enc_name, blf in params["combos"]:
         mode = protocol.ReaderMode("sweep", blf, protocol.encoding_from_name(enc_name))
         c_t = bounds.timing_factor(protocol.reply_timing(mode), "both")
         for v in v_grid:
@@ -617,31 +593,24 @@ def _figure9(ov, trials, seed):
     return comments, ["v_m_per_s", "encoding", "blf_hz", "ps_n0_dbhz"], rows
 
 
-def _figure10(ov, trials, seed):
-    f_c = _pop(ov, "f_c_hz", 868e6)
-    p_err = _pop(ov, "p_err", 0.001)
-    v_grid = _pop(ov, "v_grid", _geomspace(0.01, 10.0, 61))
-    nf_list = _pop(ov, "nf_db_list", [0.0, 5.0, 10.0, 15.0, 20.0, 25.4])
-    mode_label = _pop(ov, "mode_label", "Mode 290")
-    mode = protocol.find_reader_mode(mode_label)
+def _figure10(params, trials, seed):
+    f_c, p_err, v_grid = params["f_c_hz"], params["p_err"], params["v_grid"]
+    mode = protocol.find_reader_mode(params["mode_label"])
     c_t = bounds.timing_factor(protocol.reply_timing(mode), "both")
     rows = [{"v_m_per_s": v, "nf_db": nf,
              "p_s_dbm": bounds.required_ps_dbm(v, c_t, f_c, p_err, nf)}
-            for nf in nf_list for v in v_grid]
+            for nf in params["nf_db_list"] for v in v_grid]
     comments = [f"required tag power over speed per noise figure "
                 f"({mode.label}, p_err = {p_err:.12g})"]
     return comments, ["v_m_per_s", "nf_db", "p_s_dbm"], rows
 
 
-def _figure11(ov, trials, seed):
-    f_c = _pop(ov, "f_c_hz", 868e6)
-    p_err = _pop(ov, "p_err", 0.001)
-    nf_db = _pop(ov, "nf_db", 25.4)
-    v_grid = _pop(ov, "v_grid", _geomspace(0.01, 10.0, 61))
-    epc_bits_list = _pop(ov, "epc_bits_list", [96, 128, 256])
+def _figure11(params, trials, seed):
+    f_c, p_err, v_grid = params["f_c_hz"], params["p_err"], params["v_grid"]
+    nf_db = params["nf_db"]
     base = protocol.find_reader_mode("Mode 290")
     rows = []
-    for epc_bits in epc_bits_list:
+    for epc_bits in params["epc_bits_list"]:
         mode = dataclasses.replace(base, epc_bits=epc_bits)
         c_t = bounds.timing_factor(protocol.reply_timing(mode), "both")
         for v in v_grid:
@@ -650,6 +619,74 @@ def _figure11(ov, trials, seed):
     comments = [f"required tag power over speed per EPC length (Mode 290, "
                 f"NF = {nf_db:.12g} dB)"]
     return comments, ["v_m_per_s", "epc_bits", "p_s_dbm"], rows
+
+
+def _combos(text: str) -> list[tuple[str, float]]:
+    """'FM0:640e3,Miller8:40e3' -> [(encoding name, BLF in Hz), ...]."""
+    combos = []
+    for item in _items(text):
+        name, sep, blf = item.partition(":")
+        if not sep:
+            raise ValueError(f"expected ENCODING:BLF_HZ items, got {item!r}")
+        protocol.encoding_from_name(name)
+        combos.append((name.strip(), _finite(blf)))
+    return combos
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in _items(text)]
+
+
+_SPEED_AXIS = {"f_c_hz": (_finite, 868e6), "v_grid": (_grid, _geomspace(0.01, 10.0, 61))}
+_P_ERR = {"p_err": (_finite, 0.001)}
+
+# Builder and parameters of each figure; a parameter is (parser of its text
+# form, default value).
+_FIGURES = {
+    4: (_figure4, {**_SPEED_AXIS, "p_err_list": (_float_list, [0.05, 0.01, 0.001])}),
+    5: (_figure5, {"t0_grid_s": (_float_list, _geomspace(1e-4, 1e-1, 61)),
+                   "ps_n0_dbhz_list": (_float_list, [30.0, REFERENCE_PS_N0_DBHZ, 80.0]),
+                   "blf_hz": (_finite, 640_000.0), "encoding": (str, "FM0"),
+                   "modulation": (str, "ask"), "waveform_model": (str, "gen2"),
+                   "sample_rate_hz": (_finite, None)}),
+    7: (_figure7, {"ps_n0_dbhz": (_finite, REFERENCE_PS_N0_DBHZ), "modulation": (str, "ask"),
+                   "t_pause_grid_s": (_float_list, _geomspace(1e-4, 1.0, 61))}),
+    8: (_figure8, {**_SPEED_AXIS, "p_err_list": (_float_list, [0.05, 0.01, 0.001]),
+                   "parts_list": (_items, ["rn16", "epc", "both"])}),
+    9: (_figure9, {**_SPEED_AXIS, **_P_ERR,
+                   "combos": (_combos, [("FM0", 640e3), ("Miller2", 640e3), ("Miller4", 640e3),
+                                        ("Miller8", 640e3), ("Miller8", 40e3)])}),
+    10: (_figure10, {**_SPEED_AXIS, **_P_ERR,
+                     "nf_db_list": (_float_list, [0.0, 5.0, 10.0, 15.0, 20.0, 25.4]),
+                     "mode_label": (str, "Mode 290")}),
+    11: (_figure11, {**_SPEED_AXIS, **_P_ERR, "nf_db": (_finite, 25.4),
+                     "epc_bits_list": (_int_list, [96, 128, 256])}),
+}
+
+
+def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
+                   trials: int = 0, seed: int = 0):
+    """Analytic dataset behind one of the paper-style figures.
+
+    Returns (comments, fieldnames, rows).  Figures 4, 8, 9, 10 and 11 are
+    purely closed-form; figures 5 and 7 optionally add Monte Carlo columns
+    when ``trials`` > 0 (figure 7 simulates its marked operating point only).
+    ``overrides`` replaces parameter defaults; a string value is read by the
+    parameter's parser (the text form of ``--set KEY=VALUE``), any other
+    value is used as given.
+    """
+    try:
+        builder, params = _FIGURES[int(figure_id)]
+    except (KeyError, ValueError):
+        raise ConfigError(f"figure_id: unknown figure {figure_id!r}, "
+                          f"expected one of {sorted(_FIGURES)}") from None
+    values = {key: default for key, (_, default) in params.items()}
+    for key, value in (overrides or {}).items():
+        if key not in params:
+            raise ConfigError(f"{key}: unused key, figure {figure_id} takes "
+                              f"{', '.join(params)}")
+        values[key] = _parsed(key, params[key][0], value) if isinstance(value, str) else value
+    return builder(values, trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -274,47 +274,27 @@ def test_add_awgn_is_deterministic_per_seed():
 
 
 # ---------------------------------------------------------------------------
-# Segments and frame dump
+# Frame layout and frame dump
 # ---------------------------------------------------------------------------
 
-def test_segments_are_exact_contiguous_and_alternating():
-    frame = two_part_frame("ask", "gen2")
-    segments = frame.segments()
-    timing = P.reply_timing(MILLER8_40K)
-    half = Fraction(1, 2) / Fraction(40e3)
-    part_bounds = [(Fraction(0), timing.t_rn16),
-                   (timing.t_rn16 + timing.t_pause, timing.total)]
-    idx = 0
-    for start, end in part_bounds:
-        cursor = start
-        prev_state = None
-        while idx < len(segments) and segments[idx].start < end:
-            seg = segments[idx]
-            assert seg.start == cursor
-            assert seg.duration % half == 0
-            if prev_state is not None:
-                assert seg.state != prev_state   # maximal runs alternate
-            cursor += seg.duration
-            prev_state = seg.state
-            idx += 1
-        assert cursor == end
-    assert idx == len(segments)
-
-
-def test_segments_agree_with_sample_state():
+def test_part_slices_and_sample_state_follow_the_half_interval_grid():
     frame = two_part_frame("psk", "gen2")
+    rng = np.random.Generator(np.random.Philox(key=42))   # the bits of two_part_frame
+    bits16, bits_epc = rng.integers(0, 2, 16), rng.integers(0, 2, MILLER8_40K.epc_bits + 16)
+    encoded = [B.encode_miller(bits, 8, MILLER8_40K.trext) for bits in (bits16, bits_epc)]
+    timing = P.reply_timing(MILLER8_40K)
     fs = Fraction(frame.sample_rate_hz)
-    for seg in frame.segments()[:50]:
-        i0 = round(seg.start * fs)
-        i1 = round((seg.start + seg.duration) * fs)
-        assert np.all(frame.sample_state[i0:i1] == seg.state)
-
-
-def test_state_segment_validation():
-    with pytest.raises(ValueError):
-        B.StateSegment(Fraction(0), Fraction(0), 1)
-    with pytest.raises(ValueError):
-        B.StateSegment(Fraction(0), Fraction(1, 100), 2)
+    half = Fraction(1, 2) / Fraction(40e3)
+    starts = [Fraction(0), timing.t_rn16 + timing.t_pause]
+    for (i0, i1), start, states in zip(frame.part_slices, starts, encoded, strict=True):
+        edges = [round((start + j * half) * fs) for j in range(states.size + 1)]
+        assert (i0, i1) == (edges[0], edges[-1])
+        for state, a, b in zip(states, edges, edges[1:]):
+            assert b > a and np.all(frame.sample_state[a:b] == state)
+    (_, pause_start), (pause_end, end) = frame.part_slices
+    assert pause_end - pause_start == round(timing.t_pause * fs)
+    assert np.all(frame.sample_state[pause_start:pause_end] == -1)
+    assert np.all(frame.sample_state[end:] == -1)
 
 
 def test_frame_dump_round_trip(tmp_path):

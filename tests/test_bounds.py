@@ -1,7 +1,7 @@
-"""Closed-form bounds: special functions, theorems, link budget, scaling laws.
+"""Closed-form bounds: tail numerics, theorems, link budget, scaling laws.
 
 Frozen expected values were computed with mpmath at 40 decimal digits;
-scipy.special serves as an independent oracle for the special functions.
+scipy.special.erfcinv serves as an independent oracle for the normal quantile.
 """
 
 import math
@@ -24,46 +24,40 @@ def scenario(v=1.0, f_c=868e6, p_err=1e-3):
 
 
 # ---------------------------------------------------------------------------
-# erf / erf_inv
+# Tail numerics of the normal quantile behind every bound
 # ---------------------------------------------------------------------------
 
-def test_erf_matches_reference_over_wide_grid():
-    for x in np.linspace(-6.0, 6.0, 241):
-        ref = math.erf(x)
-        got = B.erf(float(x))
-        assert got == pytest.approx(ref, rel=1e-14, abs=1e-15)
+TAIL_PS = [0.4, 0.05, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15]
 
 
-def test_erfc_tail_keeps_relative_precision():
-    for x in [2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0]:
-        assert B.erfc(x) == pytest.approx(math.erfc(x), rel=1e-13)
+@pytest.mark.parametrize("p", TAIL_PS)
+def test_bounds_match_erfcinv_formulas_deep_in_the_tail(p):
+    # erfcinv(2p) is erfinv(1 - 2p) without the cancellation in 1 - 2p
+    e = float(scipy.special.erfcinv(2.0 * p))
+    v, f_c, ps_n0 = 1.3, 868e6, B.linear_from_db(52.8)
+    ratio = v * f_c / C
+    assert B.sigma_max_sq(B.MotionScenario(v, f_c, p)) == pytest.approx(
+        ratio * ratio / (2.0 * e * e), rel=1e-13, abs=0.0)
+    assert B.v_min(MODE290_CT, ps_n0, f_c, p) == pytest.approx(
+        C * e / (math.pi * f_c) * math.sqrt(3.0 / MODE290_CT / ps_n0), rel=1e-13, abs=0.0)
+    assert B.ps_n0_from_ber(160e3, 8, p) == pytest.approx(
+        10.0 * math.log10(2.0 * 160e3 * e * e / 8), rel=1e-13, abs=0.0)
 
 
-def test_erf_inv_round_trip_meets_contract():
-    ys = np.concatenate([np.linspace(-0.999, 0.999, 201),
-                         [1 - 1e-6, 1 - 1e-9, 1 - 1e-12, -(1 - 1e-12), 1e-15]])
-    for y in ys:
-        x = B.erf_inv(float(y))
-        assert B.erf(x) == pytest.approx(float(y), rel=1e-12, abs=1e-15)
-
-
-def test_erf_inv_matches_scipy():
-    for y in np.linspace(-0.998, 0.998, 101):
-        assert B.erf_inv(float(y)) == pytest.approx(float(scipy.special.erfinv(y)),
-                                                    rel=1e-12, abs=1e-14)
-
-
-def test_erf_inv_frozen_values_and_symmetry():
-    assert B.erf_inv(0.0) == 0.0
-    assert B.erf_inv(0.998) == pytest.approx(2.1851242191330043, rel=1e-12)
-    assert B.erf_inv(0.5) == pytest.approx(0.47693627620446987, rel=1e-12)
-    assert B.erf_inv(-0.5) == -B.erf_inv(0.5)
-
-
-@pytest.mark.parametrize("y", [1.0, -1.0, 1.5, -2.0])
-def test_erf_inv_domain_errors(y):
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.25, 1.5, 0.5])
+def test_error_rates_outside_the_open_interval_are_rejected(p):
     with pytest.raises(ValueError):
-        B.erf_inv(y)
+        B.v_min(MODE290_CT, 1e5, 868e6, p)
+    with pytest.raises(ValueError):
+        B.required_ps_n0(1.0, MODE290_CT, 868e6, p)
+    with pytest.raises(ValueError):
+        B.ps_n0_from_ber(160e3, 8, p)
+
+
+@pytest.mark.parametrize("p", TAIL_PS)
+def test_p_err_round_trips_through_sigma_max_sq(p):
+    sigma_sq = B.sigma_max_sq(B.MotionScenario(1.3, 868e6, p))
+    assert B.p_err_from_sigma(sigma_sq, 1.3, 868e6) == pytest.approx(p, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """CLI surface: subcommands, config files, exit codes, output determinism."""
 
+import hashlib
+import math
+
 import pytest
 
+from rfid_doppler import cli
 from rfid_doppler.cli import main
+from rfid_doppler.experiments import CheckFailure
 
 
 def parse_kv(text: str) -> dict:
@@ -135,6 +140,84 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert main(["vmin", "--mode", "Mode 777"]) == 2
     missing = tmp_path / "does-not-exist.cfg"
     assert main(["vmin", "--config", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["bounds", "--v", "nan"], "v"),
+    (["bounds", "--f-c", "inf"], "f_c_hz"),
+    (["simulate-detect", "--sigma-sq", "nan", "--check"], "sigma_sq_hz2"),
+    (["simulate-detect", "--v-grid", "0.5,-inf"], "v_grid"),
+    (["simulate-mcrb", "--sweep", "ps_n0_dbhz=40,nan"], "sweep_values"),
+])
+def test_non_finite_flags_exit_2_naming_the_field(argv, field, capsys):
+    assert main(argv) == 2
+    assert f"config error: {field}: must be a finite number" in capsys.readouterr().err
+
+
+def test_non_finite_config_file_values_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("mode_label = Mode 290\nps_n0_dbhz = inf\n", encoding="utf-8")
+    assert main(["vmin", "--config", str(cfg)]) == 2
+    assert "config error: ps_n0_dbhz: must be a finite number" in capsys.readouterr().err
+
+
+def test_detect_check_fails_on_a_nan_error_rate():
+    row = {"v_m_per_s": 1.0, "p_err_predicted": 0.05, "trials": 100,
+           "error_rate": math.nan}
+    with pytest.raises(CheckFailure):
+        cli._check_detect_rows([row])
+
+
+@pytest.mark.parametrize("figure, setting, key", [
+    ("4", "f_c_hz=9e8,1e9", "f_c_hz"),
+    ("9", "combos=FM0", "combos"),
+    ("9", "combos=FM7:640e3", "combos"),
+    ("4", "v_grid=1,0.5", "v_grid"),
+    ("8", "p_err_list=", "p_err_list"),
+    ("4", "parts_list=both", "parts_list"),
+])
+def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys):
+    assert main(["figure", figure, "--set", setting]) == 2
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
+def test_figure9_combos_text_form(capsys):
+    assert main(["figure", "9", "--set", "combos=FM0:640e3,Miller8:40e3",
+                 "--set", "v_grid=1"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")]
+    assert [row.split(",")[1:3] for row in rows[1:]] == [["FM0", "640000"],
+                                                         ["Miller8", "40000"]]
+
+
+def test_simulate_mcrb_rejects_doppler_outside_the_search_window(capsys):
+    # 100 m/s at 868 MHz is a 579 Hz shift against the default 200 Hz window
+    assert main(["simulate-mcrb", "--v", "100", "--trials", "5", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "v/v_grid" in err and "search_halfwidth_hz" in err
+
+
+def test_vmin_tail_p_err_uses_the_exact_quantile(capsys):
+    # mpmath at 40 digits for the same C_T and P_S/N0 gives 2.536980343006...
+    assert main(["vmin", "--p-err", "1e-12"]) == 0
+    assert parse_kv(capsys.readouterr().out)["v_min_m_per_s"] == "2.53698034301"
+
+
+# SHA-256 of each default analytic figure CSV, as the package first wrote them.
+FIGURE_SHA256 = {
+    "4": "ae9208dab1090c3a59cff0fc8884b092e9cab7c0da8c432c587fd674358e776a",
+    "8": "d370a78dc6cc6f68f017a7c00e87ec26a6d3c8c9995b2af8d25623113142d507",
+    "9": "d2540c7f68765501399bfdef446adde35f68bdd4e7b0a9d76f731026137400e3",
+    "10": "21ae9a20dddd43594c025682cb39083598748f234de01cb32e44fcc8cb8683c0",
+    "11": "008b1187eda7e901a2f6bdbabfe28bf4c6c1eb252bbbe1eac749058169961f0f",
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_SHA256, key=int))
+def test_default_analytic_figures_are_pinned(figure, capsys):
+    assert main(["figure", figure]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == FIGURE_SHA256[figure]
 
 
 def test_unknown_subcommand_exits_2():

@@ -210,6 +210,22 @@ def test_detection_rejects_nonpositive_speeds():
         X.run_detection_experiment(ExperimentConfig(v=0.0, trials=2))
 
 
+def test_simulated_doppler_must_lie_inside_the_search_window():
+    # 35 m/s at 868 MHz shifts by 202.7 Hz, just past the default 200 Hz window
+    with pytest.raises(ConfigError, match="v/v_grid.*search_halfwidth_hz"):
+        X.run_mcrb_experiment(ExperimentConfig(v=35.0, trials=2))
+    with pytest.raises(ConfigError, match="v/v_grid.*search_halfwidth_hz"):
+        X.run_detection_experiment(ExperimentConfig(
+            estimator_model="baseband", v_grid=[0.5, 35.0], trials=1))
+    widened = ExperimentConfig(v=35.0, trials=2, search_halfwidth_hz=210.0,
+                               parts="epc", waveform_model="rect", ps_n0_dbhz=90.0)
+    _, _, rows = X.run_mcrb_experiment(widened)
+    assert abs(rows[0]["emp_mean_err_hz"]) < 0.1
+    # the gaussian estimator model has no search window
+    _, _, rows = X.run_detection_experiment(ExperimentConfig(v=35.0, trials=10))
+    assert rows[0]["error_rate"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Figure datasets
 # ---------------------------------------------------------------------------
