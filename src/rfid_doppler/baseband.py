@@ -52,11 +52,6 @@ def _as_bits(bits: Sequence[int], what: str) -> np.ndarray:
     return arr
 
 
-def _signs_to_states(signs: np.ndarray) -> np.ndarray:
-    # baseband sign +1 -> state 0 ("zero mode"), -1 -> state 1 ("one mode")
-    return ((1 - signs) // 2).astype(np.int8)
-
-
 def encode_fm0(bits: Sequence[int], trext: Optional[bool] = None) -> np.ndarray:
     """FM0 backscatter states per half-bit interval.
 
@@ -66,25 +61,28 @@ def encode_fm0(bits: Sequence[int], trext: Optional[bool] = None) -> np.ndarray:
     with ``trext=None`` only the data symbols are encoded.
     """
     data = _as_bits(bits, "fm0 bits")
-    symbols: list[tuple[int, bool]] = []
+    head_bits: list[int] = []
+    head_inverts: list[bool] = []
     if trext is not None:
         if trext:
-            symbols += [(0, True)] * _FM0_PILOT_SYMBOLS
-        symbols += list(_FM0_PREAMBLE)
-    symbols += [(int(b), True) for b in data]
-    if trext is not None:
-        symbols.append((1, True))
-
-    halves = np.empty(2 * len(symbols), dtype=np.int8)
-    sign = 1
-    prev_end = None
-    for i, (bit, invert) in enumerate(symbols):
-        if prev_end is not None:
-            sign = -prev_end if invert else prev_end
-        halves[2 * i] = sign
-        halves[2 * i + 1] = sign if bit else -sign
-        prev_end = halves[2 * i + 1]
-    return _signs_to_states(halves)
+            head_bits += [0] * _FM0_PILOT_SYMBOLS
+            head_inverts += [True] * _FM0_PILOT_SYMBOLS
+        head_bits += [bit for bit, _ in _FM0_PREAMBLE]
+        head_inverts += [invert for _, invert in _FM0_PREAMBLE]
+    tail = [1] if trext is not None else []
+    symbols = np.concatenate([np.array(head_bits, dtype=np.int8), data,
+                              np.array(tail, dtype=np.int8)])
+    inverts = np.ones(symbols.size, dtype=np.int8)
+    inverts[:len(head_inverts)] = head_inverts
+    # state inversions before each symbol's first half: one at an inverting
+    # boundary, one more after a data-0 (its mid-bit inversion)
+    flips = np.zeros(symbols.size, dtype=np.int64)
+    flips[1:] = inverts[1:] + 1 - symbols[:-1]
+    first = (np.cumsum(flips) & 1).astype(np.int8)
+    halves = np.empty(2 * symbols.size, dtype=np.int8)
+    halves[0::2] = first
+    halves[1::2] = first ^ (1 - symbols)
+    return halves
 
 
 def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> np.ndarray:
@@ -97,28 +95,25 @@ def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> 
     if m not in (2, 4, 8):
         raise ValueError(f"Miller spread factor must be 2, 4 or 8, got {m}")
     data = _as_bits(bits, "miller bits")
-    symbols: list[int] = []
+    head: list[int] = []
     if trext is not None:
-        symbols += [0] * _MILLER_PILOT[bool(trext)]
-        symbols += list(_MILLER_PREAMBLE)
-    symbols += [int(b) for b in data]
-    if trext is not None:
-        symbols.append(1)
-
-    # baseband sign per half-bit
-    bb = np.empty(2 * len(symbols), dtype=np.int8)
-    sign = 1
-    for i, bit in enumerate(symbols):
-        if i > 0:
-            prev_end = bb[2 * i - 1]
-            sign = -prev_end if (symbols[i - 1] == 0 and bit == 0) else prev_end
-        bb[2 * i] = sign
-        bb[2 * i + 1] = -sign if bit else sign
+        head = [0] * _MILLER_PILOT[bool(trext)] + list(_MILLER_PREAMBLE)
+    tail = [1] if trext is not None else []
+    symbols = np.concatenate([np.array(head, dtype=np.int8), data,
+                              np.array(tail, dtype=np.int8)])
+    # baseband inversions before each bit's first half: one after a data-1
+    # (its mid-bit inversion), one between consecutive data-0s
+    flips = np.zeros(symbols.size, dtype=np.int64)
+    flips[1:] = symbols[:-1] + (1 - symbols[:-1]) * (1 - symbols[1:])
+    first = (np.cumsum(flips) & 1).astype(np.int8)
+    baseband_states = np.empty(2 * symbols.size, dtype=np.int8)
+    baseband_states[0::2] = first
+    baseband_states[1::2] = first ^ symbols
     # each half-bit holds m half-cycles of the subcarrier (m is even, so a
-    # global +1/-1 tiling stays aligned to half-bit starts)
-    product = np.repeat(bb, m) * np.tile(np.array([1, -1], dtype=np.int8),
-                                         bb.size * m // 2)
-    return _signs_to_states(product)
+    # global 0/1 tiling stays aligned to half-bit starts); the product of
+    # two +1/-1 signs is the XOR of their states
+    subcarrier = np.tile(np.array([0, 1], dtype=np.int8), baseband_states.size * m // 2)
+    return np.repeat(baseband_states, m) ^ subcarrier
 
 
 def rect_states(n_symbols: int, m: int) -> np.ndarray:
@@ -192,6 +187,17 @@ def amplitudes(modulation: str) -> tuple[complex, complex]:
     raise ValueError(f"unknown modulation {modulation!r} (expected 'ask' or 'psk')")
 
 
+def _complex_noise(size: int, ps_n0_dbhz: float, sample_rate_hz: float,
+                   seed: int) -> np.ndarray:
+    """``size`` complex white Gaussian samples of variance N0 * fs, N0 = 1/ratio."""
+    ratio = linear_from_db(ps_n0_dbhz)
+    n0 = 1.0 / ratio
+    sigma = math.sqrt(n0 * sample_rate_hz / 2.0)
+    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    # consecutive draws are the real and imaginary part of one sample
+    return sigma * rng.standard_normal(2 * size).view(np.complex128)
+
+
 def add_awgn(samples: np.ndarray, ps_n0_dbhz: float, sample_rate_hz: float,
              seed: int) -> np.ndarray:
     """Add complex white Gaussian noise calibrated to P_S/N0 (P_S = 1).
@@ -199,29 +205,69 @@ def add_awgn(samples: np.ndarray, ps_n0_dbhz: float, sample_rate_hz: float,
     Per-sample variance is N0 * fs with N0 = 1/ratio (one-sided density
     convention).  Deterministic for a given seed (counter-based Philox).
     """
-    ratio = linear_from_db(ps_n0_dbhz)
-    n0 = 1.0 / ratio
-    sigma = math.sqrt(n0 * sample_rate_hz / 2.0)
-    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
-    gauss = rng.standard_normal(2 * samples.size)
-    return samples + sigma * (gauss[0::2] + 1j * gauss[1::2])
+    return samples + _complex_noise(samples.size, ps_n0_dbhz, sample_rate_hz, seed)
 
 
-# Monte Carlo loops rotate thousands of frames by the same Doppler frequency
-# on the same grid; memoize the rotation vector (a few entries suffice).
-_ROTATION_CACHE: dict[tuple, np.ndarray] = {}
+def add_block_awgn(block_sums: np.ndarray, counts: np.ndarray, ps_n0_dbhz: float,
+                   sample_rate_hz: float, seed: int) -> np.ndarray:
+    """Add to each block sum the noise of its ``counts`` summed samples.
+
+    The sum of ``count`` independent samples of :func:`add_awgn` noise is
+    exactly complex Gaussian with variance count * N0 * fs, so one draw per
+    block replaces the per-sample draws.  Deterministic for a given seed.
+    """
+    noise = _complex_noise(block_sums.size, ps_n0_dbhz, sample_rate_hz, seed)
+    return block_sums + np.sqrt(counts) * noise
 
 
-def _doppler_rotation(f_d_hz: float, sample_rate_hz: float, n: int) -> np.ndarray:
-    key = (f_d_hz, sample_rate_hz, n)
-    cached = _ROTATION_CACHE.get(key)
-    if cached is None:
-        t = np.arange(n) / sample_rate_hz
-        cached = np.exp(-2j * math.pi * f_d_hz * t)
-        if len(_ROTATION_CACHE) >= 8:
-            _ROTATION_CACHE.pop(next(iter(_ROTATION_CACHE)))
-        _ROTATION_CACHE[key] = cached
-    return cached
+def doppler_rotation(f_d_hz: float, t_s: np.ndarray) -> np.ndarray:
+    """Doppler term exp(-j 2 pi f_d t) at the times ``t_s``."""
+    rotation = np.multiply(t_s, -2j * math.pi * f_d_hz)
+    return np.exp(rotation, out=rotation)   # in place: no second frame-sized array
+
+
+@dataclass(frozen=True)
+class FrameLayout:
+    """Sample grid of a frame: where each half-interval of each part lies.
+
+    ``edges[p]`` holds the sample index of every half-interval boundary of
+    part p (one more than its state count), snapped to the nearest sample;
+    samples outside every part belong to the pause or the trailing fill.
+    """
+
+    sample_rate_hz: float
+    n_samples: int
+    edges: tuple
+
+
+def frame_layout(parts: Sequence[tuple], blf_hz: float,
+                 sample_rate_hz: Optional[float] = None) -> FrameLayout:
+    """Snap the (kind, exact start time, states) parts of a frame to its sample grid.
+
+    Only the number of states of a part matters, not their values.
+    ``sample_rate_hz`` None means :func:`default_sample_rate`.
+    """
+    fs = sample_rate_hz if sample_rate_hz is not None else default_sample_rate(blf_hz)
+    half = Fraction(1, 2) / Fraction(blf_hz)
+    if fs < 4.0 / float(half):
+        raise ValueError(f"sample rate {fs} Hz below 4 samples per transition interval")
+    fs_frac = Fraction(fs)
+
+    total_end = Fraction(0)
+    for _, start, states in parts:
+        total_end = max(total_end, start + len(states) * half)
+
+    step = fs_frac * half   # samples per half-interval
+    edges = []
+    for _, start, states in parts:
+        index = np.arange(len(states) + 1, dtype=np.int64)
+        if step.denominator == 1:
+            edges.append(round(start * fs_frac) + int(step) * index)
+        else:
+            # general sample rate: snap each boundary to the nearest sample
+            edges.append(np.rint(float(start * fs_frac) + float(step) * index).astype(np.int64))
+    return FrameLayout(sample_rate_hz=fs, n_samples=math.ceil(total_end * fs_frac),
+                       edges=tuple(edges))
 
 
 def _part_states(kind: str, mode: protocol.ReaderMode, waveform_model: str,
@@ -243,52 +289,28 @@ def _part_states(kind: str, mode: protocol.ReaderMode, waveform_model: str,
     return encode_fm0(bits, mode.trext)
 
 
-def _assemble_frame(built: list, blf_hz: float, modulation: str, waveform_model: str,
+def _assemble_frame(parts: list, blf_hz: float, modulation: str, waveform_model: str,
                     params: ChannelParams, bits_rn16, bits_epc) -> BasebandFrame:
     """Sample, modulate, Doppler-rotate and (optionally) add noise.
 
-    ``built`` is a list of (kind, exact start time, state-per-half-interval
+    ``parts`` is a list of (kind, exact start time, state-per-half-interval
     array) triples on the 1/(2 BLF) grid.
     """
-    fs = params.sample_rate_hz if params.sample_rate_hz is not None \
-        else default_sample_rate(blf_hz)
-    half = Fraction(1, 2) / Fraction(blf_hz)
-    if fs < 4.0 / float(half):
-        raise ValueError(f"sample rate {fs} Hz below 4 samples per transition interval")
-    fs_frac = Fraction(fs)
-
-    total_end = Fraction(0)
-    for _, start, states in built:
-        total_end = max(total_end, start + states.size * half)
-
-    n_samples = math.ceil(total_end * fs_frac)
-    sample_state = np.full(n_samples, -1, dtype=np.int8)
+    layout = frame_layout(parts, blf_hz, params.sample_rate_hz)
+    fs = layout.sample_rate_hz
+    sample_state = np.full(layout.n_samples, -1, dtype=np.int8)
     part_slices: list[tuple[int, int]] = []
-    part_spans: list[tuple[float, float]] = []
-    part_kinds: list[str] = []
-    step = fs_frac * half   # samples per half-interval
-    for kind, start, states in built:
-        i0 = round(start * fs_frac)
-        if step.denominator == 1:
-            counts = np.full(states.size, int(step), dtype=np.int64)
-        else:
-            # general sample rate: snap each boundary to the nearest sample
-            edges = np.rint(float(start * fs_frac)
-                            + float(step) * np.arange(states.size + 1)).astype(np.int64)
-            counts = np.diff(edges)
-            i0 = int(edges[0])
-        i1 = i0 + int(counts.sum())
-        sample_state[i0:i1] = np.repeat(states, counts)
+    for (_, _, states), edges in zip(parts, layout.edges):
+        i0, i1 = int(edges[0]), int(edges[-1])
+        sample_state[i0:i1] = np.repeat(states, np.diff(edges))
         part_slices.append((i0, i1))
-        part_spans.append((i0 / fs, i1 / fs))
-        part_kinds.append(kind)
 
     amp0, amp1 = amplitudes(modulation)
-    samples = np.zeros(n_samples, dtype=np.complex128)
+    samples = np.zeros(layout.n_samples, dtype=np.complex128)
     samples[sample_state == 0] = amp0
     samples[sample_state == 1] = amp1
 
-    samples *= _doppler_rotation(params.f_d_hz, fs, n_samples)
+    samples *= doppler_rotation(params.f_d_hz, np.arange(layout.n_samples) / fs)
 
     if params.ps_n0_dbhz is not None:
         samples = add_awgn(samples, params.ps_n0_dbhz, fs, params.seed)
@@ -297,8 +319,41 @@ def _assemble_frame(built: list, blf_hz: float, modulation: str, waveform_model:
                        modulation=modulation, waveform_model=waveform_model,
                        bits_rn16=bits_rn16, bits_epc=bits_epc, seed=params.seed)
     return BasebandFrame(sample_rate_hz=fs, samples=samples, sample_state=sample_state,
-                         part_slices=part_slices, part_spans=part_spans,
-                         part_kinds=part_kinds, truth=truth)
+                         part_slices=part_slices,
+                         part_spans=[(i0 / fs, i1 / fs) for i0, i1 in part_slices],
+                         part_kinds=[kind for kind, _, _ in parts], truth=truth)
+
+
+def reply_parts(timing: Optional[protocol.ReplyTiming], mode: protocol.ReaderMode,
+                waveform_model: str, bits_rn16: Optional[Sequence[int]],
+                bits_epc: Optional[Sequence[int]], parts: str = "both") -> list:
+    """(kind, exact start time, states) of each selected part of a tag reply.
+
+    parts selects 'rn16', 'epc' (single part starting at t = 0) or 'both'
+    (first part, silent pause, second part).  waveform_model 'gen2' encodes
+    the given bits with the mode's FM0/Miller scheme; 'rect' emits the
+    data-independent reflect/absorb symbol pattern of the simplified model.
+    """
+    if waveform_model not in WAVEFORM_MODELS:
+        raise ValueError(f"unknown waveform model {waveform_model!r}")
+    if parts not in ("rn16", "epc", "both"):
+        raise ValueError(f"unknown parts selection {parts!r}")
+    if timing is None:
+        timing = protocol.reply_timing(mode)
+
+    starts: list[tuple[str, Fraction]] = []
+    if parts in ("rn16", "both"):
+        starts.append(("rn16", Fraction(0)))
+    if parts == "epc":
+        starts.append(("epc", Fraction(0)))
+    elif parts == "both":
+        starts.append(("epc", timing.t_rn16 + timing.t_pause))
+
+    bits = {"rn16": bits_rn16, "epc": bits_epc}
+    return [(kind, start,
+             _part_states(kind, mode, waveform_model,
+                          _as_bits(bits[kind], kind) if bits[kind] is not None else None))
+            for kind, start in starts]
 
 
 def synthesize_reply(timing: Optional[protocol.ReplyTiming], mode: protocol.ReaderMode,
@@ -307,38 +362,14 @@ def synthesize_reply(timing: Optional[protocol.ReplyTiming], mode: protocol.Read
                      params: ChannelParams, parts: str = "both") -> BasebandFrame:
     """Synthesize a sampled tag reply frame.
 
-    parts selects 'rn16', 'epc' (single part starting at t = 0) or 'both'
-    (first part, silent pause, second part).  waveform_model 'gen2' encodes
-    the given bits with the mode's FM0/Miller scheme; 'rect' emits the
-    data-independent reflect/absorb symbol pattern of the simplified model.
+    The parts, their timing and their states are those of :func:`reply_parts`.
     """
     if modulation not in MODULATIONS:
         raise ValueError(f"unknown modulation {modulation!r}")
-    if waveform_model not in WAVEFORM_MODELS:
-        raise ValueError(f"unknown waveform model {waveform_model!r}")
-    if parts not in ("rn16", "epc", "both"):
-        raise ValueError(f"unknown parts selection {parts!r}")
-    if timing is None:
-        timing = protocol.reply_timing(mode)
-
     b_rn16 = _as_bits(bits_rn16, "rn16") if bits_rn16 is not None else None
     b_epc = _as_bits(bits_epc, "epc") if bits_epc is not None else None
-
-    layout: list[tuple[str, Fraction]] = []   # (kind, exact start time)
-    if parts in ("rn16", "both"):
-        layout.append(("rn16", Fraction(0)))
-    if parts == "epc":
-        layout.append(("epc", Fraction(0)))
-    elif parts == "both":
-        layout.append(("epc", timing.t_rn16 + timing.t_pause))
-
-    built = []
-    for kind, start in layout:
-        states = _part_states(kind, mode, waveform_model,
-                              b_rn16 if kind == "rn16" else b_epc)
-        built.append((kind, start, states))
-    return _assemble_frame(built, mode.blf_hz, modulation, waveform_model,
-                           params, b_rn16, b_epc)
+    return _assemble_frame(reply_parts(timing, mode, waveform_model, b_rn16, b_epc, parts),
+                           mode.blf_hz, modulation, waveform_model, params, b_rn16, b_epc)
 
 
 def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
@@ -352,9 +383,8 @@ def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
     states = np.asarray(states, dtype=np.int8)
     if states.ndim != 1 or states.size == 0:
         raise ValueError("states must be a non-empty 1-D array")
-    built = [("burst", Fraction(0), states)]
-    return _assemble_frame(built, blf_hz, modulation, waveform_model, params,
-                           None, None)
+    return _assemble_frame([("burst", Fraction(0), states)], blf_hz, modulation,
+                           waveform_model, params, None, None)
 
 
 def dump_frame(frame: BasebandFrame, path) -> None:

@@ -148,6 +148,11 @@ def _check_mcrb_rows(rows, ask_zeroing: bool) -> None:
             raise CheckFailure(
                 f"empirical/bound variance ratio {ratio:.4f} outside [{lo}, {hi}] "
                 f"at row {row}")
+        sem = math.sqrt(row["emp_var_hz2"] / row["trials"])
+        if not abs(row["emp_mean_err_hz"]) <= 3.0 * sem:
+            raise CheckFailure(
+                f"mean error {row['emp_mean_err_hz']:.6g} Hz exceeds 3 standard errors "
+                f"({3.0 * sem:.6g} Hz) at row {row}")
 
 
 def _cmd_simulate_mcrb(args) -> int:
@@ -187,8 +192,9 @@ def _cmd_simulate_detect(args) -> int:
 
 
 def _cmd_noise_figure(args) -> int:
-    report = experiments.noise_figure_report(
-        p_s_dbm=args.p_s_dbm, ber=args.ber, blf_hz=args.blf_hz, m=args.m)
+    values = {key: experiments._parsed(key, experiments._finite, getattr(args, key))
+              for key in ("p_s_dbm", "ber", "blf_hz")}
+    report = experiments.noise_figure_report(**values, m=args.m)
     lines = [f"{key} = {experiments._format_value(value)}"
              for key, value in report.items()]
     _print_lines(lines, args.out)
@@ -244,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("noise-figure",
                         help="back-solve N0 and NF from a sensitivity point")
-    sp.add_argument("--p-s-dbm", dest="p_s_dbm", type=float, default=-95.8)
-    sp.add_argument("--ber", type=float, default=1e-3)
-    sp.add_argument("--blf", dest="blf_hz", type=float, default=160e3)
+    sp.add_argument("--p-s-dbm", dest="p_s_dbm", default="-95.8")
+    sp.add_argument("--ber", default="1e-3")
+    sp.add_argument("--blf", dest="blf_hz", default="160e3")
     sp.add_argument("--m", type=int, default=8)
     sp.add_argument("--out", metavar="FILE")
     sp.set_defaults(func=_cmd_noise_figure)

@@ -7,10 +7,16 @@ are derived from the master seed with an iterated SplitMix64 mix,
     bits RNG key of sub-trial k = derive_seed(trial_seed, 2 k)
     noise seed of sub-trial k   = derive_seed(trial_seed, 2 k + 1)
 
-A sub-trial is one synthesized frame: MCRB trials and the static frame of a
-detection trial are sub-trial k = 0, the moving frame is k = 1.  All
-generators are counter-based Philox, so results do not depend on execution
-order and re-runs produce byte-identical CSV.
+A sub-trial is one frame: MCRB trials and the static frame of a detection
+trial are sub-trial k = 0, the moving frame is k = 1.  Trial 0 of every grid
+point synthesizes its frames sample by sample and draws its noise per sample
+from the noise seed (add_awgn).  Every other trial builds the per-block sums
+the estimator reads straight from the frame's states and draws one complex
+noise value per block from the same noise seed (add_block_awgn): the sum of
+count independent samples of add_awgn noise, which has the same distribution.
+All generators are counter-based Philox, so a trial's estimate does not
+depend on execution order or run length, and re-runs produce byte-identical
+CSV.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -283,54 +290,108 @@ def _random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.integers(0, 2, size=count, dtype=np.int8)
 
 
-def _reply_frame(config: ExperimentConfig, mode: protocol.ReaderMode, timing):
-    """Frame builder for the configured parts of the mode's reply."""
-    def build(bits_rng, params):
+@dataclass(frozen=True)
+class _FrameSource:
+    """One kind of simulated frame, in the sample and in the block domain.
+
+    ``draw`` takes the random input of a frame (its bits, or its states for
+    a burst) from the bits generator, ``parts`` turns that input into the
+    (kind, exact start time, states) parts of the frame, and ``synthesize``
+    into a sampled frame.  Every draw gives parts of the same lengths, so
+    all frames of a source share one sample layout.
+    """
+
+    blf_hz: float
+    draw: Callable
+    parts: Callable
+    synthesize: Callable
+
+
+def _reply_source(config: ExperimentConfig, mode: protocol.ReaderMode, timing) -> _FrameSource:
+    """Frames of the configured parts of the mode's reply."""
+    def draw(bits_rng):
         bits_rn16 = bits_epc = None
         if config.waveform_model == "gen2":
             if config.parts in ("rn16", "both"):
                 bits_rn16 = _random_bits(bits_rng, protocol.RN16_BITS)
             if config.parts in ("epc", "both"):
                 bits_epc = _random_bits(bits_rng, mode.epc_bits + protocol.CRC16_BITS)
+        return bits_rn16, bits_epc
+
+    def parts(bits):
+        return baseband.reply_parts(timing, mode, config.waveform_model, *bits, config.parts)
+
+    def synthesize(bits, params):
         return baseband.synthesize_reply(timing, mode, config.modulation,
-                                         config.waveform_model, bits_rn16, bits_epc,
-                                         params, parts=config.parts)
-    return build
+                                         config.waveform_model, *bits, params,
+                                         parts=config.parts)
+    return _FrameSource(mode.blf_hz, draw, parts, synthesize)
 
 
-def _burst_frame(config: ExperimentConfig, mode: protocol.ReaderMode, n_symbols: int):
-    """Frame builder for a single part of n_symbols symbols starting at t = 0."""
+def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
+                  n_symbols: int) -> _FrameSource:
+    """Frames of a single part of n_symbols symbols starting at t = 0."""
     enc = mode.encoding
 
-    def build(bits_rng, params):
+    def draw(bits_rng):
         if config.waveform_model == "rect":
-            states = baseband.rect_states(n_symbols, enc.spread_factor)
-        else:
-            payload = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1
-            bits = _random_bits(bits_rng, payload)
-            if enc.is_miller:
-                states = baseband.encode_miller(bits, enc.spread_factor, mode.trext)
-            else:
-                states = baseband.encode_fm0(bits, mode.trext)
+            return baseband.rect_states(n_symbols, enc.spread_factor)
+        payload = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1
+        bits = _random_bits(bits_rng, payload)
+        if enc.is_miller:
+            return baseband.encode_miller(bits, enc.spread_factor, mode.trext)
+        return baseband.encode_fm0(bits, mode.trext)
+
+    def synthesize(states, params):
         return baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params,
                                          waveform_model=config.waveform_model)
-    return build
+    return _FrameSource(mode.blf_hz, draw, lambda states: [("burst", Fraction(0), states)],
+                        synthesize)
 
 
-def _trial_f_hat(config: ExperimentConfig, build_frame, ratio_dbhz: float,
-                 trial_seed: int, k: int, f_d: float) -> float:
-    """Doppler estimate from sub-trial k of a trial: one frame at shift f_d."""
+def _estimates(config: ExperimentConfig, source: _FrameSource, ratio_dbhz: float,
+               grid_index: int, k: int, f_d: float) -> np.ndarray:
+    """Doppler estimates from sub-trial k of every trial of a grid point, at shift f_d.
+
+    Trial 0 runs the sample-level pipeline (synthesize, wipe off, estimate).
+    Every other trial builds the block sums of its noiseless wiped frame
+    from the frame's states, adds one noise draw per block and runs the
+    estimator's peak search on them.
+    """
     if not abs(f_d) < config.search_halfwidth_hz:
         raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
                           f"search window, search_halfwidth_hz = "
                           f"{config.search_halfwidth_hz:.6g} Hz")
+    seeds = [derive_seed(config.seed, grid_index, i) for i in range(config.trials)]
+
+    def draw(trial_seed):
+        """The frame's random input and its noise seed."""
+        bits_rng = _rng(derive_seed(trial_seed, 2 * k))
+        return source.draw(bits_rng), derive_seed(trial_seed, 2 * k + 1)
+
+    drawn, noise_seed = draw(seeds[0])
     params = baseband.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ratio_dbhz,
-                                    sample_rate_hz=config.sample_rate_hz,
-                                    seed=derive_seed(trial_seed, 2 * k + 1))
-    frame = build_frame(_rng(derive_seed(trial_seed, 2 * k)), params)
-    wiped = estimator.wipe_modulation(frame, ask_zeroing=config.ask_zeroing)
-    return estimator.estimate_doppler(
-        wiped, search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz
+                                    sample_rate_hz=config.sample_rate_hz, seed=noise_seed)
+    estimates = [estimator.estimate_doppler(
+        estimator.wipe_modulation(source.synthesize(drawn, params),
+                                  ask_zeroing=config.ask_zeroing),
+        search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz]
+    if len(seeds) == 1:
+        return np.array(estimates)
+
+    table = estimator.BlockTable(
+        baseband.frame_layout(source.parts(drawn), source.blf_hz, config.sample_rate_hz), f_d,
+        config.modulation, config.ask_zeroing, config.search_halfwidth_hz)
+    for trial_seed in seeds[1:]:
+        drawn, noise_seed = draw(trial_seed)
+        parts = source.parts(drawn)
+        blocks = table.blocks(np.concatenate([states for _, _, states in parts]))
+        z = baseband.add_block_awgn(blocks.z, blocks.count, ratio_dbhz,
+                                    table.sample_rate_hz, noise_seed)
+        estimates.append(estimator.search_peak(
+            dataclasses.replace(blocks, z=z),
+            search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz)
+    return np.array(estimates)
 
 
 def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) -> int:
@@ -343,12 +404,8 @@ def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) 
     return n
 
 
-def _error_stats(config: ExperimentConfig, build_frame, ratio_dbhz: float,
-                 grid_index: int, f_d_true: float) -> dict:
-    """Run the trials of one grid point; statistics of their estimation errors."""
-    errors = np.array([_trial_f_hat(config, build_frame, ratio_dbhz,
-                                    derive_seed(config.seed, grid_index, i), 0, f_d_true)
-                       - f_d_true for i in range(config.trials)])
+def _error_stats(errors: np.ndarray) -> dict:
+    """Statistics of the estimation errors of one grid point's trials."""
     n = errors.size
     return {
         "trials": int(n),
@@ -387,8 +444,9 @@ def run_mcrb_experiment(config: ExperimentConfig):
             t0 = n_symbols * float(protocol.symbol_period(mode.blf_hz, mode.encoding))
             c_t = bounds.c_t_single(t0)
             mcrb = bounds.mcrb_sigma_sq(c_t, link.ps_n0_linear)
-            stats = _error_stats(config, _burst_frame(config, mode, n_symbols),
-                                 link.ps_n0_dbhz, gi, f_d_true)
+            source = _burst_source(config, mode, n_symbols)
+            stats = _error_stats(_estimates(config, source, link.ps_n0_dbhz, gi, 0, f_d_true)
+                                 - f_d_true)
             rows.append({"t0_requested_s": t0_req, "t0_s": t0, "n_symbols": n_symbols,
                          "ps_n0_dbhz": link.ps_n0_dbhz, "modulation": config.modulation,
                          "waveform_model": config.waveform_model, "c_t_s3": c_t,
@@ -399,10 +457,10 @@ def run_mcrb_experiment(config: ExperimentConfig):
     c_t = bounds.timing_factor(timing, config.parts)
     ratios = config.sweep_values if config.sweep_param == "ps_n0_dbhz" \
         else [link.ps_n0_dbhz]
-    build_frame = _reply_frame(config, mode, timing)
+    source = _reply_source(config, mode, timing)
     for gi, ratio in enumerate(ratios):
         mcrb = bounds.mcrb_sigma_sq(c_t, bounds.linear_from_db(ratio))
-        stats = _error_stats(config, build_frame, ratio, gi, f_d_true)
+        stats = _error_stats(_estimates(config, source, ratio, gi, 0, f_d_true) - f_d_true)
         rows.append({"ps_n0_dbhz": ratio, "parts": config.parts,
                      "modulation": config.modulation,
                      "waveform_model": config.waveform_model,
@@ -459,12 +517,9 @@ def run_detection_experiment(config: ExperimentConfig):
             # link ratio at which the estimation bound equals sigma_sq
             ratio_dbhz = bounds.db_from_linear(
                 3.0 / (2.0 * math.pi ** 2 * c_t * sigma_sq))
-            build_frame = _reply_frame(config, mode, timing)
-            seeds = [derive_seed(config.seed, gi, i) for i in range(config.trials)]
-            est_static = np.array([_trial_f_hat(config, build_frame, ratio_dbhz, seed, 0, 0.0)
-                                   for seed in seeds])
-            est_moving = np.array([_trial_f_hat(config, build_frame, ratio_dbhz, seed, 1, f_d)
-                                   for seed in seeds])
+            source = _reply_source(config, mode, timing)
+            est_static = _estimates(config, source, ratio_dbhz, gi, 0, 0.0)
+            est_moving = _estimates(config, source, ratio_dbhz, gi, 1, f_d)
 
         err_static = int(np.count_nonzero(est_static >= threshold))
         err_moving = int(np.count_nonzero(est_moving < threshold))

@@ -100,6 +100,62 @@ def test_miller_rejects_bad_spread_factor():
         B.encode_miller([1, 0], 1)
 
 
+def _fm0_loop_reference(bits, trext):
+    """Symbol-by-symbol FM0 encoder: the reference for the vectorized one."""
+    symbols = []
+    if trext is not None:
+        if trext:
+            symbols += [(0, True)] * 12
+        symbols += [(1, True), (0, True), (1, True), (0, True), (1, False), (1, True)]
+    symbols += [(int(b), True) for b in bits]
+    if trext is not None:
+        symbols.append((1, True))
+    halves = []
+    sign, prev_end = 1, None
+    for bit, invert in symbols:
+        if prev_end is not None:
+            sign = -prev_end if invert else prev_end
+        prev_end = sign if bit else -sign
+        halves += [sign, prev_end]
+    return np.array([(1 - h) // 2 for h in halves], dtype=np.int8)
+
+
+def _miller_loop_reference(bits, m, trext):
+    """Symbol-by-symbol Miller encoder: the reference for the vectorized one."""
+    symbols = []
+    if trext is not None:
+        symbols += [0] * (16 if trext else 4) + [0, 1, 0, 1, 1, 1]
+    symbols += [int(b) for b in bits]
+    if trext is not None:
+        symbols.append(1)
+    baseband = []
+    sign = 1
+    for i, bit in enumerate(symbols):
+        if i > 0:
+            prev_end = baseband[-1]
+            sign = -prev_end if (symbols[i - 1] == 0 and bit == 0) else prev_end
+        baseband += [sign, -sign if bit else sign]
+    signs = []
+    for value in baseband:
+        for j in range(m):
+            signs.append(value if j % 2 == 0 else -value)
+    return np.array([(1 - v) // 2 for v in signs], dtype=np.int8)
+
+
+def test_encoders_match_the_loop_reference_on_random_bits():
+    rng = np.random.Generator(np.random.Philox(key=77))
+    for _ in range(60):
+        bits = rng.integers(0, 2, int(rng.integers(1, 140)))
+        for trext in (None, False, True):
+            got = B.encode_fm0(bits, trext)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, _fm0_loop_reference(bits, trext))
+            for m in (2, 4, 8):
+                got = B.encode_miller(bits, m, trext)
+                assert got.dtype == np.int8
+                assert np.array_equal(got, _miller_loop_reference(bits, m, trext))
+
+
 def test_encoders_reject_bad_bits():
     with pytest.raises(ValueError):
         B.encode_fm0([])
@@ -262,6 +318,25 @@ def test_add_awgn_variance_calibration():
     assert float(np.mean(noise.real)) == pytest.approx(0.0, abs=3 * math.sqrt(expected / 2e6))
     assert float(np.mean(noise.real * noise.imag)) == pytest.approx(
         0.0, abs=3 * expected / 2 / math.sqrt(1e6))
+
+
+def test_add_block_awgn_variance_calibration():
+    # one draw per block stands for the sum of ``count`` add_awgn samples
+    fs = 1.0e6
+    ratio_db = 30.0
+    per_sample = fs / B.linear_from_db(ratio_db)
+    counts = np.random.Generator(np.random.Philox(key=3)).integers(1, 500, 10 ** 6)
+    noise = B.add_block_awgn(np.zeros(counts.size, dtype=complex), counts, ratio_db, fs,
+                             seed=11)
+    normalized = noise / np.sqrt(counts * per_sample)
+    assert float(np.mean(np.abs(normalized) ** 2)) == pytest.approx(1.0, rel=1e-2)
+    assert float(np.mean(normalized.real)) == pytest.approx(0.0, abs=3 * math.sqrt(0.5 / 1e6))
+    assert float(np.mean(normalized.real * normalized.imag)) == pytest.approx(
+        0.0, abs=3 * 0.5 / math.sqrt(1e6))
+    # the same seed draws the same noise as add_awgn, scaled per block
+    zeros = np.zeros(4096, dtype=complex)
+    assert np.array_equal(B.add_block_awgn(zeros, np.ones(zeros.size), ratio_db, fs, seed=5),
+                          B.add_awgn(zeros, ratio_db, fs, seed=5))
 
 
 def test_add_awgn_is_deterministic_per_seed():

@@ -148,6 +148,9 @@ def test_config_errors_exit_2(capsys, tmp_path):
     (["simulate-detect", "--sigma-sq", "nan", "--check"], "sigma_sq_hz2"),
     (["simulate-detect", "--v-grid", "0.5,-inf"], "v_grid"),
     (["simulate-mcrb", "--sweep", "ps_n0_dbhz=40,nan"], "sweep_values"),
+    (["noise-figure", "--p-s-dbm", "nan"], "p_s_dbm"),
+    (["noise-figure", "--ber", "nan"], "ber"),
+    (["noise-figure", "--blf", "inf"], "blf_hz"),
 ])
 def test_non_finite_flags_exit_2_naming_the_field(argv, field, capsys):
     assert main(argv) == 2
@@ -166,6 +169,17 @@ def test_detect_check_fails_on_a_nan_error_rate():
            "error_rate": math.nan}
     with pytest.raises(CheckFailure):
         cli._check_detect_rows([row])
+
+
+def test_mcrb_check_fails_on_a_biased_mean_error():
+    row = {"ps_n0_dbhz": 52.8, "mcrb_var_hz2": 0.0174, "trials": 2000,
+           "emp_var_hz2": 0.0174, "emp_mean_err_hz": 0.0}
+    cli._check_mcrb_rows([row], ask_zeroing=True)
+    # 3 standard errors of the mean are 3 * sqrt(0.0174 / 2000) = 0.0088 Hz
+    cli._check_mcrb_rows([dict(row, emp_mean_err_hz=-0.0087)], ask_zeroing=True)
+    for mean in (0.0089, -0.0089, math.nan):
+        with pytest.raises(CheckFailure, match="mean error .* at row .*'ps_n0_dbhz': 52.8"):
+            cli._check_mcrb_rows([row, dict(row, emp_mean_err_hz=mean)], ask_zeroing=True)
 
 
 @pytest.mark.parametrize("figure, setting, key", [

@@ -4,6 +4,7 @@ The Monte Carlo tightness checks here run the simplified rectangular signal
 model; the acceptance suite runs the same checks on the full Gen2 waveforms.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,81 @@ def test_blockless_evaluation_agrees_with_blocked():
     blocked = E.estimate_doppler(wiped)
     exact = E.estimate_doppler(wiped, block_len_s=0)
     assert abs(blocked.f_hat_hz - exact.f_hat_hz) <= 1e-3
+
+
+FM0_160K = P.ReaderMode("fm0-160k", 160e3, P.FM0)
+
+
+def block_parts(mode, waveform, parts, seed=5):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bits16 = rng.integers(0, 2, 16)
+    bits_epc = rng.integers(0, 2, mode.epc_bits + 16)
+    return bits16, bits_epc, B.reply_parts(None, mode, waveform, bits16, bits_epc, parts)
+
+
+# A 20 kHz window makes the FM0 blocks 15-16 samples long, so at the
+# non-integer step they cut half-intervals apart.
+@pytest.mark.parametrize("mode, halfwidth", [(MILLER8_40K, 200.0), (FM0_160K, 20e3)],
+                         ids=["miller8", "fm0"])
+@pytest.mark.parametrize("rate", [None, 30.3], ids=["default-rate", "non-integer-step"])
+@pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
+@pytest.mark.parametrize("waveform", ["gen2", "rect"])
+@pytest.mark.parametrize("parts", ["rn16", "epc", "both"])
+def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulation, zeroing,
+                                                waveform, parts):
+    fs = None if rate is None else rate * mode.blf_hz
+    bits16, bits_epc, built = block_parts(mode, waveform, parts)
+    params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=None, sample_rate_hz=fs)
+    frame = B.synthesize_reply(None, mode, modulation, waveform, bits16, bits_epc, params,
+                               parts=parts)
+    wiped = E.wipe_modulation(frame, ask_zeroing=zeroing)
+    want = E.integrate_blocks(wiped, halfwidth)
+    table = E.BlockTable(B.frame_layout(built, mode.blf_hz, fs), 37.0, modulation, zeroing,
+                         halfwidth)
+    got = table.blocks(np.concatenate([states for _, _, states in built]))
+    assert np.array_equal(got.count, want.count)
+    # each sample has unit-order magnitude: compare per summed sample
+    assert np.all(np.abs(got.z - want.z) <= 1e-12 * want.count)
+    assert np.all(np.abs(got.tau - want.tau) <= 1e-12)
+    assert got.span_s == want.span_s
+
+
+@pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
+def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zeroing):
+    bits16, bits_epc, built = block_parts(MILLER8_40K, "gen2", "both")
+    table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, modulation, zeroing)
+    signal = table.blocks(np.concatenate([states for _, _, states in built]))
+    for seed in range(4):
+        # the 36 ms span makes the peak sharp enough to pin it to 1e-9 Hz
+        params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=45.0, seed=seed)
+        noisy = B.synthesize_reply(None, MILLER8_40K, modulation, "gen2", bits16, bits_epc,
+                                   params, parts="both")
+        clean = B.synthesize_reply(None, MILLER8_40K, modulation, "gen2", bits16, bits_epc,
+                                   dataclasses.replace(params, ps_n0_dbhz=None), parts="both")
+        noise = dataclasses.replace(noisy, samples=noisy.samples - clean.samples)
+        noise_blocks = E.integrate_blocks(E.wipe_modulation(noise, ask_zeroing=zeroing))
+        blocks = dataclasses.replace(signal, z=signal.z + noise_blocks.z)
+        want = E.estimate_doppler(E.wipe_modulation(noisy, ask_zeroing=zeroing)).f_hat_hz
+        assert abs(E.search_peak(blocks).f_hat_hz - want) <= 1e-9
+
+
+def test_block_table_rejects_states_of_another_layout():
+    _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
+    table = E.BlockTable(B.frame_layout(built, 40e3), 0.0, "psk")
+    with pytest.raises(ValueError, match="states"):
+        table.blocks(built[0][2][:-1])
+
+
+@pytest.mark.parametrize("f_d", [1e5, -1e5])
+def test_wide_window_coarse_grid_spans_several_chunks(f_d):
+    # 2,496 samples, one per block, and 9,356 coarse cells per side: the
+    # coarse grid runs in six chunks of k, and the peak lies in the fourth
+    params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=None, sample_rate_hz=320e3)
+    frame = B.synthesize_reply(None, MILLER8_40K, "psk", "gen2", *block_parts(
+        MILLER8_40K, "gen2", "rn16")[:2], params, parts="rn16")
+    report = E.estimate_doppler(E.wipe_modulation(frame), search_halfwidth_hz=150e3,
+                                block_len_s=0)
+    assert abs(report.f_hat_hz - f_d) <= 1e-3
 
 
 def test_estimator_contract_errors():

@@ -130,6 +130,25 @@ def test_run_mcrb_rows_are_deterministic_and_complete():
     assert set(fieldnames) <= set(row)
 
 
+def test_trial_estimates_do_not_depend_on_the_run_length():
+    # trial 0 runs on samples, the others on block sums; trial i draws from
+    # its own keys either way
+    config = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="Miller8",
+                              ps_n0_dbhz=52.8, modulation="ask", parts="both", seed=3)
+    mode = X.resolve_reader_mode(config)
+    f_d = bd.doppler_shift(config.v, config.f_c_hz)
+
+    def estimates(trials):
+        run = config.replace(trials=trials)
+        source = X._reply_source(run, mode, P.reply_timing(mode))
+        return X._estimates(run, source, 52.8, 0, 0, f_d)
+
+    six = estimates(6)
+    assert np.array_equal(estimates(1), six[:1])
+    assert np.array_equal(estimates(3), six[:3])
+    assert np.all(np.abs(six - f_d) < 1.0)
+
+
 def test_run_mcrb_analytic_column_matches_bounds_module():
     config = fast_mcrb_config(parts="both", trials=2)
     _, _, rows = X.run_mcrb_experiment(config)
