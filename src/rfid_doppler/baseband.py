@@ -43,10 +43,12 @@ _MILLER_PREAMBLE = (0, 1, 0, 1, 1, 1)
 _MILLER_PILOT = {False: 4, True: 16}
 
 
-def _as_bits(bits: Sequence[int], what: str) -> np.ndarray:
+def _as_bits(bits: Sequence[int], what: str, rows: bool = False) -> np.ndarray:
+    """Bits as int8; ``rows`` also accepts a 2-D array of one sequence per row."""
     arr = np.asarray(bits, dtype=np.int8)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{what}: expected a non-empty 1-D bit sequence")
+    if arr.ndim not in ((1, 2) if rows else (1,)) or arr.size == 0:
+        raise ValueError(f"{what}: expected a non-empty 1-D bit sequence"
+                         + (" or a 2-D array of one per row" if rows else ""))
     if ((arr != 0) & (arr != 1)).any():
         raise ValueError(f"{what}: bits must be 0 or 1")
     return arr
@@ -58,9 +60,10 @@ def encode_fm0(bits: Sequence[int], trext: Optional[bool] = None) -> np.ndarray:
     Bi-phase-space rules: the state inverts at every symbol boundary and a
     data-0 adds a mid-bit inversion.  With ``trext`` given, the full reply
     signal is produced (pilot + preamble + bits + end-of-signaling dummy 1);
-    with ``trext=None`` only the data symbols are encoded.
+    with ``trext=None`` only the data symbols are encoded.  A 2-D ``bits``
+    array holds one sequence per row and gives one row of states each.
     """
-    data = _as_bits(bits, "fm0 bits")
+    data = _as_bits(bits, "fm0 bits", rows=True)
     head_bits: list[int] = []
     head_inverts: list[bool] = []
     if trext is not None:
@@ -70,19 +73,27 @@ def encode_fm0(bits: Sequence[int], trext: Optional[bool] = None) -> np.ndarray:
         head_bits += [bit for bit, _ in _FM0_PREAMBLE]
         head_inverts += [invert for _, invert in _FM0_PREAMBLE]
     tail = [1] if trext is not None else []
-    symbols = np.concatenate([np.array(head_bits, dtype=np.int8), data,
-                              np.array(tail, dtype=np.int8)])
-    inverts = np.ones(symbols.size, dtype=np.int8)
+    symbols = _framed(head_bits, data, tail)
+    inverts = np.ones(symbols.shape[-1], dtype=np.int8)
     inverts[:len(head_inverts)] = head_inverts
     # state inversions before each symbol's first half: one at an inverting
     # boundary, one more after a data-0 (its mid-bit inversion)
-    flips = np.zeros(symbols.size, dtype=np.int64)
-    flips[1:] = inverts[1:] + 1 - symbols[:-1]
-    first = (np.cumsum(flips) & 1).astype(np.int8)
-    halves = np.empty(2 * symbols.size, dtype=np.int8)
-    halves[0::2] = first
-    halves[1::2] = first ^ (1 - symbols)
+    flips = np.zeros(symbols.shape, dtype=np.int64)
+    flips[..., 1:] = inverts[1:] + 1 - symbols[..., :-1]
+    first = (np.cumsum(flips, axis=-1) & 1).astype(np.int8)
+    halves = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.int8)
+    halves[..., 0::2] = first
+    halves[..., 1::2] = first ^ (1 - symbols)
     return halves
+
+
+def _framed(head: list, data: np.ndarray, tail: list) -> np.ndarray:
+    """head + data + tail symbols along the last axis, on every row of ``data``."""
+    rows = data.shape[:-1]
+    return np.concatenate([np.broadcast_to(np.array(head, dtype=np.int8), rows + (len(head),)),
+                           data,
+                           np.broadcast_to(np.array(tail, dtype=np.int8), rows + (len(tail),))],
+                          axis=-1)
 
 
 def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> np.ndarray:
@@ -90,30 +101,30 @@ def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> 
 
     Baseband Miller (phase inversion at the boundary between consecutive
     data-0s, mid-bit inversion inside every data-1) multiplied by a square
-    subcarrier of M cycles per bit.  ``trext`` as in :func:`encode_fm0`.
+    subcarrier of M cycles per bit.  ``trext`` and 2-D ``bits`` as in
+    :func:`encode_fm0`.
     """
     if m not in (2, 4, 8):
         raise ValueError(f"Miller spread factor must be 2, 4 or 8, got {m}")
-    data = _as_bits(bits, "miller bits")
+    data = _as_bits(bits, "miller bits", rows=True)
     head: list[int] = []
     if trext is not None:
         head = [0] * _MILLER_PILOT[bool(trext)] + list(_MILLER_PREAMBLE)
     tail = [1] if trext is not None else []
-    symbols = np.concatenate([np.array(head, dtype=np.int8), data,
-                              np.array(tail, dtype=np.int8)])
+    symbols = _framed(head, data, tail)
     # baseband inversions before each bit's first half: one after a data-1
     # (its mid-bit inversion), one between consecutive data-0s
-    flips = np.zeros(symbols.size, dtype=np.int64)
-    flips[1:] = symbols[:-1] + (1 - symbols[:-1]) * (1 - symbols[1:])
-    first = (np.cumsum(flips) & 1).astype(np.int8)
-    baseband_states = np.empty(2 * symbols.size, dtype=np.int8)
-    baseband_states[0::2] = first
-    baseband_states[1::2] = first ^ symbols
+    flips = np.zeros(symbols.shape, dtype=np.int64)
+    flips[..., 1:] = symbols[..., :-1] + (1 - symbols[..., :-1]) * (1 - symbols[..., 1:])
+    first = (np.cumsum(flips, axis=-1) & 1).astype(np.int8)
+    baseband_states = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.int8)
+    baseband_states[..., 0::2] = first
+    baseband_states[..., 1::2] = first ^ symbols
     # each half-bit holds m half-cycles of the subcarrier (m is even, so a
     # global 0/1 tiling stays aligned to half-bit starts); the product of
     # two +1/-1 signs is the XOR of their states
-    subcarrier = np.tile(np.array([0, 1], dtype=np.int8), baseband_states.size * m // 2)
-    return np.repeat(baseband_states, m) ^ subcarrier
+    subcarrier = np.tile(np.array([0, 1], dtype=np.int8), baseband_states.shape[-1] * m // 2)
+    return np.repeat(baseband_states, m, axis=-1) ^ subcarrier
 
 
 def rect_states(n_symbols: int, m: int) -> np.ndarray:
@@ -194,8 +205,11 @@ def _complex_noise(size: int, ps_n0_dbhz: float, sample_rate_hz: float,
     n0 = 1.0 / ratio
     sigma = math.sqrt(n0 * sample_rate_hz / 2.0)
     rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
-    # consecutive draws are the real and imaginary part of one sample
-    return sigma * rng.standard_normal(2 * size).view(np.complex128)
+    # consecutive draws are the real and imaginary part of one sample; scaled
+    # in place, so a frame's noise takes one frame-sized array
+    noise = rng.standard_normal(2 * size)
+    noise *= sigma
+    return noise.view(np.complex128)
 
 
 def add_awgn(samples: np.ndarray, ps_n0_dbhz: float, sample_rate_hz: float,
@@ -205,19 +219,31 @@ def add_awgn(samples: np.ndarray, ps_n0_dbhz: float, sample_rate_hz: float,
     Per-sample variance is N0 * fs with N0 = 1/ratio (one-sided density
     convention).  Deterministic for a given seed (counter-based Philox).
     """
-    return samples + _complex_noise(samples.size, ps_n0_dbhz, sample_rate_hz, seed)
+    noisy = _complex_noise(samples.size, ps_n0_dbhz, sample_rate_hz, seed)
+    noisy += samples
+    return noisy
 
 
 def add_block_awgn(block_sums: np.ndarray, counts: np.ndarray, ps_n0_dbhz: float,
-                   sample_rate_hz: float, seed: int) -> np.ndarray:
+                   sample_rate_hz: float, seed) -> np.ndarray:
     """Add to each block sum the noise of its ``counts`` summed samples.
 
     The sum of ``count`` independent samples of :func:`add_awgn` noise is
     exactly complex Gaussian with variance count * N0 * fs, so one draw per
-    block replaces the per-sample draws.  Deterministic for a given seed.
+    block replaces the per-sample draws; a block with count 0 gets none.
+    2-D sums and counts hold one frame per row, and ``seed`` is then a
+    sequence of one seed per row: every row gets the noise a 1-D call with
+    its seed gives.  Deterministic for a given seed.
     """
-    noise = _complex_noise(block_sums.size, ps_n0_dbhz, sample_rate_hz, seed)
-    return block_sums + np.sqrt(counts) * noise
+    counts = np.asarray(counts)
+    kept = counts > 0
+    seeds = [seed] if counts.ndim == 1 else seed
+    noise = np.concatenate([
+        _complex_noise(int(n), ps_n0_dbhz, sample_rate_hz, row_seed)
+        for n, row_seed in zip(np.atleast_2d(kept).sum(axis=1), seeds, strict=True)])
+    noisy = np.array(block_sums, dtype=np.complex128)
+    noisy[kept] += np.sqrt(counts[kept]) * noise
+    return noisy
 
 
 def doppler_rotation(f_d_hz: float, t_s: np.ndarray) -> np.ndarray:
@@ -281,8 +307,8 @@ def _part_states(kind: str, mode: protocol.ReaderMode, waveform_model: str,
         want = mode.epc_bits + protocol.CRC16_BITS
     if waveform_model == "rect":
         return rect_states(n_sym, enc.spread_factor)
-    if bits is None or bits.size != want:
-        got = None if bits is None else bits.size
+    if bits is None or bits.shape[-1] != want:
+        got = None if bits is None else bits.shape[-1]
         raise ValueError(f"{kind} bits must have length {want}, got {got}")
     if enc.is_miller:
         return encode_miller(bits, enc.spread_factor, mode.trext)
@@ -333,6 +359,8 @@ def reply_parts(timing: Optional[protocol.ReplyTiming], mode: protocol.ReaderMod
     (first part, silent pause, second part).  waveform_model 'gen2' encodes
     the given bits with the mode's FM0/Miller scheme; 'rect' emits the
     data-independent reflect/absorb symbol pattern of the simplified model.
+    2-D bit arrays hold one frame per row and give 2-D gen2 states, one row
+    per frame; rect states stay 1-D, the same for every frame.
     """
     if waveform_model not in WAVEFORM_MODELS:
         raise ValueError(f"unknown waveform model {waveform_model!r}")
@@ -352,7 +380,8 @@ def reply_parts(timing: Optional[protocol.ReplyTiming], mode: protocol.ReaderMod
     bits = {"rn16": bits_rn16, "epc": bits_epc}
     return [(kind, start,
              _part_states(kind, mode, waveform_model,
-                          _as_bits(bits[kind], kind) if bits[kind] is not None else None))
+                          _as_bits(bits[kind], kind, rows=True) if bits[kind] is not None
+                          else None))
             for kind, start in starts]
 
 

@@ -10,13 +10,21 @@ are derived from the master seed with an iterated SplitMix64 mix,
 A sub-trial is one frame: MCRB trials and the static frame of a detection
 trial are sub-trial k = 0, the moving frame is k = 1.  Trial 0 of every grid
 point synthesizes its frames sample by sample and draws its noise per sample
-from the noise seed (add_awgn).  Every other trial builds the per-block sums
-the estimator reads straight from the frame's states and draws one complex
-noise value per block from the same noise seed (add_block_awgn): the sum of
+from the noise seed (add_awgn).  The other trials run as one batch per grid
+point and frame kind (in chunks that bound memory): their bits are encoded
+together, and the per-block sums the estimator reads come straight from the
+frames' states.  Each trial still draws one complex noise value per block
+that holds masked samples from its own noise seed (add_block_awgn): the sum of
 count independent samples of add_awgn noise, which has the same distribution.
-All generators are counter-based Philox, so a trial's estimate does not
-depend on execution order or run length, and re-runs produce byte-identical
-CSV.
+One peak search then covers the batch, and each row of it gives what the
+trial alone would.  All generators are counter-based Philox, so a trial's
+estimate does not depend on execution order, batching or run length, and
+re-runs produce byte-identical CSV.
+
+The keys depend on the master seed and the indices only, not on the
+modulation, parts or ask_zeroing: runs that differ only in those use common
+random numbers (the same bits and noise keys), so their results are
+correlated.  Comparisons meant to be independent need distinct seeds.
 """
 
 from __future__ import annotations
@@ -294,11 +302,13 @@ def _random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
 class _FrameSource:
     """One kind of simulated frame, in the sample and in the block domain.
 
-    ``draw`` takes the random input of a frame (its bits, or its states for
-    a burst) from the bits generator, ``parts`` turns that input into the
-    (kind, exact start time, states) parts of the frame, and ``synthesize``
-    into a sampled frame.  Every draw gives parts of the same lengths, so
-    all frames of a source share one sample layout.
+    ``draw`` takes the random input of a frame from the bits generator: a
+    tuple of bit arrays, None where the frame needs none.  ``parts`` turns
+    that input, or the same tuple with one frame's bits per row, into the
+    (kind, exact start time, states) parts of the frame(s), and
+    ``synthesize`` one frame's input into a sampled frame.  Every draw gives
+    parts of the same lengths, so all frames of a source share one sample
+    layout.
     """
 
     blf_hz: float
@@ -335,18 +345,25 @@ def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
 
     def draw(bits_rng):
         if config.waveform_model == "rect":
-            return baseband.rect_states(n_symbols, enc.spread_factor)
-        payload = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1
-        bits = _random_bits(bits_rng, payload)
-        if enc.is_miller:
-            return baseband.encode_miller(bits, enc.spread_factor, mode.trext)
-        return baseband.encode_fm0(bits, mode.trext)
+            return (None,)
+        return (_random_bits(bits_rng, n_symbols - protocol.preamble_symbols(enc, mode.trext)
+                             - 1),)
 
-    def synthesize(states, params):
+    def parts(bits):
+        payload, = bits
+        if payload is None:
+            states = baseband.rect_states(n_symbols, enc.spread_factor)
+        elif enc.is_miller:
+            states = baseband.encode_miller(payload, enc.spread_factor, mode.trext)
+        else:
+            states = baseband.encode_fm0(payload, mode.trext)
+        return [("burst", Fraction(0), states)]
+
+    def synthesize(bits, params):
+        (_, _, states), = parts(bits)
         return baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params,
                                          waveform_model=config.waveform_model)
-    return _FrameSource(mode.blf_hz, draw, lambda states: [("burst", Fraction(0), states)],
-                        synthesize)
+    return _FrameSource(mode.blf_hz, draw, parts, synthesize)
 
 
 def _estimates(config: ExperimentConfig, source: _FrameSource, ratio_dbhz: float,
@@ -354,9 +371,10 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, ratio_dbhz: float
     """Doppler estimates from sub-trial k of every trial of a grid point, at shift f_d.
 
     Trial 0 runs the sample-level pipeline (synthesize, wipe off, estimate).
-    Every other trial builds the block sums of its noiseless wiped frame
-    from the frame's states, adds one noise draw per block and runs the
-    estimator's peak search on them.
+    The other trials run in batches of at most ``table.batch_rows``: their
+    bits are encoded together, the block sums of their noiseless wiped
+    frames come from the frames' states, each trial adds one noise draw per
+    block from its own noise seed, and one peak search covers the batch.
     """
     if not abs(f_d) < config.search_halfwidth_hz:
         raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
@@ -372,26 +390,29 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, ratio_dbhz: float
     drawn, noise_seed = draw(seeds[0])
     params = baseband.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ratio_dbhz,
                                     sample_rate_hz=config.sample_rate_hz, seed=noise_seed)
-    estimates = [estimator.estimate_doppler(
+    estimates = [np.array([estimator.estimate_doppler(
         estimator.wipe_modulation(source.synthesize(drawn, params),
                                   ask_zeroing=config.ask_zeroing),
-        search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz]
+        search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz])]
     if len(seeds) == 1:
-        return np.array(estimates)
+        return estimates[0]
 
     table = estimator.BlockTable(
         baseband.frame_layout(source.parts(drawn), source.blf_hz, config.sample_rate_hz), f_d,
         config.modulation, config.ask_zeroing, config.search_halfwidth_hz)
-    for trial_seed in seeds[1:]:
-        drawn, noise_seed = draw(trial_seed)
-        parts = source.parts(drawn)
-        blocks = table.blocks(np.concatenate([states for _, _, states in parts]))
+    for first in range(1, len(seeds), table.batch_rows):
+        drawn, noise_seeds = zip(*map(draw, seeds[first:first + table.batch_rows]))
+        stacked = [None if bits[0] is None else np.stack(bits) for bits in zip(*drawn)]
+        # rect states carry no bits: one row serves every trial
+        states = np.concatenate([np.broadcast_to(states, (len(drawn), states.shape[-1]))
+                                 for _, _, states in source.parts(stacked)], axis=1)
+        blocks = table.blocks(states)
         z = baseband.add_block_awgn(blocks.z, blocks.count, ratio_dbhz,
-                                    table.sample_rate_hz, noise_seed)
+                                    table.sample_rate_hz, noise_seeds)
         estimates.append(estimator.search_peak(
             dataclasses.replace(blocks, z=z),
             search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz)
-    return np.array(estimates)
+    return np.concatenate(estimates)
 
 
 def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) -> int:

@@ -104,18 +104,20 @@ def test_criterion_05_carrier_band_ratio():
 
 
 def test_criterion_06_mcrb_tightness_gen2():
+    # each case has its own seed: runs that differ only in modulation would
+    # otherwise share their noise keys and make one experiment, not four
     results = {}
     ok = True
-    for modulation in ("ask", "psk"):
-        for parts in ("epc", "both"):
-            cfg = mcrb_config(modulation=modulation, parts=parts)
-            _, _, rows = X.run_mcrb_experiment(cfg)
-            row = rows[0]
-            ratio = row["emp_var_hz2"] / row["mcrb_var_hz2"]
-            results[(modulation, parts)] = ratio
-            ok &= 0.9 <= ratio <= 1.15
-            sem = math.sqrt(row["emp_var_hz2"] / row["trials"])
-            ok &= abs(row["emp_mean_err_hz"]) <= 3 * sem
+    cases = [("ask", "epc"), ("ask", "both"), ("psk", "epc"), ("psk", "both")]
+    for offset, (modulation, parts) in enumerate(cases, start=1):
+        cfg = mcrb_config(modulation=modulation, parts=parts, seed=SEED + offset)
+        _, _, rows = X.run_mcrb_experiment(cfg)
+        row = rows[0]
+        ratio = row["emp_var_hz2"] / row["mcrb_var_hz2"]
+        results[(modulation, parts)] = ratio
+        ok &= 0.9 <= ratio <= 1.15
+        sem = math.sqrt(row["emp_var_hz2"] / row["trials"])
+        ok &= abs(row["emp_mean_err_hz"]) <= 3 * sem
     detail = ", ".join(f"{m}/{p}={r:.3f}" for (m, p), r in results.items())
     report(6, "empirical variance / MCRB in [0.9, 1.15] for ASK,PSK x "
               "single 27 ms, two-part (7.8, 1.4, 27) ms at 52.8 dB-Hz, 2000 trials",
@@ -123,7 +125,8 @@ def test_criterion_06_mcrb_tightness_gen2():
 
 
 def test_criterion_07_ask_without_zeroing_loses_3_db():
-    cfg = mcrb_config(modulation="ask", parts="epc", ask_zeroing=False)
+    # its own seed, apart from criterion 06's ASK/EPC case that it is compared with
+    cfg = mcrb_config(modulation="ask", parts="epc", ask_zeroing=False, seed=SEED + 5)
     _, _, rows = X.run_mcrb_experiment(cfg)
     ratio = rows[0]["emp_var_hz2"] / rows[0]["mcrb_var_hz2"]
     ok = abs(ratio - 2.0) <= 0.2

@@ -161,8 +161,26 @@ def test_encoders_reject_bad_bits():
         B.encode_fm0([])
     with pytest.raises(ValueError):
         B.encode_fm0([0, 2])
+    # 2-D bits are a batch of one sequence per row; more dimensions are not
     with pytest.raises(ValueError):
-        B.encode_miller([[0, 1]], 2)
+        B.encode_miller([[[0, 1]]], 2)
+    with pytest.raises(ValueError):
+        B.encode_fm0(np.zeros((3, 0), dtype=np.int8))
+
+
+def test_batched_encoders_equal_the_row_by_row_encoders():
+    rng = np.random.Generator(np.random.Philox(key=78))
+    for n_bits in (1, 16, 112):
+        bits = rng.integers(0, 2, (7, n_bits)).astype(np.int8)
+        for trext in (None, False, True):
+            got = B.encode_fm0(bits, trext)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, np.stack([B.encode_fm0(row, trext) for row in bits]))
+            for m in (2, 4, 8):
+                got = B.encode_miller(bits, m, trext)
+                assert got.dtype == np.int8
+                assert np.array_equal(got, np.stack([B.encode_miller(row, m, trext)
+                                                     for row in bits]))
 
 
 def test_rect_states_reflect_first_half_of_every_symbol():
@@ -337,6 +355,23 @@ def test_add_block_awgn_variance_calibration():
     zeros = np.zeros(4096, dtype=complex)
     assert np.array_equal(B.add_block_awgn(zeros, np.ones(zeros.size), ratio_db, fs, seed=5),
                           B.add_awgn(zeros, ratio_db, fs, seed=5))
+
+
+def test_batched_block_noise_equals_row_by_row_draws():
+    # each row draws for its blocks with count > 0, in order, from its own seed
+    rng = np.random.Generator(np.random.Philox(key=4))
+    counts = rng.integers(0, 3, (5, 40)).astype(np.float64)
+    sums = np.where(counts > 0, rng.standard_normal(counts.shape) + 0j, 0.0)
+    seeds = [101, 7, 2**63 + 5, 0, 42]
+    noisy = B.add_block_awgn(sums, counts, 40.0, 1e6, seeds)
+    for row, seed in enumerate(seeds):
+        keep = counts[row] > 0
+        assert np.array_equal(noisy[row][keep],
+                              B.add_block_awgn(sums[row][keep], counts[row][keep], 40.0, 1e6,
+                                               seed))
+        assert np.array_equal(noisy[row][~keep], sums[row][~keep])
+    with pytest.raises(ValueError):
+        B.add_block_awgn(sums, counts, 40.0, 1e6, seeds[:-1])
 
 
 def test_add_awgn_is_deterministic_per_seed():

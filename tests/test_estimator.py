@@ -7,6 +7,7 @@ model; the acceptance suite runs the same checks on the full Gen2 waveforms.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -178,6 +179,136 @@ def test_wide_window_coarse_grid_spans_several_chunks(f_d):
     report = E.estimate_doppler(E.wipe_modulation(frame), search_halfwidth_hz=150e3,
                                 block_len_s=0)
     assert abs(report.f_hat_hz - f_d) <= 1e-3
+
+
+def _golden_peak(blocks, lo, hi, tol=1e-12):
+    """Periodogram peak in [lo, hi] by golden-section search in 40-digit arithmetic.
+
+    Float64 resolves the flat top of a 36 ms frame's periodogram only to
+    about 1e-7 Hz, so the reference evaluates it with mpmath.
+    """
+    with mpmath.workdps(40):
+        z = [mpmath.mpc(complex(v)) for v in blocks.z]
+        tau = [mpmath.mpf(float(t)) for t in blocks.tau]
+
+        def power(f):
+            return abs(mpmath.fsum(zi * mpmath.expj(2 * mpmath.pi * f * ti)
+                                   for zi, ti in zip(z, tau))) ** 2
+
+        invphi = (mpmath.sqrt(5) - 1) / 2
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+        p1, p2 = power(x1), power(x2)
+        while hi - lo > tol:
+            if p1 >= p2:
+                hi, x2, p2 = x2, x1, p1
+                x1 = hi - invphi * (hi - lo)
+                p1 = power(x1)
+            else:
+                lo, x1, p1 = x1, x2, p2
+                x2 = lo + invphi * (hi - lo)
+                p2 = power(x2)
+        return float((lo + hi) / 2)
+
+
+def _coarse_cell(blocks, halfwidth=200.0, padding=8):
+    """Bracket of the highest cell of the coarse grid, by direct evaluation."""
+    df = 1.0 / (padding * blocks.span_s)
+    k_max = int(halfwidth // df)
+    grid = np.arange(-k_max, k_max + 1) * df
+    power = np.abs(np.exp(2j * math.pi * np.outer(grid, blocks.tau)) @ blocks.z) ** 2
+    f0 = grid[int(np.argmax(power))]
+    return max(f0 - df, -halfwidth), min(f0 + df, halfwidth)
+
+
+@pytest.mark.parametrize("mode", [MILLER8_40K, FM0_160K], ids=["miller8-40k", "fm0-160k"])
+@pytest.mark.parametrize("modulation", ["ask", "psk"])
+@pytest.mark.parametrize("parts", ["epc", "both"])
+def test_newton_refinement_finds_the_periodogram_peak(mode, modulation, parts):
+    bits16, bits_epc, _ = block_parts(mode, "gen2", parts)
+    for seed in range(2):
+        params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=52.8, seed=seed)
+        frame = B.synthesize_reply(None, mode, modulation, "gen2", bits16, bits_epc, params,
+                                   parts=parts)
+        blocks = E.integrate_blocks(E.wipe_modulation(frame))
+        report = E.search_peak(blocks)
+        assert 1 <= report.refinement_iterations <= 8
+        assert abs(report.f_hat_hz - _golden_peak(blocks, *_coarse_cell(blocks))) <= 1e-9
+
+
+def test_batched_search_equals_row_by_row_search():
+    # ASK rows of one table, with spans rescaled so that k_max runs from 0
+    # to 115: the batch's coarse grid takes two chunks of k, a row alone one
+    _, _, built = block_parts(MILLER8_40K, "gen2", "both")
+    table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, "ask")
+    rng = np.random.Generator(np.random.Philox(key=21))
+    states = np.stack([np.concatenate([B.encode_miller(rng.integers(0, 2, n_bits), 8, True)
+                                       for n_bits in (16, 112)]) for _ in range(8)])
+    signal = table.blocks(states)
+    noise = 300.0 * (rng.standard_normal(signal.z.shape) + 1j * rng.standard_normal(signal.z.shape))
+    span = signal.span_s * np.array([1.0, 0.5, 2.0, 0.1, 1.0, 1e-4, 0.9, 2.0])
+    batch = E.BlockSums(z=signal.z + noise * (signal.count > 0), count=signal.count,
+                        tau=signal.tau, span_s=span)
+    k_max = np.floor(200.0 * 8 * span).astype(int)
+    assert k_max.min() == 0 and k_max.max() > 100 and len(set(k_max)) > 4
+    together = E.search_peak(batch)
+    for row in range(states.shape[0]):
+        alone = E.search_peak(E.BlockSums(z=batch.z[row], count=batch.count[row],
+                                          tau=batch.tau[row], span_s=float(span[row])))
+        assert alone.f_hat_hz == together.f_hat_hz[row]
+        assert alone.peak_value == together.peak_value[row]
+        assert alone.refinement_iterations == together.refinement_iterations[row]
+
+
+@pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
+def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
+    # FM0 blocks of 15-16 samples: ASK zeroing leaves blocks without masked samples
+    rng = np.random.Generator(np.random.Philox(key=22))
+    bits = [(rng.integers(0, 2, 16), rng.integers(0, 2, 112)) for _ in range(5)]
+    parts = [B.reply_parts(None, FM0_160K, "gen2", *pair, "both") for pair in bits]
+    table = E.BlockTable(B.frame_layout(parts[0], 160e3), 37.0, modulation, zeroing, 20e3)
+    batch = table.blocks(np.stack([np.concatenate([s for _, _, s in built]) for built in parts]))
+    if zeroing and modulation == "ask":
+        assert (batch.count == 0).any()
+    for row, built in enumerate(parts):
+        alone = table.blocks(np.concatenate([s for _, _, s in built]))
+        keep = batch.count[row] > 0
+        assert np.array_equal(batch.z[row][keep], alone.z)
+        assert np.array_equal(batch.count[row][keep], alone.count)
+        assert np.array_equal(batch.tau[row][keep], alone.tau)
+        assert batch.span_s[row] == alone.span_s
+        assert not batch.z[row][~keep].any() and not batch.tau[row][~keep].any()
+
+
+def test_degenerate_searches_end_inside_the_window():
+    # one block: the periodogram is flat and the refinement bisects the window
+    flat = E.BlockSums(z=np.array([3.0 - 1.0j]), count=np.ones(1), tau=np.array([2e-3]),
+                       span_s=1e-6)
+    # a 55 us FM0 RN16 reply: the coarse grid has the one cell k_max = 0
+    fm0 = P.ReaderMode("fm0-640k", 640e3, P.FM0)
+    params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=90.0, seed=1)
+    short = E.integrate_blocks(E.wipe_modulation(B.synthesize_reply(
+        None, fm0, "psk", "gen2", block_parts(fm0, "gen2", "rn16")[0], None, params,
+        parts="rn16")))
+    assert math.floor(200.0 * 8 * short.span_s) == 0
+    # a tone just past the window edge: the refinement runs into the edge
+    beyond = E.integrate_blocks(E.wipe_modulation(make_frame("psk", f_d=203.0)))
+    for blocks in (flat, short, beyond):
+        report = E.search_peak(blocks)
+        assert math.isfinite(report.f_hat_hz) and abs(report.f_hat_hz) <= 200.0
+        assert 1 <= report.refinement_iterations <= E._MAX_REFINE
+    assert 200.0 - E.search_peak(beyond).f_hat_hz <= 1e-3
+
+
+@pytest.mark.parametrize("name, value", [
+    ("fine_tol_hz", -1.0), ("fine_tol_hz", 0.0), ("fine_tol_hz", math.nan),
+    ("fine_tol_hz", math.inf), ("coarse_padding", 0), ("search_halfwidth_hz", 0.0),
+    ("search_halfwidth_hz", -5.0), ("search_halfwidth_hz", math.nan),
+])
+def test_search_peak_rejects_bad_search_parameters(name, value):
+    blocks = E.integrate_blocks(E.wipe_modulation(make_frame("psk")))
+    with pytest.raises(ValueError, match=name):
+        E.search_peak(blocks, **{name: value})
 
 
 def test_estimator_contract_errors():

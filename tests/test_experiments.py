@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rfid_doppler import bounds as bd
+from rfid_doppler import estimator as E
 from rfid_doppler import experiments as X
 from rfid_doppler import protocol as P
 from rfid_doppler.experiments import ConfigError, ExperimentConfig
@@ -147,6 +148,20 @@ def test_trial_estimates_do_not_depend_on_the_run_length():
     assert np.array_equal(estimates(1), six[:1])
     assert np.array_equal(estimates(3), six[:3])
     assert np.all(np.abs(six - f_d) < 1.0)
+
+
+@pytest.mark.parametrize("modulation, waveform", [("ask", "gen2"), ("psk", "rect")])
+def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, waveform):
+    config = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="Miller8",
+                              ps_n0_dbhz=52.8, modulation=modulation, parts="both",
+                              waveform_model=waveform, trials=7, seed=5)
+    mode = X.resolve_reader_mode(config)
+    source = X._reply_source(config, mode, P.reply_timing(mode))
+    f_d = bd.doppler_shift(config.v, config.f_c_hz)
+    one_batch = X._estimates(config, source, 52.8, 0, 0, f_d)
+    # 3,000-element chunks: one trial per batch, 26 coarse cells per chunk of k
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3000)
+    assert np.array_equal(X._estimates(config, source, 52.8, 0, 0, f_d), one_batch)
 
 
 def test_run_mcrb_analytic_column_matches_bounds_module():
