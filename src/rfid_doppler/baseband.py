@@ -225,22 +225,24 @@ def add_awgn(samples: np.ndarray, ps_n0_dbhz: float, sample_rate_hz: float,
 
 
 def add_block_awgn(block_sums: np.ndarray, counts: np.ndarray, ps_n0_dbhz: float,
-                   sample_rate_hz: float, seed) -> np.ndarray:
+                   sample_rate_hz: float, seeds) -> np.ndarray:
     """Add to each block sum the noise of its ``counts`` summed samples.
 
-    The sum of ``count`` independent samples of :func:`add_awgn` noise is
-    exactly complex Gaussian with variance count * N0 * fs, so one draw per
-    block replaces the per-sample draws; a block with count 0 gets none.
-    2-D sums and counts hold one frame per row, and ``seed`` is then a
-    sequence of one seed per row: every row gets the noise a 1-D call with
-    its seed gives.  Deterministic for a given seed.
+    ``block_sums`` and ``counts`` hold one frame per row, and ``seeds`` one
+    seed per row.  The sum of ``count`` independent samples of
+    :func:`add_awgn` noise is exactly complex Gaussian with variance
+    count * N0 * fs, so one draw per block replaces the per-sample draws:
+    each row draws, from its own seed and in order, one value per block with
+    count > 0, and a block with count 0 gets none.  Deterministic for given
+    seeds.
     """
     counts = np.asarray(counts)
+    if counts.ndim != 2:
+        raise ValueError(f"expected one frame per row, got counts of shape {counts.shape}")
     kept = counts > 0
-    seeds = [seed] if counts.ndim == 1 else seed
     noise = np.concatenate([
-        _complex_noise(int(n), ps_n0_dbhz, sample_rate_hz, row_seed)
-        for n, row_seed in zip(np.atleast_2d(kept).sum(axis=1), seeds, strict=True)])
+        _complex_noise(int(n), ps_n0_dbhz, sample_rate_hz, seed)
+        for n, seed in zip(kept.sum(axis=1), seeds, strict=True)])
     noisy = np.array(block_sums, dtype=np.complex128)
     noisy[kept] += np.sqrt(counts[kept]) * noise
     return noisy

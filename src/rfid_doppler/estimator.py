@@ -20,9 +20,10 @@ negligible fraction of the post-integration SNR at the searched offsets; set
 block_len_s = 0 to evaluate sample-by-sample instead.  Integration
 (integrate_blocks) and the peak search (search_peak) are separate steps, and
 BlockTable builds the integrated blocks of noiseless frames straight from
-their states, so Monte Carlo trials can skip the samples.  BlockTable and
-search_peak take one frame or a batch of frames with one row each, and a row
-of a batch gives exactly what that frame alone gives.
+their states, so Monte Carlo trials can skip the samples.  BlockTable gives
+a batch of frames, one row each, and search_peak searches one frame or such a
+batch; a row of a batch gives exactly what the same row, zero-count blocks
+included, gives when searched alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ import numpy as np
 from .baseband import BasebandFrame, FrameLayout, amplitudes, doppler_rotation
 from .bounds import doppler_shift
 
+# Refinement steps every row takes before the stop test applies.  On Mode 204
+# and Miller-8 frames the second Newton step from the coarse peak is up to
+# 5e-2 Hz long, on Mode 204 often near the default 1e-4 Hz tolerance, and the
+# third at most a few 1e-7 Hz: with a minimum of three, every such frame
+# takes exactly three steps, whatever its noise.
+_MIN_REFINE = 3
 # Newton or bisection steps per row before the refinement gives up; bisecting
 # a 2 x 1e7 Hz cell down to 1e-4 Hz takes 38.
 _MAX_REFINE = 64
@@ -104,9 +111,10 @@ class BlockSums:
     ``z`` is the sum of the masked samples of each block that holds any,
     ``count`` their number and ``tau`` their time centroid in seconds;
     ``span_s`` is the time from the first to the last masked sample.  A batch
-    of frames has 2-D arrays with one row per frame and an array ``span_s``;
-    its rows keep every block, and a block without masked samples in a row
-    has z = 0, count = 0 and tau = 0 there, which adds nothing to the search.
+    of frames (:meth:`BlockTable.blocks`) has 2-D arrays with one row per
+    frame and an array ``span_s``; its rows keep every block, and a block
+    without masked samples in a row has z = 0, count = 0 and tau = 0 there,
+    which adds nothing to the periodogram.
     """
 
     z: np.ndarray
@@ -205,6 +213,9 @@ class BlockTable:
         self._block_starts = np.flatnonzero(np.diff(starts // b, prepend=-1))
         signs, kept = _wipe_rule(modulation, ask_zeroing)
         amps = amplitudes(modulation)
+        # the real and imaginary parts of z are summed from real weights
+        if any(a.imag for a in amps):
+            raise ValueError(f"{modulation} amplitudes must be real, got {amps}")
         self._kept = np.array(kept)
         self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)])
 
@@ -214,17 +225,18 @@ class BlockTable:
         return max(1, _CHUNK_ELEMENTS // self._half.size)
 
     def blocks(self, states: np.ndarray) -> BlockSums:
-        """Noiseless block sums for the states of all parts, concatenated in order.
+        """Noiseless block sums of a batch of frames, one row each.
 
-        ``states`` holds one frame, or one frame per row.  One frame gives
-        the blocks that hold masked samples, as :func:`integrate_blocks`
-        does; a batch keeps every block in every row (see :class:`BlockSums`).
+        A row of ``states`` holds the states of all parts of one frame,
+        concatenated in order.  Every block stays in every row (see
+        :class:`BlockSums`); the blocks of a row with count > 0 are those
+        :func:`integrate_blocks` gives for that frame.
         """
         states = np.asarray(states)
-        if states.ndim not in (1, 2) or states.shape[-1] != self.n_half:
-            raise ValueError(f"expected {self.n_half} states per frame, got shape {states.shape}")
+        if states.ndim != 2 or states.shape[1] != self.n_half:
+            raise ValueError(f"expected (frames, {self.n_half}) states, got shape {states.shape}")
         # each piece's state as an intp index, which the lookups take without a cast
-        piece_state = np.atleast_2d(states)[:, self._half].astype(np.intp)
+        piece_state = states[:, self._half].astype(np.intp)
         kept, amp = self._kept[piece_state], self._amp[piece_state]
         del piece_state
         if not kept.any(axis=1).all():
@@ -240,11 +252,7 @@ class BlockTable:
         first = kept.argmax(axis=1)
         last = kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
         span = _span(self._first_s[first], self._last_s[last], self.sample_rate_hz)
-        if states.ndim == 2:
-            return BlockSums(z=z, count=cnt, tau=tau, span_s=span)
-        keep = cnt[0] > 0
-        return BlockSums(z=z[0, keep], count=cnt[0, keep], tau=tau[0, keep],
-                         span_s=float(span[0]))
+        return BlockSums(z=z, count=cnt, tau=tau, span_s=span)
 
 
 def _coarse_peaks(z: np.ndarray, tau: np.ndarray, df: np.ndarray,
@@ -301,11 +309,12 @@ def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0,
     cell f0.  A safeguarded Newton iteration on P'(f) then refines the peak
     inside [f0 - df, f0 + df] and the window: each step shrinks that bracket
     to the side where P' points uphill, and bisects it when P'' >= 0 or the
-    Newton step would leave it.  It stops after a Newton step of at most
-    ``fine_tol_hz``, when the bracket is that narrow, or after a fixed
-    number of iterations.  ``blocks`` holds one frame or a batch of frames
-    (see :class:`BlockSums`); every row is searched on its own grid, and
-    gives exactly what searching it alone gives.
+    Newton step would leave it.  After three steps, it stops after a Newton
+    step of at most ``fine_tol_hz``, when the bracket is that narrow, or
+    after a fixed number of iterations.  ``blocks`` holds one frame or a
+    batch of frames (see :class:`BlockSums`); every row is searched on its
+    own grid, and gives exactly what the same row, zero-count blocks
+    included, gives when searched alone.
     """
     if not (math.isfinite(search_halfwidth_hz) and search_halfwidth_hz > 0):
         raise ValueError(f"search_halfwidth_hz: must be finite and positive, "
@@ -334,6 +343,8 @@ def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0,
         f_hat[active] = np.where(newton, f + step, 0.5 * (lo_a + hi_a))
         lo[active], hi[active] = lo_a, hi_a
         iterations[active] = iteration
+        if iteration < _MIN_REFINE:
+            continue
         done = (newton & (np.abs(step) <= fine_tol_hz)) | (hi_a - lo_a <= fine_tol_hz)
         active = active[~done]
         if active.size == 0:

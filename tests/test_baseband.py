@@ -344,8 +344,8 @@ def test_add_block_awgn_variance_calibration():
     ratio_db = 30.0
     per_sample = fs / B.linear_from_db(ratio_db)
     counts = np.random.Generator(np.random.Philox(key=3)).integers(1, 500, 10 ** 6)
-    noise = B.add_block_awgn(np.zeros(counts.size, dtype=complex), counts, ratio_db, fs,
-                             seed=11)
+    noise = B.add_block_awgn(np.zeros((1, counts.size), dtype=complex), counts[None],
+                             ratio_db, fs, [11])[0]
     normalized = noise / np.sqrt(counts * per_sample)
     assert float(np.mean(np.abs(normalized) ** 2)) == pytest.approx(1.0, rel=1e-2)
     assert float(np.mean(normalized.real)) == pytest.approx(0.0, abs=3 * math.sqrt(0.5 / 1e6))
@@ -353,7 +353,8 @@ def test_add_block_awgn_variance_calibration():
         0.0, abs=3 * 0.5 / math.sqrt(1e6))
     # the same seed draws the same noise as add_awgn, scaled per block
     zeros = np.zeros(4096, dtype=complex)
-    assert np.array_equal(B.add_block_awgn(zeros, np.ones(zeros.size), ratio_db, fs, seed=5),
+    assert np.array_equal(B.add_block_awgn(zeros[None], np.ones((1, zeros.size)), ratio_db, fs,
+                                           [5])[0],
                           B.add_awgn(zeros, ratio_db, fs, seed=5))
 
 
@@ -366,12 +367,18 @@ def test_batched_block_noise_equals_row_by_row_draws():
     noisy = B.add_block_awgn(sums, counts, 40.0, 1e6, seeds)
     for row, seed in enumerate(seeds):
         keep = counts[row] > 0
+        # the row alone, and the row without its zero-count blocks
+        assert np.array_equal(noisy[row], B.add_block_awgn(sums[row:row + 1],
+                                                           counts[row:row + 1], 40.0, 1e6,
+                                                           [seed])[0])
         assert np.array_equal(noisy[row][keep],
-                              B.add_block_awgn(sums[row][keep], counts[row][keep], 40.0, 1e6,
-                                               seed))
+                              B.add_block_awgn(sums[row][keep][None], counts[row][keep][None],
+                                               40.0, 1e6, [seed])[0])
         assert np.array_equal(noisy[row][~keep], sums[row][~keep])
     with pytest.raises(ValueError):
         B.add_block_awgn(sums, counts, 40.0, 1e6, seeds[:-1])
+    with pytest.raises(ValueError, match="row"):
+        B.add_block_awgn(sums[0], counts[0], 40.0, 1e6, seeds[:1])
 
 
 def test_add_awgn_is_deterministic_per_seed():

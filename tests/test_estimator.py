@@ -116,6 +116,15 @@ def block_parts(mode, waveform, parts, seed=5):
     return bits16, bits_epc, B.reply_parts(None, mode, waveform, bits16, bits_epc, parts)
 
 
+def table_frame(table, built):
+    """One frame's blocks from ``table``: a one-row batch without its
+    zero-count blocks, in the form integrate_blocks gives."""
+    one = table.blocks(np.concatenate([states for _, _, states in built])[None])
+    keep = one.count[0] > 0
+    return E.BlockSums(z=one.z[0, keep], count=one.count[0, keep], tau=one.tau[0, keep],
+                       span_s=float(one.span_s[0]))
+
+
 # A 20 kHz window makes the FM0 blocks 15-16 samples long, so at the
 # non-integer step they cut half-intervals apart.
 @pytest.mark.parametrize("mode, halfwidth", [(MILLER8_40K, 200.0), (FM0_160K, 20e3)],
@@ -135,7 +144,7 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
     want = E.integrate_blocks(wiped, halfwidth)
     table = E.BlockTable(B.frame_layout(built, mode.blf_hz, fs), 37.0, modulation, zeroing,
                          halfwidth)
-    got = table.blocks(np.concatenate([states for _, _, states in built]))
+    got = table_frame(table, built)
     assert np.array_equal(got.count, want.count)
     # each sample has unit-order magnitude: compare per summed sample
     assert np.all(np.abs(got.z - want.z) <= 1e-12 * want.count)
@@ -147,7 +156,7 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
 def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zeroing):
     bits16, bits_epc, built = block_parts(MILLER8_40K, "gen2", "both")
     table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, modulation, zeroing)
-    signal = table.blocks(np.concatenate([states for _, _, states in built]))
+    signal = table_frame(table, built)
     for seed in range(4):
         # the 36 ms span makes the peak sharp enough to pin it to 1e-9 Hz
         params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=45.0, seed=seed)
@@ -166,7 +175,18 @@ def test_block_table_rejects_states_of_another_layout():
     _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
     table = E.BlockTable(B.frame_layout(built, 40e3), 0.0, "psk")
     with pytest.raises(ValueError, match="states"):
-        table.blocks(built[0][2][:-1])
+        table.blocks(built[0][2][None, :-1])
+    # one frame is a batch of one row
+    with pytest.raises(ValueError, match="states"):
+        table.blocks(built[0][2])
+
+
+def test_block_table_rejects_complex_amplitudes(monkeypatch):
+    # the table sums the real and imaginary parts of z from real weights
+    _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
+    monkeypatch.setattr(E, "amplitudes", lambda modulation: (1.0 + 0.0j, -1.0 + 0.5j))
+    with pytest.raises(ValueError, match="real"):
+        E.BlockTable(B.frame_layout(built, 40e3), 0.0, "psk")
 
 
 @pytest.mark.parametrize("f_d", [1e5, -1e5])
@@ -271,13 +291,13 @@ def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
     if zeroing and modulation == "ask":
         assert (batch.count == 0).any()
     for row, built in enumerate(parts):
-        alone = table.blocks(np.concatenate([s for _, _, s in built]))
-        keep = batch.count[row] > 0
-        assert np.array_equal(batch.z[row][keep], alone.z)
-        assert np.array_equal(batch.count[row][keep], alone.count)
-        assert np.array_equal(batch.tau[row][keep], alone.tau)
-        assert batch.span_s[row] == alone.span_s
-        assert not batch.z[row][~keep].any() and not batch.tau[row][~keep].any()
+        alone = table.blocks(np.concatenate([s for _, _, s in built])[None])
+        assert np.array_equal(batch.z[row], alone.z[0])
+        assert np.array_equal(batch.count[row], alone.count[0])
+        assert np.array_equal(batch.tau[row], alone.tau[0])
+        assert batch.span_s[row] == alone.span_s[0]
+        empty = batch.count[row] == 0
+        assert not batch.z[row][empty].any() and not batch.tau[row][empty].any()
 
 
 def test_degenerate_searches_end_inside_the_window():

@@ -164,6 +164,33 @@ def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, wave
     assert np.array_equal(X._estimates(config, source, 52.8, 0, 0, f_d), one_batch)
 
 
+@pytest.mark.parametrize("kind", ["mcrb", "detect"])
+def test_every_frame_takes_the_same_number_of_refinement_steps(monkeypatch, kind):
+    # the configurations of the benchmark's Miller-8 MCRB and Mode 204
+    # detection jobs; on Mode 204 the second Newton step is often within the
+    # tolerance, on Miller-8 never
+    counts = []
+    search = E.search_peak
+
+    def counting_search(*args, **kwargs):
+        report = search(*args, **kwargs)
+        counts.extend(np.atleast_1d(report.refinement_iterations).tolist())
+        return report
+
+    monkeypatch.setattr(E, "search_peak", counting_search)
+    for seed in range(3):
+        if kind == "mcrb":
+            X.run_mcrb_experiment(ExperimentConfig(
+                mode_label=None, blf_hz=40e3, encoding="Miller8", ps_n0_dbhz=52.8,
+                modulation="ask", parts="both", trials=20, seed=seed))
+        else:
+            X.run_detection_experiment(ExperimentConfig(
+                mode_label="Mode 204", p_err=0.05, v_grid=[0.5, 1.0, 2.0], trials=10,
+                estimator_model="baseband", modulation="psk", seed=seed))
+    assert len(counts) == (60 if kind == "mcrb" else 180)
+    assert set(counts) == {E._MIN_REFINE}
+
+
 def test_run_mcrb_analytic_column_matches_bounds_module():
     config = fast_mcrb_config(parts="both", trials=2)
     _, _, rows = X.run_mcrb_experiment(config)
