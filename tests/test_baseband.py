@@ -18,11 +18,11 @@ def noiseless(f_d=0.0, fs=None, seed=0):
 
 
 def two_part_frame(modulation="ask", waveform="gen2", mode=MILLER8_40K, f_d=0.0,
-                   ps_n0=None, seed=0, parts="both"):
+                   ps_n0=None, seed=0, parts="both", fs=None):
     rng = np.random.Generator(np.random.Philox(key=42))
     bits16 = rng.integers(0, 2, 16)
     bits_epc = rng.integers(0, 2, mode.epc_bits + 16)
-    params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ps_n0, seed=seed)
+    params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ps_n0, sample_rate_hz=fs, seed=seed)
     return B.synthesize_reply(None, mode, modulation, waveform, bits16, bits_epc,
                               params, parts=parts)
 
@@ -313,6 +313,39 @@ def test_modulation_and_model_validation():
     with pytest.raises(ValueError):
         B.synthesize_reply(None, MILLER8_40K, "ask", "rect", None, None,
                            noiseless(), parts="everything")
+
+
+def _rotation_frame(kind, modulation, f_d, ps_n0=None, seed=9):
+    if kind.startswith("reply"):
+        fs = 1.0e6 if kind == "reply-1MHz" else None   # 1 MHz: 12.5 samples per half-interval
+        return two_part_frame(modulation, f_d=f_d, ps_n0=ps_n0, seed=seed, fs=fs)
+    states = B.rect_states(4, 8) if kind == "burst-1024" else np.arange(37) % 2
+    return B.synthesize_burst(states, 40e3, modulation, B.ChannelParams(f_d, ps_n0, seed=seed))
+
+
+# sample count of each frame: 32^2 has no partial last block, the others do
+ROTATION_FRAMES = {"reply-32xBLF": 46336, "reply-1MHz": 36200, "burst-1024": 1024,
+                   "burst-592": 592}
+
+
+@pytest.mark.parametrize("kind", sorted(ROTATION_FRAMES))
+@pytest.mark.parametrize("modulation", ["ask", "psk"])
+@pytest.mark.parametrize("f_d", [0.0, 17.3, -150.0])
+def test_noiseless_frame_equals_the_closed_form_rotation(kind, modulation, f_d):
+    frame = _rotation_frame(kind, modulation, f_d)
+    assert frame.n_samples == ROTATION_FRAMES[kind]
+    amp0, amp1 = B.amplitudes(modulation)
+    state = frame.sample_state
+    n = np.arange(frame.n_samples)
+    expected = (np.where(state == 0, amp0, 0) + np.where(state == 1, amp1, 0)) \
+        * np.exp(-2j * np.pi * f_d * n / frame.sample_rate_hz)
+    assert np.all(frame.samples[state == -1] == 0)
+    assert np.max(np.abs(frame.samples - expected)) <= 1e-13
+    # the noise of a noisy twin is add_awgn's noise of the same seed
+    noisy = _rotation_frame(kind, modulation, f_d, ps_n0=52.8, seed=9)
+    noise = B.add_awgn(np.zeros(frame.n_samples, dtype=complex), 52.8,
+                       frame.sample_rate_hz, seed=9)
+    assert np.max(np.abs(noisy.samples - frame.samples - noise)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

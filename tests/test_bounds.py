@@ -306,6 +306,18 @@ def test_ps_n0_from_ber_scalings_and_limits():
         B.ps_n0_from_ber(160e3, 8, 0.0)
 
 
+def test_ps_n0_from_ber_takes_only_the_gen2_spread_factors():
+    base = B.ps_n0_from_ber(160e3, 8, 1e-3)
+    for m in (1, 2, 4):
+        assert B.ps_n0_from_ber(160e3, m, 1e-3) - base == pytest.approx(
+            10 * math.log10(8 / m), rel=1e-10)
+    for m in (0, -8, 3, 6, 16):
+        with pytest.raises(ValueError, match="spread factor M must be 1 .FM0., 2, 4 or 8"):
+            B.ps_n0_from_ber(160e3, m, 1e-3)
+        with pytest.raises(ValueError, match="spread factor M"):
+            B.noise_density_from_sensitivity(-95.8, 1e-3, 160e3, m)
+
+
 def test_noise_density_from_sensitivity_reference():
     n0, nf = B.noise_density_from_sensitivity(-95.8, 1e-3, 160e3, 8)
     assert n0 == pytest.approx(-148.610122526, abs=1e-6)
