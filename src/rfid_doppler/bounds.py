@@ -240,13 +240,6 @@ def required_ps_dbm(v: float, c_t: float, f_c_hz: float, p_err: float,
     return required_ps_n0(v, c_t, f_c_hz, p_err, c) + (THERMAL_NOISE_DBM_HZ + nf_db)
 
 
-def _spread_factor(m: int) -> int:
-    """``m`` if it is the M of a Gen2 uplink encoding: 1 (FM0), 2, 4 or 8."""
-    if m not in (1, 2, 4, 8):
-        raise ValueError(f"spread factor M must be 1 (FM0), 2, 4 or 8, got {m}")
-    return m
-
-
 def ps_n0_from_ber(blf_hz: float, m: int, ber: float) -> float:
     """P_S/N0 in dB-Hz at which orthogonal signaling reaches the given BER.
 
@@ -255,7 +248,8 @@ def ps_n0_from_ber(blf_hz: float, m: int, ber: float) -> float:
     """
     if blf_hz <= 0:
         raise ValueError(f"BLF must be positive, got {blf_hz}")
-    _spread_factor(m)
+    if m not in (1, 2, 4, 8):
+        raise ValueError(f"spread factor M must be 1 (FM0), 2, 4 or 8, got {m}")
     if not 0.0 < ber < 0.5:
         raise ValueError(f"BER must lie in (0, 0.5), got {ber}")
     z = _z(ber)

@@ -10,7 +10,6 @@ error, 3 failed --check comparison.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 
@@ -195,9 +194,7 @@ def _cmd_simulate_detect(args) -> int:
 def _cmd_noise_figure(args) -> int:
     values = {key: experiments._parsed(key, experiments._finite, getattr(args, key))
               for key in ("p_s_dbm", "ber", "blf_hz")}
-    values["m"] = experiments._parsed("m", lambda text: bounds._spread_factor(int(text)),
-                                      args.m)
-    report = experiments.noise_figure_report(**values)
+    report = experiments.noise_figure_report(**values, m=args.m)
     lines = [f"{key} = {experiments._format_value(value)}"
              for key, value in report.items()]
     _print_lines(lines, args.out)
@@ -256,22 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-s-dbm", dest="p_s_dbm", default="-95.8")
     sp.add_argument("--ber", default="1e-3")
     sp.add_argument("--blf", dest="blf_hz", default="160e3")
-    sp.add_argument("--m", default="8", help="spread factor: 1 (FM0), 2, 4 or 8")
+    sp.add_argument("--m", type=int, choices=(1, 2, 4, 8), default=8,
+                    help="spread factor: 1 (FM0), 2, 4 or 8")
     sp.add_argument("--out", metavar="FILE")
     sp.set_defaults(func=_cmd_noise_figure)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call: ``parse_args`` never
-    changes a parser, so one per process serves every call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CheckFailure as exc:
