@@ -154,12 +154,7 @@ class FrameTruth:
     """Ground truth carried by a frame for known-symbol processing."""
 
     f_d_hz: float
-    ps_n0_dbhz: Optional[float]
     modulation: str
-    waveform_model: str
-    bits_rn16: Optional[np.ndarray]
-    bits_epc: Optional[np.ndarray]
-    seed: int
 
 
 @dataclass
@@ -168,14 +163,13 @@ class BasebandFrame:
 
     ``sample_state`` holds the backscatter state per sample (-1 during the
     pause and any trailing fill).  ``part_slices`` are [start, end) sample
-    index pairs per signal part; ``part_spans`` the same in snapped seconds.
+    index pairs per signal part.
     """
 
     sample_rate_hz: float
     samples: np.ndarray
     sample_state: np.ndarray
     part_slices: list[tuple[int, int]]
-    part_spans: list[tuple[float, float]]
     part_kinds: list[str]
     truth: FrameTruth
 
@@ -336,8 +330,8 @@ def _part_states(kind: str, mode: protocol.ReaderMode, waveform_model: str,
     return encode_fm0(bits, mode.trext)
 
 
-def _assemble_frame(parts: list, blf_hz: float, modulation: str, waveform_model: str,
-                    params: ChannelParams, bits_rn16, bits_epc) -> BasebandFrame:
+def _assemble_frame(parts: list, blf_hz: float, modulation: str,
+                    params: ChannelParams) -> BasebandFrame:
     """Sample, modulate, Doppler-rotate and (optionally) add noise.
 
     ``parts`` is a list of (kind, exact start time, state-per-half-interval
@@ -347,7 +341,10 @@ def _assemble_frame(parts: list, blf_hz: float, modulation: str, waveform_model:
     fs = layout.sample_rate_hz
     sample_state = np.full(layout.n_samples, -1, dtype=np.int8)
     part_slices: list[tuple[int, int]] = []
-    for (_, _, states), edges in zip(parts, layout.edges):
+    for (kind, _, states), edges in zip(parts, layout.edges):
+        if states.ndim != 1:
+            raise ValueError(f"{kind}: a sampled frame takes the bits of one frame, "
+                             f"got states of shape {states.shape}")
         i0, i1 = int(edges[0]), int(edges[-1])
         sample_state[i0:i1] = np.repeat(states, np.diff(edges))
         part_slices.append((i0, i1))
@@ -359,13 +356,9 @@ def _assemble_frame(parts: list, blf_hz: float, modulation: str, waveform_model:
     if params.ps_n0_dbhz is not None:
         samples = add_awgn(samples, params.ps_n0_dbhz, fs, params.seed)
 
-    truth = FrameTruth(f_d_hz=params.f_d_hz, ps_n0_dbhz=params.ps_n0_dbhz,
-                       modulation=modulation, waveform_model=waveform_model,
-                       bits_rn16=bits_rn16, bits_epc=bits_epc, seed=params.seed)
     return BasebandFrame(sample_rate_hz=fs, samples=samples, sample_state=sample_state,
-                         part_slices=part_slices,
-                         part_spans=[(i0 / fs, i1 / fs) for i0, i1 in part_slices],
-                         part_kinds=[kind for kind, _, _ in parts], truth=truth)
+                         part_slices=part_slices, part_kinds=[kind for kind, _, _ in parts],
+                         truth=FrameTruth(f_d_hz=params.f_d_hz, modulation=modulation))
 
 
 def reply_parts(timing: Optional[protocol.ReplyTiming], mode: protocol.ReaderMode,
@@ -413,14 +406,12 @@ def synthesize_reply(timing: Optional[protocol.ReplyTiming], mode: protocol.Read
     """
     if modulation not in MODULATIONS:
         raise ValueError(f"unknown modulation {modulation!r}")
-    b_rn16 = _as_bits(bits_rn16, "rn16") if bits_rn16 is not None else None
-    b_epc = _as_bits(bits_epc, "epc") if bits_epc is not None else None
-    return _assemble_frame(reply_parts(timing, mode, waveform_model, b_rn16, b_epc, parts),
-                           mode.blf_hz, modulation, waveform_model, params, b_rn16, b_epc)
+    return _assemble_frame(reply_parts(timing, mode, waveform_model, bits_rn16, bits_epc, parts),
+                           mode.blf_hz, modulation, params)
 
 
 def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
-                     params: ChannelParams, waveform_model: str = "custom") -> BasebandFrame:
+                     params: ChannelParams) -> BasebandFrame:
     """Synthesize a single signal part from a prebuilt state sequence.
 
     ``states`` is a 0/1 array on the 1/(2 BLF) half-interval grid (e.g. from
@@ -430,8 +421,7 @@ def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
     states = np.asarray(states, dtype=np.int8)
     if states.ndim != 1 or states.size == 0:
         raise ValueError("states must be a non-empty 1-D array")
-    return _assemble_frame([("burst", Fraction(0), states)], blf_hz, modulation,
-                           waveform_model, params, None, None)
+    return _assemble_frame([("burst", Fraction(0), states)], blf_hz, modulation, params)
 
 
 def dump_frame(frame: BasebandFrame, path) -> None:

@@ -65,7 +65,6 @@ class MotionScenario:
     v: float                      # m/s, >= 0
     f_c_hz: float                 # carrier frequency
     p_err: float                  # target classification error probability
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.v < 0:
@@ -142,11 +141,11 @@ class BoundResult:
 # Operations
 # ---------------------------------------------------------------------------
 
-def doppler_shift(v: float, f_c_hz: float, c: float = SPEED_OF_LIGHT) -> float:
+def doppler_shift(v: float, f_c_hz: float) -> float:
     """Round-trip Doppler shift 2 v f_c / c, signed (positive = approaching)."""
     if f_c_hz <= 0:
         raise ValueError(f"carrier frequency must be positive, got {f_c_hz}")
-    return 2.0 * v * f_c_hz / c
+    return 2.0 * v * f_c_hz / SPEED_OF_LIGHT
 
 def sigma_max_sq(scenario: MotionScenario) -> float:
     """Largest estimation variance that still meets the scenario's error rate.
@@ -157,7 +156,7 @@ def sigma_max_sq(scenario: MotionScenario) -> float:
     if scenario.v <= 0:
         raise ValueError("sigma_max_sq requires v > 0 (no threshold exists at v = 0)")
     z = _z(scenario.p_err)
-    ratio = scenario.v * scenario.f_c_hz / scenario.c
+    ratio = scenario.v * scenario.f_c_hz / SPEED_OF_LIGHT
     return ratio * ratio / (z * z)
 
 
@@ -206,8 +205,7 @@ def mcrb_ask_finite_l(base_mcrb: float, l_symbols: int) -> float:
     return base_mcrb / (1.0 - 3.0 / (4.0 * l_symbols * l_symbols))
 
 
-def v_min(c_t: float, ps_n0_linear: float, f_c_hz: float, p_err: float,
-          c: float = SPEED_OF_LIGHT) -> float:
+def v_min(c_t: float, ps_n0_linear: float, f_c_hz: float, p_err: float) -> float:
     """Smallest tag speed distinguishable from static at error rate p_err.
 
     c Q^-1(p_err) / (pi f_c) * sqrt(3 / (2 C_T P_S/N0)).
@@ -218,11 +216,10 @@ def v_min(c_t: float, ps_n0_linear: float, f_c_hz: float, p_err: float,
         raise ValueError(f"carrier frequency must be positive, got {f_c_hz}")
     if c_t <= 0 or ps_n0_linear <= 0:
         raise ValueError("timing factor and P_S/N0 must be positive")
-    return c * _z(p_err) / (math.pi * f_c_hz) * math.sqrt(1.5 / c_t / ps_n0_linear)
+    return SPEED_OF_LIGHT * _z(p_err) / (math.pi * f_c_hz) * math.sqrt(1.5 / c_t / ps_n0_linear)
 
 
-def required_ps_n0(v: float, c_t: float, f_c_hz: float, p_err: float,
-                   c: float = SPEED_OF_LIGHT) -> float:
+def required_ps_n0(v: float, c_t: float, f_c_hz: float, p_err: float) -> float:
     """P_S/N0 in dB-Hz making v the minimum detectable speed (inverts v_min)."""
     if not 0.0 < p_err < 0.5:
         raise ValueError(f"p_err must lie in (0, 0.5), got {p_err}")
@@ -230,14 +227,14 @@ def required_ps_n0(v: float, c_t: float, f_c_hz: float, p_err: float,
         raise ValueError(f"tag speed must be positive, got {v}")
     if c_t <= 0:
         raise ValueError(f"timing factor must be positive, got {c_t}")
-    k = c * _z(p_err) / (math.pi * f_c_hz)
+    k = SPEED_OF_LIGHT * _z(p_err) / (math.pi * f_c_hz)
     return db_from_linear(1.5 * k * k / (c_t * v * v))
 
 
 def required_ps_dbm(v: float, c_t: float, f_c_hz: float, p_err: float,
-                    nf_db: float, c: float = SPEED_OF_LIGHT) -> float:
+                    nf_db: float) -> float:
     """Received tag power needed for detection at speed v, given the noise figure."""
-    return required_ps_n0(v, c_t, f_c_hz, p_err, c) + (THERMAL_NOISE_DBM_HZ + nf_db)
+    return required_ps_n0(v, c_t, f_c_hz, p_err) + (THERMAL_NOISE_DBM_HZ + nf_db)
 
 
 def ps_n0_from_ber(blf_hz: float, m: int, ber: float) -> float:
@@ -246,12 +243,13 @@ def ps_n0_from_ber(blf_hz: float, m: int, ber: float) -> float:
     10 log10(BLF Q^-1(BER)^2 / M), from BER = Q(sqrt(Eb/N0)) with
     Eb = P_S M / BLF.
     """
-    if blf_hz <= 0:
-        raise ValueError(f"BLF must be positive, got {blf_hz}")
+    if not protocol.BLF_MIN_HZ <= blf_hz <= protocol.BLF_MAX_HZ:
+        raise ValueError(f"blf_hz: must lie in the Gen2 range [{protocol.BLF_MIN_HZ:.0f}, "
+                         f"{protocol.BLF_MAX_HZ:.0f}] Hz, got {blf_hz}")
     if m not in (1, 2, 4, 8):
         raise ValueError(f"spread factor M must be 1 (FM0), 2, 4 or 8, got {m}")
     if not 0.0 < ber < 0.5:
-        raise ValueError(f"BER must lie in (0, 0.5), got {ber}")
+        raise ValueError(f"ber: must lie in (0, 0.5), got {ber}")
     z = _z(ber)
     return db_from_linear(blf_hz * z * z / m)
 
@@ -263,8 +261,7 @@ def noise_density_from_sensitivity(p_s_dbm: float, ber: float, blf_hz: float,
     return n0, n0 - THERMAL_NOISE_DBM_HZ
 
 
-def p_err_from_sigma(sigma_sq: float, v: float, f_c_hz: float,
-                     c: float = SPEED_OF_LIGHT) -> float:
+def p_err_from_sigma(sigma_sq: float, v: float, f_c_hz: float) -> float:
     """Classification error rate of the half-Doppler threshold test.
 
     Q((mu - x)/sigma) = 0.5 erfc(mu / (2 sqrt(2 sigma^2))) with mu the moving
@@ -272,7 +269,7 @@ def p_err_from_sigma(sigma_sq: float, v: float, f_c_hz: float,
     """
     if sigma_sq <= 0:
         raise ValueError(f"variance must be positive, got {sigma_sq}")
-    mu = doppler_shift(v, f_c_hz, c)
+    mu = doppler_shift(v, f_c_hz)
     return 0.5 * math.erfc(mu / (2.0 * math.sqrt(2.0 * sigma_sq)))
 
 
@@ -280,9 +277,9 @@ def evaluate_bounds(scenario: MotionScenario, c_t: float, link: LinkBudget) -> B
     """Assemble every bound for one configuration into a BoundResult."""
     s_max = sigma_max_sq(scenario)
     s_mcrb = mcrb_sigma_sq(c_t, link.ps_n0_linear)
-    vm = v_min(c_t, link.ps_n0_linear, scenario.f_c_hz, scenario.p_err, scenario.c)
+    vm = v_min(c_t, link.ps_n0_linear, scenario.f_c_hz, scenario.p_err)
     # internal identity: at v = v_min the two variances coincide
-    check = sigma_max_sq(MotionScenario(vm, scenario.f_c_hz, scenario.p_err, scenario.c))
+    check = sigma_max_sq(MotionScenario(vm, scenario.f_c_hz, scenario.p_err))
     if abs(check - s_mcrb) > 1e-9 * s_mcrb:
         raise AssertionError("bound consistency identity violated (numerical fault)")
     return BoundResult(sigma_max_sq=s_max, sigma_mcrb_sq=s_mcrb, c_t=c_t,

@@ -17,13 +17,12 @@ samples are summed in blocks much shorter than 1/search_halfwidth and each
 block keeps the exact time centroid of its masked samples.  This regroups the
 sum without changing the peak location of a noiseless tone and costs a
 negligible fraction of the post-integration SNR at the searched offsets; set
-block_len_s = 0 to evaluate sample-by-sample instead.  Integration
-(integrate_blocks) and the peak search (search_peak) are separate steps, and
-BlockTable builds the integrated blocks of noiseless frames straight from
-their states, so Monte Carlo trials can skip the samples.  BlockTable gives
-a batch of frames, one row each, and search_peak searches one frame or such a
-batch; a row of a batch gives exactly what the same row, zero-count blocks
-included, gives when searched alone.
+block_len_s = 0 to evaluate sample-by-sample instead.  Block sums come in one
+form, a batch with one row per frame (:class:`BlockSums`): integrate_blocks
+gives the one row of a sampled frame, and BlockTable the rows of noiseless
+frames straight from their states, so Monte Carlo trials can skip the
+samples.  search_peak searches every row on its own, and a row gives exactly
+what it gives when searched alone.
 """
 
 from __future__ import annotations
@@ -42,6 +41,10 @@ from .bounds import doppler_shift
 # third at most a few 1e-7 Hz: with a minimum of three, every such frame
 # takes exactly three steps, whatever its noise.
 _MIN_REFINE = 3
+# Length of a Newton step, or of the bracket, at which the refinement stops.
+_FINE_TOL_HZ = 1e-4
+# The coarse grid's spacing is 1/(_COARSE_PADDING * span).
+_COARSE_PADDING = 8
 # Newton or bisection steps per row before the refinement gives up; bisecting
 # a 2 x 1e7 Hz cell down to 1e-4 Hz takes 38.
 _MAX_REFINE = 64
@@ -62,8 +65,12 @@ class WipedSignal:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Result of a peak search: floats for one frame, arrays with one entry
-    per row for a batch of frames."""
+    """Result of a peak search.
+
+    :func:`search_peak` gives arrays with one entry per row of its block
+    sums; :func:`estimate_doppler`, which searches one frame, gives that
+    frame's entries as numbers.
+    """
 
     f_hat_hz: float | np.ndarray
     peak_value: float | np.ndarray
@@ -106,21 +113,25 @@ def wipe_modulation(frame: BasebandFrame, ask_zeroing: bool = True) -> WipedSign
 
 @dataclass(frozen=True)
 class BlockSums:
-    """Masked signal pre-integrated in blocks: what the periodogram search reads.
+    """Masked signals pre-integrated in blocks: what the periodogram search reads.
 
-    ``z`` is the sum of the masked samples of each block that holds any,
-    ``count`` their number and ``tau`` their time centroid in seconds;
-    ``span_s`` is the time from the first to the last masked sample.  A batch
-    of frames (:meth:`BlockTable.blocks`) has 2-D arrays with one row per
-    frame and an array ``span_s``; its rows keep every block, and a block
-    without masked samples in a row has z = 0, count = 0 and tau = 0 there,
-    which adds nothing to the periodogram.
+    One row per frame, one column per block of the frame's block grid, every
+    block kept.  ``z`` is the sum of a block's masked samples, ``count``
+    their number and ``tau`` their time centroid in seconds; a block without
+    masked samples has z = 0, count = 0 and tau = 0, which adds nothing to
+    the periodogram.  ``span_s`` holds, per row, the time from the first to
+    the last masked sample.
     """
 
     z: np.ndarray
     count: np.ndarray
     tau: np.ndarray
-    span_s: float | np.ndarray
+    span_s: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.z) != 2 or np.shape(self.span_s) != np.shape(self.z)[:1]:
+            raise ValueError(f"expected one row per frame, got z of shape {np.shape(self.z)} "
+                             f"and span_s of shape {np.shape(self.span_s)}")
 
 
 def _block_samples(sample_rate_hz: float, search_halfwidth_hz: float,
@@ -137,31 +148,25 @@ def _span(first_s, last_s, sample_rate_hz: float):
 
 def integrate_blocks(w: WipedSignal, search_halfwidth_hz: float = 200.0,
                      block_len_s: float | None = None) -> BlockSums:
-    """Sum the masked samples in blocks of ``block_len_s`` from the first sample.
+    """The block sums of one frame, as a batch of one row.
 
-    The default block is 1/(16 search_halfwidth) long; ``block_len_s = 0``
-    keeps every masked sample as its own block.
+    Blocks are ``block_len_s`` long from the first sample; the default is
+    1/(16 search_halfwidth), and ``block_len_s = 0`` makes every sample a
+    block of its own.
     """
     fs = w.sample_rate_hz
     mask = np.asarray(w.support_mask, dtype=bool)
-    n = w.samples.size
+    if not mask.any():
+        raise ValueError("support mask is empty, nothing to estimate from")
+    n = mask.size
     t = np.arange(n) / fs
-    b = _block_samples(fs, search_halfwidth_hz, block_len_s)
-    if b > 1:
-        edges = np.arange(0, n, b)
-        z = np.add.reduceat(w.samples, edges)
-        cnt = np.add.reduceat(mask.astype(np.float64), edges)
-        tsum = np.add.reduceat(t * mask, edges)
-        keep = cnt > 0
-        z, cnt = z[keep], cnt[keep]
-        tau = tsum[keep] / cnt
-    else:
-        z = w.samples[mask]
-        tau = t[mask]
-        cnt = np.ones(z.size)
+    edges = np.arange(0, n, _block_samples(fs, search_halfwidth_hz, block_len_s))
+    cnt = np.add.reduceat(mask.astype(np.float64), edges)
+    tau = np.add.reduceat(t * mask, edges) / np.maximum(cnt, 1.0)
     first = int(mask.argmax())
     last = n - 1 - int(mask[::-1].argmax())
-    return BlockSums(z=z, count=cnt, tau=tau, span_s=float(_span(t[first], t[last], fs)))
+    return BlockSums(z=np.add.reduceat(w.samples, edges)[None], count=cnt[None],
+                     tau=tau[None], span_s=_span(t[first], t[last], fs).reshape(1))
 
 
 def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -176,11 +181,12 @@ class BlockTable:
     Built once per frame layout and Doppler shift, without per-sample arrays.
     The table splits every half-interval at the default block boundaries of
     :func:`integrate_blocks` and keeps, per piece, the sum of the Doppler
-    rotation over its samples, their number and the sum of their times.
-    :meth:`blocks` then weights each piece by the wiped amplitude and mask
-    of its state and adds the pieces of each block: the same sums
-    :func:`integrate_blocks` takes from the wiped sampled frame, without
-    synthesizing samples.
+    rotation over its samples, their number and the sum of their times; a
+    block wholly inside the pause or the trailing fill gets one piece that
+    adds nothing.  :meth:`blocks` then weights each piece by the wiped
+    amplitude and mask of its state and adds the pieces of each block: the
+    same sums :func:`integrate_blocks` takes from the wiped sampled frame,
+    without synthesizing samples.
     """
 
     def __init__(self, layout: FrameLayout, f_d_hz: float, modulation: str,
@@ -189,6 +195,7 @@ class BlockTable:
         b = _block_samples(fs, search_halfwidth_hz, None)
         starts, ends, halves = [], [], []
         n_half = 0
+        outside = np.ones(-(-layout.n_samples // b), dtype=bool)   # blocks without a part
         for edges in layout.edges:
             # a piece starts at every half-interval edge and block edge of the part
             block_edges = np.arange((edges[0] // b + 1) * b, edges[-1], b)
@@ -197,14 +204,21 @@ class BlockTable:
             ends.append(np.append(part_starts[1:], edges[-1]))
             halves.append(n_half + np.searchsorted(edges, part_starts, side="right") - 1)
             n_half += edges.size - 1
-        starts, ends = np.concatenate(starts), np.concatenate(ends)
+            outside[part_starts // b] = False
+        # such a block's one piece has state -1, like the pause's samples
+        gaps = np.flatnonzero(outside) * b
+        starts = np.concatenate(starts + [gaps])
+        order = np.argsort(starts, kind="stable")
+        starts, ends = starts[order], np.concatenate(ends + [gaps + 1])[order]
+        halves = np.concatenate(halves + [np.full(gaps.size, -1)])[order]
         lengths = ends - starts
         # a piece's rotation sum is the rotation at its first sample times
         # the sum of the first ``length`` rotations from t = 0
         partial = np.cumsum(doppler_rotation(f_d_hz, np.arange(lengths.max()) / fs))
         self.sample_rate_hz = fs
         self.n_half = n_half
-        self._half = np.concatenate(halves)
+        self._half = halves
+        self._gaps = np.flatnonzero(halves < 0)
         rotation = doppler_rotation(f_d_hz, starts / fs) * partial[lengths - 1]
         self._rotation_re, self._rotation_im = rotation.real.copy(), rotation.imag.copy()
         self._count = lengths.astype(np.float64)
@@ -216,8 +230,10 @@ class BlockTable:
         # the real and imaginary parts of z are summed from real weights
         if any(a.imag for a in amps):
             raise ValueError(f"{modulation} amplitudes must be real, got {amps}")
-        self._kept = np.array(kept)
-        self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)])
+        # per state 0, 1 and -1
+        self._kept = np.array([*kept, False])
+        self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)]
+                             + [0.0])
 
     @property
     def batch_rows(self) -> int:
@@ -228,8 +244,7 @@ class BlockTable:
         """Noiseless block sums of a batch of frames, one row each.
 
         A row of ``states`` holds the states of all parts of one frame,
-        concatenated in order.  Every block stays in every row (see
-        :class:`BlockSums`); the blocks of a row with count > 0 are those
+        concatenated in order; its row of block sums is the one
         :func:`integrate_blocks` gives for that frame.
         """
         states = np.asarray(states)
@@ -237,6 +252,7 @@ class BlockTable:
             raise ValueError(f"expected (frames, {self.n_half}) states, got shape {states.shape}")
         # each piece's state as an intp index, which the lookups take without a cast
         piece_state = states[:, self._half].astype(np.intp)
+        piece_state[:, self._gaps] = -1
         kept, amp = self._kept[piece_state], self._amp[piece_state]
         del piece_state
         if not kept.any(axis=1).all():
@@ -301,30 +317,23 @@ def _power_and_derivatives(z: np.ndarray, tau: np.ndarray, f: np.ndarray):
             2.0 * (np.abs(s1) ** 2 + (s0.conj() * s2).real))
 
 
-def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0,
-                coarse_padding: int = 8, fine_tol_hz: float = 1e-4) -> EstimateReport:
-    """Peak of the periodogram of pre-integrated blocks inside the search window.
+def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0) -> EstimateReport:
+    """Peak of each row's periodogram of pre-integrated blocks inside the search window.
 
-    A coarse grid with spacing df = 1/(padding * span) picks the highest
-    cell f0.  A safeguarded Newton iteration on P'(f) then refines the peak
-    inside [f0 - df, f0 + df] and the window: each step shrinks that bracket
-    to the side where P' points uphill, and bisects it when P'' >= 0 or the
-    Newton step would leave it.  After three steps, it stops after a Newton
-    step of at most ``fine_tol_hz``, when the bracket is that narrow, or
-    after a fixed number of iterations.  ``blocks`` holds one frame or a
-    batch of frames (see :class:`BlockSums`); every row is searched on its
-    own grid, and gives exactly what the same row, zero-count blocks
-    included, gives when searched alone.
+    A coarse grid with spacing df = 1/(8 span) picks the highest cell f0.  A
+    safeguarded Newton iteration on P'(f) then refines the peak inside
+    [f0 - df, f0 + df] and the window: each step shrinks that bracket to the
+    side where P' points uphill, and bisects it when P'' >= 0 or the Newton
+    step would leave it.  After three steps, it stops after a Newton step of
+    at most 1e-4 Hz, when the bracket is that narrow, or after a fixed
+    number of iterations.  Every row is searched on its own grid and gives
+    exactly what it gives when searched alone.
     """
     if not (math.isfinite(search_halfwidth_hz) and search_halfwidth_hz > 0):
         raise ValueError(f"search_halfwidth_hz: must be finite and positive, "
                          f"got {search_halfwidth_hz}")
-    if not coarse_padding >= 1:
-        raise ValueError(f"coarse_padding: must be >= 1, got {coarse_padding}")
-    if not (math.isfinite(fine_tol_hz) and fine_tol_hz > 0):
-        raise ValueError(f"fine_tol_hz: must be finite and positive, got {fine_tol_hz}")
-    z, tau = np.atleast_2d(blocks.z), np.atleast_2d(blocks.tau)
-    df = 1.0 / (coarse_padding * np.atleast_1d(blocks.span_s))
+    z, tau = blocks.z, blocks.tau
+    df = 1.0 / (_COARSE_PADDING * blocks.span_s)
     k_max = np.floor(search_halfwidth_hz / df).astype(np.int64)
     f_hat = _coarse_peaks(z, tau, df, k_max)
 
@@ -345,19 +354,15 @@ def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0,
         iterations[active] = iteration
         if iteration < _MIN_REFINE:
             continue
-        done = (newton & (np.abs(step) <= fine_tol_hz)) | (hi_a - lo_a <= fine_tol_hz)
+        done = (newton & (np.abs(step) <= _FINE_TOL_HZ)) | (hi_a - lo_a <= _FINE_TOL_HZ)
         active = active[~done]
         if active.size == 0:
             break
     peak = _power_and_derivatives(z, tau, f_hat)[0]
-    if np.ndim(blocks.z) == 2:
-        return EstimateReport(f_hat_hz=f_hat, peak_value=peak, refinement_iterations=iterations)
-    return EstimateReport(f_hat_hz=float(f_hat[0]), peak_value=float(peak[0]),
-                          refinement_iterations=int(iterations[0]))
+    return EstimateReport(f_hat_hz=f_hat, peak_value=peak, refinement_iterations=iterations)
 
 
 def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0,
-                     coarse_padding: int = 8, fine_tol_hz: float = 1e-4,
                      block_len_s: float | None = None) -> EstimateReport:
     """Maximum-likelihood Doppler estimate over the masked support.
 
@@ -365,13 +370,13 @@ def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0,
     convention matches the synthesized rotation, so the returned frequency
     estimates the frame's true Doppler shift directly.
     """
-    fs = w.sample_rate_hz
-    if not 0.0 < search_halfwidth_hz <= fs / 2.0:
+    if not 0.0 < search_halfwidth_hz <= w.sample_rate_hz / 2.0:
         raise ValueError(f"search halfwidth must lie in (0, fs/2], got {search_halfwidth_hz}")
-    if not np.asarray(w.support_mask, dtype=bool).any():
-        raise ValueError("support mask is empty, nothing to estimate from")
-    return search_peak(integrate_blocks(w, search_halfwidth_hz, block_len_s),
-                       search_halfwidth_hz, coarse_padding, fine_tol_hz)
+    found = search_peak(integrate_blocks(w, search_halfwidth_hz, block_len_s),
+                        search_halfwidth_hz)
+    return EstimateReport(f_hat_hz=float(found.f_hat_hz[0]),
+                          peak_value=float(found.peak_value[0]),
+                          refinement_iterations=int(found.refinement_iterations[0]))
 
 
 def classify_motion(f_hat_hz: float, v_ref: float, f_c_hz: float) -> str:

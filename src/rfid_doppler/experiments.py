@@ -361,8 +361,7 @@ def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
 
     def synthesize(bits, params):
         (_, _, states), = parts(bits)
-        return baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params,
-                                         waveform_model=config.waveform_model)
+        return baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params)
     return _FrameSource(mode.blf_hz, draw, parts, synthesize)
 
 

@@ -303,6 +303,11 @@ def test_bits_length_contract():
     with pytest.raises(ValueError):
         B.synthesize_reply(None, MILLER8_40K, "ask", "gen2", None,
                            [0] * 96, noiseless(), parts="epc")  # missing CRC bits
+    # the encoders take a batch of bit rows, a sampled frame only one row
+    for rows in (1, 2):
+        with pytest.raises(ValueError, match="rn16: a sampled frame takes the bits of one frame"):
+            B.synthesize_reply(None, MILLER8_40K, "ask", "gen2", [[0, 1] * 8] * rows,
+                               [[0, 1] * 56] * rows, noiseless())
 
 
 def test_modulation_and_model_validation():

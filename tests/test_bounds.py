@@ -318,6 +318,18 @@ def test_ps_n0_from_ber_takes_only_the_gen2_spread_factors():
             B.noise_density_from_sensitivity(-95.8, 1e-3, 160e3, m)
 
 
+def test_ps_n0_from_ber_takes_only_gen2_blfs():
+    base = B.ps_n0_from_ber(160e3, 8, 1e-3)
+    for blf in (P.BLF_MIN_HZ, P.BLF_MAX_HZ):
+        assert B.ps_n0_from_ber(blf, 8, 1e-3) - base == pytest.approx(
+            10 * math.log10(blf / 160e3), rel=1e-10)
+    for blf in (-1.0, 0.0, 39.9e3, 640.1e3, 1e9):
+        with pytest.raises(ValueError, match="blf_hz: must lie in the Gen2 range"):
+            B.ps_n0_from_ber(blf, 8, 1e-3)
+        with pytest.raises(ValueError, match="blf_hz"):
+            B.noise_density_from_sensitivity(-95.8, 1e-3, blf, 8)
+
+
 def test_noise_density_from_sensitivity_reference():
     n0, nf = B.noise_density_from_sensitivity(-95.8, 1e-3, 160e3, 8)
     assert n0 == pytest.approx(-148.610122526, abs=1e-6)

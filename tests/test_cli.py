@@ -167,6 +167,18 @@ def test_noise_figure_rejects_a_spread_factor_gen2_lacks(m, capsys):
     assert "argument --m: invalid" in captured.err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--blf", "1e9"], "blf_hz"),
+    (["--blf", "-1"], "blf_hz"),
+    (["--ber", "0.7"], "ber"),
+])
+def test_noise_figure_range_errors_exit_2_naming_the_field(argv, field, capsys):
+    assert main(["noise-figure", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {field}: must lie in" in captured.err
+
+
 def test_noise_figure_takes_every_gen2_spread_factor(capsys):
     for m in ("1", "2", "4", "8"):
         assert main(["noise-figure", "--m", m]) == 0

@@ -89,6 +89,9 @@ def test_noiseless_single_part_estimate():
     assert abs(report.f_hat_hz - F_D_1MS) <= 1e-3
     assert report.peak_value > 0
     assert report.refinement_iterations > 0
+    # one frame's estimate comes as numbers, not as one-entry arrays
+    assert type(report.f_hat_hz) is float and type(report.peak_value) is float
+    assert type(report.refinement_iterations) is int
 
 
 @pytest.mark.parametrize("f_d", [F_D_1MS, -4.0, 0.0, 55.0])
@@ -106,6 +109,30 @@ def test_blockless_evaluation_agrees_with_blocked():
     assert abs(blocked.f_hat_hz - exact.f_hat_hz) <= 1e-3
 
 
+def test_sample_by_sample_blocks_keep_every_sample():
+    frame = make_frame("ask", parts="both", ps_n0=60.0, seed=3)
+    wiped = E.wipe_modulation(frame)
+    blocks = E.integrate_blocks(wiped, block_len_s=0)
+    t = np.arange(frame.n_samples) / frame.sample_rate_hz
+    # one block per sample, the masked-out ones (pause, absorb states) as zeros
+    assert np.array_equal(blocks.z, wiped.samples[None])
+    assert np.array_equal(blocks.count, wiped.support_mask[None].astype(float))
+    assert np.array_equal(blocks.tau, (t * wiped.support_mask)[None])
+    masked = np.flatnonzero(wiped.support_mask)
+    assert np.array_equal(blocks.span_s, [t[masked[-1]] - t[masked[0]]])
+
+
+def test_block_sums_take_only_the_batch_form():
+    z = np.ones(4, dtype=complex)
+    with pytest.raises(ValueError, match="one row per frame"):
+        E.BlockSums(z=z, count=np.ones(4), tau=np.arange(4.0), span_s=3.0)
+    # a 2-D batch needs one span per row
+    with pytest.raises(ValueError, match="one row per frame"):
+        E.BlockSums(z=z[None], count=np.ones((1, 4)), tau=np.arange(4.0)[None], span_s=3.0)
+    E.BlockSums(z=z[None], count=np.ones((1, 4)), tau=np.arange(4.0)[None],
+                span_s=np.array([3.0]))
+
+
 FM0_160K = P.ReaderMode("fm0-160k", 160e3, P.FM0)
 
 
@@ -116,13 +143,9 @@ def block_parts(mode, waveform, parts, seed=5):
     return bits16, bits_epc, B.reply_parts(None, mode, waveform, bits16, bits_epc, parts)
 
 
-def table_frame(table, built):
-    """One frame's blocks from ``table``: a one-row batch without its
-    zero-count blocks, in the form integrate_blocks gives."""
-    one = table.blocks(np.concatenate([states for _, _, states in built])[None])
-    keep = one.count[0] > 0
-    return E.BlockSums(z=one.z[0, keep], count=one.count[0, keep], tau=one.tau[0, keep],
-                       span_s=float(one.span_s[0]))
+def frame_states(built):
+    """The states of all parts of one frame as a one-row batch."""
+    return np.concatenate([states for _, _, states in built])[None]
 
 
 # A 20 kHz window makes the FM0 blocks 15-16 samples long, so at the
@@ -144,19 +167,25 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
     want = E.integrate_blocks(wiped, halfwidth)
     table = E.BlockTable(B.frame_layout(built, mode.blf_hz, fs), 37.0, modulation, zeroing,
                          halfwidth)
-    got = table_frame(table, built)
+    got = table.blocks(frame_states(built))
+    # every block of the frame, the pause's too, in both
+    assert got.z.shape == want.z.shape == (1, math.ceil(frame.n_samples / E._block_samples(
+        frame.sample_rate_hz, halfwidth, None)))
+    if parts == "both":
+        assert (want.count == 0).any()
     assert np.array_equal(got.count, want.count)
-    # each sample has unit-order magnitude: compare per summed sample
+    # each sample has unit-order magnitude: compare per summed sample, and a
+    # block without masked samples exactly
     assert np.all(np.abs(got.z - want.z) <= 1e-12 * want.count)
     assert np.all(np.abs(got.tau - want.tau) <= 1e-12)
-    assert got.span_s == want.span_s
+    assert np.array_equal(got.span_s, want.span_s)
 
 
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
 def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zeroing):
     bits16, bits_epc, built = block_parts(MILLER8_40K, "gen2", "both")
     table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, modulation, zeroing)
-    signal = table_frame(table, built)
+    signal = table.blocks(frame_states(built))
     for seed in range(4):
         # the 36 ms span makes the peak sharp enough to pin it to 1e-9 Hz
         params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=45.0, seed=seed)
@@ -168,7 +197,7 @@ def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zer
         noise_blocks = E.integrate_blocks(E.wipe_modulation(noise, ask_zeroing=zeroing))
         blocks = dataclasses.replace(signal, z=signal.z + noise_blocks.z)
         want = E.estimate_doppler(E.wipe_modulation(noisy, ask_zeroing=zeroing)).f_hat_hz
-        assert abs(E.search_peak(blocks).f_hat_hz - want) <= 1e-9
+        assert abs(E.search_peak(blocks).f_hat_hz[0] - want) <= 1e-9
 
 
 def test_block_table_rejects_states_of_another_layout():
@@ -208,8 +237,8 @@ def _golden_peak(blocks, lo, hi, tol=1e-12):
     about 1e-7 Hz, so the reference evaluates it with mpmath.
     """
     with mpmath.workdps(40):
-        z = [mpmath.mpc(complex(v)) for v in blocks.z]
-        tau = [mpmath.mpf(float(t)) for t in blocks.tau]
+        z = [mpmath.mpc(complex(v)) for v in blocks.z[0]]
+        tau = [mpmath.mpf(float(t)) for t in blocks.tau[0]]
 
         def power(f):
             return abs(mpmath.fsum(zi * mpmath.expj(2 * mpmath.pi * f * ti)
@@ -231,12 +260,12 @@ def _golden_peak(blocks, lo, hi, tol=1e-12):
         return float((lo + hi) / 2)
 
 
-def _coarse_cell(blocks, halfwidth=200.0, padding=8):
+def _coarse_cell(blocks, halfwidth=200.0):
     """Bracket of the highest cell of the coarse grid, by direct evaluation."""
-    df = 1.0 / (padding * blocks.span_s)
+    df = 1.0 / (E._COARSE_PADDING * blocks.span_s[0])
     k_max = int(halfwidth // df)
     grid = np.arange(-k_max, k_max + 1) * df
-    power = np.abs(np.exp(2j * math.pi * np.outer(grid, blocks.tau)) @ blocks.z) ** 2
+    power = np.abs(np.exp(2j * math.pi * np.outer(grid, blocks.tau[0])) @ blocks.z[0]) ** 2
     f0 = grid[int(np.argmax(power))]
     return max(f0 - df, -halfwidth), min(f0 + df, halfwidth)
 
@@ -252,8 +281,8 @@ def test_newton_refinement_finds_the_periodogram_peak(mode, modulation, parts):
                                    parts=parts)
         blocks = E.integrate_blocks(E.wipe_modulation(frame))
         report = E.search_peak(blocks)
-        assert 1 <= report.refinement_iterations <= 8
-        assert abs(report.f_hat_hz - _golden_peak(blocks, *_coarse_cell(blocks))) <= 1e-9
+        assert 1 <= report.refinement_iterations[0] <= 8
+        assert abs(report.f_hat_hz[0] - _golden_peak(blocks, *_coarse_cell(blocks))) <= 1e-9
 
 
 def test_batched_search_equals_row_by_row_search():
@@ -273,11 +302,12 @@ def test_batched_search_equals_row_by_row_search():
     assert k_max.min() == 0 and k_max.max() > 100 and len(set(k_max)) > 4
     together = E.search_peak(batch)
     for row in range(states.shape[0]):
-        alone = E.search_peak(E.BlockSums(z=batch.z[row], count=batch.count[row],
-                                          tau=batch.tau[row], span_s=float(span[row])))
-        assert alone.f_hat_hz == together.f_hat_hz[row]
-        assert alone.peak_value == together.peak_value[row]
-        assert alone.refinement_iterations == together.refinement_iterations[row]
+        one = slice(row, row + 1)
+        alone = E.search_peak(E.BlockSums(z=batch.z[one], count=batch.count[one],
+                                          tau=batch.tau[one], span_s=span[one]))
+        assert alone.f_hat_hz[0] == together.f_hat_hz[row]
+        assert alone.peak_value[0] == together.peak_value[row]
+        assert alone.refinement_iterations[0] == together.refinement_iterations[row]
 
 
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
@@ -302,28 +332,27 @@ def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
 
 def test_degenerate_searches_end_inside_the_window():
     # one block: the periodogram is flat and the refinement bisects the window
-    flat = E.BlockSums(z=np.array([3.0 - 1.0j]), count=np.ones(1), tau=np.array([2e-3]),
-                       span_s=1e-6)
+    flat = E.BlockSums(z=np.array([[3.0 - 1.0j]]), count=np.ones((1, 1)),
+                       tau=np.array([[2e-3]]), span_s=np.array([1e-6]))
     # a 55 us FM0 RN16 reply: the coarse grid has the one cell k_max = 0
     fm0 = P.ReaderMode("fm0-640k", 640e3, P.FM0)
     params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=90.0, seed=1)
     short = E.integrate_blocks(E.wipe_modulation(B.synthesize_reply(
         None, fm0, "psk", "gen2", block_parts(fm0, "gen2", "rn16")[0], None, params,
         parts="rn16")))
-    assert math.floor(200.0 * 8 * short.span_s) == 0
+    assert math.floor(200.0 * 8 * short.span_s[0]) == 0
     # a tone just past the window edge: the refinement runs into the edge
     beyond = E.integrate_blocks(E.wipe_modulation(make_frame("psk", f_d=203.0)))
     for blocks in (flat, short, beyond):
         report = E.search_peak(blocks)
-        assert math.isfinite(report.f_hat_hz) and abs(report.f_hat_hz) <= 200.0
-        assert 1 <= report.refinement_iterations <= E._MAX_REFINE
-    assert 200.0 - E.search_peak(beyond).f_hat_hz <= 1e-3
+        assert math.isfinite(report.f_hat_hz[0]) and abs(report.f_hat_hz[0]) <= 200.0
+        assert 1 <= report.refinement_iterations[0] <= E._MAX_REFINE
+    assert 200.0 - E.search_peak(beyond).f_hat_hz[0] <= 1e-3
 
 
 @pytest.mark.parametrize("name, value", [
-    ("fine_tol_hz", -1.0), ("fine_tol_hz", 0.0), ("fine_tol_hz", math.nan),
-    ("fine_tol_hz", math.inf), ("coarse_padding", 0), ("search_halfwidth_hz", 0.0),
-    ("search_halfwidth_hz", -5.0), ("search_halfwidth_hz", math.nan),
+    ("search_halfwidth_hz", 0.0), ("search_halfwidth_hz", -5.0),
+    ("search_halfwidth_hz", math.nan),
 ])
 def test_search_peak_rejects_bad_search_parameters(name, value):
     blocks = E.integrate_blocks(E.wipe_modulation(make_frame("psk")))

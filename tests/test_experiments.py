@@ -174,7 +174,7 @@ def test_every_frame_takes_the_same_number_of_refinement_steps(monkeypatch, kind
 
     def counting_search(*args, **kwargs):
         report = search(*args, **kwargs)
-        counts.extend(np.atleast_1d(report.refinement_iterations).tolist())
+        counts.extend(report.refinement_iterations.tolist())
         return report
 
     monkeypatch.setattr(E, "search_peak", counting_search)
