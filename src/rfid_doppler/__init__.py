@@ -40,7 +40,6 @@ from .protocol import (
     ReplyTiming,
     find_reader_mode,
     pause_duration,
-    reader_mode_catalog,
     reply_symbol_counts,
     reply_timing,
     signal_duration,

@@ -281,6 +281,13 @@ class FrameLayout:
     edges: tuple
 
 
+def check_sample_rate(sample_rate_hz: float, blf_hz: float) -> None:
+    """Require at least 4 samples per transition interval of 1/(2 BLF)."""
+    if not sample_rate_hz >= 8.0 * blf_hz:
+        raise ValueError(f"sample_rate_hz: {sample_rate_hz} Hz is below 4 samples per "
+                         f"transition interval, 8 x BLF = {8.0 * blf_hz:.12g} Hz")
+
+
 def frame_layout(parts: Sequence[tuple], blf_hz: float,
                  sample_rate_hz: Optional[float] = None) -> FrameLayout:
     """Snap the (kind, exact start time, states) parts of a frame to its sample grid.
@@ -289,9 +296,8 @@ def frame_layout(parts: Sequence[tuple], blf_hz: float,
     ``sample_rate_hz`` None means :func:`default_sample_rate`.
     """
     fs = sample_rate_hz if sample_rate_hz is not None else default_sample_rate(blf_hz)
+    check_sample_rate(fs, blf_hz)
     half = Fraction(1, 2) / Fraction(blf_hz)
-    if fs < 4.0 / float(half):
-        raise ValueError(f"sample rate {fs} Hz below 4 samples per transition interval")
     fs_frac = Fraction(fs)
 
     total_end = Fraction(0)

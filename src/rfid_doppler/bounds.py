@@ -98,10 +98,6 @@ class LinkBudget:
                 raise ValueError("ps_n0_dbhz inconsistent with p_s_dbm - n0_dbm_hz")
 
     @classmethod
-    def from_ratio(cls, ps_n0_dbhz: float) -> "LinkBudget":
-        return cls(ps_n0_dbhz=ps_n0_dbhz)
-
-    @classmethod
     def from_power(cls, p_s_dbm: float, n0_dbm_hz: Optional[float] = None,
                    nf_db: Optional[float] = None) -> "LinkBudget":
         """Build from received power plus either N0 or the noise figure."""
@@ -126,10 +122,8 @@ class BoundResult:
 
     sigma_max_sq: float          # Hz^2, largest tolerable estimation variance
     sigma_mcrb_sq: float         # Hz^2, smallest achievable estimation variance
-    c_t: float                   # s^3, timing factor of the MCRB
     v_min: float                 # m/s, smallest reliably detectable speed
     scenario: MotionScenario
-    link: LinkBudget
 
     @property
     def detectable(self) -> bool:
@@ -282,5 +276,4 @@ def evaluate_bounds(scenario: MotionScenario, c_t: float, link: LinkBudget) -> B
     check = sigma_max_sq(MotionScenario(vm, scenario.f_c_hz, scenario.p_err))
     if abs(check - s_mcrb) > 1e-9 * s_mcrb:
         raise AssertionError("bound consistency identity violated (numerical fault)")
-    return BoundResult(sigma_max_sq=s_max, sigma_mcrb_sq=s_mcrb, c_t=c_t,
-                       v_min=vm, scenario=scenario, link=link)
+    return BoundResult(sigma_max_sq=s_max, sigma_mcrb_sq=s_mcrb, v_min=vm, scenario=scenario)

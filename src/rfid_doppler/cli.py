@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: bounds, vmin, figure, simulate-mcrb, simulate-detect,
-noise-figure.  Each accepts --config (flat key = value file) with individual
-flags overriding file values; a flag's text goes through the same parser as
-the config-file value of its field.  Exit codes: 0 success, 2 configuration
-error, 3 failed --check comparison.
+noise-figure.  bounds, vmin, simulate-mcrb and simulate-detect accept
+--config (flat key = value file) with individual flags overriding file
+values; a flag's text goes through the same parser as the config-file value
+of its field.  Exit codes: 0 success, 2 configuration error, 3 failed --check
+comparison.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from .experiments import CheckFailure, ConfigError, ExperimentConfig
 
 
 def _add_output(sp):
-    sp.add_argument("--config", metavar="FILE", help="flat key = value config file")
     sp.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 
 def _add_scenario(sp):
+    sp.add_argument("--config", metavar="FILE",
+                    help="flat key = value config file; flags override its values")
     sp.add_argument("--mode", dest="mode_label", help="reader mode label, e.g. 'Mode 290'")
     sp.add_argument("--blf", dest="blf_hz", help="explicit BLF in Hz")
     sp.add_argument("--encoding", help="FM0 or Miller-2/4/8 (with --blf)")
@@ -55,8 +57,7 @@ def _add_simulation(sp):
 
 
 def _build_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config) if getattr(args, "config", None) \
-        else ExperimentConfig()
+    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     for key in experiments._CONFIG_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--blf", dest="blf_hz", default="160e3")
     sp.add_argument("--m", type=int, choices=(1, 2, 4, 8), default=8,
                     help="spread factor: 1 (FM0), 2, 4 or 8")
-    sp.add_argument("--out", metavar="FILE")
+    _add_output(sp)
     sp.set_defaults(func=_cmd_noise_figure)
 
     return parser

@@ -73,7 +73,6 @@ class EstimateReport:
     """
 
     f_hat_hz: float | np.ndarray
-    peak_value: float | np.ndarray
     refinement_iterations: int | np.ndarray
 
 
@@ -134,10 +133,19 @@ class BlockSums:
                              f"and span_s of shape {np.shape(self.span_s)}")
 
 
+def _check_halfwidth(search_halfwidth_hz: float) -> None:
+    if not (math.isfinite(search_halfwidth_hz) and search_halfwidth_hz > 0):
+        raise ValueError(f"search_halfwidth_hz: must be finite and positive, "
+                         f"got {search_halfwidth_hz}")
+
+
 def _block_samples(sample_rate_hz: float, search_halfwidth_hz: float,
                    block_len_s: float | None) -> int:
+    _check_halfwidth(search_halfwidth_hz)
     if block_len_s is None:
         block_len_s = 1.0 / (16.0 * search_halfwidth_hz)
+    elif not (math.isfinite(block_len_s) and block_len_s >= 0):
+        raise ValueError(f"block_len_s: must be finite and >= 0, got {block_len_s}")
     return max(1, int(round(block_len_s * sample_rate_hz)))
 
 
@@ -300,8 +308,8 @@ def _coarse_peaks(z: np.ndarray, tau: np.ndarray, df: np.ndarray,
     return (coarse.argmax(axis=1) - k_top) * df
 
 
-def _power_and_derivatives(z: np.ndarray, tau: np.ndarray, f: np.ndarray):
-    """P(f) = |S(f)|^2 of each row with its first two derivatives.
+def _derivatives(z: np.ndarray, tau: np.ndarray, f: np.ndarray):
+    """First and second derivative of each row's P(f) = |S(f)|^2.
 
     S = sum z exp(j 2 pi f tau), S' = j 2 pi sum tau z exp(...),
     S'' = -(2 pi)^2 sum tau^2 z exp(...); P' = 2 Re(conj(S) S') and
@@ -313,8 +321,7 @@ def _power_and_derivatives(z: np.ndarray, tau: np.ndarray, f: np.ndarray):
     s1 = 2j * math.pi * terms.sum(axis=1)
     terms *= tau
     s2 = -(2.0 * math.pi) ** 2 * terms.sum(axis=1)
-    return (np.abs(s0) ** 2, 2.0 * (s0.conj() * s1).real,
-            2.0 * (np.abs(s1) ** 2 + (s0.conj() * s2).real))
+    return 2.0 * (s0.conj() * s1).real, 2.0 * (np.abs(s1) ** 2 + (s0.conj() * s2).real)
 
 
 def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0) -> EstimateReport:
@@ -329,9 +336,7 @@ def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0) -> Estima
     number of iterations.  Every row is searched on its own grid and gives
     exactly what it gives when searched alone.
     """
-    if not (math.isfinite(search_halfwidth_hz) and search_halfwidth_hz > 0):
-        raise ValueError(f"search_halfwidth_hz: must be finite and positive, "
-                         f"got {search_halfwidth_hz}")
+    _check_halfwidth(search_halfwidth_hz)
     z, tau = blocks.z, blocks.tau
     df = 1.0 / (_COARSE_PADDING * blocks.span_s)
     k_max = np.floor(search_halfwidth_hz / df).astype(np.int64)
@@ -343,7 +348,7 @@ def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0) -> Estima
     active = np.arange(f_hat.size)
     for iteration in range(1, _MAX_REFINE + 1):
         f, lo_a, hi_a = f_hat[active], lo[active], hi[active]
-        _, slope, curvature = _power_and_derivatives(z[active], tau[active], f)
+        slope, curvature = _derivatives(z[active], tau[active], f)
         lo_a = np.where(slope > 0, f, lo_a)
         hi_a = np.where(slope < 0, f, hi_a)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -358,8 +363,7 @@ def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0) -> Estima
         active = active[~done]
         if active.size == 0:
             break
-    peak = _power_and_derivatives(z, tau, f_hat)[0]
-    return EstimateReport(f_hat_hz=f_hat, peak_value=peak, refinement_iterations=iterations)
+    return EstimateReport(f_hat_hz=f_hat, refinement_iterations=iterations)
 
 
 def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0,
@@ -371,11 +375,11 @@ def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0,
     estimates the frame's true Doppler shift directly.
     """
     if not 0.0 < search_halfwidth_hz <= w.sample_rate_hz / 2.0:
-        raise ValueError(f"search halfwidth must lie in (0, fs/2], got {search_halfwidth_hz}")
+        raise ValueError(f"search_halfwidth_hz: must lie in (0, fs/2] = "
+                         f"(0, {w.sample_rate_hz / 2.0:.12g}] Hz, got {search_halfwidth_hz}")
     found = search_peak(integrate_blocks(w, search_halfwidth_hz, block_len_s),
                         search_halfwidth_hz)
     return EstimateReport(f_hat_hz=float(found.f_hat_hz[0]),
-                          peak_value=float(found.peak_value[0]),
                           refinement_iterations=int(found.refinement_iterations[0]))
 
 

@@ -39,7 +39,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import baseband, bounds, estimator, protocol
-from .configfile import parse_bool, read_key_values
 
 
 class ConfigError(ValueError):
@@ -150,15 +149,11 @@ class ExperimentConfig:
     # -- parsing -----------------------------------------------------------
 
     @classmethod
-    def from_items(cls, items: Sequence[tuple[str, str]]) -> "ExperimentConfig":
+    def from_file(cls, path) -> "ExperimentConfig":
         config = cls()
-        for key, value in items:
+        for key, value in _read_key_values(path):
             config.set_field(key, value)
         return config
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_items(read_key_values(path))
 
     def set_field(self, key: str, value: str) -> None:
         """Set one field from its textual config form."""
@@ -167,9 +162,6 @@ class ExperimentConfig:
         except KeyError:
             raise ConfigError(f"{key}: unknown config key") from None
         setattr(self, key, _parsed(key, parse, value))
-
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        return dataclasses.replace(self, **kwargs)
 
     def comment_lines(self) -> list[str]:
         """Config echo for CSV headers, in field order, skipping unset values."""
@@ -182,6 +174,34 @@ class ExperimentConfig:
                 value = ",".join(format(x, ".12g") for x in value)
             out.append(f"{f.name} = {value}")
         return out
+
+
+def _read_key_values(path) -> list[tuple[str, str]]:
+    """The (key, value) pairs of a flat config file, in file order.
+
+    One ``key = value`` per line; ``#`` starts a comment and blank lines are
+    ignored.  Any other line raises ValueError with the file and line number.
+    """
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not (sep and key.strip()):
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            pairs.append((key.strip(), value.strip()))
+    return pairs
+
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parsed(key: str, parse, value):
@@ -232,7 +252,7 @@ _CONFIG_FIELDS = {
     "mode_label": _opt_str,
     "blf_hz": _finite,
     "encoding": str,
-    "trext": parse_bool,
+    "trext": _parse_bool,
     "epc_bits": int,
     "f_c_hz": _finite,
     "p_err": _finite,
@@ -248,7 +268,7 @@ _CONFIG_FIELDS = {
     "modulation": str,
     "parts": str,
     "sample_rate_hz": _finite,
-    "ask_zeroing": parse_bool,
+    "ask_zeroing": _parse_bool,
     "search_halfwidth_hz": _finite,
     "estimator_model": str,
     "sigma_sq_hz2": _finite,
@@ -260,24 +280,41 @@ _CONFIG_FIELDS = {
 def resolve_reader_mode(config: ExperimentConfig) -> protocol.ReaderMode:
     """Reader mode from explicit parameters or the catalog label."""
     if config.blf_hz is not None:
+        encoding = _parsed("encoding", protocol.encoding_from_name, config.encoding)
         try:
-            return protocol.ReaderMode("custom", config.blf_hz,
-                                       protocol.encoding_from_name(config.encoding),
+            return protocol.ReaderMode("custom", config.blf_hz, encoding,
                                        trext=config.trext, epc_bits=config.epc_bits)
         except ValueError as exc:
-            raise ConfigError(f"blf_hz/encoding: {exc}") from None
+            raise ConfigError(f"blf_hz: {exc}") from None
+    mode = _catalog_mode(config.mode_label)
+    return dataclasses.replace(mode, epc_bits=config.epc_bits, trext=config.trext)
+
+
+def _catalog_mode(label: str) -> protocol.ReaderMode:
     try:
-        mode = protocol.find_reader_mode(config.mode_label)
+        return protocol.find_reader_mode(label)
     except KeyError as exc:
         raise ConfigError(f"mode_label: {exc.args[0]}") from None
-    return dataclasses.replace(mode, epc_bits=config.epc_bits, trext=config.trext)
+
+
+def _simulation_mode(config: ExperimentConfig) -> protocol.ReaderMode:
+    """Check a Monte Carlo config and resolve its reader mode.
+
+    Covers every key a simulation reads, so a bad value fails before any
+    trial runs, and in figures 5 and 7 also when no trial is asked for.
+    """
+    config.validate()
+    mode = resolve_reader_mode(config)
+    if config.sample_rate_hz is not None:
+        baseband.check_sample_rate(config.sample_rate_hz, mode.blf_hz)
+    return mode
 
 
 def resolve_link_budget(config: ExperimentConfig) -> bounds.LinkBudget:
     """Link budget from the ratio, from power + noise terms, or the default."""
     try:
         if config.ps_n0_dbhz is not None:
-            return bounds.LinkBudget.from_ratio(config.ps_n0_dbhz)
+            return bounds.LinkBudget(ps_n0_dbhz=config.ps_n0_dbhz)
         if config.p_s_dbm is not None:
             if config.n0_dbm_hz is None and config.nf_db is None:
                 raise ConfigError("p_s_dbm: needs n0_dbm_hz or nf_db alongside")
@@ -287,7 +324,7 @@ def resolve_link_budget(config: ExperimentConfig) -> bounds.LinkBudget:
         raise
     except ValueError as exc:
         raise ConfigError(f"link budget: {exc}") from None
-    return bounds.LinkBudget.from_ratio(REFERENCE_PS_N0_DBHZ)
+    return bounds.LinkBudget(ps_n0_dbhz=REFERENCE_PS_N0_DBHZ)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +488,7 @@ def run_mcrb_experiment(config: ExperimentConfig):
     point at the configured link budget is run; sweep_param selects a sweep
     over the link ratio or (for single bursts) over the signal duration.
     """
-    config.validate()
-    mode = resolve_reader_mode(config)
+    mode = _simulation_mode(config)
     link = resolve_link_budget(config)
     f_d_true = bounds.doppler_shift(config.v, config.f_c_hz)
     comments = ["mcrb monte carlo"] + config.comment_lines()
@@ -510,7 +546,7 @@ def run_detection_experiment(config: ExperimentConfig):
     baseband model runs the full frame pipeline at the P_S/N0 whose
     estimation bound equals that variance.
     """
-    config.validate()
+    mode = _simulation_mode(config)
     f_c = config.f_c_hz
     comments = ["motion detection monte carlo"] + config.comment_lines()
     rows = []
@@ -531,7 +567,6 @@ def run_detection_experiment(config: ExperimentConfig):
             est_static = sd * rng.standard_normal(config.trials)
             est_moving = f_d + sd * rng.standard_normal(config.trials)
         else:
-            mode = resolve_reader_mode(config)
             timing = protocol.reply_timing(mode)
             c_t = bounds.timing_factor(timing, config.parts)
             # link ratio at which the estimation bound equals sigma_sq
@@ -576,23 +611,23 @@ def _figure5(params, trials, seed):
     t0_grid, ratios = params["t0_grid_s"], params["ps_n0_dbhz_list"]
     fieldnames = ["t0_s", "ps_n0_dbhz", "mcrb_var_hz2"]
     rows = []
-    sim_config = None
+    sim_config = ExperimentConfig(
+        mode_label=None, blf_hz=params["blf_hz"], encoding=params["encoding"],
+        modulation=params["modulation"], waveform_model=params["waveform_model"],
+        sample_rate_hz=params["sample_rate_hz"])
+    _simulation_mode(sim_config)
     if trials > 0:
-        sim_config = ExperimentConfig(
-            mode_label=None, blf_hz=params["blf_hz"], encoding=params["encoding"],
-            modulation=params["modulation"], waveform_model=params["waveform_model"],
-            sample_rate_hz=params["sample_rate_hz"], trials=trials)
         fieldnames += ["t0_simulated_s", "trials", "emp_var_hz2"]
     for ratio in ratios:
         for t0 in t0_grid:
             row = {"t0_s": t0, "ps_n0_dbhz": ratio,
                    "mcrb_var_hz2": bounds.mcrb_sigma_sq(bounds.c_t_single(t0),
                                                         bounds.linear_from_db(ratio))}
-            if sim_config is not None:
+            if trials > 0:
                 # fresh seed stream per grid point
-                cfg = sim_config.replace(ps_n0_dbhz=ratio, sweep_param="t0_s",
-                                         sweep_values=[t0],
-                                         seed=derive_seed(seed, len(rows)))
+                cfg = dataclasses.replace(sim_config, trials=trials, ps_n0_dbhz=ratio,
+                                          sweep_param="t0_s", sweep_values=[t0],
+                                          seed=derive_seed(seed, len(rows)))
                 _, _, sim_rows = run_mcrb_experiment(cfg)
                 row.update({"t0_simulated_s": sim_rows[0]["t0_s"],
                             "trials": sim_rows[0]["trials"],
@@ -608,6 +643,11 @@ def _figure7(params, trials, seed):
     t_rn16, t_epc = float(timing.t_rn16), float(timing.t_epc)
     operating_pause = float(timing.t_pause)
     configs = [("rn16_epc", t_rn16, t_epc), ("epc_epc", t_epc, t_epc)]
+    sim_config = ExperimentConfig(mode_label=None, blf_hz=_MILLER8_40K.blf_hz,
+                                  encoding="Miller8", ps_n0_dbhz=ratio,
+                                  modulation=params["modulation"], waveform_model="gen2",
+                                  parts="both", seed=seed)
+    _simulation_mode(sim_config)
     fieldnames = ["config", "t_pause_s", "t1_s", "t2_s", "c_t_s3", "mcrb_var_hz2",
                   "is_operating_point"]
     if trials > 0:
@@ -625,12 +665,8 @@ def _figure7(params, trials, seed):
                    "is_operating_point": int(marked)}
             if trials > 0:
                 if marked:
-                    cfg = ExperimentConfig(mode_label=None, blf_hz=40_000.0,
-                                           encoding="Miller8", ps_n0_dbhz=ratio,
-                                           modulation=params["modulation"],
-                                           waveform_model="gen2", parts="both",
-                                           trials=trials, seed=seed)
-                    _, _, sim_rows = run_mcrb_experiment(cfg)
+                    _, _, sim_rows = run_mcrb_experiment(
+                        dataclasses.replace(sim_config, trials=trials))
                     row.update({"trials": sim_rows[0]["trials"],
                                 "emp_var_hz2": sim_rows[0]["emp_var_hz2"]})
                 else:
@@ -670,7 +706,7 @@ def _figure9(params, trials, seed):
 
 def _figure10(params, trials, seed):
     f_c, p_err, v_grid = params["f_c_hz"], params["p_err"], params["v_grid"]
-    mode = protocol.find_reader_mode(params["mode_label"])
+    mode = _catalog_mode(params["mode_label"])
     c_t = bounds.timing_factor(protocol.reply_timing(mode), "both")
     rows = [{"v_m_per_s": v, "nf_db": nf,
              "p_s_dbm": bounds.required_ps_dbm(v, c_t, f_c, p_err, nf)}
@@ -745,7 +781,8 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
 
     Returns (comments, fieldnames, rows).  Figures 4, 8, 9, 10 and 11 are
     purely closed-form; figures 5 and 7 optionally add Monte Carlo columns
-    when ``trials`` > 0 (figure 7 simulates its marked operating point only).
+    when ``trials`` > 0 (figure 7 simulates its marked operating point only)
+    and check their simulation parameters either way.
     ``overrides`` replaces parameter defaults; a string value is read by the
     parameter's parser (the text form of ``--set KEY=VALUE``), any other
     value is used as given.
@@ -755,6 +792,8 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
     except (KeyError, ValueError):
         raise ConfigError(f"figure_id: unknown figure {figure_id!r}, "
                           f"expected one of {sorted(_FIGURES)}") from None
+    if trials < 0:
+        raise ConfigError(f"trials: must be >= 0, got {trials}")
     values = {key: default for key, (_, default) in params.items()}
     for key, value in (overrides or {}).items():
         if key not in params:

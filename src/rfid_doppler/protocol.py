@@ -22,9 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
-
-from .configfile import parse_bool, read_key_values
 
 BLF_MIN_HZ = 40_000.0
 BLF_MAX_HZ = 640_000.0
@@ -95,7 +92,6 @@ class ReaderMode:
     encoding: EncodingScheme
     trext: bool = True
     epc_bits: int = 96
-    sensitivity_dbm: Optional[float] = None
 
     def __post_init__(self):
         _check_blf(self.blf_hz)
@@ -126,10 +122,6 @@ class ReplyTiming:
         if part == "epc":
             return self.t_epc
         raise ValueError(f"unknown signal part {part!r}")
-
-    @property
-    def total(self) -> Fraction:
-        return self.t_rn16 + self.t_pause + self.t_epc
 
 
 def symbol_period(blf_hz, scheme: EncodingScheme) -> Fraction:
@@ -186,67 +178,15 @@ def reply_timing(mode: ReaderMode) -> ReplyTiming:
 
 
 # Built-in catalog: the two named modes of the reader analyzed in this work.
-# The Mode 204 sensitivity is not published, so it stays unset.
 _BUILTIN_MODES = (
-    ReaderMode("Mode 290", 160_000.0, MILLER8, trext=True, epc_bits=96,
-               sensitivity_dbm=-95.8),
-    ReaderMode("Mode 204", 320_000.0, FM0, trext=True, epc_bits=96,
-               sensitivity_dbm=None),
+    ReaderMode("Mode 290", 160_000.0, MILLER8, trext=True, epc_bits=96),
+    ReaderMode("Mode 204", 320_000.0, FM0, trext=True, epc_bits=96),
 )
 
-_MODE_FIELDS = ("label", "blf_hz", "encoding", "trext", "epc_bits", "sensitivity_dbm")
 
-
-def load_reader_modes(path) -> list[ReaderMode]:
-    """Read extra reader modes from a flat key-value file.
-
-    A ``label`` key starts a new mode; the other keys (blf_hz, encoding,
-    trext, epc_bits, sensitivity_dbm) apply to the most recent label.
-    """
-    modes: list[ReaderMode] = []
-    current: dict | None = None
-
-    def flush():
-        if current is None:
-            return
-        try:
-            modes.append(ReaderMode(
-                label=current["label"],
-                blf_hz=float(current["blf_hz"]),
-                encoding=encoding_from_name(current["encoding"]),
-                trext=parse_bool(current.get("trext", "true")),
-                epc_bits=int(current.get("epc_bits", "96")),
-                sensitivity_dbm=(float(current["sensitivity_dbm"])
-                                 if "sensitivity_dbm" in current else None),
-            ))
-        except KeyError as exc:
-            raise ValueError(f"{path}: mode {current.get('label')!r} missing key {exc}") from None
-
-    for key, value in read_key_values(path):
-        if key == "label":
-            flush()
-            current = {"label": value}
-            continue
-        if key not in _MODE_FIELDS:
-            raise ValueError(f"{path}: unknown reader-mode key {key!r}")
-        if current is None:
-            raise ValueError(f"{path}: {key!r} before any 'label'")
-        current[key] = value
-    flush()
-    return modes
-
-
-def reader_mode_catalog(extra_path=None) -> list[ReaderMode]:
-    """Built-in reader modes, optionally extended from a config file."""
-    modes = list(_BUILTIN_MODES)
-    if extra_path is not None:
-        modes.extend(load_reader_modes(extra_path))
-    return modes
-
-
-def find_reader_mode(label: str, extra_path=None) -> ReaderMode:
+def find_reader_mode(label: str) -> ReaderMode:
     """Catalog lookup by label; raises KeyError if absent."""
-    for mode in reader_mode_catalog(extra_path):
+    for mode in _BUILTIN_MODES:
         if mode.label == label:
             return mode
     raise KeyError(f"no reader mode labeled {label!r} in the catalog")

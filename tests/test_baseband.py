@@ -248,7 +248,7 @@ def test_two_part_layout_and_sample_count():
     assert frame.part_kinds == ["rn16", "epc"]
     assert frame.part_slices[0][0] == 0
     assert frame.part_slices[1][0] == round((timing.t_rn16 + timing.t_pause) * fs)
-    assert frame.n_samples == math.ceil(timing.total * fs)
+    assert frame.n_samples == math.ceil((timing.t_rn16 + timing.t_pause + timing.t_epc) * fs)
     # pause samples carry no signal state
     gap = slice(frame.part_slices[0][1], frame.part_slices[1][0])
     assert np.all(frame.sample_state[gap] == -1)
@@ -282,9 +282,15 @@ def test_default_sample_rate_is_16_per_transition_interval():
 
 
 def test_sample_rate_below_four_per_transition_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample_rate_hz"):
         B.synthesize_reply(None, MILLER8_40K, "ask", "rect", None, None,
                            B.ChannelParams(0.0, None, sample_rate_hz=100e3))
+    # exactly 4 samples per transition interval is the least allowed rate
+    for blf in (40e3, 105e3, 640e3):
+        B.check_sample_rate(8.0 * blf, blf)
+        for fs in (np.nextafter(8.0 * blf, 0.0), math.nan):
+            with pytest.raises(ValueError, match="sample_rate_hz"):
+                B.check_sample_rate(fs, blf)
 
 
 def test_non_multiple_sample_rate_still_snaps_consistently():

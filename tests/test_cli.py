@@ -223,6 +223,31 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     assert f"config error: {key}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, key", [
+    # figures 5 and 7 check their simulation keys also without --trials
+    (["figure", "5", "--set", "encoding=bogus"], "encoding"),
+    (["figure", "5", "--set", "modulation=qam"], "modulation"),
+    (["figure", "5", "--set", "waveform_model=foo"], "waveform_model"),
+    (["figure", "7", "--set", "modulation=qam"], "modulation"),
+    (["figure", "5", "--trials", "-2"], "trials"),
+    (["figure", "10", "--set", "mode_label=Nope"], "mode_label"),
+    (["simulate-mcrb", "--sample-rate", "1"], "sample_rate_hz"),
+    (["simulate-mcrb", "--search-halfwidth", "1e9", "--trials", "3"], "search_halfwidth_hz"),
+])
+def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {key}: " in captured.err
+
+
+def test_figure_takes_no_config_file(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "4", "--config", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config x" in capsys.readouterr().err
+
+
 def test_figure9_combos_text_form(capsys):
     assert main(["figure", "9", "--set", "combos=FM0:640e3,Miller8:40e3",
                  "--set", "v_grid=1"]) == 0

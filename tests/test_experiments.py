@@ -1,5 +1,6 @@
 """Config handling, seeded runners, figure datasets, and CSV output."""
 
+import dataclasses
 import io
 import math
 
@@ -40,11 +41,19 @@ def test_config_from_file_and_overrides(tmp_path):
     config.validate()
 
 
+@pytest.mark.parametrize("line", ["modulation psk", "= psk"])
+def test_config_file_lines_must_be_key_value(tmp_path, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# comment\n\ntrials = 5\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=":4: expected 'key = value'"):
+        ExperimentConfig.from_file(path)
+
+
 def test_config_rejects_unknown_keys_and_bad_values():
     with pytest.raises(ConfigError, match="no_such_key"):
-        ExperimentConfig.from_items([("no_such_key", "1")])
+        ExperimentConfig().set_field("no_such_key", "1")
     with pytest.raises(ConfigError, match="trials"):
-        ExperimentConfig.from_items([("trials", "many")])
+        ExperimentConfig().set_field("trials", "many")
 
 
 @pytest.mark.parametrize("field,value,needle", [
@@ -140,7 +149,7 @@ def test_trial_estimates_do_not_depend_on_the_run_length():
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
 
     def estimates(trials):
-        run = config.replace(trials=trials)
+        run = dataclasses.replace(config, trials=trials)
         source = X._reply_source(run, mode, P.reply_timing(mode))
         return X._estimates(run, source, 52.8, 0, 0, f_d)
 
