@@ -192,13 +192,12 @@ def amplitudes(modulation: str) -> tuple[complex, complex]:
     raise ValueError(f"unknown modulation {modulation!r} (expected 'ask' or 'psk')")
 
 
-def _complex_noise(size: int, ps_n0_dbhz: float, sample_rate_hz: float,
-                   seed: int) -> np.ndarray:
+def _complex_noise(rng: np.random.Generator, size: int, ps_n0_dbhz: float,
+                   sample_rate_hz: float) -> np.ndarray:
     """``size`` complex white Gaussian samples of variance N0 * fs, N0 = 1/ratio."""
     ratio = linear_from_db(ps_n0_dbhz)
     n0 = 1.0 / ratio
     sigma = math.sqrt(n0 * sample_rate_hz / 2.0)
-    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
     # consecutive draws are the real and imaginary part of one sample; scaled
     # in place, so a frame's noise takes one frame-sized array
     noise = rng.standard_normal(2 * size)
@@ -213,33 +212,32 @@ def add_awgn(samples: np.ndarray, ps_n0_dbhz: float, sample_rate_hz: float,
     Per-sample variance is N0 * fs with N0 = 1/ratio (one-sided density
     convention).  Deterministic for a given seed (counter-based Philox).
     """
-    noisy = _complex_noise(samples.size, ps_n0_dbhz, sample_rate_hz, seed)
+    rng = np.random.Generator(np.random.Philox(key=seed & (2**64 - 1)))
+    noisy = _complex_noise(rng, samples.size, ps_n0_dbhz, sample_rate_hz)
     noisy += samples
     return noisy
 
 
 def add_block_awgn(block_sums: np.ndarray, counts: np.ndarray, ps_n0_dbhz: float,
-                   sample_rate_hz: float, seeds) -> np.ndarray:
+                   sample_rate_hz: float, rng: np.random.Generator) -> np.ndarray:
     """Add to each block sum the noise of its ``counts`` summed samples.
 
-    ``block_sums`` and ``counts`` hold one frame per row, and ``seeds`` one
-    seed per row.  The sum of ``count`` independent samples of
-    :func:`add_awgn` noise is exactly complex Gaussian with variance
-    count * N0 * fs, so one draw per block replaces the per-sample draws:
-    each row draws, from its own seed and in order, one value per block with
-    count > 0, and a block with count 0 gets none.  Deterministic for given
-    seeds.
+    ``block_sums`` and ``counts`` hold one frame per row.  The sum of
+    ``count`` independent samples of :func:`add_awgn` noise is exactly complex
+    Gaussian with variance count * N0 * fs, so one draw per block replaces the
+    per-sample draws: the rows take one complex value for every block, row
+    after row, from ``rng`` in one call, and a block with count 0 gets its
+    value times 0.  A batch therefore draws what consecutive calls with its
+    rows would, and with all counts 1 the noise is that of :func:`add_awgn`
+    with the generator's key as seed.
     """
     counts = np.asarray(counts)
-    if counts.ndim != 2:
-        raise ValueError(f"expected one frame per row, got counts of shape {counts.shape}")
-    kept = counts > 0
-    noise = np.concatenate([
-        _complex_noise(int(n), ps_n0_dbhz, sample_rate_hz, seed)
-        for n, seed in zip(kept.sum(axis=1), seeds, strict=True)])
-    noisy = np.array(block_sums, dtype=np.complex128)
-    noisy[kept] += np.sqrt(counts[kept]) * noise
-    return noisy
+    if counts.ndim != 2 or np.shape(block_sums) != counts.shape:
+        raise ValueError(f"expected block sums and counts of one shape, one frame per row, "
+                         f"got {np.shape(block_sums)} and {counts.shape}")
+    noise = _complex_noise(rng, counts.size, ps_n0_dbhz, sample_rate_hz)
+    noise *= np.sqrt(counts).ravel()
+    return block_sums + noise.reshape(counts.shape)
 
 
 def doppler_rotation(f_d_hz: float, t_s: np.ndarray) -> np.ndarray:

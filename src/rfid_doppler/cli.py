@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("id", type=int, choices=(4, 5, 7, 8, 9, 10, 11))
     _add_output(sp)
     sp.add_argument("--trials", type=int, help="add Monte Carlo columns (figures 5 and 7)")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=int,
+                    help="Monte Carlo seed, read only by figures 5 and 7 with --trials; "
+                         "the closed-form figures draw no random numbers")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a dataset parameter (repeatable)")
     sp.set_defaults(func=_cmd_figure)

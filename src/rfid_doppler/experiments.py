@@ -1,30 +1,29 @@
 """Monte Carlo harness, figure datasets, and CSV emission.
 
-Everything here is deterministic for a given (config, seed): per-trial seeds
-are derived from the master seed with an iterated SplitMix64 mix,
+Everything here is deterministic for a given (config, seed).  Frame kind k of
+a grid point (k = 0: MCRB trials and the static frame of a detection trial,
+k = 1: the moving frame) has two counter-based Philox streams and a key for
+trial 0's sample noise, derived with an iterated SplitMix64 mix,
 
-    trial_seed = derive_seed(master_seed, grid_index, trial_index)
-    bits RNG key of sub-trial k = derive_seed(trial_seed, 2 k)
-    noise seed of sub-trial k   = derive_seed(trial_seed, 2 k + 1)
+    derive_seed(master_seed, grid_index, 3 k + j), j = 0 bits, 1 block noise, 2 trial 0
 
-A sub-trial is one frame: MCRB trials and the static frame of a detection
-trial are sub-trial k = 0, the moving frame is k = 1.  Trial 0 of every grid
-point synthesizes its frames sample by sample and draws its noise per sample
-from the noise seed (add_awgn).  The other trials run as one batch per grid
-point and frame kind (in chunks that bound memory): their bits are encoded
-together, and the per-block sums the estimator reads come straight from the
-frames' states.  Each trial still draws one complex noise value per block
-that holds masked samples from its own noise seed (add_block_awgn): the sum of
-count independent samples of add_awgn noise, which has the same distribution.
-One peak search then covers the batch, and each row of it gives what the
-trial alone would.  All generators are counter-based Philox, so a trial's
-estimate does not depend on execution order, batching or run length, and
-re-runs produce byte-identical CSV.
+and every trial takes a fixed stride of each stream.  Trial i's bits are the
+i-th run of ceil(bits per frame / 64) raw words of the bits stream.  Trial 0
+synthesizes its frame sample by sample with per-sample noise (add_awgn).  The
+other trials run as one batch per grid point and frame kind (in chunks that
+bound memory): their bits are encoded together, the block sums the estimator
+reads come straight from the frames' states, and trial i adds the (i - 1)-th
+run of one complex value per block of the frame's block grid from the block
+noise stream (add_block_awgn), scaled to the noise of the block's summed
+samples (0 for a block without any).  A batch draws its trials' strides in one
+call per stream, the same numbers as one trial after another, so an estimate
+does not depend on batching or run length, and re-runs give identical CSV.
 
-The keys depend on the master seed and the indices only, not on the
-modulation, parts or ask_zeroing: runs that differ only in those use common
-random numbers (the same bits and noise keys), so their results are
-correlated.  Comparisons meant to be independent need distinct seeds.
+The keys depend on the master seed and the indices only.  Runs that differ
+only in modulation or ask_zeroing also take the same strides: they use common
+random numbers, so their results are correlated; runs that differ in parts
+take other strides of the same streams.  Comparisons meant to be independent
+need distinct seeds.
 """
 
 from __future__ import annotations
@@ -331,21 +330,24 @@ def resolve_link_budget(config: ExperimentConfig) -> bounds.LinkBudget:
 # Monte Carlo runners
 # ---------------------------------------------------------------------------
 
-def _random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    return rng.integers(0, 2, size=count, dtype=np.int8)
+def _random_bits(bit_generator: np.random.BitGenerator, rows: int, count: int) -> np.ndarray:
+    """``rows`` rows of ``count`` bits, each row from its own ceil(count / 64) raw words."""
+    words = bit_generator.random_raw(rows * -(-count // 64)).reshape(rows, -1, 1)
+    bits = (words >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(rows, -1)[:, :count].astype(np.int8)
 
 
 @dataclass(frozen=True)
 class _FrameSource:
     """One kind of simulated frame, in the sample and in the block domain.
 
-    ``draw`` takes the random input of a frame from the bits generator: a
-    tuple of bit arrays, None where the frame needs none.  ``parts`` turns
-    that input, or the same tuple with one frame's bits per row, into the
-    (kind, exact start time, states) parts of the frame(s), and
-    ``synthesize`` one frame's input into a sampled frame.  Every draw gives
-    parts of the same lengths, so all frames of a source share one sample
-    layout.
+    ``draw`` takes the random input of ``rows`` frames from the bits stream:
+    a tuple of bit arrays with one frame per row, None where the frame needs
+    none.  ``parts`` turns that input, or the same tuple with one frame's 1-D
+    bits, into the (kind, exact start time, states) parts of the frame(s),
+    and ``synthesize`` one frame's input into a sampled frame.  Every draw
+    gives parts of the same lengths, so all frames of a source share one
+    sample layout.
     """
 
     blf_hz: float
@@ -356,14 +358,14 @@ class _FrameSource:
 
 def _reply_source(config: ExperimentConfig, mode: protocol.ReaderMode, timing) -> _FrameSource:
     """Frames of the configured parts of the mode's reply."""
-    def draw(bits_rng):
-        bits_rn16 = bits_epc = None
-        if config.waveform_model == "gen2":
-            if config.parts in ("rn16", "both"):
-                bits_rn16 = _random_bits(bits_rng, protocol.RN16_BITS)
-            if config.parts in ("epc", "both"):
-                bits_epc = _random_bits(bits_rng, mode.epc_bits + protocol.CRC16_BITS)
-        return bits_rn16, bits_epc
+    n_rn16 = protocol.RN16_BITS if config.parts in ("rn16", "both") else 0
+    n_epc = mode.epc_bits + protocol.CRC16_BITS if config.parts in ("epc", "both") else 0
+
+    def draw(bit_generator, rows):
+        if config.waveform_model != "gen2":
+            return None, None
+        bits = _random_bits(bit_generator, rows, n_rn16 + n_epc)
+        return bits[:, :n_rn16] if n_rn16 else None, bits[:, n_rn16:] if n_epc else None
 
     def parts(bits):
         return baseband.reply_parts(timing, mode, config.waveform_model, *bits, config.parts)
@@ -380,11 +382,11 @@ def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
     """Frames of a single part of n_symbols symbols starting at t = 0."""
     enc = mode.encoding
 
-    def draw(bits_rng):
+    def draw(bit_generator, rows):
         if config.waveform_model == "rect":
             return (None,)
-        return (_random_bits(bits_rng, n_symbols - protocol.preamble_symbols(enc, mode.trext)
-                             - 1),)
+        return (_random_bits(bit_generator, rows,
+                             n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1),)
 
     def parts(bits):
         payload, = bits
@@ -402,49 +404,50 @@ def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
     return _FrameSource(mode.blf_hz, draw, parts, synthesize)
 
 
+def _stream_keys(seed: int, grid_index: int, k: int) -> tuple[int, int, int]:
+    """(bits stream, block noise stream, trial 0's noise) keys of frame kind k at a grid point."""
+    return tuple(derive_seed(seed, grid_index, 3 * k + j) for j in range(3))
+
+
 def _estimates(config: ExperimentConfig, source: _FrameSource, ratio_dbhz: float,
                grid_index: int, k: int, f_d: float) -> np.ndarray:
-    """Doppler estimates from sub-trial k of every trial of a grid point, at shift f_d.
+    """Doppler estimates from frame kind k of every trial of a grid point, at shift f_d.
 
     Trial 0 runs the sample-level pipeline (synthesize, wipe off, estimate).
     The other trials run in batches of at most ``table.batch_rows``: their
     bits are encoded together, the block sums of their noiseless wiped
-    frames come from the frames' states, each trial adds one noise draw per
-    block from its own noise seed, and one peak search covers the batch.
+    frames come from the frames' states, each trial adds its stride of the
+    block noise stream, and one peak search covers the batch.
     """
     if not abs(f_d) < config.search_halfwidth_hz:
         raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
                           f"search window, search_halfwidth_hz = "
                           f"{config.search_halfwidth_hz:.6g} Hz")
-    seeds = [derive_seed(config.seed, grid_index, i) for i in range(config.trials)]
-
-    def draw(trial_seed):
-        """The frame's random input and its noise seed."""
-        bits_rng = _rng(derive_seed(trial_seed, 2 * k))
-        return source.draw(bits_rng), derive_seed(trial_seed, 2 * k + 1)
-
-    drawn, noise_seed = draw(seeds[0])
+    bits_key, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
+    bit_generator = np.random.Philox(key=bits_key)
+    drawn = [None if bits is None else bits[0] for bits in source.draw(bit_generator, 1)]
     params = baseband.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ratio_dbhz,
-                                    sample_rate_hz=config.sample_rate_hz, seed=noise_seed)
+                                    sample_rate_hz=config.sample_rate_hz, seed=sample_key)
     estimates = [np.array([estimator.estimate_doppler(
         estimator.wipe_modulation(source.synthesize(drawn, params),
                                   ask_zeroing=config.ask_zeroing),
         search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz])]
-    if len(seeds) == 1:
+    if config.trials == 1:
         return estimates[0]
 
     table = estimator.BlockTable(
         baseband.frame_layout(source.parts(drawn), source.blf_hz, config.sample_rate_hz), f_d,
         config.modulation, config.ask_zeroing, config.search_halfwidth_hz)
-    for first in range(1, len(seeds), table.batch_rows):
-        drawn, noise_seeds = zip(*map(draw, seeds[first:first + table.batch_rows]))
-        stacked = [None if bits[0] is None else np.stack(bits) for bits in zip(*drawn)]
+    noise_rng = _rng(noise_key)
+    for first in range(1, config.trials, table.batch_rows):
+        rows = min(table.batch_rows, config.trials - first)
+        drawn = source.draw(bit_generator, rows)
         # rect states carry no bits: one row serves every trial
-        states = np.concatenate([np.broadcast_to(states, (len(drawn), states.shape[-1]))
-                                 for _, _, states in source.parts(stacked)], axis=1)
+        states = np.concatenate([np.broadcast_to(states, (rows, states.shape[-1]))
+                                 for _, _, states in source.parts(drawn)], axis=1)
         blocks = table.blocks(states)
         z = baseband.add_block_awgn(blocks.z, blocks.count, ratio_dbhz,
-                                    table.sample_rate_hz, noise_seeds)
+                                    table.sample_rate_hz, noise_rng)
         estimates.append(estimator.search_peak(
             dataclasses.replace(blocks, z=z),
             search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz)

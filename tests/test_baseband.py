@@ -389,40 +389,51 @@ def test_add_block_awgn_variance_calibration():
     per_sample = fs / B.linear_from_db(ratio_db)
     counts = np.random.Generator(np.random.Philox(key=3)).integers(1, 500, 10 ** 6)
     noise = B.add_block_awgn(np.zeros((1, counts.size), dtype=complex), counts[None],
-                             ratio_db, fs, [11])[0]
+                             ratio_db, fs, np.random.Generator(np.random.Philox(key=11)))[0]
     normalized = noise / np.sqrt(counts * per_sample)
     assert float(np.mean(np.abs(normalized) ** 2)) == pytest.approx(1.0, rel=1e-2)
     assert float(np.mean(normalized.real)) == pytest.approx(0.0, abs=3 * math.sqrt(0.5 / 1e6))
     assert float(np.mean(normalized.real * normalized.imag)) == pytest.approx(
         0.0, abs=3 * 0.5 / math.sqrt(1e6))
-    # the same seed draws the same noise as add_awgn, scaled per block
+    # a generator with key K draws the noise of add_awgn with seed K, scaled per block
     zeros = np.zeros(4096, dtype=complex)
     assert np.array_equal(B.add_block_awgn(zeros[None], np.ones((1, zeros.size)), ratio_db, fs,
-                                           [5])[0],
+                                           np.random.Generator(np.random.Philox(key=5)))[0],
                           B.add_awgn(zeros, ratio_db, fs, seed=5))
 
 
 def test_batched_block_noise_equals_row_by_row_draws():
-    # each row draws for its blocks with count > 0, in order, from its own seed
+    # the rows take one complex value per block, zero-count blocks included,
+    # one after another from the generator
     rng = np.random.Generator(np.random.Philox(key=4))
     counts = rng.integers(0, 3, (5, 40)).astype(np.float64)
     sums = np.where(counts > 0, rng.standard_normal(counts.shape) + 0j, 0.0)
-    seeds = [101, 7, 2**63 + 5, 0, 42]
-    noisy = B.add_block_awgn(sums, counts, 40.0, 1e6, seeds)
-    for row, seed in enumerate(seeds):
+
+    def generator():
+        return np.random.Generator(np.random.Philox(key=101))
+
+    noisy = B.add_block_awgn(sums, counts, 40.0, 1e6, generator())
+    rows = generator()
+    sigma = math.sqrt(1e6 / B.linear_from_db(40.0) / 2.0)
+    values = generator().standard_normal(2 * counts.size).view(complex).reshape(counts.shape)
+    for row in range(counts.shape[0]):
         keep = counts[row] > 0
-        # the row alone, and the row without its zero-count blocks
+        # the row alone, as the next call on one generator
         assert np.array_equal(noisy[row], B.add_block_awgn(sums[row:row + 1],
                                                            counts[row:row + 1], 40.0, 1e6,
-                                                           [seed])[0])
+                                                           rows)[0])
+        # the row's stride of the stream, scaled by its blocks' counts
         assert np.array_equal(noisy[row][keep],
-                              B.add_block_awgn(sums[row][keep][None], counts[row][keep][None],
-                                               40.0, 1e6, [seed])[0])
+                              sums[row][keep] + np.sqrt(counts[row][keep])
+                              * (sigma * values[row][keep]))
+        assert np.all(noisy[row][keep] != sums[row][keep])
+        # a zero-count block stays exactly its input
         assert np.array_equal(noisy[row][~keep], sums[row][~keep])
-    with pytest.raises(ValueError):
-        B.add_block_awgn(sums, counts, 40.0, 1e6, seeds[:-1])
+    # block sums that would broadcast against the counts
+    with pytest.raises(ValueError, match="one shape"):
+        B.add_block_awgn(sums[:, :1], counts, 40.0, 1e6, generator())
     with pytest.raises(ValueError, match="row"):
-        B.add_block_awgn(sums[0], counts[0], 40.0, 1e6, seeds[:1])
+        B.add_block_awgn(sums[0], counts[0], 40.0, 1e6, generator())
 
 
 def test_add_awgn_is_deterministic_per_seed():

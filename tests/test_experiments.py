@@ -117,6 +117,48 @@ def test_derive_seed_is_deterministic_and_spreads():
     assert X.derive_seed(2, 0, 0) != a
 
 
+def test_philox_streams_split_into_uneven_pieces_as_one_draw():
+    # one stream per grid point rests on this: a batch's one draw equals its
+    # trials' draws one after another, whatever the batch size
+    pieces = (1, 6, 333, 660)
+    whole = np.random.Generator(np.random.Philox(key=9)).standard_normal(1000)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    assert np.array_equal(np.concatenate([rng.standard_normal(n) for n in pieces]), whole)
+    whole = np.random.Philox(key=9).random_raw(1000)
+    bit_generator = np.random.Philox(key=9)
+    assert np.array_equal(np.concatenate([bit_generator.random_raw(n) for n in pieces]), whole)
+    # integers() with a small dtype drops the unused bits of its last word at
+    # the end of a call, so split draws differ: bits come from random_raw
+    whole = np.random.Generator(np.random.Philox(key=9)).integers(0, 2, 1000, dtype=np.int8)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    split = np.concatenate([rng.integers(0, 2, n, dtype=np.int8) for n in pieces])
+    assert not np.array_equal(split, whole)
+
+
+def test_stream_keys_are_distinct_across_kinds_and_grid_points():
+    # trial 0's sample noise never reuses the block noise of trial 1, nor the
+    # static frame the moving frame's numbers
+    point = [key for k in (0, 1) for key in X._stream_keys(7, 2, k)]
+    assert len(set(point)) == 6
+    keys = {key for g in range(4) for k in (0, 1) for key in X._stream_keys(7, g, k)}
+    assert len(keys) == 4 * 6
+    # nor the gaussian detection model's per-grid-point key
+    assert keys.isdisjoint({X.derive_seed(7, g) for g in range(4)})
+
+
+def test_random_bits_take_a_fixed_stride_of_raw_words():
+    rows = X._random_bits(np.random.Philox(key=5), 3, 70)
+    assert rows.shape == (3, 70) and rows.dtype == np.int8
+    words = np.random.Philox(key=5).random_raw(6)
+    # row r holds the low 70 bits of words 2r and 2r + 1, least significant first
+    for r in range(3):
+        expected = [(int(words[2 * r + i // 64]) >> (i % 64)) & 1 for i in range(70)]
+        assert rows[r].tolist() == expected
+    bit_generator = np.random.Philox(key=5)
+    assert np.array_equal(np.concatenate([X._random_bits(bit_generator, n, 70)
+                                          for n in (1, 2)]), rows)
+
+
 # ---------------------------------------------------------------------------
 # MCRB runner
 # ---------------------------------------------------------------------------
@@ -140,9 +182,10 @@ def test_run_mcrb_rows_are_deterministic_and_complete():
     assert set(fieldnames) <= set(row)
 
 
-def test_trial_estimates_do_not_depend_on_the_run_length():
-    # trial 0 runs on samples, the others on block sums; trial i draws from
-    # its own keys either way
+@pytest.mark.parametrize("k", [0, 1])
+def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
+    # trial 0 runs on samples, the others on block sums; trial i takes the
+    # same strides of its grid point's streams either way
     config = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="Miller8",
                               ps_n0_dbhz=52.8, modulation="ask", parts="both", seed=3)
     mode = X.resolve_reader_mode(config)
@@ -151,12 +194,28 @@ def test_trial_estimates_do_not_depend_on_the_run_length():
     def estimates(trials):
         run = dataclasses.replace(config, trials=trials)
         source = X._reply_source(run, mode, P.reply_timing(mode))
-        return X._estimates(run, source, 52.8, 0, 0, f_d)
+        return X._estimates(run, source, 52.8, 0, k, f_d)
 
     six = estimates(6)
     assert np.array_equal(estimates(1), six[:1])
     assert np.array_equal(estimates(3), six[:3])
     assert np.all(np.abs(six - f_d) < 1.0)
+    # two trials per batch (2,788 pieces per frame): runs of 4 and 6 trials
+    # end inside a batch and cross batch boundaries
+    batches = []
+    search = E.search_peak
+
+    def recording_search(blocks, *args, **kwargs):
+        batches.append(blocks.z.shape[0])
+        return search(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(E, "search_peak", recording_search)
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 2 * 2788)
+    # trial 0's sample frame is searched alone, then the batches
+    assert np.array_equal(estimates(4), six[:4])
+    assert batches == [1, 2, 1]
+    assert np.array_equal(estimates(6), six)
+    assert batches == [1, 2, 1, 1, 2, 2, 1]
 
 
 @pytest.mark.parametrize("modulation, waveform", [("ask", "gen2"), ("psk", "rect")])
