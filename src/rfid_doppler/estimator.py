@@ -194,7 +194,9 @@ class BlockTable:
     adds nothing.  :meth:`blocks` then weights each piece by the wiped
     amplitude and mask of its state and adds the pieces of each block: the
     same sums :func:`integrate_blocks` takes from the wiped sampled frame,
-    without synthesizing samples.
+    without synthesizing samples.  Where both states have the same wiped
+    amplitude and mask (PSK), every row of states gives the same block sums
+    (:attr:`depends_on_states`).
     """
 
     def __init__(self, layout: FrameLayout, f_d_hz: float, modulation: str,
@@ -224,6 +226,7 @@ class BlockTable:
         # the sum of the first ``length`` rotations from t = 0
         partial = np.cumsum(doppler_rotation(f_d_hz, np.arange(lengths.max()) / fs))
         self.sample_rate_hz = fs
+        self.f_d_hz = f_d_hz
         self.n_half = n_half
         self._half = halves
         self._gaps = np.flatnonzero(halves < 0)
@@ -242,6 +245,16 @@ class BlockTable:
         self._kept = np.array([*kept, False])
         self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)]
                              + [0.0])
+
+    @property
+    def depends_on_states(self) -> bool:
+        """Whether :meth:`blocks` can give different rows for different states.
+
+        False when states 0 and 1 have the same wiped amplitude and mask: the
+        lookups in :meth:`blocks` then give the same weights whatever the
+        states, so every row of block sums is the same, bit for bit.
+        """
+        return bool(self._kept[0] != self._kept[1] or self._amp[0] != self._amp[1])
 
     @property
     def batch_rows(self) -> int:

@@ -11,13 +11,22 @@ and every trial takes a fixed stride of each stream.  Trial i's bits are the
 i-th run of ceil(bits per frame / 64) raw words of the bits stream.  Trial 0
 synthesizes its frame sample by sample with per-sample noise (add_awgn).  The
 other trials run as one batch per grid point and frame kind (in chunks that
-bound memory): their bits are encoded together, the block sums the estimator
-reads come straight from the frames' states, and trial i adds the (i - 1)-th
-run of one complex value per block of the frame's block grid from the block
-noise stream (add_block_awgn), scaled to the noise of the block's summed
-samples (0 for a block without any).  A batch draws its trials' strides in one
-call per stream, the same numbers as one trial after another, so an estimate
-does not depend on batching or run length, and re-runs give identical CSV.
+bound memory) on the block sums the estimator reads, taken straight from the
+frames' states through the one BlockTable a run builds per frame source and
+Doppler shift; trial i adds the (i - 1)-th run of one complex value per block
+of the frame's block grid from the block noise stream (add_block_awgn),
+scaled to the noise of the block's summed samples (0 for a block without
+any).  A batch draws its trials' strides in one call per stream, the same
+numbers as one trial after another, so an estimate does not depend on
+batching or run length, and re-runs give identical CSV.
+
+Where the noiseless block sums cannot differ between trials, the batches
+share one row of them and their trials draw no bits: rect frames carry no
+bits, and under PSK the wipe-off maps both states to amplitude +1 and keeps
+both in the mask, so every frame gives the same sums whatever its bits.  No
+trial after trial 0 reads the bits stream then, so trial i's strides, and
+with them every estimate, stay as they are; only gen2 ASK batches draw and
+encode their trials' bits.
 
 The keys depend on the master seed and the indices only.  Runs that differ
 only in modulation or ask_zeroing also take the same strides: they use common
@@ -341,31 +350,52 @@ def _random_bits(bit_generator: np.random.BitGenerator, rows: int, count: int) -
 class _FrameSource:
     """One kind of simulated frame, in the sample and in the block domain.
 
-    ``draw`` takes the random input of ``rows`` frames from the bits stream:
-    a tuple of bit arrays with one frame per row, None where the frame needs
-    none.  ``parts`` turns that input, or the same tuple with one frame's 1-D
-    bits, into the (kind, exact start time, states) parts of the frame(s),
-    and ``synthesize`` one frame's input into a sampled frame.  Every draw
-    gives parts of the same lengths, so all frames of a source share one
-    sample layout.
+    ``bit_counts`` holds, per argument of ``parts``, the number of random bits
+    a frame takes for it, or None where the frame needs none; rect frames need
+    none at all, so all their frames are the same.  ``parts`` turns a tuple of
+    bit arrays with one frame per row, or the same tuple with one frame's 1-D
+    bits, into the (kind, exact start time, states) parts of the frame(s), and
+    ``synthesize`` one frame's bits into a sampled frame.  A part's state count
+    depends on its bit count only, so all frames of a source share one sample
+    ``layout``; ``zero_bit_states`` are the concatenated states of the frame
+    whose bits are all 0, the states of every frame if the source takes no bits.
     """
 
-    blf_hz: float
-    draw: Callable
+    bit_counts: tuple
     parts: Callable
     synthesize: Callable
+    layout: baseband.FrameLayout
+    zero_bit_states: np.ndarray
+
+    @property
+    def draws_bits(self) -> bool:
+        return any(self.bit_counts)
+
+    def draw(self, bit_generator: np.random.BitGenerator, rows: int) -> tuple:
+        """The bits of ``rows`` frames, each from one stride of the bits stream."""
+        total = sum(n for n in self.bit_counts if n)
+        bits = _random_bits(bit_generator, rows, total) if total else None
+        drawn, first = [], 0
+        for n in self.bit_counts:
+            drawn.append(None if n is None else bits[:, first:first + n])
+            first += n or 0
+        return tuple(drawn)
+
+
+def _frame_source(blf_hz: float, sample_rate_hz: Optional[float], bit_counts: tuple,
+                  parts: Callable, synthesize: Callable) -> _FrameSource:
+    """A source whose layout and zero-bit states come from one frame of all-0 bits."""
+    built = parts(tuple(None if n is None else np.zeros(n, dtype=np.int8) for n in bit_counts))
+    return _FrameSource(bit_counts, parts, synthesize,
+                        baseband.frame_layout(built, blf_hz, sample_rate_hz),
+                        np.concatenate([states for _, _, states in built]))
 
 
 def _reply_source(config: ExperimentConfig, mode: protocol.ReaderMode, timing) -> _FrameSource:
     """Frames of the configured parts of the mode's reply."""
-    n_rn16 = protocol.RN16_BITS if config.parts in ("rn16", "both") else 0
-    n_epc = mode.epc_bits + protocol.CRC16_BITS if config.parts in ("epc", "both") else 0
-
-    def draw(bit_generator, rows):
-        if config.waveform_model != "gen2":
-            return None, None
-        bits = _random_bits(bit_generator, rows, n_rn16 + n_epc)
-        return bits[:, :n_rn16] if n_rn16 else None, bits[:, n_rn16:] if n_epc else None
+    n_rn16 = protocol.RN16_BITS if config.parts in ("rn16", "both") else None
+    n_epc = mode.epc_bits + protocol.CRC16_BITS if config.parts in ("epc", "both") else None
+    bit_counts = (n_rn16, n_epc) if config.waveform_model == "gen2" else (None, None)
 
     def parts(bits):
         return baseband.reply_parts(timing, mode, config.waveform_model, *bits, config.parts)
@@ -374,19 +404,14 @@ def _reply_source(config: ExperimentConfig, mode: protocol.ReaderMode, timing) -
         return baseband.synthesize_reply(timing, mode, config.modulation,
                                          config.waveform_model, *bits, params,
                                          parts=config.parts)
-    return _FrameSource(mode.blf_hz, draw, parts, synthesize)
+    return _frame_source(mode.blf_hz, config.sample_rate_hz, bit_counts, parts, synthesize)
 
 
 def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
                   n_symbols: int) -> _FrameSource:
     """Frames of a single part of n_symbols symbols starting at t = 0."""
     enc = mode.encoding
-
-    def draw(bit_generator, rows):
-        if config.waveform_model == "rect":
-            return (None,)
-        return (_random_bits(bit_generator, rows,
-                             n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1),)
+    n_payload = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1
 
     def parts(bits):
         payload, = bits
@@ -401,7 +426,19 @@ def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
     def synthesize(bits, params):
         (_, _, states), = parts(bits)
         return baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params)
-    return _FrameSource(mode.blf_hz, draw, parts, synthesize)
+    bit_counts = (n_payload if config.waveform_model == "gen2" else None,)
+    return _frame_source(mode.blf_hz, config.sample_rate_hz, bit_counts, parts, synthesize)
+
+
+def _block_table(config: ExperimentConfig, source: _FrameSource,
+                 f_d: float) -> estimator.BlockTable:
+    """The block table of a source's frames at Doppler shift f_d, which must lie in the window."""
+    if not abs(f_d) < config.search_halfwidth_hz:
+        raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
+                          f"search window, search_halfwidth_hz = "
+                          f"{config.search_halfwidth_hz:.6g} Hz")
+    return estimator.BlockTable(source.layout, f_d, config.modulation, config.ask_zeroing,
+                                config.search_halfwidth_hz)
 
 
 def _stream_keys(seed: int, grid_index: int, k: int) -> tuple[int, int, int]:
@@ -409,43 +446,48 @@ def _stream_keys(seed: int, grid_index: int, k: int) -> tuple[int, int, int]:
     return tuple(derive_seed(seed, grid_index, 3 * k + j) for j in range(3))
 
 
-def _estimates(config: ExperimentConfig, source: _FrameSource, ratio_dbhz: float,
-               grid_index: int, k: int, f_d: float) -> np.ndarray:
-    """Doppler estimates from frame kind k of every trial of a grid point, at shift f_d.
+def _repeated(row: estimator.BlockSums, rows: int) -> estimator.BlockSums:
+    """``rows`` copies of one row of block sums, as read-only broadcast views."""
+    return estimator.BlockSums(*(np.broadcast_to(a, (rows,) + a.shape[1:])
+                                 for a in (row.z, row.count, row.tau, row.span_s)))
 
-    Trial 0 runs the sample-level pipeline (synthesize, wipe off, estimate).
-    The other trials run in batches of at most ``table.batch_rows``: their
-    bits are encoded together, the block sums of their noiseless wiped
-    frames come from the frames' states, each trial adds its stride of the
-    block noise stream, and one peak search covers the batch.
+
+def _estimates(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
+               ratio_dbhz: float, grid_index: int, k: int) -> np.ndarray:
+    """Doppler estimates from frame kind k of every trial of a grid point.
+
+    The frames come from ``source`` at the Doppler shift of ``table``, the
+    source's block table.  Trial 0 runs the sample-level pipeline
+    (synthesize, wipe off, estimate).  The other trials run in batches of at
+    most ``table.batch_rows``, each trial adds its stride of the block noise
+    stream to the block sums of its noiseless wiped frame, and one peak
+    search covers the batch.  Those block sums are one row shared by every
+    trial when the source takes no bits (rect) or the table does not depend
+    on the states (PSK): then these trials draw no bits and encode nothing,
+    which changes no estimate, as no other trial reads the bits stream.
+    Otherwise each batch draws its trials' bits and encodes them together.
     """
-    if not abs(f_d) < config.search_halfwidth_hz:
-        raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
-                          f"search window, search_halfwidth_hz = "
-                          f"{config.search_halfwidth_hz:.6g} Hz")
     bits_key, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
     bit_generator = np.random.Philox(key=bits_key)
     drawn = [None if bits is None else bits[0] for bits in source.draw(bit_generator, 1)]
-    params = baseband.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ratio_dbhz,
+    params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
                                     sample_rate_hz=config.sample_rate_hz, seed=sample_key)
     estimates = [np.array([estimator.estimate_doppler(
         estimator.wipe_modulation(source.synthesize(drawn, params),
                                   ask_zeroing=config.ask_zeroing),
         search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz])]
-    if config.trials == 1:
-        return estimates[0]
 
-    table = estimator.BlockTable(
-        baseband.frame_layout(source.parts(drawn), source.blf_hz, config.sample_rate_hz), f_d,
-        config.modulation, config.ask_zeroing, config.search_halfwidth_hz)
+    per_trial = source.draws_bits and table.depends_on_states
+    shared = None if per_trial else table.blocks(source.zero_bit_states[None])
     noise_rng = _rng(noise_key)
     for first in range(1, config.trials, table.batch_rows):
         rows = min(table.batch_rows, config.trials - first)
-        drawn = source.draw(bit_generator, rows)
-        # rect states carry no bits: one row serves every trial
-        states = np.concatenate([np.broadcast_to(states, (rows, states.shape[-1]))
-                                 for _, _, states in source.parts(drawn)], axis=1)
-        blocks = table.blocks(states)
+        if per_trial:
+            blocks = table.blocks(np.concatenate(
+                [states for _, _, states in source.parts(source.draw(bit_generator, rows))],
+                axis=1))
+        else:
+            blocks = _repeated(shared, rows)
         z = baseband.add_block_awgn(blocks.z, blocks.count, ratio_dbhz,
                                     table.sample_rate_hz, noise_rng)
         estimates.append(estimator.search_peak(
@@ -504,8 +546,9 @@ def run_mcrb_experiment(config: ExperimentConfig):
             c_t = bounds.c_t_single(t0)
             mcrb = bounds.mcrb_sigma_sq(c_t, link.ps_n0_linear)
             source = _burst_source(config, mode, n_symbols)
-            stats = _error_stats(_estimates(config, source, link.ps_n0_dbhz, gi, 0, f_d_true)
-                                 - f_d_true)
+            estimates = _estimates(config, source, _block_table(config, source, f_d_true),
+                                   link.ps_n0_dbhz, gi, 0)
+            stats = _error_stats(estimates - f_d_true)
             rows.append({"t0_requested_s": t0_req, "t0_s": t0, "n_symbols": n_symbols,
                          "ps_n0_dbhz": link.ps_n0_dbhz, "modulation": config.modulation,
                          "waveform_model": config.waveform_model, "c_t_s3": c_t,
@@ -517,9 +560,10 @@ def run_mcrb_experiment(config: ExperimentConfig):
     ratios = config.sweep_values if config.sweep_param == "ps_n0_dbhz" \
         else [link.ps_n0_dbhz]
     source = _reply_source(config, mode, timing)
+    table = _block_table(config, source, f_d_true)
     for gi, ratio in enumerate(ratios):
         mcrb = bounds.mcrb_sigma_sq(c_t, bounds.linear_from_db(ratio))
-        stats = _error_stats(_estimates(config, source, ratio, gi, 0, f_d_true) - f_d_true)
+        stats = _error_stats(_estimates(config, source, table, ratio, gi, 0) - f_d_true)
         rows.append({"ps_n0_dbhz": ratio, "parts": config.parts,
                      "modulation": config.modulation,
                      "waveform_model": config.waveform_model,
@@ -554,6 +598,12 @@ def run_detection_experiment(config: ExperimentConfig):
     comments = ["motion detection monte carlo"] + config.comment_lines()
     rows = []
     v_values = config.v_grid if config.v_grid is not None else [config.v]
+    if config.estimator_model == "baseband":
+        # every speed shares the timing, the frames and the static frames' table
+        timing = protocol.reply_timing(mode)
+        c_t = bounds.timing_factor(timing, config.parts)
+        source = _reply_source(config, mode, timing)
+        static_table = _block_table(config, source, 0.0)
     for gi, v in enumerate(v_values):
         if v <= 0:
             raise ConfigError(f"v_grid: speeds must be positive, got {v}")
@@ -570,14 +620,12 @@ def run_detection_experiment(config: ExperimentConfig):
             est_static = sd * rng.standard_normal(config.trials)
             est_moving = f_d + sd * rng.standard_normal(config.trials)
         else:
-            timing = protocol.reply_timing(mode)
-            c_t = bounds.timing_factor(timing, config.parts)
             # link ratio at which the estimation bound equals sigma_sq
             ratio_dbhz = bounds.db_from_linear(
                 3.0 / (2.0 * math.pi ** 2 * c_t * sigma_sq))
-            source = _reply_source(config, mode, timing)
-            est_static = _estimates(config, source, ratio_dbhz, gi, 0, 0.0)
-            est_moving = _estimates(config, source, ratio_dbhz, gi, 1, f_d)
+            est_static = _estimates(config, source, static_table, ratio_dbhz, gi, 0)
+            est_moving = _estimates(config, source, _block_table(config, source, f_d),
+                                    ratio_dbhz, gi, 1)
 
         err_static = int(np.count_nonzero(est_static >= threshold))
         err_moving = int(np.count_nonzero(est_moving < threshold))

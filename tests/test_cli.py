@@ -287,6 +287,61 @@ def test_default_analytic_figures_are_pinned(figure, capsys):
     assert digest == FIGURE_SHA256[figure]
 
 
+_M290 = ["--mode", "Mode 290", "--ps-n0", "52.8", "--trials", "400", "--seed", "11"]
+_FM0_640K = ["--blf", "640e3", "--encoding", "FM0", "--ps-n0", "52.8"]
+
+# SHA-256 of simulation CSVs, covering every way a trial gets its block sums:
+# ASK with and without zeroing, PSK, rect frames, and each sweep kind.
+SIMULATION_SHA256 = {
+    "mcrb_ask_both": (
+        ["simulate-mcrb", *_M290, "--modulation", "ask", "--parts", "both"],
+        "ae53697ed055a39d959026b5bf245452f98c6e627bcefa6cee92e56f65bbe8b6"),
+    "mcrb_ask_epc": (
+        ["simulate-mcrb", *_M290, "--modulation", "ask", "--parts", "epc"],
+        "02d44711b3c7c75724a9f06e466f426996f11ccc62c94e01ecf089c907e545fd"),
+    "mcrb_psk_both": (
+        ["simulate-mcrb", *_M290, "--modulation", "psk", "--parts", "both"],
+        "5980b381d04ae49547fb0d00ed29845c5f6070b153ee7e296618a10ac982bef3"),
+    "mcrb_psk_epc": (
+        ["simulate-mcrb", *_M290, "--modulation", "psk", "--parts", "epc"],
+        "0cff5e8430db3f8e013486ed1bda37f0ccb3fdd148caa873fabc8376b0fe004c"),
+    "mcrb_ask_both_no_zeroing": (
+        ["simulate-mcrb", *_M290, "--modulation", "ask", "--parts", "both",
+         "--no-ask-zeroing"],
+        "4f576369ca6457c83fe084bd8ae42c8169b33013dfda33379bea76fad8c698c4"),
+    "mcrb_rect": (
+        ["simulate-mcrb", *_FM0_640K, "--parts", "epc", "--waveform-model", "rect",
+         "--trials", "400", "--seed", "12"],
+        "054d8a1b8e8b534def425415c5b2cd4a2e58afa545d05565ac9ae8b89e69d4e5"),
+    "mcrb_t0_sweep": (
+        ["simulate-mcrb", *_FM0_640K, "--modulation", "psk", "--trials", "300",
+         "--seed", "13", "--sweep", "t0_s=2e-4,1e-3"],
+        "57f38195e81bc9b5888c2adbfaa32b3017ffc20f94eacf18504102968e59067a"),
+    "mcrb_ratio_sweep": (
+        ["simulate-mcrb", "--mode", "Mode 204", "--modulation", "psk", "--trials", "300",
+         "--seed", "14", "--sweep", "ps_n0_dbhz=60,70,80"],
+        "26a3997da16c9427894c174fbcf632055fae97cf1f8c8d99e1a62ef10503497b"),
+    "detect_baseband": (
+        ["simulate-detect", "--estimator", "baseband", "--mode", "Mode 204",
+         "--modulation", "psk", "--p-err", "0.05", "--v-grid", "0.5,1,2",
+         "--trials", "300", "--seed", "15"],
+        "2a0da8cc6f79ef009d76ac9ec0ab905efc2d46011f95a15d6e3cf793a68d65c0"),
+    "figure5_trials": (
+        ["figure", "5", "--trials", "30", "--seed", "16", "--set", "t0_grid_s=2e-4,1e-3,5e-3"],
+        "fdf923a6ccabce1985957dc040ac535ef3d5c0bacbc0f840a83593ad0292fcc0"),
+    "figure7_trials": (
+        ["figure", "7", "--trials", "200", "--seed", "17"],
+        "2a26d3bcf17e6e0f50a86358fde9c61138176427ba95f0a63fa7a28c9296d9bf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATION_SHA256))
+def test_simulation_csvs_are_pinned(name, capsys):
+    argv, want = SIMULATION_SHA256[name]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == want
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

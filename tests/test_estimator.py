@@ -199,6 +199,22 @@ def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zer
         assert abs(E.search_peak(blocks).f_hat_hz[0] - want) <= 1e-9
 
 
+@pytest.mark.parametrize("modulation", ["ask", "psk"])
+@pytest.mark.parametrize("zeroing", [True, False])
+def test_block_table_ignores_states_exactly_when_it_says_so(modulation, zeroing):
+    _, _, built = block_parts(MILLER8_40K, "gen2", "both")
+    table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, modulation, zeroing)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    states = rng.integers(0, 2, (5, table.n_half), dtype=np.int8)
+    assert len({row.tobytes() for row in states}) == 5
+    blocks = table.blocks(states)
+    same = all(np.array_equal(a, np.broadcast_to(a[:1], a.shape))
+               for a in (blocks.z, blocks.count, blocks.tau, blocks.span_s))
+    assert same == (not table.depends_on_states)
+    # PSK wipes both states to +1 and keeps both; ASK never
+    assert table.depends_on_states == (modulation == "ask")
+
+
 def test_block_table_rejects_states_of_another_layout():
     _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
     table = E.BlockTable(B.frame_layout(built, 40e3), 0.0, "psk")

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from rfid_doppler import baseband as B
 from rfid_doppler import bounds as bd
 from rfid_doppler import estimator as E
 from rfid_doppler import experiments as X
@@ -194,7 +195,7 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     def estimates(trials):
         run = dataclasses.replace(config, trials=trials)
         source = X._reply_source(run, mode, P.reply_timing(mode))
-        return X._estimates(run, source, 52.8, 0, k, f_d)
+        return X._estimates(run, source, X._block_table(run, source, f_d), 52.8, 0, k)
 
     six = estimates(6)
     assert np.array_equal(estimates(1), six[:1])
@@ -218,18 +219,89 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     assert batches == [1, 2, 1, 1, 2, 2, 1]
 
 
-@pytest.mark.parametrize("modulation, waveform", [("ask", "gen2"), ("psk", "rect")])
+def per_trial_estimates(config, source, table, ratio_dbhz, k):
+    """Trials 1 and up one by one, each drawing and encoding its bits and
+    taking its block sums from its own states."""
+    bits_key, noise_key, _ = X._stream_keys(config.seed, 0, k)
+    bit_generator = np.random.Philox(key=bits_key)
+    source.draw(bit_generator, 1)          # trial 0's stride
+    noise_rng = X._rng(noise_key)
+    out = []
+    for _ in range(1, config.trials):
+        states = np.concatenate([np.broadcast_to(states, (1, states.shape[-1])) for _, _, states
+                                 in source.parts(source.draw(bit_generator, 1))], axis=1)
+        blocks = table.blocks(states)
+        z = B.add_block_awgn(blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz,
+                             noise_rng)
+        out.append(E.search_peak(dataclasses.replace(blocks, z=z)).f_hat_hz[0])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("modulation, waveform",
+                         [("ask", "gen2"), ("psk", "gen2"), ("psk", "rect"), ("ask", "rect")])
 def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, waveform):
+    # ASK gen2 blocks come from each trial's states, the others from one shared row
     config = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="Miller8",
                               ps_n0_dbhz=52.8, modulation=modulation, parts="both",
                               waveform_model=waveform, trials=7, seed=5)
     mode = X.resolve_reader_mode(config)
     source = X._reply_source(config, mode, P.reply_timing(mode))
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
-    one_batch = X._estimates(config, source, 52.8, 0, 0, f_d)
+    table = X._block_table(config, source, f_d)
+    assert (source.draws_bits and table.depends_on_states) == (
+        (modulation, waveform) == ("ask", "gen2"))
+    one_batch = X._estimates(config, source, table, 52.8, 0, 0)
+    assert np.array_equal(one_batch[1:], per_trial_estimates(config, source, table, 52.8, 0))
     # 3,000-element chunks: one trial per batch, 26 coarse cells per chunk of k
     monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3000)
-    assert np.array_equal(X._estimates(config, source, 52.8, 0, 0, f_d), one_batch)
+    assert np.array_equal(X._estimates(config, source, table, 52.8, 0, 0), one_batch)
+
+
+class CountingBlockTable(E.BlockTable):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.mark.parametrize("config, tables", [
+    (ExperimentConfig(mode_label="Mode 204", p_err=0.05, v_grid=[0.5, 1.0, 2.0], trials=3,
+                      estimator_model="baseband", modulation="psk"), 4),
+    (ExperimentConfig(mode_label="Mode 204", trials=3, sweep_param="ps_n0_dbhz",
+                      sweep_values=[60.0, 70.0, 80.0]), 1),
+    (ExperimentConfig(blf_hz=640e3, encoding="FM0", ps_n0_dbhz=52.8, trials=3,
+                      sweep_param="t0_s", sweep_values=[2e-4, 1e-3]), 2),
+], ids=["detect-3-speeds", "ratio-sweep-3", "t0-sweep-2"])
+def test_a_run_builds_one_block_table_per_source_and_doppler_shift(monkeypatch, config,
+                                                                   tables):
+    # detection: the static frames of every speed share shift 0
+    monkeypatch.setattr(CountingBlockTable, "built", 0)
+    monkeypatch.setattr(E, "BlockTable", CountingBlockTable)
+    if config.estimator_model == "baseband":
+        X.run_detection_experiment(config)
+    else:
+        X.run_mcrb_experiment(config)
+    assert CountingBlockTable.built == tables
+
+
+@pytest.mark.parametrize("modulation, waveform, calls", [
+    ("psk", "gen2", 1), ("psk", "rect", 0), ("ask", "rect", 0), ("ask", "gen2", 1 + 3)])
+def test_only_gen2_ask_trials_after_trial_0_draw_bits(monkeypatch, modulation, waveform, calls):
+    # 40 trials in batches of 13 (2,788 pieces per Miller-8 frame) after trial 0
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 13 * 2788)
+    drawn = []
+    random_bits = X._random_bits
+
+    def counting_bits(bit_generator, rows, count):
+        drawn.append(rows)
+        return random_bits(bit_generator, rows, count)
+
+    monkeypatch.setattr(X, "_random_bits", counting_bits)
+    X.run_mcrb_experiment(ExperimentConfig(
+        mode_label=None, blf_hz=40e3, encoding="Miller8", ps_n0_dbhz=52.8,
+        modulation=modulation, waveform_model=waveform, trials=40, seed=2))
+    assert drawn == [1, 13, 13, 13][:calls]
 
 
 @pytest.mark.parametrize("kind", ["mcrb", "detect"])
