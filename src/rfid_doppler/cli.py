@@ -3,14 +3,17 @@
 Subcommands: bounds, vmin, figure, simulate-mcrb, simulate-detect,
 noise-figure.  bounds, vmin, simulate-mcrb and simulate-detect accept
 --config (flat key = value file) with individual flags overriding file
-values; a flag's text goes through the same parser as the config-file value
-of its field.  Exit codes: 0 success, 2 configuration error, 3 failed --check
-comparison.
+values.  Each setting is declared once, as a field of
+experiments.ExperimentConfig: a flag's dest is the field name, and its text
+goes through the field's parser, as a config-file value does.  A subcommand
+takes only the flags it reads.  Exit codes: 0 success, 2 configuration
+error, 3 failed --check comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -32,8 +35,11 @@ def _add_scenario(sp):
                     default=None, help="pilot tone on/off")
     sp.add_argument("--epc-bits", dest="epc_bits", choices=("96", "128", "256"))
     sp.add_argument("--f-c", dest="f_c_hz", help="carrier frequency in Hz")
-    sp.add_argument("--p-err", dest="p_err", help="target error probability")
     sp.add_argument("--parts", choices=("rn16", "epc", "both"))
+
+
+def _add_p_err(sp):
+    sp.add_argument("--p-err", dest="p_err", help="target error probability")
 
 
 def _add_link(sp):
@@ -58,11 +64,11 @@ def _add_simulation(sp):
 
 def _build_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    for key in experiments._CONFIG_FIELDS:
-        value = getattr(args, key, None)
+    for f in dataclasses.fields(config):
+        value = getattr(args, f.name, None)
         if value is not None:
             # flags hold text, except the on/off switches, which parse as 'True'/'False'
-            config.set_field(key, str(value))
+            config.set_field(f.name, str(value))
     return config
 
 
@@ -210,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("bounds", help="print every bound for one configuration")
-    _add_output(sp); _add_scenario(sp); _add_link(sp)
+    _add_output(sp); _add_scenario(sp); _add_p_err(sp); _add_link(sp)
     sp.add_argument("--v", help="tag speed in m/s")
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("vmin", help="print the minimum detectable tag speed")
-    _add_output(sp); _add_scenario(sp); _add_link(sp)
+    _add_output(sp); _add_scenario(sp); _add_p_err(sp); _add_link(sp)
     sp.set_defaults(func=_cmd_vmin)
 
     sp = sub.add_parser("figure", help="emit the dataset behind one figure")
@@ -240,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate-detect",
                         help="Monte Carlo check of classification error rates")
-    _add_output(sp); _add_scenario(sp); _add_link(sp); _add_simulation(sp)
+    _add_output(sp); _add_scenario(sp); _add_p_err(sp); _add_simulation(sp)
     sp.add_argument("--v-grid", dest="v_grid", metavar="V1,V2,...",
                     help="tag speeds to sweep")
     sp.add_argument("--estimator", dest="estimator_model",

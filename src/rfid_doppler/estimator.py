@@ -189,14 +189,14 @@ class BlockTable:
     Built once per frame layout and Doppler shift, without per-sample arrays.
     The table splits every half-interval at the default block boundaries of
     :func:`integrate_blocks` and keeps, per piece, the sum of the Doppler
-    rotation over its samples, their number and the sum of their times; a
-    block wholly inside the pause or the trailing fill gets one piece that
-    adds nothing.  :meth:`blocks` then weights each piece by the wiped
-    amplitude and mask of its state and adds the pieces of each block: the
-    same sums :func:`integrate_blocks` takes from the wiped sampled frame,
-    without synthesizing samples.  Where both states have the same wiped
-    amplitude and mask (PSK), every row of states gives the same block sums
-    (:attr:`depends_on_states`).
+    rotation over its samples, their number and the sum of their times.
+    :meth:`blocks` then weights each piece by the wiped amplitude and mask of
+    its state, adds the pieces of each block and writes the sums into a zero
+    grid of every block, so a block wholly inside the pause or the trailing
+    fill keeps zero sums: the same sums :func:`integrate_blocks` takes from
+    the wiped sampled frame, without synthesizing samples.  Where both states
+    have the same wiped amplitude and mask (PSK), every row of states gives
+    the same block sums (:attr:`depends_on_states`).
     """
 
     def __init__(self, layout: FrameLayout, f_d_hz: float, modulation: str,
@@ -205,7 +205,6 @@ class BlockTable:
         b = _block_samples(fs, search_halfwidth_hz, None)
         starts, ends, halves = [], [], []
         n_half = 0
-        outside = np.ones(-(-layout.n_samples // b), dtype=bool)   # blocks without a part
         for edges in layout.edges:
             # a piece starts at every half-interval edge and block edge of the part
             block_edges = np.arange((edges[0] // b + 1) * b, edges[-1], b)
@@ -214,13 +213,8 @@ class BlockTable:
             ends.append(np.append(part_starts[1:], edges[-1]))
             halves.append(n_half + np.searchsorted(edges, part_starts, side="right") - 1)
             n_half += edges.size - 1
-            outside[part_starts // b] = False
-        # such a block's one piece has state -1, like the pause's samples
-        gaps = np.flatnonzero(outside) * b
-        starts = np.concatenate(starts + [gaps])
-        order = np.argsort(starts, kind="stable")
-        starts, ends = starts[order], np.concatenate(ends + [gaps + 1])[order]
-        halves = np.concatenate(halves + [np.full(gaps.size, -1)])[order]
+        # the parts follow each other, so the pieces are in time order
+        starts, ends = np.concatenate(starts), np.concatenate(ends)
         lengths = ends - starts
         # a piece's rotation sum is the rotation at its first sample times
         # the sum of the first ``length`` rotations from t = 0
@@ -228,23 +222,24 @@ class BlockTable:
         self.sample_rate_hz = fs
         self.f_d_hz = f_d_hz
         self.n_half = n_half
-        self._half = halves
-        self._gaps = np.flatnonzero(halves < 0)
+        self._half = np.concatenate(halves)
         rotation = doppler_rotation(f_d_hz, starts / fs) * partial[lengths - 1]
         self._rotation_re, self._rotation_im = rotation.real.copy(), rotation.imag.copy()
         self._count = lengths.astype(np.float64)
         self._tsum = (starts + ends - 1) * lengths / (2.0 * fs)
         self._first_s, self._last_s = starts / fs, (ends - 1) / fs
-        self._block_starts = np.flatnonzero(np.diff(starts // b, prepend=-1))
+        block = starts // b
+        self._block_starts = np.flatnonzero(np.diff(block, prepend=-1))
+        self._occupied = block[self._block_starts]      # the blocks that hold pieces
+        self._n_blocks = -(-layout.n_samples // b)
         signs, kept = _wipe_rule(modulation, ask_zeroing)
         amps = amplitudes(modulation)
         # the real and imaginary parts of z are summed from real weights
         if any(a.imag for a in amps):
             raise ValueError(f"{modulation} amplitudes must be real, got {amps}")
-        # per state 0, 1 and -1
-        self._kept = np.array([*kept, False])
-        self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)]
-                             + [0.0])
+        # per state 0 and 1
+        self._kept = np.array(kept)
+        self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)])
 
     @property
     def depends_on_states(self) -> bool:
@@ -273,7 +268,6 @@ class BlockTable:
             raise ValueError(f"expected (frames, {self.n_half}) states, got shape {states.shape}")
         # each piece's state as an intp index, which the lookups take without a cast
         piece_state = states[:, self._half].astype(np.intp)
-        piece_state[:, self._gaps] = -1
         kept, amp = self._kept[piece_state], self._amp[piece_state]
         del piece_state
         if not kept.any(axis=1).all():
@@ -283,13 +277,18 @@ class BlockTable:
         def block_sums(weight, values):
             return np.add.reduceat(np.multiply(weight, values, out=weighted),
                                    self._block_starts, axis=1)
+
+        def grid(sums):
+            out = np.zeros((states.shape[0], self._n_blocks), dtype=sums.dtype)
+            out[:, self._occupied] = sums
+            return out
         z = block_sums(amp, self._rotation_re) + 1j * block_sums(amp, self._rotation_im)
         cnt = block_sums(kept, self._count)
         tau = block_sums(kept, self._tsum) / np.maximum(cnt, 1.0)
         first = kept.argmax(axis=1)
         last = kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
         span = _span(self._first_s[first], self._last_s[last], self.sample_rate_hz)
-        return BlockSums(z=z, count=cnt, tau=tau, span_s=span)
+        return BlockSums(z=grid(z), count=grid(cnt), tau=grid(tau), span_s=span)
 
 
 def _coarse_peaks(z: np.ndarray, tau: np.ndarray, df: np.ndarray,

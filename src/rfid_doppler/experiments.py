@@ -1,5 +1,8 @@
 """Monte Carlo harness, figure datasets, and CSV emission.
 
+A run's settings are declared once, as the fields of :class:`ExperimentConfig`;
+the figure datasets declare their own parameters in ``_FIGURES``.
+
 Everything here is deterministic for a given (config, seed).  Frame kind k of
 a grid point (k = 0: MCRB trials and the static frame of a detection trial,
 k = 1: the moving frame) has two counter-based Philox streams and a key for
@@ -84,125 +87,6 @@ def _rng(seed: int) -> np.random.Generator:
 # Configuration
 # ---------------------------------------------------------------------------
 
-# The paper-style defaults: European band, 0.1% error target, Mode 290, and
-# the weakest reliably received tag signal (52.8 dB-Hz) unless a link is given.
-REFERENCE_PS_N0_DBHZ = 52.8
-
-
-@dataclass
-class ExperimentConfig:
-    mode_label: Optional[str] = "Mode 290"
-    blf_hz: Optional[float] = None
-    encoding: Optional[str] = None
-    trext: bool = True
-    epc_bits: int = 96
-    f_c_hz: float = 868e6
-    p_err: float = 1e-3
-    ps_n0_dbhz: Optional[float] = None
-    p_s_dbm: Optional[float] = None
-    n0_dbm_hz: Optional[float] = None
-    nf_db: Optional[float] = None
-    v: float = 1.0
-    v_grid: Optional[list[float]] = None
-    trials: int = 1000
-    seed: int = 0
-    waveform_model: str = "gen2"
-    modulation: str = "ask"
-    parts: str = "both"
-    sample_rate_hz: Optional[float] = None
-    ask_zeroing: bool = True
-    search_halfwidth_hz: float = 200.0
-    estimator_model: str = "gaussian"
-    sigma_sq_hz2: Optional[float] = None
-    sweep_param: Optional[str] = None       # 'ps_n0_dbhz' or 't0_s'
-    sweep_values: Optional[list[float]] = None
-
-    def validate(self) -> None:
-        if self.mode_label is None and self.blf_hz is None:
-            raise ConfigError("mode_label: give a catalog label or explicit blf_hz/encoding")
-        if (self.blf_hz is None) != (self.encoding is None):
-            raise ConfigError("blf_hz: blf_hz and encoding must be given together")
-        if self.epc_bits not in (96, 128, 256):
-            raise ConfigError(f"epc_bits: must be 96, 128 or 256, got {self.epc_bits}")
-        if self.f_c_hz <= 0:
-            raise ConfigError(f"f_c_hz: must be positive, got {self.f_c_hz}")
-        if not 0.0 < self.p_err < 0.5:
-            raise ConfigError(f"p_err: must lie in (0, 0.5), got {self.p_err}")
-        if self.v < 0:
-            raise ConfigError(f"v: must be >= 0, got {self.v}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
-        if self.modulation not in baseband.MODULATIONS:
-            raise ConfigError(f"modulation: must be one of {baseband.MODULATIONS}")
-        if self.waveform_model not in baseband.WAVEFORM_MODELS:
-            raise ConfigError(f"waveform_model: must be one of {baseband.WAVEFORM_MODELS}")
-        if self.parts not in ("rn16", "epc", "both"):
-            raise ConfigError(f"parts: must be rn16, epc or both, got {self.parts!r}")
-        if self.estimator_model not in ("gaussian", "baseband"):
-            raise ConfigError(f"estimator_model: must be gaussian or baseband")
-        if self.search_halfwidth_hz <= 0:
-            raise ConfigError(f"search_halfwidth_hz: must be positive")
-        if self.sigma_sq_hz2 is not None and self.sigma_sq_hz2 <= 0:
-            raise ConfigError(f"sigma_sq_hz2: must be positive, got {self.sigma_sq_hz2}")
-        for name in ("v_grid", "sweep_values"):
-            if getattr(self, name) is not None:
-                _parsed(name, _increasing, getattr(self, name))
-        if (self.sweep_param is None) != (self.sweep_values is None):
-            raise ConfigError("sweep_param: sweep_param and sweep_values go together")
-        if self.sweep_param is not None and self.sweep_param not in ("ps_n0_dbhz", "t0_s"):
-            raise ConfigError(f"sweep_param: must be ps_n0_dbhz or t0_s, got {self.sweep_param!r}")
-        if self.ps_n0_dbhz is not None and self.p_s_dbm is not None:
-            raise ConfigError("ps_n0_dbhz: give either the ratio or p_s_dbm with a noise term")
-
-    # -- parsing -----------------------------------------------------------
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        config = cls()
-        for key, value in _read_key_values(path):
-            config.set_field(key, value)
-        return config
-
-    def set_field(self, key: str, value: str) -> None:
-        """Set one field from its textual config form."""
-        try:
-            parse = _CONFIG_FIELDS[key]
-        except KeyError:
-            raise ConfigError(f"{key}: unknown config key") from None
-        setattr(self, key, _parsed(key, parse, value))
-
-    def comment_lines(self) -> list[str]:
-        """Config echo for CSV headers, in field order, skipping unset values."""
-        out = []
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, list):
-                value = ",".join(format(x, ".12g") for x in value)
-            out.append(f"{f.name} = {value}")
-        return out
-
-
-def _read_key_values(path) -> list[tuple[str, str]]:
-    """The (key, value) pairs of a flat config file, in file order.
-
-    One ``key = value`` per line; ``#`` starts a comment and blank lines are
-    ignored.  Any other line raises ValueError with the file and line number.
-    """
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not (sep and key.strip()):
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -254,35 +138,132 @@ def _opt_str(text: str):
     return None if text.strip().lower() in ("", "none") else text.strip()
 
 
-# Parser of each field's text form, shared by config files and CLI flags
-# (every flag's dest is the field name).
-_CONFIG_FIELDS = {
-    "mode_label": _opt_str,
-    "blf_hz": _finite,
-    "encoding": str,
-    "trext": _parse_bool,
-    "epc_bits": int,
-    "f_c_hz": _finite,
-    "p_err": _finite,
-    "ps_n0_dbhz": _finite,
-    "p_s_dbm": _finite,
-    "n0_dbm_hz": _finite,
-    "nf_db": _finite,
-    "v": _finite,
-    "v_grid": _grid,
-    "trials": int,
-    "seed": int,
-    "waveform_model": str,
-    "modulation": str,
-    "parts": str,
-    "sample_rate_hz": _finite,
-    "ask_zeroing": _parse_bool,
-    "search_halfwidth_hz": _finite,
-    "estimator_model": str,
-    "sigma_sq_hz2": _finite,
-    "sweep_param": _opt_str,
-    "sweep_values": _grid,
-}
+# The paper-style defaults: European band, 0.1% error target, Mode 290, and
+# the weakest reliably received tag signal (52.8 dB-Hz) unless a link is given.
+REFERENCE_PS_N0_DBHZ = 52.8
+
+
+def _setting(default, parse):
+    """A config field whose text form, in a config file or a flag, ``parse`` reads."""
+    return dataclasses.field(default=default, metadata={"parse": parse})
+
+
+@dataclass
+class ExperimentConfig:
+    """The settings of a bounds or Monte Carlo run.  Each field declares its
+    name, default and the parser of its text form, which config files and the
+    CLI flags (whose dest is the field name) share."""
+
+    mode_label: Optional[str] = _setting("Mode 290", _opt_str)
+    blf_hz: Optional[float] = _setting(None, _finite)
+    encoding: Optional[str] = _setting(None, str)
+    trext: bool = _setting(True, _parse_bool)
+    epc_bits: int = _setting(96, int)
+    f_c_hz: float = _setting(868e6, _finite)
+    p_err: float = _setting(1e-3, _finite)
+    ps_n0_dbhz: Optional[float] = _setting(None, _finite)
+    p_s_dbm: Optional[float] = _setting(None, _finite)
+    n0_dbm_hz: Optional[float] = _setting(None, _finite)
+    nf_db: Optional[float] = _setting(None, _finite)
+    v: float = _setting(1.0, _finite)
+    v_grid: Optional[list[float]] = _setting(None, _grid)
+    trials: int = _setting(1000, int)
+    seed: int = _setting(0, int)
+    waveform_model: str = _setting("gen2", str)
+    modulation: str = _setting("ask", str)
+    parts: str = _setting("both", str)
+    sample_rate_hz: Optional[float] = _setting(None, _finite)
+    ask_zeroing: bool = _setting(True, _parse_bool)
+    search_halfwidth_hz: float = _setting(200.0, _finite)
+    estimator_model: str = _setting("gaussian", str)
+    sigma_sq_hz2: Optional[float] = _setting(None, _finite)
+    sweep_param: Optional[str] = _setting(None, _opt_str)       # 'ps_n0_dbhz' or 't0_s'
+    sweep_values: Optional[list[float]] = _setting(None, _grid)
+
+    def validate(self) -> None:
+        if self.mode_label is None and self.blf_hz is None:
+            raise ConfigError("mode_label: give a catalog label or explicit blf_hz/encoding")
+        if (self.blf_hz is None) != (self.encoding is None):
+            raise ConfigError("blf_hz: blf_hz and encoding must be given together")
+        if self.epc_bits not in (96, 128, 256):
+            raise ConfigError(f"epc_bits: must be 96, 128 or 256, got {self.epc_bits}")
+        if self.f_c_hz <= 0:
+            raise ConfigError(f"f_c_hz: must be positive, got {self.f_c_hz}")
+        if not 0.0 < self.p_err < 0.5:
+            raise ConfigError(f"p_err: must lie in (0, 0.5), got {self.p_err}")
+        if self.v < 0:
+            raise ConfigError(f"v: must be >= 0, got {self.v}")
+        if self.trials < 1:
+            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        if self.modulation not in baseband.MODULATIONS:
+            raise ConfigError(f"modulation: must be one of {baseband.MODULATIONS}")
+        if self.waveform_model not in baseband.WAVEFORM_MODELS:
+            raise ConfigError(f"waveform_model: must be one of {baseband.WAVEFORM_MODELS}")
+        if self.parts not in ("rn16", "epc", "both"):
+            raise ConfigError(f"parts: must be rn16, epc or both, got {self.parts!r}")
+        if self.estimator_model not in ("gaussian", "baseband"):
+            raise ConfigError(f"estimator_model: must be gaussian or baseband")
+        if self.search_halfwidth_hz <= 0:
+            raise ConfigError(f"search_halfwidth_hz: must be positive")
+        if self.sigma_sq_hz2 is not None and self.sigma_sq_hz2 <= 0:
+            raise ConfigError(f"sigma_sq_hz2: must be positive, got {self.sigma_sq_hz2}")
+        for name in ("v_grid", "sweep_values"):
+            if getattr(self, name) is not None:
+                _parsed(name, _increasing, getattr(self, name))
+        if (self.sweep_param is None) != (self.sweep_values is None):
+            raise ConfigError("sweep_param: sweep_param and sweep_values go together")
+        if self.sweep_param is not None and self.sweep_param not in ("ps_n0_dbhz", "t0_s"):
+            raise ConfigError(f"sweep_param: must be ps_n0_dbhz or t0_s, got {self.sweep_param!r}")
+        if self.ps_n0_dbhz is not None and self.p_s_dbm is not None:
+            raise ConfigError("ps_n0_dbhz: give either the ratio or p_s_dbm with a noise term")
+
+    # -- parsing -----------------------------------------------------------
+
+    @classmethod
+    def from_file(cls, path) -> "ExperimentConfig":
+        config = cls()
+        for key, value in _read_key_values(path):
+            config.set_field(key, value)
+        return config
+
+    def set_field(self, key: str, value: str) -> None:
+        """Set one field from its textual config form."""
+        for f in dataclasses.fields(self):
+            if f.name == key:
+                setattr(self, key, _parsed(key, f.metadata["parse"], value))
+                return
+        raise ConfigError(f"{key}: unknown config key")
+
+    def comment_lines(self) -> list[str]:
+        """Config echo for CSV headers, in field order, skipping unset values."""
+        out = []
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                continue
+            if isinstance(value, list):
+                value = ",".join(format(x, ".12g") for x in value)
+            out.append(f"{f.name} = {value}")
+        return out
+
+
+def _read_key_values(path) -> list[tuple[str, str]]:
+    """The (key, value) pairs of a flat config file, in file order.
+
+    One ``key = value`` per line; ``#`` starts a comment and blank lines are
+    ignored.  Any other line raises ValueError with the file and line number.
+    """
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not (sep and key.strip()):
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            pairs.append((key.strip(), value.strip()))
+    return pairs
 
 
 def resolve_reader_mode(config: ExperimentConfig) -> protocol.ReaderMode:
@@ -341,93 +322,82 @@ def resolve_link_budget(config: ExperimentConfig) -> bounds.LinkBudget:
 
 def _random_bits(bit_generator: np.random.BitGenerator, rows: int, count: int) -> np.ndarray:
     """``rows`` rows of ``count`` bits, each row from its own ceil(count / 64) raw words."""
-    words = bit_generator.random_raw(rows * -(-count // 64)).reshape(rows, -1, 1)
-    bits = (words >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    return bits.reshape(rows, -1)[:, :count].astype(np.int8)
+    words = bit_generator.random_raw(rows * -(-count // 64)).astype("<u8", copy=False)
+    return np.unpackbits(words.view(np.uint8).reshape(rows, -1), axis=1, count=count,
+                         bitorder="little").view(np.int8)
 
 
 @dataclass(frozen=True)
 class _FrameSource:
     """One kind of simulated frame, in the sample and in the block domain.
 
-    ``bit_counts`` holds, per argument of ``parts``, the number of random bits
-    a frame takes for it, or None where the frame needs none; rect frames need
-    none at all, so all their frames are the same.  ``parts`` turns a tuple of
-    bit arrays with one frame per row, or the same tuple with one frame's 1-D
-    bits, into the (kind, exact start time, states) parts of the frame(s), and
-    ``synthesize`` one frame's bits into a sampled frame.  A part's state count
-    depends on its bit count only, so all frames of a source share one sample
-    ``layout``; ``zero_bit_states`` are the concatenated states of the frame
-    whose bits are all 0, the states of every frame if the source takes no bits.
+    A frame takes one row of ``n_bits`` random bits; rect frames take none
+    (``n_bits`` = 0), so all their frames are the same.  ``parts`` turns an
+    array of such rows, one frame per row, or one frame's 1-D row, into the
+    (kind, exact start time, states) parts of the frame(s), and
+    ``synthesize`` one frame's row into a sampled frame.  A part's state
+    count depends on its bit count only, so all frames of a source share one
+    sample ``layout``; ``zero_bit_states`` are the concatenated states of the
+    frame whose bits are all 0, the states of every frame if ``n_bits`` = 0.
     """
 
-    bit_counts: tuple
+    n_bits: int
     parts: Callable
     synthesize: Callable
     layout: baseband.FrameLayout
     zero_bit_states: np.ndarray
 
-    @property
-    def draws_bits(self) -> bool:
-        return any(self.bit_counts)
 
-    def draw(self, bit_generator: np.random.BitGenerator, rows: int) -> tuple:
-        """The bits of ``rows`` frames, each from one stride of the bits stream."""
-        total = sum(n for n in self.bit_counts if n)
-        bits = _random_bits(bit_generator, rows, total) if total else None
-        drawn, first = [], 0
-        for n in self.bit_counts:
-            drawn.append(None if n is None else bits[:, first:first + n])
-            first += n or 0
-        return tuple(drawn)
-
-
-def _frame_source(blf_hz: float, sample_rate_hz: Optional[float], bit_counts: tuple,
+def _frame_source(blf_hz: float, sample_rate_hz: Optional[float], n_bits: int,
                   parts: Callable, synthesize: Callable) -> _FrameSource:
     """A source whose layout and zero-bit states come from one frame of all-0 bits."""
-    built = parts(tuple(None if n is None else np.zeros(n, dtype=np.int8) for n in bit_counts))
-    return _FrameSource(bit_counts, parts, synthesize,
+    built = parts(np.zeros(n_bits, dtype=np.int8))
+    return _FrameSource(n_bits, parts, synthesize,
                         baseband.frame_layout(built, blf_hz, sample_rate_hz),
                         np.concatenate([states for _, _, states in built]))
 
 
 def _reply_source(config: ExperimentConfig, mode: protocol.ReaderMode, timing) -> _FrameSource:
-    """Frames of the configured parts of the mode's reply."""
-    n_rn16 = protocol.RN16_BITS if config.parts in ("rn16", "both") else None
-    n_epc = mode.epc_bits + protocol.CRC16_BITS if config.parts in ("epc", "both") else None
-    bit_counts = (n_rn16, n_epc) if config.waveform_model == "gen2" else (None, None)
+    """Frames of the configured parts of the mode's reply; a row holds the RN16
+    bits, then the EPC bits, of the parts it has."""
+    n_rn16 = protocol.RN16_BITS if config.parts in ("rn16", "both") else 0
+    n_epc = mode.epc_bits + protocol.CRC16_BITS if config.parts in ("epc", "both") else 0
+    n_bits = n_rn16 + n_epc if config.waveform_model == "gen2" else 0
+
+    def split(bits):
+        return (bits[..., :n_rn16], bits[..., n_rn16:]) if n_bits else (None, None)
 
     def parts(bits):
-        return baseband.reply_parts(timing, mode, config.waveform_model, *bits, config.parts)
+        return baseband.reply_parts(timing, mode, config.waveform_model, *split(bits),
+                                    config.parts)
 
     def synthesize(bits, params):
         return baseband.synthesize_reply(timing, mode, config.modulation,
-                                         config.waveform_model, *bits, params,
+                                         config.waveform_model, *split(bits), params,
                                          parts=config.parts)
-    return _frame_source(mode.blf_hz, config.sample_rate_hz, bit_counts, parts, synthesize)
+    return _frame_source(mode.blf_hz, config.sample_rate_hz, n_bits, parts, synthesize)
 
 
 def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
                   n_symbols: int) -> _FrameSource:
     """Frames of a single part of n_symbols symbols starting at t = 0."""
     enc = mode.encoding
-    n_payload = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1
+    n_bits = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1 \
+        if config.waveform_model == "gen2" else 0
 
     def parts(bits):
-        payload, = bits
-        if payload is None:
+        if not n_bits:
             states = baseband.rect_states(n_symbols, enc.spread_factor)
         elif enc.is_miller:
-            states = baseband.encode_miller(payload, enc.spread_factor, mode.trext)
+            states = baseband.encode_miller(bits, enc.spread_factor, mode.trext)
         else:
-            states = baseband.encode_fm0(payload, mode.trext)
+            states = baseband.encode_fm0(bits, mode.trext)
         return [("burst", Fraction(0), states)]
 
     def synthesize(bits, params):
         (_, _, states), = parts(bits)
         return baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params)
-    bit_counts = (n_payload if config.waveform_model == "gen2" else None,)
-    return _frame_source(mode.blf_hz, config.sample_rate_hz, bit_counts, parts, synthesize)
+    return _frame_source(mode.blf_hz, config.sample_rate_hz, n_bits, parts, synthesize)
 
 
 def _block_table(config: ExperimentConfig, source: _FrameSource,
@@ -469,23 +439,23 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, table: estimator.
     """
     bits_key, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
     bit_generator = np.random.Philox(key=bits_key)
-    drawn = [None if bits is None else bits[0] for bits in source.draw(bit_generator, 1)]
+    bits = _random_bits(bit_generator, 1, source.n_bits)[0]
     params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
                                     sample_rate_hz=config.sample_rate_hz, seed=sample_key)
     estimates = [np.array([estimator.estimate_doppler(
-        estimator.wipe_modulation(source.synthesize(drawn, params),
+        estimator.wipe_modulation(source.synthesize(bits, params),
                                   ask_zeroing=config.ask_zeroing),
         search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz])]
 
-    per_trial = source.draws_bits and table.depends_on_states
+    per_trial = source.n_bits > 0 and table.depends_on_states
     shared = None if per_trial else table.blocks(source.zero_bit_states[None])
     noise_rng = _rng(noise_key)
     for first in range(1, config.trials, table.batch_rows):
         rows = min(table.batch_rows, config.trials - first)
         if per_trial:
+            bits = _random_bits(bit_generator, rows, source.n_bits)
             blocks = table.blocks(np.concatenate(
-                [states for _, _, states in source.parts(source.draw(bit_generator, rows))],
-                axis=1))
+                [states for _, _, states in source.parts(bits)], axis=1))
         else:
             blocks = _repeated(shared, rows)
         z = baseband.add_block_awgn(blocks.z, blocks.count, ratio_dbhz,

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, config files, exit codes, output determinism."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -7,7 +8,7 @@ import pytest
 
 from rfid_doppler import cli
 from rfid_doppler.cli import main
-from rfid_doppler.experiments import CheckFailure
+from rfid_doppler.experiments import CheckFailure, ExperimentConfig
 
 
 def parse_kv(text: str) -> dict:
@@ -340,6 +341,38 @@ def test_simulation_csvs_are_pinned(name, capsys):
     argv, want = SIMULATION_SHA256[name]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate-detect", "--ps-n0", "52.8"],
+    ["simulate-detect", "--p-s-dbm", "-95.8"],
+    ["simulate-detect", "--n0", "-148.6"],
+    ["simulate-detect", "--nf", "25.4"],
+    ["simulate-mcrb", "--p-err", "0.05"],
+])
+def test_a_subcommand_rejects_the_flags_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--trials", "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def subcommand_parser(name):
+    subparsers, = [action for action in cli.build_parser()._actions
+                   if isinstance(action.choices, dict)]
+    return subparsers.choices[name]
+
+
+@pytest.mark.parametrize("name", ["bounds", "vmin", "simulate-mcrb", "simulate-detect"])
+def test_every_setting_flag_names_a_config_field(name):
+    # _build_config reads the flags by field name, so a flag whose dest names
+    # no field would be silently ignored
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    dests = {action.dest for action in subcommand_parser(name)._actions}
+    assert dests - {"out", "config", "check", "sweep", "help"} <= fields
+    assert ("p_err" in dests) == (name != "simulate-mcrb")
+    link = {"ps_n0_dbhz", "p_s_dbm", "n0_dbm_hz", "nf_db"}
+    assert (link & dests) == (link if name != "simulate-detect" else set())
 
 
 def test_unknown_subcommand_exits_2():

@@ -57,6 +57,15 @@ def test_config_rejects_unknown_keys_and_bad_values():
         ExperimentConfig().set_field("trials", "many")
 
 
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExperimentConfig)
+                                  if "float" in str(f.type)])
+def test_every_float_setting_rejects_non_finite_text(name):
+    # each field declares its own parser; a number or a list of numbers must be finite
+    for text in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=f"^{name}: must be a finite number"):
+            ExperimentConfig().set_field(name, text)
+
+
 @pytest.mark.parametrize("field,value,needle", [
     ("trials", 0, "trials"),
     ("p_err", 0.5, "p_err"),
@@ -201,7 +210,7 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     assert np.array_equal(estimates(1), six[:1])
     assert np.array_equal(estimates(3), six[:3])
     assert np.all(np.abs(six - f_d) < 1.0)
-    # two trials per batch (2,788 pieces per frame): runs of 4 and 6 trials
+    # two trials per batch (2,784 pieces per frame): runs of 4 and 6 trials
     # end inside a batch and cross batch boundaries
     batches = []
     search = E.search_peak
@@ -211,7 +220,7 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
         return search(blocks, *args, **kwargs)
 
     monkeypatch.setattr(E, "search_peak", recording_search)
-    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 2 * 2788)
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 2 * 2784)
     # trial 0's sample frame is searched alone, then the batches
     assert np.array_equal(estimates(4), six[:4])
     assert batches == [1, 2, 1]
@@ -224,12 +233,13 @@ def per_trial_estimates(config, source, table, ratio_dbhz, k):
     taking its block sums from its own states."""
     bits_key, noise_key, _ = X._stream_keys(config.seed, 0, k)
     bit_generator = np.random.Philox(key=bits_key)
-    source.draw(bit_generator, 1)          # trial 0's stride
+    X._random_bits(bit_generator, 1, source.n_bits)   # trial 0's stride
     noise_rng = X._rng(noise_key)
     out = []
     for _ in range(1, config.trials):
+        bits = X._random_bits(bit_generator, 1, source.n_bits)
         states = np.concatenate([np.broadcast_to(states, (1, states.shape[-1])) for _, _, states
-                                 in source.parts(source.draw(bit_generator, 1))], axis=1)
+                                 in source.parts(bits)], axis=1)
         blocks = table.blocks(states)
         z = B.add_block_awgn(blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz,
                              noise_rng)
@@ -248,7 +258,7 @@ def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, wave
     source = X._reply_source(config, mode, P.reply_timing(mode))
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
     table = X._block_table(config, source, f_d)
-    assert (source.draws_bits and table.depends_on_states) == (
+    assert (source.n_bits > 0 and table.depends_on_states) == (
         (modulation, waveform) == ("ask", "gen2"))
     one_batch = X._estimates(config, source, table, 52.8, 0, 0)
     assert np.array_equal(one_batch[1:], per_trial_estimates(config, source, table, 52.8, 0))
@@ -288,20 +298,22 @@ def test_a_run_builds_one_block_table_per_source_and_doppler_shift(monkeypatch, 
 @pytest.mark.parametrize("modulation, waveform, calls", [
     ("psk", "gen2", 1), ("psk", "rect", 0), ("ask", "rect", 0), ("ask", "gen2", 1 + 3)])
 def test_only_gen2_ask_trials_after_trial_0_draw_bits(monkeypatch, modulation, waveform, calls):
-    # 40 trials in batches of 13 (2,788 pieces per Miller-8 frame) after trial 0
-    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 13 * 2788)
+    # 40 trials in batches of 13 (2,784 pieces per Miller-8 frame) after trial 0
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 13 * 2784)
     drawn = []
     random_bits = X._random_bits
 
     def counting_bits(bit_generator, rows, count):
-        drawn.append(rows)
+        drawn.append((rows, count))
         return random_bits(bit_generator, rows, count)
 
     monkeypatch.setattr(X, "_random_bits", counting_bits)
     X.run_mcrb_experiment(ExperimentConfig(
         mode_label=None, blf_hz=40e3, encoding="Miller8", ps_n0_dbhz=52.8,
         modulation=modulation, waveform_model=waveform, trials=40, seed=2))
-    assert drawn == [1, 13, 13, 13][:calls]
+    # trial 0 takes one row of RN16 + EPC + CRC bits, an empty row for rect frames
+    assert drawn[0] == (1, 0 if waveform == "rect" else 16 + 96 + 16)
+    assert [rows for rows, count in drawn if count] == [1, 13, 13, 13][:calls]
 
 
 @pytest.mark.parametrize("kind", ["mcrb", "detect"])
