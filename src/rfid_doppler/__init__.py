@@ -49,10 +49,8 @@ from .baseband import (
     BasebandFrame,
     ChannelParams,
     add_awgn,
-    dump_frame,
     encode_fm0,
     encode_miller,
-    load_frame_dump,
     rect_states,
     synthesize_burst,
     synthesize_reply,

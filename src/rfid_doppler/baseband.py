@@ -18,7 +18,6 @@ be off-grid by less than one sample.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,9 +29,6 @@ from .bounds import linear_from_db
 
 MODULATIONS = ("ask", "psk")
 WAVEFORM_MODELS = ("gen2", "rect")
-
-_FRAME_DUMP_MAGIC = b"RFIDBB01"
-_FRAME_DUMP_HEADER = 64
 
 # FM0 preamble: 1010v1 after an optional 12-symbol pilot of data-0s; the v
 # symbol is shaped like a data-1 but skips the inversion at its boundary.
@@ -426,35 +422,3 @@ def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
     if states.ndim != 1 or states.size == 0:
         raise ValueError("states must be a non-empty 1-D array")
     return _assemble_frame([("burst", Fraction(0), states)], blf_hz, modulation, params)
-
-
-def dump_frame(frame: BasebandFrame, path) -> None:
-    """Write a frame as interleaved little-endian float64 I/Q.
-
-    64-byte header: magic 'RFIDBB01', sample rate (float64), sample count
-    (uint64), zero padding.
-    """
-    header = struct.pack("<8sdQ", _FRAME_DUMP_MAGIC, float(frame.sample_rate_hz),
-                         frame.n_samples)
-    header += b"\x00" * (_FRAME_DUMP_HEADER - len(header))
-    iq = np.empty(2 * frame.n_samples, dtype="<f8")
-    iq[0::2] = frame.samples.real
-    iq[1::2] = frame.samples.imag
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(iq.tobytes())
-
-
-def load_frame_dump(path) -> tuple[float, np.ndarray]:
-    """Read a frame dump back as (sample_rate_hz, complex samples)."""
-    with open(path, "rb") as fh:
-        header = fh.read(_FRAME_DUMP_HEADER)
-        if len(header) < _FRAME_DUMP_HEADER:
-            raise ValueError(f"{path}: truncated header")
-        magic, fs, count = struct.unpack_from("<8sdQ", header)
-        if magic != _FRAME_DUMP_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        iq = np.frombuffer(fh.read(16 * count), dtype="<f8")
-    if iq.size != 2 * count:
-        raise ValueError(f"{path}: truncated sample data")
-    return fs, iq[0::2] + 1j * iq[1::2]

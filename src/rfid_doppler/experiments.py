@@ -801,9 +801,9 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
     """Analytic dataset behind one of the paper-style figures.
 
     Returns (comments, fieldnames, rows).  Figures 4, 8, 9, 10 and 11 are
-    purely closed-form; figures 5 and 7 optionally add Monte Carlo columns
-    when ``trials`` > 0 (figure 7 simulates its marked operating point only)
-    and check their simulation parameters either way.
+    purely closed-form and reject ``trials`` > 0; figures 5 and 7 optionally
+    add Monte Carlo columns when ``trials`` > 0 (figure 7 simulates its marked
+    operating point only) and check their simulation parameters either way.
     ``overrides`` replaces parameter defaults; a string value is read by the
     parameter's parser (the text form of ``--set KEY=VALUE``), any other
     value is used as given.
@@ -815,6 +815,9 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
                           f"expected one of {sorted(_FIGURES)}") from None
     if trials < 0:
         raise ConfigError(f"trials: must be >= 0, got {trials}")
+    if trials > 0 and int(figure_id) not in (5, 7):
+        raise ConfigError(f"trials: figure {figure_id} is closed-form, only figures "
+                          f"5 and 7 simulate; got {trials}")
     values = {key: default for key, (_, default) in params.items()}
     for key, value in (overrides or {}).items():
         if key not in params:

@@ -446,7 +446,7 @@ def test_add_awgn_is_deterministic_per_seed():
 
 
 # ---------------------------------------------------------------------------
-# Frame layout and frame dump
+# Frame layout
 # ---------------------------------------------------------------------------
 
 def test_part_slices_and_sample_state_follow_the_half_interval_grid():
@@ -467,28 +467,6 @@ def test_part_slices_and_sample_state_follow_the_half_interval_grid():
     assert pause_end - pause_start == round(timing.t_pause * fs)
     assert np.all(frame.sample_state[pause_start:pause_end] == -1)
     assert np.all(frame.sample_state[end:] == -1)
-
-
-def test_frame_dump_round_trip(tmp_path):
-    frame = two_part_frame("ask", "gen2", f_d=5.0, ps_n0=60.0, seed=3)
-    path = tmp_path / "frame.iq"
-    B.dump_frame(frame, path)
-    raw = path.read_bytes()
-    assert raw[:8] == b"RFIDBB01"
-    assert len(raw) == 64 + 16 * frame.n_samples
-    fs, samples = B.load_frame_dump(path)
-    assert fs == frame.sample_rate_hz
-    assert np.array_equal(samples, frame.samples)
-
-
-def test_frame_dump_rejects_corrupt_files(tmp_path):
-    path = tmp_path / "bad.iq"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 56)
-    with pytest.raises(ValueError):
-        B.load_frame_dump(path)
-    path.write_bytes(b"\x00" * 10)
-    with pytest.raises(ValueError):
-        B.load_frame_dump(path)
 
 
 def test_synthesize_burst_single_part():

@@ -113,6 +113,17 @@ def test_simulate_mcrb_check_failure_exits_3(tmp_path, capsys):
     assert "check failed" in capsys.readouterr().err
 
 
+def test_simulate_mcrb_check_takes_the_psk_band_without_ask_zeroing(tmp_path):
+    # PSK keeps every sample whatever --ask-zeroing says, so its ratio is near 1
+    argv = ["simulate-mcrb", "--modulation", "psk", "--trials", "2000", "--seed", "5",
+            "--check"]
+    assert main([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main([*argv, "--no-ask-zeroing", "--out", str(tmp_path / "b.csv")]) == 0
+    rows = [[line for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()
+             if not line.startswith("#")] for name in ("a.csv", "b.csv")]
+    assert rows[0] == rows[1]
+
+
 def test_simulate_detect_check_passes(tmp_path):
     code = main(["simulate-detect", "--trials", "4000", "--seed", "5",
                  "--p-err", "0.01", "--v", "1.0", "--estimator", "gaussian",
@@ -203,12 +214,12 @@ def test_detect_check_fails_on_a_nan_error_rate():
 def test_mcrb_check_fails_on_a_biased_mean_error():
     row = {"ps_n0_dbhz": 52.8, "mcrb_var_hz2": 0.0174, "trials": 2000,
            "emp_var_hz2": 0.0174, "emp_mean_err_hz": 0.0}
-    cli._check_mcrb_rows([row], ask_zeroing=True)
+    cli._check_mcrb_rows([row], ask_penalty=False)
     # 3 standard errors of the mean are 3 * sqrt(0.0174 / 2000) = 0.0088 Hz
-    cli._check_mcrb_rows([dict(row, emp_mean_err_hz=-0.0087)], ask_zeroing=True)
+    cli._check_mcrb_rows([dict(row, emp_mean_err_hz=-0.0087)], ask_penalty=False)
     for mean in (0.0089, -0.0089, math.nan):
         with pytest.raises(CheckFailure, match="mean error .* at row .*'ps_n0_dbhz': 52.8"):
-            cli._check_mcrb_rows([row, dict(row, emp_mean_err_hz=mean)], ask_zeroing=True)
+            cli._check_mcrb_rows([row, dict(row, emp_mean_err_hz=mean)], ask_penalty=False)
 
 
 @pytest.mark.parametrize("figure, setting, key", [
@@ -231,6 +242,7 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     (["figure", "5", "--set", "waveform_model=foo"], "waveform_model"),
     (["figure", "7", "--set", "modulation=qam"], "modulation"),
     (["figure", "5", "--trials", "-2"], "trials"),
+    (["figure", "4", "--trials", "5"], "trials"),
     (["figure", "10", "--set", "mode_label=Nope"], "mode_label"),
     (["simulate-mcrb", "--sample-rate", "1"], "sample_rate_hz"),
     (["simulate-mcrb", "--search-halfwidth", "1e9", "--trials", "3"], "search_halfwidth_hz"),
@@ -358,9 +370,66 @@ def test_a_subcommand_rejects_the_flags_it_does_not_read(argv, capsys):
 
 
 def subcommand_parser(name):
-    subparsers, = [action for action in cli.build_parser()._actions
+    subparsers, = [action for action in cli.build_parser(name)._actions
                    if isinstance(action.choices, dict)]
     return subparsers.choices[name]
+
+
+# Option strings and dest of each subcommand's arguments, in the order added,
+# recorded when one parser held the arguments of every subcommand.
+SUBCOMMAND_ARGUMENTS = {
+    "bounds": ["-h/--help:help", "--out:out", "--config:config", "--mode:mode_label",
+        "--blf:blf_hz", "--encoding:encoding", "--trext/--no-trext:trext",
+        "--epc-bits:epc_bits", "--f-c:f_c_hz", "--parts:parts", "--p-err:p_err",
+        "--ps-n0:ps_n0_dbhz", "--p-s-dbm:p_s_dbm", "--n0:n0_dbm_hz", "--nf:nf_db",
+        "--v:v"],
+    "vmin": ["-h/--help:help", "--out:out", "--config:config", "--mode:mode_label",
+        "--blf:blf_hz", "--encoding:encoding", "--trext/--no-trext:trext",
+        "--epc-bits:epc_bits", "--f-c:f_c_hz", "--parts:parts", "--p-err:p_err",
+        "--ps-n0:ps_n0_dbhz", "--p-s-dbm:p_s_dbm", "--n0:n0_dbm_hz", "--nf:nf_db"],
+    "figure": ["-h/--help:help", "id", "--out:out", "--trials:trials", "--seed:seed",
+        "--set:set"],
+    "simulate-mcrb": ["-h/--help:help", "--out:out", "--config:config",
+        "--mode:mode_label", "--blf:blf_hz", "--encoding:encoding",
+        "--trext/--no-trext:trext", "--epc-bits:epc_bits", "--f-c:f_c_hz",
+        "--parts:parts", "--ps-n0:ps_n0_dbhz", "--p-s-dbm:p_s_dbm", "--n0:n0_dbm_hz",
+        "--nf:nf_db", "--trials:trials", "--seed:seed", "--modulation:modulation",
+        "--waveform-model:waveform_model", "--sample-rate:sample_rate_hz",
+        "--ask-zeroing/--no-ask-zeroing:ask_zeroing",
+        "--search-halfwidth:search_halfwidth_hz", "--v:v", "--sweep:sweep",
+        "--check:check"],
+    "simulate-detect": ["-h/--help:help", "--out:out", "--config:config",
+        "--mode:mode_label", "--blf:blf_hz", "--encoding:encoding",
+        "--trext/--no-trext:trext", "--epc-bits:epc_bits", "--f-c:f_c_hz",
+        "--parts:parts", "--p-err:p_err", "--trials:trials", "--seed:seed",
+        "--modulation:modulation", "--waveform-model:waveform_model",
+        "--sample-rate:sample_rate_hz", "--ask-zeroing/--no-ask-zeroing:ask_zeroing",
+        "--search-halfwidth:search_halfwidth_hz", "--v:v", "--v-grid:v_grid",
+        "--estimator:estimator_model", "--sigma-sq:sigma_sq_hz2", "--check:check"],
+    "noise-figure": ["-h/--help:help", "--p-s-dbm:p_s_dbm", "--ber:ber", "--blf:blf_hz",
+        "--m:m", "--out:out"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_ARGUMENTS))
+def test_each_subcommand_keeps_its_arguments(name):
+    actions = subcommand_parser(name)._actions
+    assert [f"{'/'.join(a.option_strings)}:{a.dest}" if a.option_strings else a.dest
+            for a in actions] == SUBCOMMAND_ARGUMENTS[name]
+
+
+def test_main_adds_arguments_to_the_invoked_subcommand_alone(monkeypatch):
+    assert list(cli._SUBCOMMANDS) == list(SUBCOMMAND_ARGUMENTS)
+
+    def refuse(sp):
+        raise AssertionError(f"added arguments to {sp.prog}")
+
+    for argv in (["figure", "4"], ["simulate-mcrb", "--trials", "2"]):
+        with monkeypatch.context() as patch:
+            for name, (help_text, _, handler) in cli._SUBCOMMANDS.items():
+                if name != argv[0]:
+                    patch.setitem(cli._SUBCOMMANDS, name, (help_text, refuse, handler))
+            assert main(argv) == 0
 
 
 @pytest.mark.parametrize("name", ["bounds", "vmin", "simulate-mcrb", "simulate-detect"])
