@@ -29,6 +29,9 @@ from .bounds import linear_from_db
 
 MODULATIONS = ("ask", "psk")
 WAVEFORM_MODELS = ("gen2", "rect")
+# Samples of the longest frame synthesized or laid out: 128 MiB as complex128,
+# 4x the 0.1 s FM0 bursts of figure 5 at its default 32 x 640 kHz.
+_MAX_FRAME_SAMPLES = 1 << 23
 
 # FM0 preamble: 1010v1 after an optional 12-symbol pilot of data-0s; the v
 # symbol is shaped like a data-1 but skips the inversion at its boundary.
@@ -297,6 +300,10 @@ def frame_layout(parts: Sequence[tuple], blf_hz: float,
     total_end = Fraction(0)
     for _, start, states in parts:
         total_end = max(total_end, start + len(states) * half)
+    n_samples = math.ceil(total_end * fs_frac)
+    if n_samples > _MAX_FRAME_SAMPLES:
+        raise ValueError(f"sample_rate_hz: a frame of {n_samples} samples at {fs:.12g} Hz "
+                         f"exceeds the limit of {_MAX_FRAME_SAMPLES} samples per frame")
 
     step = fs_frac * half   # samples per half-interval
     edges = []
@@ -307,8 +314,7 @@ def frame_layout(parts: Sequence[tuple], blf_hz: float,
         else:
             # general sample rate: snap each boundary to the nearest sample
             edges.append(np.rint(float(start * fs_frac) + float(step) * index).astype(np.int64))
-    return FrameLayout(sample_rate_hz=fs, n_samples=math.ceil(total_end * fs_frac),
-                       edges=tuple(edges))
+    return FrameLayout(sample_rate_hz=fs, n_samples=n_samples, edges=tuple(edges))
 
 
 def _part_states(kind: str, mode: protocol.ReaderMode, waveform_model: str,

@@ -22,13 +22,16 @@ form, a batch with one row per frame (:class:`BlockSums`): integrate_blocks
 gives the one row of a sampled frame, and BlockTable the rows of noiseless
 frames straight from their states, so Monte Carlo trials can skip the
 samples.  search_peak searches every row on its own, and a row gives exactly
-what it gives when searched alone.
+what it gives when searched alone; search_rows searches the rows of any
+number of batches in chunks of bounded size.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -48,9 +51,10 @@ _COARSE_PADDING = 8
 # Newton or bisection steps per row before the refinement gives up; bisecting
 # a 2 x 1e7 Hz cell down to 1e-4 Hz takes 38.
 _MAX_REFINE = 64
-# Elements of one chunk of the coarse grid's (k x rows x blocks) rotations and
-# of each per-piece array of one BlockTable.blocks batch: at most 1 MB per
-# array, whatever the trial count or search window.
+# Elements of one chunk of the coarse grid's (k x rows x blocks) rotations, of
+# each per-piece array of one BlockTable.blocks batch and of each block-sum
+# array of one search_rows chunk: at most 1 MB per array, whatever the trial
+# count or search window.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -186,7 +190,8 @@ def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class BlockTable:
     """Block sums of noiseless wiped frames, computed from their states.
 
-    Built once per frame layout and Doppler shift, without per-sample arrays.
+    Built once per frame layout, at one Doppler shift, without per-sample
+    arrays; :meth:`at` gives the same layout at another shift.
     The table splits every half-interval at the default block boundaries of
     :func:`integrate_blocks` and keeps, per piece, the sum of the Doppler
     rotation over its samples, their number and the sum of their times.
@@ -216,18 +221,14 @@ class BlockTable:
         # the parts follow each other, so the pieces are in time order
         starts, ends = np.concatenate(starts), np.concatenate(ends)
         lengths = ends - starts
-        # a piece's rotation sum is the rotation at its first sample times
-        # the sum of the first ``length`` rotations from t = 0
-        partial = np.cumsum(doppler_rotation(f_d_hz, np.arange(lengths.max()) / fs))
         self.sample_rate_hz = fs
-        self.f_d_hz = f_d_hz
         self.n_half = n_half
         self._half = np.concatenate(halves)
-        rotation = doppler_rotation(f_d_hz, starts / fs) * partial[lengths - 1]
-        self._rotation_re, self._rotation_im = rotation.real.copy(), rotation.imag.copy()
+        self._lengths = lengths
+        self._first_s, self._last_s = starts / fs, (ends - 1) / fs
+        self._rotate(f_d_hz)
         self._count = lengths.astype(np.float64)
         self._tsum = (starts + ends - 1) * lengths / (2.0 * fs)
-        self._first_s, self._last_s = starts / fs, (ends - 1) / fs
         block = starts // b
         self._block_starts = np.flatnonzero(np.diff(block, prepend=-1))
         self._occupied = block[self._block_starts]      # the blocks that hold pieces
@@ -240,6 +241,27 @@ class BlockTable:
         # per state 0 and 1
         self._kept = np.array(kept)
         self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)])
+
+    def _rotate(self, f_d_hz: float) -> None:
+        # a piece's rotation sum is the rotation at its first sample times
+        # the sum of the first ``length`` rotations from t = 0
+        fs = self.sample_rate_hz
+        partial = np.cumsum(doppler_rotation(f_d_hz, np.arange(self._lengths.max()) / fs))
+        rotation = doppler_rotation(f_d_hz, self._first_s) * partial[self._lengths - 1]
+        self.f_d_hz = f_d_hz
+        self._rotation_re, self._rotation_im = rotation.real.copy(), rotation.imag.copy()
+
+    def at(self, f_d_hz: float) -> "BlockTable":
+        """The table of the same frames at Doppler shift ``f_d_hz``.
+
+        It shares every layout array with this one and computes only the
+        rotation sums of the pieces; at this table's own shift it is this table.
+        """
+        if f_d_hz == self.f_d_hz:
+            return self
+        shifted = copy.copy(self)
+        shifted._rotate(f_d_hz)
+        return shifted
 
     @property
     def depends_on_states(self) -> bool:
@@ -376,6 +398,44 @@ def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0) -> Estima
         if active.size == 0:
             break
     return EstimateReport(f_hat_hz=f_hat, refinement_iterations=iterations)
+
+
+def _joined(batches: list) -> BlockSums:
+    if len(batches) == 1:
+        return batches[0]
+    return BlockSums(*(np.concatenate([getattr(b, name) for b in batches])
+                       for name in ("z", "count", "tau", "span_s")))
+
+
+def _rows(blocks: BlockSums, start: int, stop: int) -> BlockSums:
+    return BlockSums(blocks.z[start:stop], blocks.count[start:stop],
+                     blocks.tau[start:stop], blocks.span_s[start:stop])
+
+
+def search_rows(batches: Iterable[BlockSums], search_halfwidth_hz: float = 200.0) -> np.ndarray:
+    """Peak of every row of a sequence of block-sum batches, in order.
+
+    The batches must share their number of blocks.  Their rows are regrouped
+    into chunks of _CHUNK_ELEMENTS // blocks rows, which :func:`search_peak`
+    searches one at a time, so a search holds at most 1 MB per array however
+    many batches come and however long each is.  A row gives the estimate it
+    gives when searched alone.
+    """
+    found, held, n_held = [], [], 0
+    for batch in batches:
+        rows = max(1, _CHUNK_ELEMENTS // batch.z.shape[1])
+        held.append(batch)
+        n_held += batch.z.shape[0]
+        if n_held < rows:
+            continue
+        joined, full = _joined(held), n_held - n_held % rows
+        for start in range(0, full, rows):
+            found.append(search_peak(_rows(joined, start, start + rows),
+                                     search_halfwidth_hz).f_hat_hz)
+        held, n_held = [_rows(joined, full, n_held)], n_held - full
+    if n_held:
+        found.append(search_peak(_joined(held), search_halfwidth_hz).f_hat_hz)
+    return np.concatenate(found) if found else np.empty(0)
 
 
 def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0,

@@ -13,15 +13,19 @@ trial 0's sample noise, derived with an iterated SplitMix64 mix,
 and every trial takes a fixed stride of each stream.  Trial i's bits are the
 i-th run of ceil(bits per frame / 64) raw words of the bits stream.  Trial 0
 synthesizes its frame sample by sample with per-sample noise (add_awgn).  The
-other trials run as one batch per grid point and frame kind (in chunks that
-bound memory) on the block sums the estimator reads, taken straight from the
-frames' states through the one BlockTable a run builds per frame source and
-Doppler shift; trial i adds the (i - 1)-th run of one complex value per block
-of the frame's block grid from the block noise stream (add_block_awgn),
-scaled to the noise of the block's summed samples (0 for a block without
-any).  A batch draws its trials' strides in one call per stream, the same
-numbers as one trial after another, so an estimate does not depend on
-batching or run length, and re-runs give identical CSV.
+other trials run on the block sums the estimator reads, taken straight from
+the frames' states through the block table of their frame source: a run
+builds one table per source and rotates it to each other Doppler shift.
+Trial i adds the (i - 1)-th run of one complex value per block of the
+frame's block grid from the block noise stream (add_block_awgn), scaled to
+the noise of the block's summed samples (0 for a block without any).  Each
+grid point and frame kind makes its trials' noisy block sums in batches that
+bound memory, a batch drawing its trials' strides in one call per stream,
+the same numbers as one trial after another.  One peak search then covers
+the rows of every grid point and frame kind of a source, in chunks that
+bound memory, and a row's estimate does not depend on the rows searched
+with it.  So an estimate does not depend on batching, on run length or on
+the other grid points, and re-runs give identical CSV.
 
 Where the noiseless block sums cannot differ between trials, the batches
 share one row of them and their trials draw no bits: rect frames carry no
@@ -41,6 +45,7 @@ need distinct seeds.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -294,8 +299,14 @@ def _simulation_mode(config: ExperimentConfig) -> protocol.ReaderMode:
     """
     config.validate()
     mode = resolve_reader_mode(config)
-    if config.sample_rate_hz is not None:
-        baseband.check_sample_rate(config.sample_rate_hz, mode.blf_hz)
+    fs = config.sample_rate_hz
+    if fs is None:
+        fs = baseband.default_sample_rate(mode.blf_hz)
+    else:
+        baseband.check_sample_rate(fs, mode.blf_hz)
+    if not config.search_halfwidth_hz <= fs / 2.0:
+        raise ConfigError(f"search_halfwidth_hz: must not exceed fs/2 = {fs / 2.0:.12g} Hz, "
+                          f"got {config.search_halfwidth_hz:.12g}")
     return mode
 
 
@@ -400,15 +411,17 @@ def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
     return _frame_source(mode.blf_hz, config.sample_rate_hz, n_bits, parts, synthesize)
 
 
-def _block_table(config: ExperimentConfig, source: _FrameSource,
-                 f_d: float) -> estimator.BlockTable:
-    """The block table of a source's frames at Doppler shift f_d, which must lie in the window."""
-    if not abs(f_d) < config.search_halfwidth_hz:
-        raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
-                          f"search window, search_halfwidth_hz = "
-                          f"{config.search_halfwidth_hz:.6g} Hz")
-    return estimator.BlockTable(source.layout, f_d, config.modulation, config.ask_zeroing,
-                                config.search_halfwidth_hz)
+def _block_tables(config: ExperimentConfig, source: _FrameSource, shifts: list) -> dict:
+    """The block tables of a source's frames at each Doppler shift, every one
+    inside the window: one table built at the first shift, rotated to the others."""
+    for f_d in shifts:
+        if not abs(f_d) < config.search_halfwidth_hz:
+            raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
+                              f"search window, search_halfwidth_hz = "
+                              f"{config.search_halfwidth_hz:.6g} Hz")
+    table = estimator.BlockTable(source.layout, shifts[0], config.modulation,
+                                 config.ask_zeroing, config.search_halfwidth_hz)
+    return {f_d: table.at(f_d) for f_d in shifts}
 
 
 def _stream_keys(seed: int, grid_index: int, k: int) -> tuple[int, int, int]:
@@ -422,48 +435,68 @@ def _repeated(row: estimator.BlockSums, rows: int) -> estimator.BlockSums:
                                  for a in (row.z, row.count, row.tau, row.span_s)))
 
 
-def _estimates(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
-               ratio_dbhz: float, grid_index: int, k: int) -> np.ndarray:
-    """Doppler estimates from frame kind k of every trial of a grid point.
+def _trials(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
+            ratio_dbhz: float, grid_index: int, k: int):
+    """Frame kind k of every trial of a grid point: trial 0's estimate, and the
+    noisy block sums of the other trials.
 
     The frames come from ``source`` at the Doppler shift of ``table``, the
-    source's block table.  Trial 0 runs the sample-level pipeline
-    (synthesize, wipe off, estimate).  The other trials run in batches of at
-    most ``table.batch_rows``, each trial adds its stride of the block noise
-    stream to the block sums of its noiseless wiped frame, and one peak
-    search covers the batch.  Those block sums are one row shared by every
-    trial when the source takes no bits (rect) or the table does not depend
-    on the states (PSK): then these trials draw no bits and encode nothing,
-    which changes no estimate, as no other trial reads the bits stream.
-    Otherwise each batch draws its trials' bits and encodes them together.
+    source's block table at that shift.  Trial 0 runs the sample-level
+    pipeline (synthesize, wipe off, estimate) at once.  The other trials
+    come from the returned generator in batches of at most
+    ``table.batch_rows``: each trial adds its stride of the block noise
+    stream to the block sums of its noiseless wiped frame.  Those block sums
+    are one row shared by every trial when the source takes no bits (rect)
+    or the table does not depend on the states (PSK): then these trials draw
+    no bits and encode nothing, which changes no estimate, as no other trial
+    reads the bits stream.  Otherwise each batch draws its trials' bits and
+    encodes them together.
     """
     bits_key, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
     bit_generator = np.random.Philox(key=bits_key)
     bits = _random_bits(bit_generator, 1, source.n_bits)[0]
     params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
                                     sample_rate_hz=config.sample_rate_hz, seed=sample_key)
-    estimates = [np.array([estimator.estimate_doppler(
+    trial0 = estimator.estimate_doppler(
         estimator.wipe_modulation(source.synthesize(bits, params),
                                   ask_zeroing=config.ask_zeroing),
-        search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz])]
-
+        search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz
+    # made here rather than in the generator: where these small allocations
+    # fall decides whether glibc trims the heap, and with it page faults of
+    # every job (BENCH_12.json)
     per_trial = source.n_bits > 0 and table.depends_on_states
     shared = None if per_trial else table.blocks(source.zero_bit_states[None])
     noise_rng = _rng(noise_key)
-    for first in range(1, config.trials, table.batch_rows):
-        rows = min(table.batch_rows, config.trials - first)
-        if per_trial:
-            bits = _random_bits(bit_generator, rows, source.n_bits)
-            blocks = table.blocks(np.concatenate(
-                [states for _, _, states in source.parts(bits)], axis=1))
-        else:
-            blocks = _repeated(shared, rows)
-        z = baseband.add_block_awgn(blocks.z, blocks.count, ratio_dbhz,
-                                    table.sample_rate_hz, noise_rng)
-        estimates.append(estimator.search_peak(
-            dataclasses.replace(blocks, z=z),
-            search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz)
-    return np.concatenate(estimates)
+
+    def batches():
+        for first in range(1, config.trials, table.batch_rows):
+            rows = min(table.batch_rows, config.trials - first)
+            if per_trial:
+                bits = _random_bits(bit_generator, rows, source.n_bits)
+                blocks = table.blocks(np.concatenate(
+                    [states for _, _, states in source.parts(bits)], axis=1))
+            else:
+                blocks = _repeated(shared, rows)
+            yield dataclasses.replace(blocks, z=baseband.add_block_awgn(
+                blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz, noise_rng))
+    return trial0, batches()
+
+
+def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> list:
+    """Doppler estimates of every trial at each point, on frames of ``source``.
+
+    A point is (Doppler shift, link ratio in dB-Hz, grid index, frame kind);
+    every shift is checked against the search window before any trial runs.
+    Each point's trial 0 runs on its own (:func:`_trials`), then one
+    run-level search (:func:`estimator.search_rows`) covers the other trials
+    of every point, and its estimates are split back by point.
+    """
+    tables = _block_tables(config, source, list(dict.fromkeys(f_d for f_d, _, _, _ in points)))
+    runs = [_trials(config, source, tables[f_d], *rest) for f_d, *rest in points]
+    later = estimator.search_rows(itertools.chain.from_iterable(batches for _, batches in runs),
+                                  search_halfwidth_hz=config.search_halfwidth_hz)
+    return [np.append(trial0, rest)
+            for (trial0, _), rest in zip(runs, later.reshape(len(points), config.trials - 1))]
 
 
 def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) -> int:
@@ -510,14 +543,16 @@ def run_mcrb_experiment(config: ExperimentConfig):
     rows = []
 
     if config.sweep_param == "t0_s":
-        for gi, t0_req in enumerate(config.sweep_values):
-            n_symbols = _burst_symbols(t0_req, mode, config.waveform_model)
+        # every burst's frame size is checked before any trial
+        symbols = [_burst_symbols(t0_req, mode, config.waveform_model)
+                   for t0_req in config.sweep_values]
+        sources = [_burst_source(config, mode, n_symbols) for n_symbols in symbols]
+        for gi, (t0_req, n_symbols, source) in enumerate(
+                zip(config.sweep_values, symbols, sources)):
             t0 = n_symbols * float(protocol.symbol_period(mode.blf_hz, mode.encoding))
             c_t = bounds.c_t_single(t0)
             mcrb = bounds.mcrb_sigma_sq(c_t, link.ps_n0_linear)
-            source = _burst_source(config, mode, n_symbols)
-            estimates = _estimates(config, source, _block_table(config, source, f_d_true),
-                                   link.ps_n0_dbhz, gi, 0)
+            estimates, = _estimates(config, source, [(f_d_true, link.ps_n0_dbhz, gi, 0)])
             stats = _error_stats(estimates - f_d_true)
             rows.append({"t0_requested_s": t0_req, "t0_s": t0, "n_symbols": n_symbols,
                          "ps_n0_dbhz": link.ps_n0_dbhz, "modulation": config.modulation,
@@ -530,10 +565,11 @@ def run_mcrb_experiment(config: ExperimentConfig):
     ratios = config.sweep_values if config.sweep_param == "ps_n0_dbhz" \
         else [link.ps_n0_dbhz]
     source = _reply_source(config, mode, timing)
-    table = _block_table(config, source, f_d_true)
-    for gi, ratio in enumerate(ratios):
+    found = _estimates(config, source, [(f_d_true, ratio, gi, 0)
+                                        for gi, ratio in enumerate(ratios)])
+    for ratio, estimates in zip(ratios, found):
         mcrb = bounds.mcrb_sigma_sq(c_t, bounds.linear_from_db(ratio))
-        stats = _error_stats(_estimates(config, source, table, ratio, gi, 0) - f_d_true)
+        stats = _error_stats(estimates - f_d_true)
         rows.append({"ps_n0_dbhz": ratio, "parts": config.parts,
                      "modulation": config.modulation,
                      "waveform_model": config.waveform_model,
@@ -567,36 +603,36 @@ def run_detection_experiment(config: ExperimentConfig):
     f_c = config.f_c_hz
     comments = ["motion detection monte carlo"] + config.comment_lines()
     rows = []
-    v_values = config.v_grid if config.v_grid is not None else [config.v]
-    if config.estimator_model == "baseband":
-        # every speed shares the timing, the frames and the static frames' table
-        timing = protocol.reply_timing(mode)
-        c_t = bounds.timing_factor(timing, config.parts)
-        source = _reply_source(config, mode, timing)
-        static_table = _block_table(config, source, 0.0)
-    for gi, v in enumerate(v_values):
+    speeds = []     # (v, f_d, sigma_sq) per grid point
+    for v in config.v_grid if config.v_grid is not None else [config.v]:
         if v <= 0:
             raise ConfigError(f"v_grid: speeds must be positive, got {v}")
-        f_d = bounds.doppler_shift(v, f_c)
-        scenario = bounds.MotionScenario(v, f_c, config.p_err)
         sigma_sq = config.sigma_sq_hz2 if config.sigma_sq_hz2 is not None \
-            else bounds.sigma_max_sq(scenario)
-        p_pred = bounds.p_err_from_sigma(sigma_sq, v, f_c)
-        threshold = f_d / 2.0
-
-        if config.estimator_model == "gaussian":
+            else bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, config.p_err))
+        speeds.append((v, bounds.doppler_shift(v, f_c), sigma_sq))
+    if config.estimator_model == "gaussian":
+        estimates = []
+        for gi, (_, f_d, sigma_sq) in enumerate(speeds):
             rng = _rng(derive_seed(config.seed, gi))
             sd = math.sqrt(sigma_sq)
-            est_static = sd * rng.standard_normal(config.trials)
-            est_moving = f_d + sd * rng.standard_normal(config.trials)
-        else:
+            estimates.append((sd * rng.standard_normal(config.trials),
+                              f_d + sd * rng.standard_normal(config.trials)))
+    else:
+        # every speed shares the timing and the frames; the static (k = 0) and
+        # moving (k = 1) frames of every speed are searched together
+        timing = protocol.reply_timing(mode)
+        c_t = bounds.timing_factor(timing, config.parts)
+        points = []
+        for gi, (_, f_d, sigma_sq) in enumerate(speeds):
             # link ratio at which the estimation bound equals sigma_sq
-            ratio_dbhz = bounds.db_from_linear(
-                3.0 / (2.0 * math.pi ** 2 * c_t * sigma_sq))
-            est_static = _estimates(config, source, static_table, ratio_dbhz, gi, 0)
-            est_moving = _estimates(config, source, _block_table(config, source, f_d),
-                                    ratio_dbhz, gi, 1)
+            ratio_dbhz = bounds.db_from_linear(3.0 / (2.0 * math.pi ** 2 * c_t * sigma_sq))
+            points += [(0.0, ratio_dbhz, gi, 0), (f_d, ratio_dbhz, gi, 1)]
+        found = _estimates(config, _reply_source(config, mode, timing), points)
+        estimates = list(zip(found[::2], found[1::2]))
 
+    for (v, f_d, sigma_sq), (est_static, est_moving) in zip(speeds, estimates):
+        p_pred = bounds.p_err_from_sigma(sigma_sq, v, f_c)
+        threshold = f_d / 2.0
         err_static = int(np.count_nonzero(est_static >= threshold))
         err_moving = int(np.count_nonzero(est_moving < threshold))
         rows.append({"v_m_per_s": v, "f_d_hz": f_d, "threshold_hz": threshold,

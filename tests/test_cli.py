@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from rfid_doppler import cli
+from rfid_doppler import baseband, cli
 from rfid_doppler.cli import main
 from rfid_doppler.experiments import CheckFailure, ExperimentConfig
 
@@ -246,8 +246,24 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     (["figure", "10", "--set", "mode_label=Nope"], "mode_label"),
     (["simulate-mcrb", "--sample-rate", "1"], "sample_rate_hz"),
     (["simulate-mcrb", "--search-halfwidth", "1e9", "--trials", "3"], "search_halfwidth_hz"),
+    # 1e7 Hz lies above fs/2 = 4.096 MHz of Mode 204's default rate
+    (["simulate-mcrb", "--mode", "Mode 204", "--trials", "3", "--search-halfwidth", "1e7"],
+     "search_halfwidth_hz"),
+    (["simulate-detect", "--estimator", "baseband", "--mode", "Mode 204", "--trials", "3",
+      "--search-halfwidth", "1e7"], "search_halfwidth_hz"),
+    # frames of 8e8 samples, and a 1 s burst of 2e7 after a short one
+    (["simulate-mcrb", "--mode", "Mode 204", "--trials", "3", "--sample-rate", "1e12"],
+     "sample_rate_hz"),
+    (["simulate-mcrb", "--blf", "640e3", "--encoding", "FM0", "--trials", "3",
+      "--sweep", "t0_s=2e-4,1"], "sample_rate_hz"),
 ])
-def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys):
+def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypatch):
+    # every input is checked before any frame is synthesized
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a frame was synthesized")
+
+    monkeypatch.setattr(baseband, "synthesize_reply", no_frame)
+    monkeypatch.setattr(baseband, "synthesize_burst", no_frame)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -339,6 +355,12 @@ SIMULATION_SHA256 = {
          "--modulation", "psk", "--p-err", "0.05", "--v-grid", "0.5,1,2",
          "--trials", "300", "--seed", "15"],
         "2a0da8cc6f79ef009d76ac9ec0ab905efc2d46011f95a15d6e3cf793a68d65c0"),
+    # one run-level search covers trials 1-999 of both frame kinds of all three speeds
+    "detect_baseband_1000": (
+        ["simulate-detect", "--estimator", "baseband", "--mode", "Mode 204",
+         "--modulation", "psk", "--p-err", "0.05", "--v-grid", "0.5,1,2",
+         "--trials", "1000", "--seed", "18"],
+        "0a551546114d8822944354e7d8fcdbf5610d58d6ffa189843376bb420a6555f8"),
     "figure5_trials": (
         ["figure", "5", "--trials", "30", "--seed", "16", "--set", "t0_grid_s=2e-4,1e-3,5e-3"],
         "fdf923a6ccabce1985957dc040ac535ef3d5c0bacbc0f840a83593ad0292fcc0"),

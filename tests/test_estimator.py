@@ -324,6 +324,49 @@ def test_batched_search_equals_row_by_row_search():
         assert alone.refinement_iterations[0] == together.refinement_iterations[row]
 
 
+def test_search_rows_regroups_batches_into_bounded_chunks(monkeypatch):
+    # 8 noisy ASK rows in batches of 1, 6 and 1, searched in chunks of 3
+    # rows: the batch of 6 fills the rest of one chunk and all of the next
+    _, _, built = block_parts(MILLER8_40K, "gen2", "both")
+    table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, "ask")
+    rng = np.random.Generator(np.random.Philox(key=23))
+    signal = table.blocks(np.stack([np.concatenate(
+        [B.encode_miller(rng.integers(0, 2, n_bits), 8, True) for n_bits in (16, 112)])
+        for _ in range(8)]))
+    noise = 300.0 * (rng.standard_normal(signal.z.shape) + 1j * rng.standard_normal(signal.z.shape))
+    rows = dataclasses.replace(signal, z=signal.z + noise * (signal.count > 0))
+    whole = E.search_peak(rows).f_hat_hz
+    batches = [E.BlockSums(*(a[lo:hi] for a in (rows.z, rows.count, rows.tau, rows.span_s)))
+               for lo, hi in ((0, 1), (1, 7), (7, 8))]
+    searched = []
+    search = E.search_peak
+
+    def recording_search(blocks, *args, **kwargs):
+        searched.append(blocks.z.shape)
+        return search(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(E, "search_peak", recording_search)
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3 * rows.z.shape[1] + 2)
+    assert np.array_equal(E.search_rows(iter(batches)), whole)
+    assert [shape[0] for shape in searched] == [3, 3, 2]
+    assert all(a * b <= E._CHUNK_ELEMENTS for a, b in searched)
+    assert E.search_rows(iter([])).size == 0
+
+
+def test_a_block_table_rotated_to_a_shift_equals_one_built_there():
+    # at() recomputes only the rotation sums; at the table's own shift it is the table
+    _, _, built = block_parts(MILLER8_40K, "gen2", "both")
+    layout = B.frame_layout(built, 40e3)
+    table = E.BlockTable(layout, 0.0, "ask")
+    assert table.at(0.0) is table
+    states = frame_states(built)
+    for rotated, f_d in ((table.at(F_D_1MS), F_D_1MS), (table.at(-37.0), -37.0),
+                         (table.at(F_D_1MS).at(0.0), 0.0)):
+        direct = E.BlockTable(layout, f_d, "ask").blocks(states)
+        for name in ("z", "count", "tau", "span_s"):
+            assert np.array_equal(getattr(rotated.blocks(states), name), getattr(direct, name))
+
+
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
 def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
     # FM0 blocks of 15-16 samples: ASK zeroing leaves blocks without masked samples

@@ -204,28 +204,36 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     def estimates(trials):
         run = dataclasses.replace(config, trials=trials)
         source = X._reply_source(run, mode, P.reply_timing(mode))
-        return X._estimates(run, source, X._block_table(run, source, f_d), 52.8, 0, k)
+        found, = X._estimates(run, source, [(f_d, 52.8, 0, k)])
+        return found
 
     six = estimates(6)
     assert np.array_equal(estimates(1), six[:1])
     assert np.array_equal(estimates(3), six[:3])
     assert np.all(np.abs(six - f_d) < 1.0)
-    # two trials per batch (2,784 pieces per frame): runs of 4 and 6 trials
-    # end inside a batch and cross batch boundaries
-    batches = []
-    search = E.search_peak
+    # two frames per block-sum batch (2,784 pieces per frame): runs of 4 and
+    # 6 trials end inside a batch and cross batch boundaries, and one search
+    # after trial 0's covers all their batches (48 rows of 116 blocks per chunk)
+    batches, searches = [], []
+    blocks, search = E.BlockTable.blocks, E.search_peak
 
-    def recording_search(blocks, *args, **kwargs):
-        batches.append(blocks.z.shape[0])
-        return search(blocks, *args, **kwargs)
+    def recording_blocks(table, states):
+        batches.append(states.shape[0])
+        return blocks(table, states)
 
+    def recording_search(found, *args, **kwargs):
+        searches.append(found.z.shape)
+        return search(found, *args, **kwargs)
+
+    monkeypatch.setattr(E.BlockTable, "blocks", recording_blocks)
     monkeypatch.setattr(E, "search_peak", recording_search)
     monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 2 * 2784)
-    # trial 0's sample frame is searched alone, then the batches
     assert np.array_equal(estimates(4), six[:4])
-    assert batches == [1, 2, 1]
+    assert batches == [2, 1]
+    assert searches == [(1, 116), (3, 116)]
     assert np.array_equal(estimates(6), six)
-    assert batches == [1, 2, 1, 1, 2, 2, 1]
+    assert batches == [2, 1, 2, 2, 1]
+    assert searches == [(1, 116), (3, 116), (1, 116), (5, 116)]
 
 
 def per_trial_estimates(config, source, table, ratio_dbhz, k):
@@ -257,42 +265,87 @@ def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, wave
     mode = X.resolve_reader_mode(config)
     source = X._reply_source(config, mode, P.reply_timing(mode))
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
-    table = X._block_table(config, source, f_d)
+    table, = X._block_tables(config, source, [f_d]).values()
     assert (source.n_bits > 0 and table.depends_on_states) == (
         (modulation, waveform) == ("ask", "gen2"))
-    one_batch = X._estimates(config, source, table, 52.8, 0, 0)
+    one_batch, = X._estimates(config, source, [(f_d, 52.8, 0, 0)])
     assert np.array_equal(one_batch[1:], per_trial_estimates(config, source, table, 52.8, 0))
-    # 3,000-element chunks: one trial per batch, 26 coarse cells per chunk of k
+    # 3,000-element chunks: one trial per batch and per search, 26 coarse
+    # cells per chunk of k
     monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3000)
-    assert np.array_equal(X._estimates(config, source, table, 52.8, 0, 0), one_batch)
+    assert np.array_equal(X._estimates(config, source, [(f_d, 52.8, 0, 0)])[0], one_batch)
+
+
+def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
+    # the Mode 204 detection of the benchmark: static and moving frames of
+    # three speeds, 3 blocks per frame
+    config = ExperimentConfig(mode_label="Mode 204", p_err=0.05, trials=10, seed=6,
+                              estimator_model="baseband", modulation="psk")
+    mode = X.resolve_reader_mode(config)
+    source = X._reply_source(config, mode, P.reply_timing(mode))
+    points = [(f, 62.0 - gi, gi, k) for gi, v in enumerate((0.5, 1.0, 2.0))
+              for k, f in enumerate((0.0, bd.doppler_shift(v, config.f_c_hz)))]
+    together = X._estimates(config, source, points)
+    for point, found in zip(points, together):
+        alone, = X._estimates(config, source, [point])
+        assert np.array_equal(found, alone)
+    searches = []
+    search = E.search_peak
+
+    def recording_search(found, *args, **kwargs):
+        searches.append(found.z.shape)
+        return search(found, *args, **kwargs)
+
+    monkeypatch.setattr(E, "search_peak", recording_search)
+    X._estimates(config, source, points)
+    assert searches == [(1, 3)] * 6 + [(54, 3)]
+    # chunks of 7 rows: the 54 rows of trials 1-9 at 6 points take 8 searches,
+    # and 6 of the 7 chunk boundaries fall inside a point's 9 rows
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 7 * 3)
+    searches.clear()
+    chunked = X._estimates(config, source, points)
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, together))
+    assert searches == [(1, 3)] * 6 + [(7, 3)] * 7 + [(5, 3)]
+    assert all(rows * blocks <= E._CHUNK_ELEMENTS for rows, blocks in searches)
 
 
 class CountingBlockTable(E.BlockTable):
     built = 0
+    shifts = []
 
     def __init__(self, *args, **kwargs):
         type(self).built += 1
         super().__init__(*args, **kwargs)
 
+    def at(self, f_d_hz):
+        shifted = super().at(f_d_hz)
+        if shifted is not self:
+            type(self).shifts.append(f_d_hz)
+        return shifted
 
-@pytest.mark.parametrize("config, tables", [
+
+@pytest.mark.parametrize("config, tables, shifts", [
     (ExperimentConfig(mode_label="Mode 204", p_err=0.05, v_grid=[0.5, 1.0, 2.0], trials=3,
-                      estimator_model="baseband", modulation="psk"), 4),
+                      estimator_model="baseband", modulation="psk"),
+     1, [bd.doppler_shift(v, 868e6) for v in (0.5, 1.0, 2.0)]),
     (ExperimentConfig(mode_label="Mode 204", trials=3, sweep_param="ps_n0_dbhz",
-                      sweep_values=[60.0, 70.0, 80.0]), 1),
+                      sweep_values=[60.0, 70.0, 80.0]), 1, []),
     (ExperimentConfig(blf_hz=640e3, encoding="FM0", ps_n0_dbhz=52.8, trials=3,
-                      sweep_param="t0_s", sweep_values=[2e-4, 1e-3]), 2),
+                      sweep_param="t0_s", sweep_values=[2e-4, 1e-3]), 2, []),
 ], ids=["detect-3-speeds", "ratio-sweep-3", "t0-sweep-2"])
-def test_a_run_builds_one_block_table_per_source_and_doppler_shift(monkeypatch, config,
-                                                                   tables):
-    # detection: the static frames of every speed share shift 0
+def test_a_run_builds_one_block_table_per_source_and_rotates_it_to_other_shifts(
+        monkeypatch, config, tables, shifts):
+    # a table is built at a run's first shift (detection: 0, that of every
+    # static frame) and rotated to each other one
     monkeypatch.setattr(CountingBlockTable, "built", 0)
+    monkeypatch.setattr(CountingBlockTable, "shifts", [])
     monkeypatch.setattr(E, "BlockTable", CountingBlockTable)
     if config.estimator_model == "baseband":
         X.run_detection_experiment(config)
     else:
         X.run_mcrb_experiment(config)
     assert CountingBlockTable.built == tables
+    assert CountingBlockTable.shifts == shifts
 
 
 @pytest.mark.parametrize("modulation, waveform, calls", [
