@@ -42,12 +42,12 @@ _MILLER_PREAMBLE = (0, 1, 0, 1, 1, 1)
 _MILLER_PILOT = {False: 4, True: 16}
 
 
-def _as_bits(bits: Sequence[int], what: str, rows: bool = False) -> np.ndarray:
-    """Bits as int8; ``rows`` also accepts a 2-D array of one sequence per row."""
+def _as_bits(bits: Sequence[int], what: str) -> np.ndarray:
+    """Bits as int8: a 1-D sequence, or a 2-D array of one sequence per row."""
     arr = np.asarray(bits, dtype=np.int8)
-    if arr.ndim not in ((1, 2) if rows else (1,)) or arr.size == 0:
-        raise ValueError(f"{what}: expected a non-empty 1-D bit sequence"
-                         + (" or a 2-D array of one per row" if rows else ""))
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValueError(f"{what}: expected a non-empty 1-D bit sequence or a 2-D array "
+                         f"of one per row")
     if ((arr != 0) & (arr != 1)).any():
         raise ValueError(f"{what}: bits must be 0 or 1")
     return arr
@@ -62,7 +62,7 @@ def encode_fm0(bits: Sequence[int], trext: Optional[bool] = None) -> np.ndarray:
     with ``trext=None`` only the data symbols are encoded.  A 2-D ``bits``
     array holds one sequence per row and gives one row of states each.
     """
-    data = _as_bits(bits, "fm0 bits", rows=True)
+    data = _as_bits(bits, "fm0 bits")
     head_bits: list[int] = []
     head_inverts: list[bool] = []
     if trext is not None:
@@ -105,7 +105,7 @@ def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> 
     """
     if m not in (2, 4, 8):
         raise ValueError(f"Miller spread factor must be 2, 4 or 8, got {m}")
-    data = _as_bits(bits, "miller bits", rows=True)
+    data = _as_bits(bits, "miller bits")
     head: list[int] = []
     if trext is not None:
         head = [0] * _MILLER_PILOT[bool(trext)] + list(_MILLER_PREAMBLE)
@@ -317,38 +317,63 @@ def frame_layout(parts: Sequence[tuple], blf_hz: float,
     return FrameLayout(sample_rate_hz=fs, n_samples=n_samples, edges=tuple(edges))
 
 
-def _part_states(kind: str, mode: protocol.ReaderMode, waveform_model: str,
-                 bits: Optional[np.ndarray]) -> np.ndarray:
-    enc = mode.encoding
-    if kind == "rn16":
-        n_sym = protocol.reply_symbol_counts(enc, protocol.RN16_BITS, mode.trext, with_crc=False)
-        want = protocol.RN16_BITS
-    else:
-        n_sym = protocol.reply_symbol_counts(enc, mode.epc_bits, mode.trext, with_crc=True)
-        want = mode.epc_bits + protocol.CRC16_BITS
+def payload_bits(mode: protocol.ReaderMode, waveform_model: str, signals: Sequence[tuple]) -> list:
+    """Payload bits of each (kind, start, symbol count) signal of a frame.
+
+    Under 'gen2' a signal carries its symbol count less the preamble and the
+    end symbol; a 'rect' signal carries none.
+    """
+    if waveform_model not in WAVEFORM_MODELS:
+        raise ValueError(f"unknown waveform model {waveform_model!r}")
     if waveform_model == "rect":
-        return rect_states(n_sym, enc.spread_factor)
-    if bits is None or bits.shape[-1] != want:
-        got = None if bits is None else bits.shape[-1]
-        raise ValueError(f"{kind} bits must have length {want}, got {got}")
-    if enc.is_miller:
-        return encode_miller(bits, enc.spread_factor, mode.trext)
-    return encode_fm0(bits, mode.trext)
+        return [0] * len(signals)
+    framing = protocol.preamble_symbols(mode.encoding, mode.trext) + \
+        protocol.END_OF_SIGNALING_SYMBOLS
+    return [n_symbols - framing for _, _, n_symbols in signals]
 
 
-def _assemble_frame(parts: list, blf_hz: float, modulation: str,
-                    params: ChannelParams) -> BasebandFrame:
-    """Sample, modulate, Doppler-rotate and (optionally) add noise.
+def frame_parts(mode: protocol.ReaderMode, waveform_model: str, signals: Sequence[tuple],
+                bits: Optional[Sequence[int]]) -> list:
+    """(kind, exact start time, states) of each signal of a frame.
 
-    ``parts`` is a list of (kind, exact start time, state-per-half-interval
-    array) triples on the 1/(2 BLF) grid.
+    ``signals`` are (kind, exact start time, symbol count) triples, such as
+    :func:`protocol.reply_signals` gives.  Under 'gen2' a row of ``bits``
+    holds the payload bits of every signal in order (:func:`payload_bits`),
+    which the mode's FM0/Miller scheme encodes with preamble and end symbol;
+    a 2-D array holds one frame per row and gives 2-D states, one row per
+    frame.  'rect' ignores ``bits`` and emits the data-independent
+    reflect/absorb symbol pattern of the simplified model, 1-D states the
+    same for every frame.
+    """
+    sizes = payload_bits(mode, waveform_model, signals)
+    enc = mode.encoding
+    if waveform_model == "rect":
+        return [(kind, start, rect_states(n_symbols, enc.spread_factor))
+                for kind, start, n_symbols in signals]
+    bits = _as_bits([] if bits is None else bits, "bits")
+    if bits.shape[-1] != sum(sizes):
+        raise ValueError(f"bits: expected rows of {sum(sizes)} payload bits, got {bits.shape[-1]}")
+
+    def encode(row):
+        return encode_miller(row, enc.spread_factor, mode.trext) if enc.is_miller \
+            else encode_fm0(row, mode.trext)
+    rows = np.split(bits, np.cumsum(sizes)[:-1], axis=-1)
+    return [(kind, start, encode(row)) for (kind, start, _), row in zip(signals, rows)]
+
+
+def synthesize_reply(parts: Sequence[tuple], blf_hz: float, modulation: str,
+                     params: ChannelParams) -> BasebandFrame:
+    """Sample, modulate, Doppler-rotate and (optionally) add noise to one frame.
+
+    ``parts`` is a list of (kind, exact start time, 1-D state-per-half-interval
+    array) triples on the 1/(2 BLF) grid, such as :func:`frame_parts` gives.
     """
     layout = frame_layout(parts, blf_hz, params.sample_rate_hz)
     fs = layout.sample_rate_hz
     sample_state = np.full(layout.n_samples, -1, dtype=np.int8)
     part_slices: list[tuple[int, int]] = []
     for (kind, _, states), edges in zip(parts, layout.edges):
-        if states.ndim != 1:
+        if states.ndim != 1 or states.size == 0:
             raise ValueError(f"{kind}: a sampled frame takes the bits of one frame, "
                              f"got states of shape {states.shape}")
         i0, i1 = int(edges[0]), int(edges[-1])
@@ -367,64 +392,7 @@ def _assemble_frame(parts: list, blf_hz: float, modulation: str,
                          truth=FrameTruth(f_d_hz=params.f_d_hz, modulation=modulation))
 
 
-def reply_parts(timing: Optional[protocol.ReplyTiming], mode: protocol.ReaderMode,
-                waveform_model: str, bits_rn16: Optional[Sequence[int]],
-                bits_epc: Optional[Sequence[int]], parts: str = "both") -> list:
-    """(kind, exact start time, states) of each selected part of a tag reply.
-
-    parts selects 'rn16', 'epc' (single part starting at t = 0) or 'both'
-    (first part, silent pause, second part).  waveform_model 'gen2' encodes
-    the given bits with the mode's FM0/Miller scheme; 'rect' emits the
-    data-independent reflect/absorb symbol pattern of the simplified model.
-    2-D bit arrays hold one frame per row and give 2-D gen2 states, one row
-    per frame; rect states stay 1-D, the same for every frame.
-    """
-    if waveform_model not in WAVEFORM_MODELS:
-        raise ValueError(f"unknown waveform model {waveform_model!r}")
-    if parts not in ("rn16", "epc", "both"):
-        raise ValueError(f"unknown parts selection {parts!r}")
-    if timing is None:
-        timing = protocol.reply_timing(mode)
-
-    starts: list[tuple[str, Fraction]] = []
-    if parts in ("rn16", "both"):
-        starts.append(("rn16", Fraction(0)))
-    if parts == "epc":
-        starts.append(("epc", Fraction(0)))
-    elif parts == "both":
-        starts.append(("epc", timing.t_rn16 + timing.t_pause))
-
-    bits = {"rn16": bits_rn16, "epc": bits_epc}
-    return [(kind, start,
-             _part_states(kind, mode, waveform_model,
-                          _as_bits(bits[kind], kind, rows=True) if bits[kind] is not None
-                          else None))
-            for kind, start in starts]
-
-
-def synthesize_reply(timing: Optional[protocol.ReplyTiming], mode: protocol.ReaderMode,
-                     modulation: str, waveform_model: str,
-                     bits_rn16: Optional[Sequence[int]], bits_epc: Optional[Sequence[int]],
-                     params: ChannelParams, parts: str = "both") -> BasebandFrame:
-    """Synthesize a sampled tag reply frame.
-
-    The parts, their timing and their states are those of :func:`reply_parts`.
-    """
-    if modulation not in MODULATIONS:
-        raise ValueError(f"unknown modulation {modulation!r}")
-    return _assemble_frame(reply_parts(timing, mode, waveform_model, bits_rn16, bits_epc, parts),
-                           mode.blf_hz, modulation, params)
-
-
 def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
                      params: ChannelParams) -> BasebandFrame:
-    """Synthesize a single signal part from a prebuilt state sequence.
-
-    ``states`` is a 0/1 array on the 1/(2 BLF) half-interval grid (e.g. from
-    rect_states or the encoders); the part starts at t = 0.  Used for sweeps
-    over arbitrary signal durations that no protocol reply produces.
-    """
-    states = np.asarray(states, dtype=np.int8)
-    if states.ndim != 1 or states.size == 0:
-        raise ValueError("states must be a non-empty 1-D array")
-    return _assemble_frame([("burst", Fraction(0), states)], blf_hz, modulation, params)
+    """Synthesize one part of prebuilt 0/1 ``states`` starting at t = 0."""
+    return synthesize_reply([("burst", Fraction(0), states)], blf_hz, modulation, params)

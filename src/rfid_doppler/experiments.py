@@ -1,7 +1,10 @@
 """Monte Carlo harness, figure datasets, and CSV emission.
 
 A run's settings are declared once, as the fields of :class:`ExperimentConfig`;
-the figure datasets declare their own parameters in ``_FIGURES``.
+the figure datasets declare their own parameters in ``_FIGURES``.  A run's
+frames are described once too, as a frame source of one list of signals:
+the reply's parts (protocol.reply_signals) or a single burst at t = 0 in a
+t0 sweep, encoded by baseband.frame_parts.
 
 Everything here is deterministic for a given (config, seed).  Frame kind k of
 a grid point (k = 0: MCRB trials and the static frame of a detection trial,
@@ -45,6 +48,7 @@ need distinct seeds.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -146,6 +150,9 @@ def _opt_str(text: str):
 # The paper-style defaults: European band, 0.1% error target, Mode 290, and
 # the weakest reliably received tag signal (52.8 dB-Hz) unless a link is given.
 REFERENCE_PS_N0_DBHZ = 52.8
+# Trials of a run: 128 MiB per float64 array of their estimates, the budget of
+# the frame-size limit of baseband.
+_MAX_TRIALS = 1 << 24
 
 
 def _setting(default, parse):
@@ -198,8 +205,8 @@ class ExperimentConfig:
             raise ConfigError(f"p_err: must lie in (0, 0.5), got {self.p_err}")
         if self.v < 0:
             raise ConfigError(f"v: must be >= 0, got {self.v}")
-        if self.trials < 1:
-            raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ConfigError(f"trials: must lie in [1, {_MAX_TRIALS}], got {self.trials}")
         if self.modulation not in baseband.MODULATIONS:
             raise ConfigError(f"modulation: must be one of {baseband.MODULATIONS}")
         if self.waveform_model not in baseband.WAVEFORM_MODELS:
@@ -342,73 +349,36 @@ def _random_bits(bit_generator: np.random.BitGenerator, rows: int, count: int) -
 class _FrameSource:
     """One kind of simulated frame, in the sample and in the block domain.
 
-    A frame takes one row of ``n_bits`` random bits; rect frames take none
-    (``n_bits`` = 0), so all their frames are the same.  ``parts`` turns an
-    array of such rows, one frame per row, or one frame's 1-D row, into the
-    (kind, exact start time, states) parts of the frame(s), and
-    ``synthesize`` one frame's row into a sampled frame.  A part's state
-    count depends on its bit count only, so all frames of a source share one
-    sample ``layout``; ``zero_bit_states`` are the concatenated states of the
-    frame whose bits are all 0, the states of every frame if ``n_bits`` = 0.
+    A frame takes one row of ``n_bits`` random bits, the payload bits of its
+    signals in order; rect frames take none (``n_bits`` = 0), so all their
+    frames are the same.  ``parts`` turns an array of such rows, one frame
+    per row, or one frame's 1-D row, into the (kind, exact start time,
+    states) parts of the frame(s) (:func:`baseband.frame_parts`), which
+    :func:`baseband.synthesize_reply` samples at ``blf_hz``.  A part's state
+    count depends on its symbol count only, so all frames of a source share
+    one sample ``layout``; ``zero_bit_states`` are the concatenated states
+    of the frame whose bits are all 0, the states of every frame if
+    ``n_bits`` = 0.
     """
 
+    blf_hz: float
     n_bits: int
     parts: Callable
-    synthesize: Callable
     layout: baseband.FrameLayout
     zero_bit_states: np.ndarray
 
 
-def _frame_source(blf_hz: float, sample_rate_hz: Optional[float], n_bits: int,
-                  parts: Callable, synthesize: Callable) -> _FrameSource:
-    """A source whose layout and zero-bit states come from one frame of all-0 bits."""
+def _frame_source(config: ExperimentConfig, mode: protocol.ReaderMode,
+                  signals: list) -> _FrameSource:
+    """Frames of ``signals``, (kind, exact start time, symbol count) triples
+    such as :func:`protocol.reply_signals` gives, in the configured waveform
+    model; the layout and zero-bit states come from one frame of all-0 bits."""
+    n_bits = sum(baseband.payload_bits(mode, config.waveform_model, signals))
+    parts = functools.partial(baseband.frame_parts, mode, config.waveform_model, signals)
     built = parts(np.zeros(n_bits, dtype=np.int8))
-    return _FrameSource(n_bits, parts, synthesize,
-                        baseband.frame_layout(built, blf_hz, sample_rate_hz),
+    return _FrameSource(mode.blf_hz, n_bits, parts,
+                        baseband.frame_layout(built, mode.blf_hz, config.sample_rate_hz),
                         np.concatenate([states for _, _, states in built]))
-
-
-def _reply_source(config: ExperimentConfig, mode: protocol.ReaderMode, timing) -> _FrameSource:
-    """Frames of the configured parts of the mode's reply; a row holds the RN16
-    bits, then the EPC bits, of the parts it has."""
-    n_rn16 = protocol.RN16_BITS if config.parts in ("rn16", "both") else 0
-    n_epc = mode.epc_bits + protocol.CRC16_BITS if config.parts in ("epc", "both") else 0
-    n_bits = n_rn16 + n_epc if config.waveform_model == "gen2" else 0
-
-    def split(bits):
-        return (bits[..., :n_rn16], bits[..., n_rn16:]) if n_bits else (None, None)
-
-    def parts(bits):
-        return baseband.reply_parts(timing, mode, config.waveform_model, *split(bits),
-                                    config.parts)
-
-    def synthesize(bits, params):
-        return baseband.synthesize_reply(timing, mode, config.modulation,
-                                         config.waveform_model, *split(bits), params,
-                                         parts=config.parts)
-    return _frame_source(mode.blf_hz, config.sample_rate_hz, n_bits, parts, synthesize)
-
-
-def _burst_source(config: ExperimentConfig, mode: protocol.ReaderMode,
-                  n_symbols: int) -> _FrameSource:
-    """Frames of a single part of n_symbols symbols starting at t = 0."""
-    enc = mode.encoding
-    n_bits = n_symbols - protocol.preamble_symbols(enc, mode.trext) - 1 \
-        if config.waveform_model == "gen2" else 0
-
-    def parts(bits):
-        if not n_bits:
-            states = baseband.rect_states(n_symbols, enc.spread_factor)
-        elif enc.is_miller:
-            states = baseband.encode_miller(bits, enc.spread_factor, mode.trext)
-        else:
-            states = baseband.encode_fm0(bits, mode.trext)
-        return [("burst", Fraction(0), states)]
-
-    def synthesize(bits, params):
-        (_, _, states), = parts(bits)
-        return baseband.synthesize_burst(states, mode.blf_hz, config.modulation, params)
-    return _frame_source(mode.blf_hz, config.sample_rate_hz, n_bits, parts, synthesize)
 
 
 def _block_tables(config: ExperimentConfig, source: _FrameSource, shifts: list) -> dict:
@@ -436,7 +406,7 @@ def _repeated(row: estimator.BlockSums, rows: int) -> estimator.BlockSums:
 
 
 def _trials(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
-            ratio_dbhz: float, grid_index: int, k: int):
+            shared: Optional[estimator.BlockSums], ratio_dbhz: float, grid_index: int, k: int):
     """Frame kind k of every trial of a grid point: trial 0's estimate, and the
     noisy block sums of the other trials.
 
@@ -446,32 +416,32 @@ def _trials(config: ExperimentConfig, source: _FrameSource, table: estimator.Blo
     come from the returned generator in batches of at most
     ``table.batch_rows``: each trial adds its stride of the block noise
     stream to the block sums of its noiseless wiped frame.  Those block sums
-    are one row shared by every trial when the source takes no bits (rect)
-    or the table does not depend on the states (PSK): then these trials draw
-    no bits and encode nothing, which changes no estimate, as no other trial
-    reads the bits stream.  Otherwise each batch draws its trials' bits and
-    encodes them together.
+    are the one row ``shared`` by every trial when it is given; then these
+    trials draw no bits and encode nothing, which changes no estimate, as no
+    other trial reads the bits stream.  Otherwise each batch draws its
+    trials' bits and encodes them together.
     """
     bits_key, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
     bit_generator = np.random.Philox(key=bits_key)
     bits = _random_bits(bit_generator, 1, source.n_bits)[0]
     params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
                                     sample_rate_hz=config.sample_rate_hz, seed=sample_key)
+    # trial 0's frame is a temporary: held in a local until the return, it
+    # raised the page faults of an mcrb job from about 500 to 840
     trial0 = estimator.estimate_doppler(
-        estimator.wipe_modulation(source.synthesize(bits, params),
+        estimator.wipe_modulation(baseband.synthesize_reply(source.parts(bits), source.blf_hz,
+                                                            config.modulation, params),
                                   ask_zeroing=config.ask_zeroing),
         search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz
     # made here rather than in the generator: where these small allocations
     # fall decides whether glibc trims the heap, and with it page faults of
     # every job (BENCH_12.json)
-    per_trial = source.n_bits > 0 and table.depends_on_states
-    shared = None if per_trial else table.blocks(source.zero_bit_states[None])
     noise_rng = _rng(noise_key)
 
     def batches():
         for first in range(1, config.trials, table.batch_rows):
             rows = min(table.batch_rows, config.trials - first)
-            if per_trial:
+            if shared is None:
                 bits = _random_bits(bit_generator, rows, source.n_bits)
                 blocks = table.blocks(np.concatenate(
                     [states for _, _, states in source.parts(bits)], axis=1))
@@ -487,12 +457,17 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
 
     A point is (Doppler shift, link ratio in dB-Hz, grid index, frame kind);
     every shift is checked against the search window before any trial runs.
-    Each point's trial 0 runs on its own (:func:`_trials`), then one
+    Where the noiseless block sums cannot differ between frames (the source
+    takes no bits, rect, or the table does not depend on the states, PSK),
+    each table's one row of them is computed once, for every point at its
+    shift.  Each point's trial 0 runs on its own (:func:`_trials`), then one
     run-level search (:func:`estimator.search_rows`) covers the other trials
     of every point, and its estimates are split back by point.
     """
     tables = _block_tables(config, source, list(dict.fromkeys(f_d for f_d, _, _, _ in points)))
-    runs = [_trials(config, source, tables[f_d], *rest) for f_d, *rest in points]
+    shared = {f_d: None if source.n_bits > 0 and table.depends_on_states
+              else table.blocks(source.zero_bit_states[None]) for f_d, table in tables.items()}
+    runs = [_trials(config, source, tables[f_d], shared[f_d], *rest) for f_d, *rest in points]
     later = estimator.search_rows(itertools.chain.from_iterable(batches for _, batches in runs),
                                   search_halfwidth_hz=config.search_halfwidth_hz)
     return [np.append(trial0, rest)
@@ -546,7 +521,7 @@ def run_mcrb_experiment(config: ExperimentConfig):
         # every burst's frame size is checked before any trial
         symbols = [_burst_symbols(t0_req, mode, config.waveform_model)
                    for t0_req in config.sweep_values]
-        sources = [_burst_source(config, mode, n_symbols) for n_symbols in symbols]
+        sources = [_frame_source(config, mode, [("burst", Fraction(0), n)]) for n in symbols]
         for gi, (t0_req, n_symbols, source) in enumerate(
                 zip(config.sweep_values, symbols, sources)):
             t0 = n_symbols * float(protocol.symbol_period(mode.blf_hz, mode.encoding))
@@ -564,7 +539,7 @@ def run_mcrb_experiment(config: ExperimentConfig):
     c_t = bounds.timing_factor(timing, config.parts)
     ratios = config.sweep_values if config.sweep_param == "ps_n0_dbhz" \
         else [link.ps_n0_dbhz]
-    source = _reply_source(config, mode, timing)
+    source = _frame_source(config, mode, protocol.reply_signals(mode, config.parts))
     found = _estimates(config, source, [(f_d_true, ratio, gi, 0)
                                         for gi, ratio in enumerate(ratios)])
     for ratio, estimates in zip(ratios, found):
@@ -620,14 +595,14 @@ def run_detection_experiment(config: ExperimentConfig):
     else:
         # every speed shares the timing and the frames; the static (k = 0) and
         # moving (k = 1) frames of every speed are searched together
-        timing = protocol.reply_timing(mode)
-        c_t = bounds.timing_factor(timing, config.parts)
+        c_t = bounds.timing_factor(protocol.reply_timing(mode), config.parts)
         points = []
         for gi, (_, f_d, sigma_sq) in enumerate(speeds):
             # link ratio at which the estimation bound equals sigma_sq
             ratio_dbhz = bounds.db_from_linear(3.0 / (2.0 * math.pi ** 2 * c_t * sigma_sq))
             points += [(0.0, ratio_dbhz, gi, 0), (f_d, ratio_dbhz, gi, 1)]
-        found = _estimates(config, _reply_source(config, mode, timing), points)
+        found = _estimates(config, _frame_source(config, mode, protocol.reply_signals(
+            mode, config.parts)), points)
         estimates = list(zip(found[::2], found[1::2]))
 
     for (v, f_d, sigma_sq), (est_static, est_moving) in zip(speeds, estimates):

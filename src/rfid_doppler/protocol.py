@@ -146,16 +146,19 @@ def reply_symbol_counts(scheme: EncodingScheme, payload_bits: int, trext: bool,
     return count + END_OF_SIGNALING_SYMBOLS
 
 
-def signal_duration(mode: ReaderMode, kind: str) -> Fraction:
-    """Exact duration in seconds of one reply signal ('rn16' or 'epc')."""
+def signal_symbols(mode: ReaderMode, kind: str) -> int:
+    """Uplink symbol count of one reply signal ('rn16' or 'epc')."""
     kind = kind.lower()
     if kind == "rn16":
-        count = reply_symbol_counts(mode.encoding, RN16_BITS, mode.trext, with_crc=False)
-    elif kind == "epc":
-        count = reply_symbol_counts(mode.encoding, mode.epc_bits, mode.trext, with_crc=True)
-    else:
-        raise ValueError(f"unknown signal kind {kind!r} (expected 'rn16' or 'epc')")
-    return count * symbol_period(mode.blf_hz, mode.encoding)
+        return reply_symbol_counts(mode.encoding, RN16_BITS, mode.trext, with_crc=False)
+    if kind == "epc":
+        return reply_symbol_counts(mode.encoding, mode.epc_bits, mode.trext, with_crc=True)
+    raise ValueError(f"unknown signal kind {kind!r} (expected 'rn16' or 'epc')")
+
+
+def signal_duration(mode: ReaderMode, kind: str) -> Fraction:
+    """Exact duration in seconds of one reply signal ('rn16' or 'epc')."""
+    return signal_symbols(mode, kind) * symbol_period(mode.blf_hz, mode.encoding)
 
 
 def pause_duration(blf_hz) -> Fraction:
@@ -175,6 +178,23 @@ def reply_timing(mode: ReaderMode) -> ReplyTiming:
         t_pause=pause_duration(mode.blf_hz),
         t_epc=signal_duration(mode, "epc"),
     )
+
+
+def reply_signals(mode: ReaderMode, parts: str = "both") -> list[tuple[str, Fraction, int]]:
+    """(kind, exact start time, symbol count) of each selected signal of a reply.
+
+    ``parts`` selects 'rn16' or 'epc', alone and starting at t = 0, or
+    'both': the RN16 at t = 0, then the EPC after the pause, at
+    T_rn16 + T_pause.
+    """
+    kinds = {"rn16": ("rn16",), "epc": ("epc",), "both": ("rn16", "epc")}.get(parts)
+    if kinds is None:
+        raise ValueError(f"unknown parts selection {parts!r} (expected rn16, epc or both)")
+    signals, start = [], Fraction(0)
+    for kind in kinds:
+        signals.append((kind, start, signal_symbols(mode, kind)))
+        start += signal_duration(mode, kind) + pause_duration(mode.blf_hz)
+    return signals
 
 
 # Built-in catalog: the two named modes of the reader analyzed in this work.

@@ -10,6 +10,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from rfid_doppler import baseband as B
+from rfid_doppler import protocol as P
+
 
 def ct_dual_numeric_oracle(t1: float, t2: float, t_pause: float) -> float:
     """Timing factor of a two-part signal via numeric integration.
@@ -42,3 +45,19 @@ def merged_runs(states) -> list[tuple[int, int]]:
             current, length = int(s), 1
     runs.append((current, length))
     return runs
+
+
+def reply_parts(mode, waveform, bits16, bits_epc, parts="both"):
+    """(kind, start, states) of the selected parts of a reply, from the RN16
+    bits and the EPC bits (CRC included); rect replies take no bits."""
+    signals = P.reply_signals(mode, parts)
+    bits = {"rn16": bits16, "epc": bits_epc}
+    row = None if waveform == "rect" else np.concatenate(
+        [np.asarray(bits[kind]) for kind, _, _ in signals], axis=-1)
+    return B.frame_parts(mode, waveform, signals, row)
+
+
+def reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts="both"):
+    """The sampled reply of :func:`reply_parts`."""
+    return B.synthesize_reply(reply_parts(mode, waveform, bits16, bits_epc, parts),
+                              mode.blf_hz, modulation, params)

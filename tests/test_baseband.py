@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import merged_runs
+from conftest import merged_runs, reply_frame
 from rfid_doppler import baseband as B
 from rfid_doppler import protocol as P
 
@@ -23,8 +23,8 @@ def two_part_frame(modulation="ask", waveform="gen2", mode=MILLER8_40K, f_d=0.0,
     bits16 = rng.integers(0, 2, 16)
     bits_epc = rng.integers(0, 2, mode.epc_bits + 16)
     params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ps_n0, sample_rate_hz=fs, seed=seed)
-    return B.synthesize_reply(None, mode, modulation, waveform, bits16, bits_epc,
-                              params, parts=parts)
+    return reply_frame(mode, modulation, waveform, bits16, bits_epc,
+                       params, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +197,8 @@ def test_rect_states_reflect_first_half_of_every_symbol():
 def test_rect_single_part_matches_direct_formula():
     mode = P.ReaderMode("t", 40e3, P.MILLER2, trext=False)
     f_d = 3.7
-    frame = B.synthesize_reply(None, mode, "ask", "rect", None, None,
-                               noiseless(f_d=f_d), parts="rn16")
+    frame = reply_frame(mode, "ask", "rect", None, None,
+                        noiseless(f_d=f_d), parts="rn16")
     n_sym = P.reply_symbol_counts(P.MILLER2, 16, False, with_crc=False)
     fs = frame.sample_rate_hz
     per_symbol = int(round(fs * 2 / 40e3))        # samples per symbol period
@@ -232,8 +232,8 @@ def test_fm0_ask_power_stays_within_the_parity_wobble():
         rng = np.random.Generator(np.random.Philox(key=seed))
         bits16 = rng.integers(0, 2, 16)
         bits_epc = rng.integers(0, 2, 112)
-        frame = B.synthesize_reply(None, mode, "ask", "gen2", bits16, bits_epc,
-                                   noiseless(), parts="both")
+        frame = reply_frame(mode, "ask", "gen2", bits16, bits_epc,
+                            noiseless(), parts="both")
         energy = sum(float(np.sum(np.abs(frame.samples[i0:i1]) ** 2))
                      for i0, i1 in frame.part_slices) / frame.sample_rate_hz
         duration = sum((i1 - i0) for i0, i1 in frame.part_slices) / frame.sample_rate_hz
@@ -283,8 +283,8 @@ def test_default_sample_rate_is_16_per_transition_interval():
 
 def test_sample_rate_below_four_per_transition_is_rejected():
     with pytest.raises(ValueError, match="sample_rate_hz"):
-        B.synthesize_reply(None, MILLER8_40K, "ask", "rect", None, None,
-                           B.ChannelParams(0.0, None, sample_rate_hz=100e3))
+        reply_frame(MILLER8_40K, "ask", "rect", None, None,
+                    B.ChannelParams(0.0, None, sample_rate_hz=100e3))
     # exactly 4 samples per transition interval is the least allowed rate
     for blf in (40e3, 105e3, 640e3):
         B.check_sample_rate(8.0 * blf, blf)
@@ -295,8 +295,8 @@ def test_sample_rate_below_four_per_transition_is_rejected():
 
 def test_non_multiple_sample_rate_still_snaps_consistently():
     params = B.ChannelParams(0.0, None, sample_rate_hz=1.0e6)  # not 32*BLF
-    frame = B.synthesize_reply(None, MILLER8_40K, "ask", "rect", None, None,
-                               params, parts="rn16")
+    frame = reply_frame(MILLER8_40K, "ask", "rect", None, None,
+                        params, parts="rn16")
     # every sample belongs to exactly one state; totals match the duration
     assert np.all(frame.sample_state[:frame.part_slices[0][1]] >= 0)
     assert frame.part_slices[0][1] == round(7.8e-3 * 1.0e6)
@@ -304,16 +304,16 @@ def test_non_multiple_sample_rate_still_snaps_consistently():
 
 def test_bits_length_contract():
     with pytest.raises(ValueError):
-        B.synthesize_reply(None, MILLER8_40K, "ask", "gen2", [0, 1], None,
-                           noiseless(), parts="rn16")
+        reply_frame(MILLER8_40K, "ask", "gen2", [0, 1], None,
+                    noiseless(), parts="rn16")
     with pytest.raises(ValueError):
-        B.synthesize_reply(None, MILLER8_40K, "ask", "gen2", None,
-                           [0] * 96, noiseless(), parts="epc")  # missing CRC bits
+        reply_frame(MILLER8_40K, "ask", "gen2", None,
+                    [0] * 96, noiseless(), parts="epc")  # missing CRC bits
     # the encoders take a batch of bit rows, a sampled frame only one row
     for rows in (1, 2):
         with pytest.raises(ValueError, match="rn16: a sampled frame takes the bits of one frame"):
-            B.synthesize_reply(None, MILLER8_40K, "ask", "gen2", [[0, 1] * 8] * rows,
-                               [[0, 1] * 56] * rows, noiseless())
+            reply_frame(MILLER8_40K, "ask", "gen2", [[0, 1] * 8] * rows,
+                        [[0, 1] * 56] * rows, noiseless())
 
 
 def test_modulation_and_model_validation():
@@ -322,8 +322,8 @@ def test_modulation_and_model_validation():
     with pytest.raises(ValueError):
         two_part_frame(waveform="sawtooth")
     with pytest.raises(ValueError):
-        B.synthesize_reply(None, MILLER8_40K, "ask", "rect", None, None,
-                           noiseless(), parts="everything")
+        reply_frame(MILLER8_40K, "ask", "rect", None, None,
+                    noiseless(), parts="everything")
 
 
 def _rotation_frame(kind, modulation, f_d, ps_n0=None, seed=9):
@@ -475,3 +475,44 @@ def test_synthesize_burst_single_part():
     assert frame.part_kinds == ["burst"]
     assert frame.n_samples == 40 * round(frame.sample_rate_hz * 8 / 40e3)
     assert float(np.mean(np.abs(frame.samples) ** 2)) == pytest.approx(1.0, rel=1e-12)
+    for states in (np.zeros(0, dtype=np.int8), np.zeros((2, 8), dtype=np.int8)):
+        with pytest.raises(ValueError, match="^burst: a sampled frame takes the bits of one"):
+            B.synthesize_burst(states, 40e3, "ask", noiseless())
+
+
+@pytest.mark.parametrize("mode, waveform", [(MILLER8_40K, "gen2"), (MILLER8_40K, "rect"),
+                                            (P.ReaderMode("fm0", 640e3, P.FM0), "gen2"),
+                                            (P.ReaderMode("fm0", 640e3, P.FM0), "rect")])
+def test_one_signal_burst_spec_gives_the_burst_frame(mode, waveform):
+    # a burst of 40 symbols: 40 less the preamble and end symbol payload bits
+    enc = mode.encoding
+    n_bits = 40 - P.preamble_symbols(enc, mode.trext) - 1
+    bits = np.random.Generator(np.random.Philox(key=8)).integers(0, 2, n_bits)
+    if waveform == "rect":
+        states = B.rect_states(40, enc.spread_factor)
+    elif enc.is_miller:
+        states = B.encode_miller(bits, enc.spread_factor, mode.trext)
+    else:
+        states = B.encode_fm0(bits, mode.trext)
+    params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=50.0, seed=4)
+    signals = [("burst", Fraction(0), 40)]
+    assert B.payload_bits(mode, waveform, signals) == [n_bits if waveform == "gen2" else 0]
+    spec = B.synthesize_reply(B.frame_parts(mode, waveform, signals, bits), mode.blf_hz, "ask",
+                              params)
+    burst = B.synthesize_burst(states, mode.blf_hz, "ask", params)
+    assert spec.part_kinds == burst.part_kinds == ["burst"]
+    assert spec.part_slices == burst.part_slices
+    assert np.array_equal(spec.sample_state, burst.sample_state)
+    assert np.array_equal(spec.samples, burst.samples)
+
+
+def test_frame_parts_rejects_a_wrong_bit_count():
+    signals = P.reply_signals(MILLER8_40K, "both")
+    assert B.payload_bits(MILLER8_40K, "gen2", signals) == [16, 112]
+    for bits in ([0] * 127, [[0] * 129] * 2, None):
+        with pytest.raises(ValueError, match="^bits: "):
+            B.frame_parts(MILLER8_40K, "gen2", signals, bits)
+    with pytest.raises(ValueError, match="^bits: bits must be 0 or 1"):
+        B.frame_parts(MILLER8_40K, "gen2", signals, [2] * 128)
+    rows = B.frame_parts(MILLER8_40K, "gen2", signals, np.zeros((3, 128), dtype=np.int8))
+    assert [states.shape[0] for _, _, states in rows] == [3, 3]

@@ -270,6 +270,17 @@ def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypa
     assert f"error: {key}: " in captured.err
 
 
+def test_trials_above_the_ceiling_exit_2_naming_trials(capsys):
+    # 2e9 trials would need 16 GB per array of estimates
+    for argv in (["simulate-detect", "--trials", "2000000000"],
+                 ["simulate-mcrb", "--trials", "16777217"],
+                 ["figure", "5", "--trials", "16777217"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: trials: must lie in [1, 16777216]" in captured.err
+
+
 def test_figure_takes_no_config_file(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "4", "--config", "x"])

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import reply_frame, reply_parts
 from rfid_doppler import baseband as B
 from rfid_doppler import bounds as bd
 from rfid_doppler import estimator as E
@@ -27,8 +28,8 @@ def make_frame(modulation="psk", waveform="gen2", f_d=F_D_1MS, ps_n0=None,
     bits16 = rng.integers(0, 2, 16)
     bits_epc = rng.integers(0, 2, 112)
     params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ps_n0, seed=seed)
-    return B.synthesize_reply(None, MILLER8_40K, modulation, waveform,
-                              bits16, bits_epc, params, parts=parts)
+    return reply_frame(MILLER8_40K, modulation, waveform,
+                       bits16, bits_epc, params, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,7 @@ def block_parts(mode, waveform, parts, seed=5):
     rng = np.random.Generator(np.random.Philox(key=seed))
     bits16 = rng.integers(0, 2, 16)
     bits_epc = rng.integers(0, 2, mode.epc_bits + 16)
-    return bits16, bits_epc, B.reply_parts(None, mode, waveform, bits16, bits_epc, parts)
+    return bits16, bits_epc, reply_parts(mode, waveform, bits16, bits_epc, parts)
 
 
 def frame_states(built):
@@ -160,8 +161,8 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
     fs = None if rate is None else rate * mode.blf_hz
     bits16, bits_epc, built = block_parts(mode, waveform, parts)
     params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=None, sample_rate_hz=fs)
-    frame = B.synthesize_reply(None, mode, modulation, waveform, bits16, bits_epc, params,
-                               parts=parts)
+    frame = reply_frame(mode, modulation, waveform, bits16, bits_epc, params,
+                        parts=parts)
     wiped = E.wipe_modulation(frame, ask_zeroing=zeroing)
     want = E.integrate_blocks(wiped, halfwidth)
     table = E.BlockTable(B.frame_layout(built, mode.blf_hz, fs), 37.0, modulation, zeroing,
@@ -188,10 +189,10 @@ def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zer
     for seed in range(4):
         # the 36 ms span makes the peak sharp enough to pin it to 1e-9 Hz
         params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=45.0, seed=seed)
-        noisy = B.synthesize_reply(None, MILLER8_40K, modulation, "gen2", bits16, bits_epc,
-                                   params, parts="both")
-        clean = B.synthesize_reply(None, MILLER8_40K, modulation, "gen2", bits16, bits_epc,
-                                   dataclasses.replace(params, ps_n0_dbhz=None), parts="both")
+        noisy = reply_frame(MILLER8_40K, modulation, "gen2", bits16, bits_epc,
+                            params, parts="both")
+        clean = reply_frame(MILLER8_40K, modulation, "gen2", bits16, bits_epc,
+                            dataclasses.replace(params, ps_n0_dbhz=None), parts="both")
         noise = dataclasses.replace(noisy, samples=noisy.samples - clean.samples)
         noise_blocks = E.integrate_blocks(E.wipe_modulation(noise, ask_zeroing=zeroing))
         blocks = dataclasses.replace(signal, z=signal.z + noise_blocks.z)
@@ -238,7 +239,7 @@ def test_wide_window_coarse_grid_spans_several_chunks(f_d):
     # 2,496 samples, one per block, and 9,356 coarse cells per side: the
     # coarse grid runs in six chunks of k, and the peak lies in the fourth
     params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=None, sample_rate_hz=320e3)
-    frame = B.synthesize_reply(None, MILLER8_40K, "psk", "gen2", *block_parts(
+    frame = reply_frame(MILLER8_40K, "psk", "gen2", *block_parts(
         MILLER8_40K, "gen2", "rn16")[:2], params, parts="rn16")
     report = E.estimate_doppler(E.wipe_modulation(frame), search_halfwidth_hz=150e3,
                                 block_len_s=0)
@@ -292,8 +293,8 @@ def test_newton_refinement_finds_the_periodogram_peak(mode, modulation, parts):
     bits16, bits_epc, _ = block_parts(mode, "gen2", parts)
     for seed in range(2):
         params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=52.8, seed=seed)
-        frame = B.synthesize_reply(None, mode, modulation, "gen2", bits16, bits_epc, params,
-                                   parts=parts)
+        frame = reply_frame(mode, modulation, "gen2", bits16, bits_epc, params,
+                            parts=parts)
         blocks = E.integrate_blocks(E.wipe_modulation(frame))
         report = E.search_peak(blocks)
         assert 1 <= report.refinement_iterations[0] <= 8
@@ -372,7 +373,7 @@ def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
     # FM0 blocks of 15-16 samples: ASK zeroing leaves blocks without masked samples
     rng = np.random.Generator(np.random.Philox(key=22))
     bits = [(rng.integers(0, 2, 16), rng.integers(0, 2, 112)) for _ in range(5)]
-    parts = [B.reply_parts(None, FM0_160K, "gen2", *pair, "both") for pair in bits]
+    parts = [reply_parts(FM0_160K, "gen2", *pair, "both") for pair in bits]
     table = E.BlockTable(B.frame_layout(parts[0], 160e3), 37.0, modulation, zeroing, 20e3)
     batch = table.blocks(np.stack([np.concatenate([s for _, _, s in built]) for built in parts]))
     if zeroing and modulation == "ask":
@@ -394,8 +395,8 @@ def test_degenerate_searches_end_inside_the_window():
     # a 55 us FM0 RN16 reply: the coarse grid has the one cell k_max = 0
     fm0 = P.ReaderMode("fm0-640k", 640e3, P.FM0)
     params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=90.0, seed=1)
-    short = E.integrate_blocks(E.wipe_modulation(B.synthesize_reply(
-        None, fm0, "psk", "gen2", block_parts(fm0, "gen2", "rn16")[0], None, params,
+    short = E.integrate_blocks(E.wipe_modulation(reply_frame(
+        fm0, "psk", "gen2", block_parts(fm0, "gen2", "rn16")[0], None, params,
         parts="rn16")))
     assert math.floor(200.0 * 8 * short.span_s[0]) == 0
     # a tone just past the window edge: the refinement runs into the edge

@@ -66,6 +66,15 @@ def test_every_float_setting_rejects_non_finite_text(name):
             ExperimentConfig().set_field(name, text)
 
 
+def test_trials_have_a_ceiling():
+    # 2^24 trials take 128 MiB per array of estimates; the check allocates nothing
+    ExperimentConfig(trials=1 << 24).validate()
+    for trials in ((1 << 24) + 1, 2_000_000_000):
+        with pytest.raises(ConfigError, match=f"^trials: must lie in \\[1, 16777216\\], "
+                                              f"got {trials}$"):
+            ExperimentConfig(trials=trials).validate()
+
+
 @pytest.mark.parametrize("field,value,needle", [
     ("trials", 0, "trials"),
     ("p_err", 0.5, "p_err"),
@@ -203,7 +212,7 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
 
     def estimates(trials):
         run = dataclasses.replace(config, trials=trials)
-        source = X._reply_source(run, mode, P.reply_timing(mode))
+        source = X._frame_source(run, mode, P.reply_signals(mode, run.parts))
         found, = X._estimates(run, source, [(f_d, 52.8, 0, k)])
         return found
 
@@ -263,7 +272,7 @@ def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, wave
                               ps_n0_dbhz=52.8, modulation=modulation, parts="both",
                               waveform_model=waveform, trials=7, seed=5)
     mode = X.resolve_reader_mode(config)
-    source = X._reply_source(config, mode, P.reply_timing(mode))
+    source = X._frame_source(config, mode, P.reply_signals(mode, config.parts))
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
     table, = X._block_tables(config, source, [f_d]).values()
     assert (source.n_bits > 0 and table.depends_on_states) == (
@@ -282,7 +291,7 @@ def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
     config = ExperimentConfig(mode_label="Mode 204", p_err=0.05, trials=10, seed=6,
                               estimator_model="baseband", modulation="psk")
     mode = X.resolve_reader_mode(config)
-    source = X._reply_source(config, mode, P.reply_timing(mode))
+    source = X._frame_source(config, mode, P.reply_signals(mode, config.parts))
     points = [(f, 62.0 - gi, gi, k) for gi, v in enumerate((0.5, 1.0, 2.0))
               for k, f in enumerate((0.0, bd.doppler_shift(v, config.f_c_hz)))]
     together = X._estimates(config, source, points)
@@ -346,6 +355,23 @@ def test_a_run_builds_one_block_table_per_source_and_rotates_it_to_other_shifts(
         X.run_mcrb_experiment(config)
     assert CountingBlockTable.built == tables
     assert CountingBlockTable.shifts == shifts
+
+
+def test_each_table_computes_its_shared_row_once(monkeypatch):
+    # PSK static frames of three speeds share the table at 0 Hz: four tables,
+    # one noiseless row each, whatever the number of grid points at a shift
+    config = ExperimentConfig(mode_label="Mode 204", p_err=0.05, v_grid=[0.5, 1.0, 2.0],
+                              trials=3, estimator_model="baseband", modulation="psk")
+    calls = []
+    blocks = E.BlockTable.blocks
+
+    def counting_blocks(table, states):
+        calls.append((table.f_d_hz, states.shape[0]))
+        return blocks(table, states)
+
+    monkeypatch.setattr(E.BlockTable, "blocks", counting_blocks)
+    X.run_detection_experiment(config)
+    assert calls == [(0.0, 1)] + [(bd.doppler_shift(v, 868e6), 1) for v in (0.5, 1.0, 2.0)]
 
 
 @pytest.mark.parametrize("modulation, waveform, calls", [

@@ -1,5 +1,6 @@
 """Gen2 timing model: symbol counts, durations, pause model, mode catalog."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,22 @@ def test_encoding_parsing_and_validation():
         P.ReaderMode("t", 160e3, P.MILLER8, epc_bits=64)
     with pytest.raises(ValueError):
         P.EncodingScheme("bogus", 3)
+
+
+@pytest.mark.parametrize("label", ["Mode 290", "Mode 204"])
+@pytest.mark.parametrize("epc_bits, trext", [(96, True), (128, True), (256, True), (96, False)])
+def test_reply_signals_agree_with_reply_timing(label, epc_bits, trext):
+    mode = dataclasses.replace(P.find_reader_mode(label), epc_bits=epc_bits, trext=trext)
+    timing = P.reply_timing(mode)
+    period = P.symbol_period(mode.blf_hz, mode.encoding)
+    starts = {"rn16": [0], "epc": [0], "both": [0, timing.t_rn16 + timing.t_pause]}
+    for parts, want_starts in starts.items():
+        signals = P.reply_signals(mode, parts)
+        kinds = ["rn16", "epc"] if parts == "both" else [parts]
+        assert [kind for kind, _, _ in signals] == kinds
+        assert [start for _, start, _ in signals] == want_starts
+        for kind, start, n_symbols in signals:
+            assert isinstance(start, Fraction)
+            assert n_symbols * period == P.signal_duration(mode, kind) == timing.single(kind)
+    with pytest.raises(ValueError, match="parts"):
+        P.reply_signals(mode, "everything")
