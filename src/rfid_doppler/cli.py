@@ -77,15 +77,6 @@ def _build_config(args) -> ExperimentConfig:
     return config
 
 
-def _print_lines(lines, out_path):
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _resolved(config):
     config.validate()
     mode = experiments.resolve_reader_mode(config)
@@ -118,7 +109,7 @@ def _cmd_bounds(args) -> int:
         f"v_min_m_per_s = {result.v_min:.12g}",
         f"detectable = {str(result.detectable).lower()}",
     ]
-    _print_lines(lines, args.out)
+    experiments._write_lines(args.out or sys.stdout, lines)
     return 0
 
 
@@ -135,7 +126,7 @@ def _cmd_vmin(args) -> int:
         f"f_c_hz = {config.f_c_hz:.12g}",
         f"v_min_m_per_s = {value:.12g}",
     ]
-    _print_lines(lines, args.out)
+    experiments._write_lines(args.out or sys.stdout, lines)
     return 0
 
 
@@ -210,7 +201,7 @@ def _cmd_noise_figure(args) -> int:
     report = experiments.noise_figure_report(**values, m=args.m)
     lines = [f"{key} = {experiments._format_value(value)}"
              for key, value in report.items()]
-    _print_lines(lines, args.out)
+    experiments._write_lines(args.out or sys.stdout, lines)
     return 0
 
 

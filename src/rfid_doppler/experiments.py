@@ -127,8 +127,22 @@ def _items(text: str) -> list[str]:
     return items
 
 
-def _float_list(text: str) -> list[float]:
-    return [_finite(x) for x in _items(text)]
+def _each(parse):
+    """Parser of a comma-separated list whose items ``parse`` reads."""
+    return lambda text: [parse(x) for x in _items(text)]
+
+
+_float_list = _each(_finite)
+
+
+def _checked(parse, ok, rule: str):
+    """Parser that reads a value with ``parse`` and requires ``ok(value)``."""
+    def parse_checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {text.strip()!r}")
+        return value
+    return parse_checked
 
 
 def _increasing(grid: list) -> list:
@@ -772,30 +786,40 @@ def _combos(text: str) -> list[tuple[str, float]]:
         if not sep:
             raise ValueError(f"expected ENCODING:BLF_HZ items, got {item!r}")
         protocol.encoding_from_name(name)
-        combos.append((name.strip(), _finite(blf)))
+        combos.append((name.strip(), _blf(blf)))
     return combos
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in _items(text)]
+_positive = _checked(_finite, lambda x: x > 0, "positive")
+_non_negative = _checked(_finite, lambda x: x >= 0, ">= 0")
+_p_err = _checked(_finite, lambda p: 0 < p < 0.5, "in (0, 0.5)")
+_blf = _checked(_finite, lambda f: protocol.BLF_MIN_HZ <= f <= protocol.BLF_MAX_HZ,
+                "in the Gen2 range [40e3, 640e3] Hz")
+_part = _checked(str, lambda part: part in ("rn16", "epc", "both"), "rn16, epc or both")
+_epc_bits = _checked(int, lambda bits: bits in (96, 128, 256), "96, 128 or 256")
 
 
-_SPEED_AXIS = {"f_c_hz": (_finite, 868e6), "v_grid": (_grid, _geomspace(0.01, 10.0, 61))}
-_P_ERR = {"p_err": (_finite, 0.001)}
+def _speed_grid(text: str) -> list[float]:
+    return _increasing(_each(_positive)(text))
+
+
+_SPEED_AXIS = {"f_c_hz": (_positive, 868e6),
+               "v_grid": (_speed_grid, _geomspace(0.01, 10.0, 61))}
+_P_ERR = {"p_err": (_p_err, 0.001)}
 
 # Builder and parameters of each figure; a parameter is (parser of its text
 # form, default value).
 _FIGURES = {
-    4: (_figure4, {**_SPEED_AXIS, "p_err_list": (_float_list, [0.05, 0.01, 0.001])}),
-    5: (_figure5, {"t0_grid_s": (_float_list, _geomspace(1e-4, 1e-1, 61)),
+    4: (_figure4, {**_SPEED_AXIS, "p_err_list": (_each(_p_err), [0.05, 0.01, 0.001])}),
+    5: (_figure5, {"t0_grid_s": (_each(_positive), _geomspace(1e-4, 1e-1, 61)),
                    "ps_n0_dbhz_list": (_float_list, [30.0, REFERENCE_PS_N0_DBHZ, 80.0]),
                    "blf_hz": (_finite, 640_000.0), "encoding": (str, "FM0"),
                    "modulation": (str, "ask"), "waveform_model": (str, "gen2"),
                    "sample_rate_hz": (_finite, None)}),
     7: (_figure7, {"ps_n0_dbhz": (_finite, REFERENCE_PS_N0_DBHZ), "modulation": (str, "ask"),
-                   "t_pause_grid_s": (_float_list, _geomspace(1e-4, 1.0, 61))}),
-    8: (_figure8, {**_SPEED_AXIS, "p_err_list": (_float_list, [0.05, 0.01, 0.001]),
-                   "parts_list": (_items, ["rn16", "epc", "both"])}),
+                   "t_pause_grid_s": (_each(_non_negative), _geomspace(1e-4, 1.0, 61))}),
+    8: (_figure8, {**_SPEED_AXIS, "p_err_list": (_each(_p_err), [0.05, 0.01, 0.001]),
+                   "parts_list": (_each(_part), ["rn16", "epc", "both"])}),
     9: (_figure9, {**_SPEED_AXIS, **_P_ERR,
                    "combos": (_combos, [("FM0", 640e3), ("Miller2", 640e3), ("Miller4", 640e3),
                                         ("Miller8", 640e3), ("Miller8", 40e3)])}),
@@ -803,7 +827,7 @@ _FIGURES = {
                      "nf_db_list": (_float_list, [0.0, 5.0, 10.0, 15.0, 20.0, 25.4]),
                      "mode_label": (str, "Mode 290")}),
     11: (_figure11, {**_SPEED_AXIS, **_P_ERR, "nf_db": (_finite, 25.4),
-                     "epc_bits_list": (_int_list, [96, 128, 256])}),
+                     "epc_bits_list": (_each(_epc_bits), [96, 128, 256])}),
 }
 
 
@@ -859,17 +883,46 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _column_text(values: list) -> list:
+    """The cells of one column, each as _format_value writes it.
+
+    A column of plain floats maps one format over its values ("%.12g" % x
+    and format(x, ".12g") print the same digits), a column of strings is
+    used as it is, and any other column is formatted cell by cell.
+    """
+    types = set(map(type, values))
+    if types == {float}:
+        return list(map("%.12g".__mod__, values))
+    if types == {str}:
+        return values
+    return list(map(_format_value, values))
+
+
+def _write_lines(out, lines) -> None:
+    """Write ``lines``, each ended by a newline, to a path or a stream.
+
+    The text is finished before a path is opened, so an error in formatting
+    leaves an existing file as it was; a stream gets one write.
+    """
+    text = "\n".join(lines) + "\n"
+    if isinstance(out, (str, Path)):
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        out.write(text)
+
+
 def write_csv(out, comments: Sequence[str], fieldnames: Sequence[str],
               rows: Sequence[dict]) -> None:
-    """Write rows as CSV with '#' comment lines; floats at 12 significant digits."""
-    own = isinstance(out, (str, Path))
-    fh = open(out, "w", encoding="utf-8", newline="\n") if own else out
-    try:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(fieldnames) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_value(row.get(name)) for name in fieldnames) + "\n")
-    finally:
-        if own:
-            fh.close()
+    """Write rows as CSV with '#' comment lines to a path or a stream.
+
+    A missing key or None is an empty cell, and floats have 12 significant
+    digits.  Each column is gathered once and formatted by one rule chosen
+    from its value types; the whole table then goes out in one write, so a
+    formatting error writes nothing.
+    """
+    columns = [_column_text([row.get(name) for row in rows]) for name in fieldnames]
+    lines = [f"# {line}" for line in comments]
+    lines.append(",".join(fieldnames))
+    lines += map(",".join, zip(*columns))
+    _write_lines(out, lines)

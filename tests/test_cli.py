@@ -229,6 +229,16 @@ def test_mcrb_check_fails_on_a_biased_mean_error():
     ("4", "v_grid=1,0.5", "v_grid"),
     ("8", "p_err_list=", "p_err_list"),
     ("4", "parts_list=both", "parts_list"),
+    # out-of-range values of keys whose parser reads them
+    ("4", "v_grid=0,1", "v_grid"),
+    ("4", "f_c_hz=-1", "f_c_hz"),
+    ("8", "p_err_list=0.6", "p_err_list"),
+    ("8", "parts_list=foo", "parts_list"),
+    ("9", "combos=FM0:1e9", "combos"),
+    ("10", "p_err=0", "p_err"),
+    ("11", "epc_bits_list=97", "epc_bits_list"),
+    ("5", "t0_grid_s=0", "t0_grid_s"),
+    ("7", "t_pause_grid_s=-1", "t_pause_grid_s"),
 ])
 def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys):
     assert main(["figure", figure, "--set", setting]) == 2

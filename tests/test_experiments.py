@@ -636,3 +636,62 @@ def test_write_csv_to_path(tmp_path):
     path = tmp_path / "rows.csv"
     X.write_csv(path, [], ["x"], [{"x": 1.5}])
     assert path.read_text(encoding="utf-8") == "x\n1.5\n"
+
+
+def per_cell_csv(comments, fieldnames, rows) -> str:
+    """The CSV text write_csv writes, made one cell at a time."""
+    lines = [f"# {line}" for line in comments] + [",".join(fieldnames)]
+    lines += [",".join(X._format_value(row.get(name)) for name in fieldnames) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 100.0, 1.0 / 3.0,
+               1.7e308, 2.5e-13]
+
+
+@pytest.mark.parametrize("comments, fieldnames, rows", [
+    (["edge floats"], ["x"], [{"x": x} for x in EDGE_FLOATS]),
+    (["numpy and integer types"], ["f", "n", "i", "b", "none"],
+     [{"f": np.float64(x), "n": np.int64(i), "i": i, "b": i % 2 == 0, "none": None}
+      for i, x in enumerate(EDGE_FLOATS)]),
+    (["missing keys", "strings and mixed columns"], ["x", "s", "mixed", "absent"],
+     [{"x": 1.5, "s": "psk", "mixed": 2.0},
+      {"x": 0.1, "s": "", "mixed": "", "unused": 1},
+      {"s": "epc", "mixed": None},
+      {"x": -0.0, "s": "rn16", "mixed": np.float64(0.1)},
+      {"x": 7, "s": "both", "mixed": True}]),
+    (["no rows"], ["a", "b"], []),
+    ([], ["a"], [{"a": 2.0}, {"a": "x"}]),
+])
+def test_write_csv_matches_the_per_cell_rule(comments, fieldnames, rows, tmp_path):
+    want = per_cell_csv(comments, fieldnames, rows)
+    writes = []
+
+    class Stream:
+        write = writes.append
+
+    X.write_csv(Stream(), comments, fieldnames, rows)
+    assert writes == [want]
+    path = tmp_path / "rows.csv"
+    X.write_csv(path, comments, fieldnames, rows)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_write_csv_prints_edge_floats_at_12_digits():
+    buf = io.StringIO()
+    X.write_csv(buf, [], ["x"], [{"x": x} for x in EDGE_FLOATS])
+    assert buf.getvalue().splitlines()[1:] == [
+        "0", "-0", "inf", "-inf", "nan", "4.94065645841e-324", "1e+16", "100",
+        "0.333333333333", "1.7e+308", "2.5e-13"]
+
+
+def test_write_csv_leaves_an_existing_file_on_a_formatting_error(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("no text form")
+
+    path = tmp_path / "rows.csv"
+    path.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="no text form"):
+        X.write_csv(path, ["note"], ["x"], [{"x": 1.0}, {"x": Unprintable()}])
+    assert path.read_text(encoding="utf-8") == "kept\n"
