@@ -1,18 +1,16 @@
-"""Command-line interface.
+"""Command-line interface: ``rfid-doppler SUBCOMMAND [options]``.
 
-Subcommands: bounds, vmin, figure, simulate-mcrb, simulate-detect,
-noise-figure.  bounds, vmin, simulate-mcrb and simulate-detect accept
---config (flat key = value file) with individual flags overriding file
-values.  Each setting is declared once, as a field of
-experiments.ExperimentConfig: a flag's dest is the field name, and its text
-goes through the field's parser, as a config-file value does.  A subcommand
-takes only the flags it reads.  Exit codes: 0 success, 2 configuration
-error, 3 failed --check comparison.
+bounds, vmin, simulate-mcrb and simulate-detect accept --config (flat
+key = value file) with individual flags overriding file values.  Each
+setting is declared once, as a field of experiments.ExperimentConfig: a
+flag's dest is the field name, and its text goes through the field's parser,
+as a config-file value does.  A subcommand takes only the flags it reads.
+Exit codes: 0 success, 2 configuration error, 3 failed --check comparison.
 
-Each subcommand is declared once, in ``_SUBCOMMANDS``: its help line, the
-function that adds its arguments, and its handler.  ``main`` registers every
-name and help line, so the top-level help and usage errors list them all, but
-adds arguments only to the subcommand that argv names.
+Each subcommand is declared once, in ``_SUBCOMMANDS``: its help line, its
+argument adder and its handler.  ``main`` parses the argv after the name with
+that subcommand's own parser; only a command that cannot run builds the parser
+that lists every subcommand, for the top-level help or a usage error.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ def _add_scenario(sp):
     sp.add_argument("--mode", dest="mode_label", help="reader mode label, e.g. 'Mode 290'")
     sp.add_argument("--blf", dest="blf_hz", help="explicit BLF in Hz")
     sp.add_argument("--encoding", help="FM0 or Miller-2/4/8 (with --blf)")
-    sp.add_argument("--trext", dest="trext", action=argparse.BooleanOptionalAction,
-                    default=None, help="pilot tone on/off")
+    sp.add_argument("--trext", action=argparse.BooleanOptionalAction, help="pilot tone on/off")
     sp.add_argument("--epc-bits", dest="epc_bits", choices=("96", "128", "256"))
     sp.add_argument("--f-c", dest="f_c_hz", help="carrier frequency in Hz")
     sp.add_argument("--parts", choices=("rn16", "epc", "both"))
@@ -60,8 +57,7 @@ def _add_simulation(sp):
     sp.add_argument("--modulation", choices=("ask", "psk"))
     sp.add_argument("--waveform-model", dest="waveform_model", choices=("gen2", "rect"))
     sp.add_argument("--sample-rate", dest="sample_rate_hz")
-    sp.add_argument("--ask-zeroing", dest="ask_zeroing",
-                    action=argparse.BooleanOptionalAction, default=None,
+    sp.add_argument("--ask-zeroing", action=argparse.BooleanOptionalAction,
                     help="zero absorb intervals before ASK estimation")
     sp.add_argument("--search-halfwidth", dest="search_halfwidth_hz")
     sp.add_argument("--v", help="tag speed in m/s")
@@ -235,12 +231,9 @@ def _simulate_mcrb_arguments(sp):
 
 def _simulate_detect_arguments(sp):
     _add_output(sp); _add_scenario(sp); _add_p_err(sp); _add_simulation(sp)
-    sp.add_argument("--v-grid", dest="v_grid", metavar="V1,V2,...",
-                    help="tag speeds to sweep")
-    sp.add_argument("--estimator", dest="estimator_model",
-                    choices=("gaussian", "baseband"))
-    sp.add_argument("--sigma-sq", dest="sigma_sq_hz2",
-                    help="pin the estimator variance in Hz^2")
+    sp.add_argument("--v-grid", dest="v_grid", metavar="V1,V2,...", help="tag speeds to sweep")
+    sp.add_argument("--estimator", dest="estimator_model", choices=("gaussian", "baseband"))
+    sp.add_argument("--sigma-sq", dest="sigma_sq_hz2", help="pin the estimator variance in Hz^2")
     sp.add_argument("--check", action="store_true",
                     help="exit 3 unless error rates match the prediction")
 
@@ -268,29 +261,36 @@ _SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser that lists every subcommand and knows the arguments, -h
-    included, of ``command`` alone (of none if it names no subcommand)."""
+def _subcommand_parser(name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"rfid-doppler {name}")
+    _SUBCOMMANDS[name][1](parser)
+    return parser
+
+
+def _listing_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfid-doppler",
         description="Bounds and Monte Carlo verification for Doppler-based "
                     "motion detection in UHF-RFID readers.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text, add_help=name == command)
-        if name == command:
-            add_arguments(sp)
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text, add_help=False)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser has no option but -h, so the first token that is
-    # not an option names the subcommand
-    command = next((token for token in argv if not token.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    name = argv[0] if argv else None
+    args, extra = (_subcommand_parser(name).parse_known_args(argv[1:])
+                   if name in _SUBCOMMANDS else (None, argv))
+    if args is None or extra:
+        # only a command that cannot run builds the parser listing every subcommand
+        listing = _listing_parser()
+        if args is None:
+            listing.parse_args(argv)  # the top-level help or a usage error, unless '--' leads
+        listing.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return _SUBCOMMANDS[args.command][2](args)
+        return _SUBCOMMANDS[name][2](args)
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 3

@@ -51,6 +51,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -145,6 +146,17 @@ def _checked(parse, ok, rule: str):
     return parse_checked
 
 
+_positive = _checked(_finite, lambda x: x > 0, "positive")
+_non_negative = _checked(_finite, lambda x: x >= 0, ">= 0")
+# Real links lie within about 0-150 dB-Hz of P_S/N0.  Within +-300 dB a dB
+# value's linear form, and the bounds of any Gen2 reply timing taken from it,
+# stay finite.
+_MAX_DB = 300.0
+_db = _checked(_finite, lambda x: abs(x) <= _MAX_DB, "in [-300, 300] dB")
+# a receiver adds noise, so its noise figure is >= 0 dB
+_noise_figure = _checked(_finite, lambda x: 0 <= x <= _MAX_DB, "in [0, 300] dB")
+
+
 def _increasing(grid: list) -> list:
     if len(grid) == 0:
         raise ValueError("must be non-empty")
@@ -187,10 +199,10 @@ class ExperimentConfig:
     epc_bits: int = _setting(96, int)
     f_c_hz: float = _setting(868e6, _finite)
     p_err: float = _setting(1e-3, _finite)
-    ps_n0_dbhz: Optional[float] = _setting(None, _finite)
-    p_s_dbm: Optional[float] = _setting(None, _finite)
-    n0_dbm_hz: Optional[float] = _setting(None, _finite)
-    nf_db: Optional[float] = _setting(None, _finite)
+    ps_n0_dbhz: Optional[float] = _setting(None, _db)
+    p_s_dbm: Optional[float] = _setting(None, _db)
+    n0_dbm_hz: Optional[float] = _setting(None, _db)
+    nf_db: Optional[float] = _setting(None, _noise_figure)
     v: float = _setting(1.0, _finite)
     v_grid: Optional[list[float]] = _setting(None, _grid)
     trials: int = _setting(1000, int)
@@ -240,6 +252,8 @@ class ExperimentConfig:
             raise ConfigError("sweep_param: sweep_param and sweep_values go together")
         if self.sweep_param is not None and self.sweep_param not in ("ps_n0_dbhz", "t0_s"):
             raise ConfigError(f"sweep_param: must be ps_n0_dbhz or t0_s, got {self.sweep_param!r}")
+        if self.sweep_param == "ps_n0_dbhz" and max(map(abs, self.sweep_values)) > _MAX_DB:
+            raise ConfigError("sweep_values: must be in [-300, 300] dB in a ps_n0_dbhz sweep")
         if self.ps_n0_dbhz is not None and self.p_s_dbm is not None:
             raise ConfigError("ps_n0_dbhz: give either the ratio or p_s_dbm with a noise term")
 
@@ -650,7 +664,8 @@ def _figure4(params, trials, seed):
              "sigma_max_sq_hz2": bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, p))}
             for p in p_errs for v in v_grid]
     comments = [f"tolerable estimation variance over tag speed, f_c = {f_c:.12g} Hz"]
-    return comments, ["v_m_per_s", "p_err", "sigma_max_sq_hz2"], rows
+    return comments, ["v_m_per_s", "p_err", "sigma_max_sq_hz2"], \
+        _finite_column(rows, "sigma_max_sq_hz2")
 
 
 def _figure5(params, trials, seed):
@@ -680,7 +695,7 @@ def _figure5(params, trials, seed):
                             "emp_var_hz2": sim_rows[0]["emp_var_hz2"]})
             rows.append(row)
     comments = ["estimation variance bound over single-signal duration"]
-    return comments, fieldnames, rows
+    return comments, fieldnames, _finite_column(rows, "mcrb_var_hz2")
 
 
 def _figure7(params, trials, seed):
@@ -720,7 +735,7 @@ def _figure7(params, trials, seed):
             rows.append(row)
     comments = [f"two-part estimation variance bound over pause length at "
                 f"{ratio:.12g} dB-Hz (Miller-8, 40 kHz reply timings)"]
-    return comments, fieldnames, rows
+    return comments, fieldnames, _finite_column(rows, "c_t_s3")
 
 
 def _figure8(params, trials, seed):
@@ -734,7 +749,8 @@ def _figure8(params, trials, seed):
                 rows.append({"v_m_per_s": v, "p_err": p_err, "parts": parts,
                              "ps_n0_dbhz": bounds.required_ps_n0(v, c_t, f_c, p_err)})
     comments = ["required P_S/N0 over tag speed (Miller-8, 40 kHz)"]
-    return comments, ["v_m_per_s", "p_err", "parts", "ps_n0_dbhz"], rows
+    return comments, ["v_m_per_s", "p_err", "parts", "ps_n0_dbhz"], \
+        _finite_column(rows, "ps_n0_dbhz")
 
 
 def _figure9(params, trials, seed):
@@ -747,7 +763,8 @@ def _figure9(params, trials, seed):
             rows.append({"v_m_per_s": v, "encoding": mode.encoding.name, "blf_hz": blf,
                          "ps_n0_dbhz": bounds.required_ps_n0(v, c_t, f_c, p_err)})
     comments = [f"required P_S/N0 over tag speed per encoding and BLF, p_err = {p_err:.12g}"]
-    return comments, ["v_m_per_s", "encoding", "blf_hz", "ps_n0_dbhz"], rows
+    return comments, ["v_m_per_s", "encoding", "blf_hz", "ps_n0_dbhz"], \
+        _finite_column(rows, "ps_n0_dbhz")
 
 
 def _figure10(params, trials, seed):
@@ -759,7 +776,7 @@ def _figure10(params, trials, seed):
             for nf in params["nf_db_list"] for v in v_grid]
     comments = [f"required tag power over speed per noise figure "
                 f"({mode.label}, p_err = {p_err:.12g})"]
-    return comments, ["v_m_per_s", "nf_db", "p_s_dbm"], rows
+    return comments, ["v_m_per_s", "nf_db", "p_s_dbm"], _finite_column(rows, "p_s_dbm")
 
 
 def _figure11(params, trials, seed):
@@ -775,7 +792,14 @@ def _figure11(params, trials, seed):
                          "p_s_dbm": bounds.required_ps_dbm(v, c_t, f_c, p_err, nf_db)})
     comments = [f"required tag power over speed per EPC length (Mode 290, "
                 f"NF = {nf_db:.12g} dB)"]
-    return comments, ["v_m_per_s", "epc_bits", "p_s_dbm"], rows
+    return comments, ["v_m_per_s", "epc_bits", "p_s_dbm"], _finite_column(rows, "p_s_dbm")
+
+
+def _finite_column(rows: list, name: str) -> list:
+    """Return ``rows``; raise OverflowError where column ``name`` is not finite."""
+    if not all(map(math.isfinite, map(operator.itemgetter(name), rows))):
+        raise OverflowError(f"{name} is not finite")
+    return rows
 
 
 def _combos(text: str) -> list[tuple[str, float]]:
@@ -790,8 +814,6 @@ def _combos(text: str) -> list[tuple[str, float]]:
     return combos
 
 
-_positive = _checked(_finite, lambda x: x > 0, "positive")
-_non_negative = _checked(_finite, lambda x: x >= 0, ">= 0")
 _p_err = _checked(_finite, lambda p: 0 < p < 0.5, "in (0, 0.5)")
 _blf = _checked(_finite, lambda f: protocol.BLF_MIN_HZ <= f <= protocol.BLF_MAX_HZ,
                 "in the Gen2 range [40e3, 640e3] Hz")
@@ -812,11 +834,11 @@ _P_ERR = {"p_err": (_p_err, 0.001)}
 _FIGURES = {
     4: (_figure4, {**_SPEED_AXIS, "p_err_list": (_each(_p_err), [0.05, 0.01, 0.001])}),
     5: (_figure5, {"t0_grid_s": (_each(_positive), _geomspace(1e-4, 1e-1, 61)),
-                   "ps_n0_dbhz_list": (_float_list, [30.0, REFERENCE_PS_N0_DBHZ, 80.0]),
+                   "ps_n0_dbhz_list": (_each(_db), [30.0, REFERENCE_PS_N0_DBHZ, 80.0]),
                    "blf_hz": (_finite, 640_000.0), "encoding": (str, "FM0"),
                    "modulation": (str, "ask"), "waveform_model": (str, "gen2"),
                    "sample_rate_hz": (_finite, None)}),
-    7: (_figure7, {"ps_n0_dbhz": (_finite, REFERENCE_PS_N0_DBHZ), "modulation": (str, "ask"),
+    7: (_figure7, {"ps_n0_dbhz": (_db, REFERENCE_PS_N0_DBHZ), "modulation": (str, "ask"),
                    "t_pause_grid_s": (_each(_non_negative), _geomspace(1e-4, 1.0, 61))}),
     8: (_figure8, {**_SPEED_AXIS, "p_err_list": (_each(_p_err), [0.05, 0.01, 0.001]),
                    "parts_list": (_each(_part), ["rn16", "epc", "both"])}),
@@ -824,9 +846,9 @@ _FIGURES = {
                    "combos": (_combos, [("FM0", 640e3), ("Miller2", 640e3), ("Miller4", 640e3),
                                         ("Miller8", 640e3), ("Miller8", 40e3)])}),
     10: (_figure10, {**_SPEED_AXIS, **_P_ERR,
-                     "nf_db_list": (_float_list, [0.0, 5.0, 10.0, 15.0, 20.0, 25.4]),
+                     "nf_db_list": (_each(_noise_figure), [0.0, 5.0, 10.0, 15.0, 20.0, 25.4]),
                      "mode_label": (str, "Mode 290")}),
-    11: (_figure11, {**_SPEED_AXIS, **_P_ERR, "nf_db": (_finite, 25.4),
+    11: (_figure11, {**_SPEED_AXIS, **_P_ERR, "nf_db": (_noise_figure, 25.4),
                      "epc_bits_list": (_each(_epc_bits), [96, 128, 256])}),
 }
 
@@ -841,7 +863,9 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
     operating point only) and check their simulation parameters either way.
     ``overrides`` replaces parameter defaults; a string value is read by the
     parameter's parser (the text form of ``--set KEY=VALUE``), any other
-    value is used as given.
+    value is used as given.  Overrides that take the dataset out of
+    floating-point range (an overflow, a division by zero, an ``inf`` cell)
+    raise a ConfigError naming them.
     """
     try:
         builder, params = _FIGURES[int(figure_id)]
@@ -859,7 +883,16 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
             raise ConfigError(f"{key}: unused key, figure {figure_id} takes "
                               f"{', '.join(params)}")
         values[key] = _parsed(key, params[key][0], value) if isinstance(value, str) else value
-    return builder(values, trials, seed)
+    try:
+        return builder(values, trials, seed)
+    except ConfigError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        if not overrides:
+            raise
+        # the defaults stay in range, so the overrides took the values out of it
+        raise ConfigError(f"{', '.join(overrides)}: out of the range this figure can "
+                          f"compute ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

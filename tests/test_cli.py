@@ -1,5 +1,6 @@
 """CLI surface: subcommands, config files, exit codes, output determinism."""
 
+import argparse
 import dataclasses
 import hashlib
 import math
@@ -239,6 +240,17 @@ def test_mcrb_check_fails_on_a_biased_mean_error():
     ("11", "epc_bits_list=97", "epc_bits_list"),
     ("5", "t0_grid_s=0", "t0_grid_s"),
     ("7", "t_pause_grid_s=-1", "t_pause_grid_s"),
+    # a receiver's noise figure is >= 0 dB
+    ("11", "nf_db=-300", "nf_db"),
+    ("10", "nf_db_list=-5", "nf_db_list"),
+    # values that would overflow, divide by zero or leave inf cells
+    ("8", "v_grid=1e-300", "v_grid"),
+    ("9", "v_grid=1e-300", "v_grid"),
+    ("8", "v_grid=1e200", "v_grid"),
+    ("4", "f_c_hz=1e300", "f_c_hz"),
+    ("11", "f_c_hz=1e-300", "f_c_hz"),
+    ("5", "ps_n0_dbhz_list=1e4", "ps_n0_dbhz_list"),
+    ("7", "t_pause_grid_s=1e300", "t_pause_grid_s"),
 ])
 def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys):
     assert main(["figure", figure, "--set", setting]) == 2
@@ -266,6 +278,13 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
      "sample_rate_hz"),
     (["simulate-mcrb", "--blf", "640e3", "--encoding", "FM0", "--trials", "3",
       "--sweep", "t0_s=2e-4,1"], "sample_rate_hz"),
+    # dB values whose linear form would overflow, and a negative noise figure
+    (["vmin", "--ps-n0", "1e4"], "ps_n0_dbhz"),
+    (["bounds", "--ps-n0", "1e4"], "ps_n0_dbhz"),
+    (["simulate-mcrb", "--ps-n0", "1e4", "--trials", "3"], "ps_n0_dbhz"),
+    (["simulate-mcrb", "--trials", "3", "--sweep", "ps_n0_dbhz=40,1e4"], "sweep_values"),
+    (["bounds", "--p-s-dbm", "1e4", "--nf", "3"], "p_s_dbm"),
+    (["bounds", "--p-s-dbm", "-95", "--nf", "-5"], "nf_db"),
 ])
 def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypatch):
     # every input is checked before any frame is synthesized
@@ -413,9 +432,7 @@ def test_a_subcommand_rejects_the_flags_it_does_not_read(argv, capsys):
 
 
 def subcommand_parser(name):
-    subparsers, = [action for action in cli.build_parser(name)._actions
-                   if isinstance(action.choices, dict)]
-    return subparsers.choices[name]
+    return cli._subcommand_parser(name)
 
 
 # Option strings and dest of each subcommand's arguments, in the order added,
@@ -491,3 +508,60 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_a_command_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["figure", "4"]) == 0
+    assert built == ["rfid-doppler figure"]
+
+
+def single_parser():
+    """One parser that holds every subcommand's arguments, as main once built."""
+    parser = argparse.ArgumentParser(prog="rfid-doppler",
+                                     description=cli._listing_parser().description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in cli._SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def outcome(run, capsys):
+    """(exit code, stdout, stderr) of run(), a SystemExit's code included."""
+    try:
+        code = run()
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    *([name, "-h"] for name in SUBCOMMAND_ARGUMENTS),
+    ["bounds", "--ps-n0", "52.8", "--v", "2"],
+    ["vmin", "--p-err", "0.01"],
+    ["figure", "4", "--set", "v_grid=1"],
+    ["simulate-mcrb", *FAST_SIM, "--trials", "3", "--seed", "1"],
+    ["simulate-detect", "--trials", "3", "--estimator", "gaussian"],
+    ["noise-figure", "--m", "4"],
+    ["figure", "6"],
+    ["vmin", "--p-err"],
+    ["figure", "4", "--bogus"],
+    ["simulate-mcrb", "--trials", "2", "--p-err", "0.05"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_answers_as_the_single_parser_did(argv, capsys):
+    def reference():
+        args = single_parser().parse_args(argv)
+        return cli._SUBCOMMANDS[args.command][2](args)
+
+    assert outcome(lambda: main(argv), capsys) == outcome(reference, capsys)
