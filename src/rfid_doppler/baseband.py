@@ -119,11 +119,19 @@ def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> 
     baseband_states = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.int8)
     baseband_states[..., 0::2] = first
     baseband_states[..., 1::2] = first ^ symbols
-    # each half-bit holds m half-cycles of the subcarrier (m is even, so a
-    # global 0/1 tiling stays aligned to half-bit starts); the product of
+    # each half-bit holds m half-cycles of the subcarrier; the product of
     # two +1/-1 signs is the XOR of their states
-    subcarrier = np.tile(np.array([0, 1], dtype=np.int8), baseband_states.shape[-1] * m // 2)
+    subcarrier = np.tile(symbol_half(m, "gen2"), baseband_states.shape[-1])
     return np.repeat(baseband_states, m, axis=-1) ^ subcarrier
+
+
+def symbol_half(m: int, waveform_model: str) -> np.ndarray:
+    """The M states of a half-symbol in state 0: each half of a symbol of 2M
+    half-intervals holds its state XOR these, the subcarrier 0, 1, 0, ...
+    under 'gen2' (FM0: M = 1), none under 'rect'."""
+    if waveform_model == "rect":
+        return np.zeros(m, dtype=np.int8)
+    return np.arange(m, dtype=np.int8) & 1
 
 
 def rect_states(n_symbols: int, m: int) -> np.ndarray:

@@ -20,10 +20,11 @@ negligible fraction of the post-integration SNR at the searched offsets; set
 block_len_s = 0 to evaluate sample-by-sample instead.  Block sums come in one
 form, a batch with one row per frame (:class:`BlockSums`): integrate_blocks
 gives the one row of a sampled frame, and BlockTable the rows of noiseless
-frames straight from their states, so Monte Carlo trials can skip the
-samples.  search_peak searches every row on its own, and a row gives exactly
-what it gives when searched alone; search_rows searches the rows of any
-number of batches in chunks of bounded size.
+frames straight from their symbol words (the states of a symbol's two
+halves), one table entry per symbol and block, so Monte Carlo trials skip
+the samples.  search_peak searches every row on its own, and a row gives
+exactly what it gives when searched alone; search_rows searches the rows of
+any number of batches in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _COARSE_PADDING = 8
 # a 2 x 1e7 Hz cell down to 1e-4 Hz takes 38.
 _MAX_REFINE = 64
 # Elements of one chunk of the coarse grid's (k x rows x blocks) rotations, of
-# each per-piece array of one BlockTable.blocks batch and of each block-sum
+# the table entries one BlockTable.blocks batch takes and of each block-sum
 # array of one search_rows chunk: at most 1 MB per array, whatever the trial
 # count or search window.
 _CHUNK_ELEMENTS = 1 << 16
@@ -181,136 +182,163 @@ def integrate_blocks(w: WipedSignal, search_halfwidth_hz: float = 200.0,
                      tau=tau[None], span_s=_span(t[first], t[last], fs).reshape(1))
 
 
-def _sorted_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # np.union1d and np.unique would import numpy.ma, a megabyte of modules
-    both = np.sort(np.concatenate([a, b]))
-    return both[np.diff(both, prepend=-1) != 0]
+def _run_heads(key: np.ndarray) -> np.ndarray:
+    """Whether each element of ``key`` starts a run of equal elements."""
+    head = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    return head
+
+
+# Row w = 2 a + b, column g = 2 h + p: the state that symbol word (a, b) gives
+# the samples of symbol half h (in state a, then b) where symbol_half holds p.
+_WORD_STATES = ((np.arange(4)[:, None] >> (1 - np.arange(4) // 2)) & 1) ^ (np.arange(4) & 1)
 
 
 class BlockTable:
-    """Block sums of noiseless wiped frames, computed from their states.
+    """Block sums of noiseless wiped frames, computed from their symbol words.
 
     Built once per frame layout, at one Doppler shift, without per-sample
-    arrays; :meth:`at` gives the same layout at another shift.
-    The table splits every half-interval at the default block boundaries of
-    :func:`integrate_blocks` and keeps, per piece, the sum of the Doppler
-    rotation over its samples, their number and the sum of their times.
-    :meth:`blocks` then weights each piece by the wiped amplitude and mask of
-    its state, adds the pieces of each block and writes the sums into a zero
-    grid of every block, so a block wholly inside the pause or the trailing
-    fill keeps zero sums: the same sums :func:`integrate_blocks` takes from
-    the wiped sampled frame, without synthesizing samples.  Where both states
-    have the same wiped amplitude and mask (PSK), every row of states gives
-    the same block sums (:attr:`depends_on_states`).
+    arrays; :meth:`at` gives the same layout at another shift.  A part of a
+    frame is a run of symbols of 2M half-intervals, each half holding one
+    state XOR ``symbol_half`` (:func:`baseband.symbol_half`), so a symbol
+    takes one of four words: the states of its halves.  The table splits each
+    symbol into slots at the block edges of :func:`integrate_blocks` and
+    keeps, per slot and word, the sums over its masked samples of the wiped
+    amplitude times the Doppler rotation, of one and of the time, and the
+    first and last masked time.  :meth:`blocks` takes each slot's entry for
+    its symbol's word and adds the entries of each block into a zero grid of
+    every block: the sums :func:`integrate_blocks` takes from the wiped
+    sampled frame.  Where the four words give the same entries (PSK), every
+    row of states gives the same block sums (:attr:`depends_on_states`).
     """
 
-    def __init__(self, layout: FrameLayout, f_d_hz: float, modulation: str,
-                 ask_zeroing: bool = True, search_halfwidth_hz: float = 200.0):
-        fs = layout.sample_rate_hz
+    def __init__(self, layout: FrameLayout, symbol_half: np.ndarray, f_d_hz: float,
+                 modulation: str, ask_zeroing: bool = True, search_halfwidth_hz: float = 200.0):
+        fs, m, edges = layout.sample_rate_hz, symbol_half.size, layout.edges
         b = _block_samples(fs, search_halfwidth_hz, None)
-        starts, ends, halves = [], [], []
-        n_half = 0
-        for edges in layout.edges:
-            # a piece starts at every half-interval edge and block edge of the part
-            block_edges = np.arange((edges[0] // b + 1) * b, edges[-1], b)
-            part_starts = _sorted_union(edges[:-1], block_edges)
-            starts.append(part_starts)
-            ends.append(np.append(part_starts[1:], edges[-1]))
-            halves.append(n_half + np.searchsorted(edges, part_starts, side="right") - 1)
-            n_half += edges.size - 1
-        # the parts follow each other, so the pieces are in time order
-        starts, ends = np.concatenate(starts), np.concatenate(ends)
-        lengths = ends - starts
-        self.sample_rate_hz = fs
-        self.n_half = n_half
-        self._half = np.concatenate(halves)
-        self._lengths = lengths
-        self._first_s, self._last_s = starts / fs, (ends - 1) / fs
-        self._rotate(f_d_hz)
-        self._count = lengths.astype(np.float64)
-        self._tsum = (starts + ends - 1) * lengths / (2.0 * fs)
-        block = starts // b
-        self._block_starts = np.flatnonzero(np.diff(block, prepend=-1))
-        self._occupied = block[self._block_starts]      # the blocks that hold pieces
+        if any((e.size - 1) % (2 * m) for e in edges):
+            raise ValueError(f"symbol_half: a part is no run of symbols of {2 * m} half-intervals")
+        # a piece of a half-interval starts at its start or a block edge (a
+        # stable sort puts a half-interval first; np.unique and np.union1d
+        # would import numpy.ma, a megabyte of modules) and ends at the next
+        # piece's start or the half-interval's end
+        half_starts = np.concatenate([e[:-1] for e in edges])
+        cuts = [np.arange((e[0] // b + 1) * b, e[-1], b) for e in edges]
+        both = np.concatenate([half_starts, *cuts])
+        order = np.argsort(both, kind="stable")
+        order = order[_run_heads(both[order])]
+        starts, half = both[order], np.cumsum(order < half_starts.size) - 1
+        ends = np.minimum(np.append(starts[1:], layout.n_samples),
+                          np.concatenate([e[1:] for e in edges])[half])
+        self.sample_rate_hz, self.n_half = fs, half_starts.size
         self._n_blocks = -(-layout.n_samples // b)
+        # a slot is the pieces of one symbol in one block, in time order
+        symbol, block = half // (2 * m), starts // b
+        new_slot = _run_heads(symbol * self._n_blocks + block)
+        slot_starts = np.flatnonzero(new_slot)
+        self._slot_block, self._slot_symbol = block[slot_starts], symbol[slot_starts]
+        self._slots = np.arange(slot_starts.size)
+        # a symbol half's m states in state 0 and in state 1, as m-byte integers
+        self._half_states = np.array([symbol_half, 1 ^ symbol_half], np.int8).view(f"u{m}").ravel()
+        # a piece's group g = 2 h + p at g slots + slot, and 4 slots on for the
+        # imaginary part of its value; word w of a slot is its entry w slots + slot
+        n = 4 * slot_starts.size
+        group = np.cumsum(new_slot) - 1 + slot_starts.size * (
+            2 * np.arange(2)[:, None] + symbol_half).ravel()[half % (2 * m)]
+        self._groups = (group[:, None] + [0, n]).ravel()
+        lengths = ends - starts
+        self._first_s, self._last_sample = starts / fs, lengths - 1
+        self._sample_s = np.arange(lengths.max()) / fs
         signs, kept = _wipe_rule(modulation, ask_zeroing)
         amps = amplitudes(modulation)
         # the real and imaginary parts of z are summed from real weights
         if any(a.imag for a in amps):
             raise ValueError(f"{modulation} amplitudes must be real, got {amps}")
-        # per state 0 and 1
-        self._kept = np.array(kept)
-        self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)])
+        amp = [amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)]
+        self._amp = np.array(amp)[_WORD_STATES]
+        # rows: z's real and imaginary part, sample count, time sum, first
+        # masked time and minus the last
+        self._table = np.empty((6, n))
+        self._rotate(f_d_hz)
+        self._table[2:4] = self._by_word(lengths + 1j * ((starts + ends - 1) * lengths / (2 * fs)),
+                                         np.array(kept, dtype=float)[_WORD_STATES])
+        # a word's first and minus last masked time: the least of its groups'
+        # in a state kept in the mask
+        bounds = np.full(2 * n, np.inf)
+        np.minimum.at(bounds, self._groups, (self._first_s + 1j * ((1 - ends) / fs)).view(float))
+        dropped = np.where(kept, 0.0, np.inf)[_WORD_STATES][:, :, None]
+        self._table[4:] = (bounds.reshape(2, 1, 4, -1) + dropped).min(axis=2).reshape(2, n)
+
+    def _by_word(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Per word and slot, the sums over the slot's groups of the weight of
+        the state the word gives the group (``weights``, a row per word) times
+        the group's sum of the real parts of ``values``, and of the imaginary
+        parts: two rows of entries."""
+        groups = np.bincount(self._groups, values.view(float), 8 * self._slots.size)
+        return np.einsum("wg,cgs->cws", weights, groups.reshape(2, 4, -1)).reshape(2, -1)
 
     def _rotate(self, f_d_hz: float) -> None:
         # a piece's rotation sum is the rotation at its first sample times
         # the sum of the first ``length`` rotations from t = 0
-        fs = self.sample_rate_hz
-        partial = np.cumsum(doppler_rotation(f_d_hz, np.arange(self._lengths.max()) / fs))
-        rotation = doppler_rotation(f_d_hz, self._first_s) * partial[self._lengths - 1]
+        partial = np.cumsum(doppler_rotation(f_d_hz, self._sample_s))
+        rotation = doppler_rotation(f_d_hz, self._first_s) * partial[self._last_sample]
         self.f_d_hz = f_d_hz
-        self._rotation_re, self._rotation_im = rotation.real.copy(), rotation.imag.copy()
+        self._table[:2] = self._by_word(rotation, self._amp)
 
     def at(self, f_d_hz: float) -> "BlockTable":
         """The table of the same frames at Doppler shift ``f_d_hz``.
 
-        It shares every layout array with this one and computes only the
-        rotation sums of the pieces; at this table's own shift it is this table.
+        It shares every layout array with this one and recomputes only the
+        rotation sums; at this table's own shift it is this table.
         """
         if f_d_hz == self.f_d_hz:
             return self
         shifted = copy.copy(self)
+        shifted._table = self._table.copy()
         shifted._rotate(f_d_hz)
         return shifted
 
     @property
     def depends_on_states(self) -> bool:
-        """Whether :meth:`blocks` can give different rows for different states.
-
-        False when states 0 and 1 have the same wiped amplitude and mask: the
-        lookups in :meth:`blocks` then give the same weights whatever the
-        states, so every row of block sums is the same, bit for bit.
-        """
-        return bool(self._kept[0] != self._kept[1] or self._amp[0] != self._amp[1])
+        """Whether :meth:`blocks` can give different rows for different states:
+        whether the four words' entries differ anywhere."""
+        words = self._table.reshape(6, 4, -1)
+        return bool((words != words[:, :1]).any())
 
     @property
     def batch_rows(self) -> int:
-        """Frames per :meth:`blocks` call whose per-piece arrays stay within one chunk."""
-        return max(1, _CHUNK_ELEMENTS // self._half.size)
+        """Frames per :meth:`blocks` call whose slots' entries stay within one chunk."""
+        return max(1, _CHUNK_ELEMENTS // (6 * self._slots.size))
 
     def blocks(self, states: np.ndarray) -> BlockSums:
         """Noiseless block sums of a batch of frames, one row each.
 
-        A row of ``states`` holds the states of all parts of one frame,
-        concatenated in order; its row of block sums is the one
-        :func:`integrate_blocks` gives for that frame.
+        A row of ``states`` holds the int8 states of all parts of one frame,
+        concatenated in order, and must be a run of this table's symbol
+        words; its row of block sums is the one :func:`integrate_blocks`
+        gives for that frame.
         """
-        states = np.asarray(states)
-        if states.ndim != 2 or states.shape[1] != self.n_half:
-            raise ValueError(f"expected (frames, {self.n_half}) states, got shape {states.shape}")
-        # each piece's state as an intp index, which the lookups take without a cast
-        piece_state = states[:, self._half].astype(np.intp)
-        kept, amp = self._kept[piece_state], self._amp[piece_state]
-        del piece_state
-        if not kept.any(axis=1).all():
+        states = np.ascontiguousarray(states)
+        if states.dtype != np.int8 or states.ndim != 2 or states.shape[1] != self.n_half:
+            raise ValueError(f"expected int8 states of shape (frames, {self.n_half}), got "
+                             f"{states.dtype} of shape {states.shape}")
+        halves = states.view(self._half_states.dtype)    # one integer per symbol half
+        in_state_1 = halves == self._half_states[1]
+        if not (in_state_1 | (halves == self._half_states[0])).all():
+            raise ValueError("states: a row is not a run of this table's symbol words")
+        words = 2 * in_state_1[:, 0::2] + in_state_1[:, 1::2]
+        entries = (words * self._slots.size)[:, self._slot_symbol] + self._slots
+        values = np.take(self._table, entries, axis=1)
+        first, minus_last = values[4:].min(axis=2)
+        if first.max() == np.inf:
             raise ValueError("support mask is empty, nothing to estimate from")
-        weighted = np.empty(amp.shape)   # one buffer for every weighted sum
-
-        def block_sums(weight, values):
-            return np.add.reduceat(np.multiply(weight, values, out=weighted),
-                                   self._block_starts, axis=1)
-
-        def grid(sums):
-            out = np.zeros((states.shape[0], self._n_blocks), dtype=sums.dtype)
-            out[:, self._occupied] = sums
-            return out
-        z = block_sums(amp, self._rotation_re) + 1j * block_sums(amp, self._rotation_im)
-        cnt = block_sums(kept, self._count)
-        tau = block_sums(kept, self._tsum) / np.maximum(cnt, 1.0)
-        first = kept.argmax(axis=1)
-        last = kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
-        span = _span(self._first_s[first], self._last_s[last], self.sample_rate_hz)
-        return BlockSums(z=grid(z), count=grid(cnt), tau=grid(tau), span_s=span)
+        # each row's slots add, in time order, into the sums of its blocks
+        rows, n = states.shape[0], self._n_blocks
+        keys = (self._slot_block + n * np.arange(rows)[:, None]).ravel()
+        re, im, cnt, tsum = (np.bincount(keys, v.ravel(), rows * n).reshape(rows, n)
+                             for v in values[:4])
+        return BlockSums(z=re + 1j * im, count=cnt, tau=tsum / np.maximum(cnt, 1.0),
+                         span_s=_span(first, -minus_last, self.sample_rate_hz))
 
 
 def _coarse_peaks(z: np.ndarray, tau: np.ndarray, df: np.ndarray,

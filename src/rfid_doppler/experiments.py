@@ -153,8 +153,14 @@ _non_negative = _checked(_finite, lambda x: x >= 0, ">= 0")
 # stay finite.
 _MAX_DB = 300.0
 _db = _checked(_finite, lambda x: abs(x) <= _MAX_DB, "in [-300, 300] dB")
-# a receiver adds noise, so its noise figure is >= 0 dB
+# a receiver adds noise, so its noise figure is >= 0 dB and its noise density
+# no lower than the thermal floor
 _noise_figure = _checked(_finite, lambda x: 0 <= x <= _MAX_DB, "in [0, 300] dB")
+_noise_density = _checked(_finite, lambda x: bounds.THERMAL_NOISE_DBM_HZ <= x <= _MAX_DB,
+                          "in [-174, 300] dBm/Hz")
+# radio carriers from 1 MHz to 100 GHz, both UHF RFID bands (860-960 MHz)
+# and every figure default among them
+_carrier = _checked(_finite, lambda f: 1e6 <= f <= 1e11, "a carrier in [1e6, 1e11] Hz")
 
 
 def _increasing(grid: list) -> list:
@@ -197,11 +203,11 @@ class ExperimentConfig:
     encoding: Optional[str] = _setting(None, str)
     trext: bool = _setting(True, _parse_bool)
     epc_bits: int = _setting(96, int)
-    f_c_hz: float = _setting(868e6, _finite)
+    f_c_hz: float = _setting(868e6, _carrier)
     p_err: float = _setting(1e-3, _finite)
     ps_n0_dbhz: Optional[float] = _setting(None, _db)
     p_s_dbm: Optional[float] = _setting(None, _db)
-    n0_dbm_hz: Optional[float] = _setting(None, _db)
+    n0_dbm_hz: Optional[float] = _setting(None, _noise_density)
     nf_db: Optional[float] = _setting(None, _noise_figure)
     v: float = _setting(1.0, _finite)
     v_grid: Optional[list[float]] = _setting(None, _grid)
@@ -225,8 +231,7 @@ class ExperimentConfig:
             raise ConfigError("blf_hz: blf_hz and encoding must be given together")
         if self.epc_bits not in (96, 128, 256):
             raise ConfigError(f"epc_bits: must be 96, 128 or 256, got {self.epc_bits}")
-        if self.f_c_hz <= 0:
-            raise ConfigError(f"f_c_hz: must be positive, got {self.f_c_hz}")
+        _parsed("f_c_hz", _carrier, str(self.f_c_hz))
         if not 0.0 < self.p_err < 0.5:
             raise ConfigError(f"p_err: must lie in (0, 0.5), got {self.p_err}")
         if self.v < 0:
@@ -384,8 +389,9 @@ class _FrameSource:
     states) parts of the frame(s) (:func:`baseband.frame_parts`), which
     :func:`baseband.synthesize_reply` samples at ``blf_hz``.  A part's state
     count depends on its symbol count only, so all frames of a source share
-    one sample ``layout``; ``zero_bit_states`` are the concatenated states
-    of the frame whose bits are all 0, the states of every frame if
+    one sample ``layout``, and every symbol the pattern ``symbol_half``
+    (:func:`baseband.symbol_half`); ``zero_bit_states`` are the concatenated
+    states of the frame whose bits are all 0, the states of every frame if
     ``n_bits`` = 0.
     """
 
@@ -393,6 +399,7 @@ class _FrameSource:
     n_bits: int
     parts: Callable
     layout: baseband.FrameLayout
+    symbol_half: np.ndarray
     zero_bit_states: np.ndarray
 
 
@@ -406,6 +413,7 @@ def _frame_source(config: ExperimentConfig, mode: protocol.ReaderMode,
     built = parts(np.zeros(n_bits, dtype=np.int8))
     return _FrameSource(mode.blf_hz, n_bits, parts,
                         baseband.frame_layout(built, mode.blf_hz, config.sample_rate_hz),
+                        baseband.symbol_half(mode.encoding.spread_factor, config.waveform_model),
                         np.concatenate([states for _, _, states in built]))
 
 
@@ -417,7 +425,7 @@ def _block_tables(config: ExperimentConfig, source: _FrameSource, shifts: list) 
             raise ConfigError(f"v/v_grid: Doppler shift {f_d:.6g} Hz is not inside the "
                               f"search window, search_halfwidth_hz = "
                               f"{config.search_halfwidth_hz:.6g} Hz")
-    table = estimator.BlockTable(source.layout, shifts[0], config.modulation,
+    table = estimator.BlockTable(source.layout, source.symbol_half, shifts[0], config.modulation,
                                  config.ask_zeroing, config.search_halfwidth_hz)
     return {f_d: table.at(f_d) for f_d in shifts}
 
@@ -825,7 +833,7 @@ def _speed_grid(text: str) -> list[float]:
     return _increasing(_each(_positive)(text))
 
 
-_SPEED_AXIS = {"f_c_hz": (_positive, 868e6),
+_SPEED_AXIS = {"f_c_hz": (_carrier, 868e6),
                "v_grid": (_speed_grid, _geomspace(0.01, 10.0, 61))}
 _P_ERR = {"p_err": (_p_err, 0.001)}
 

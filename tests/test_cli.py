@@ -4,6 +4,10 @@ import argparse
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +289,15 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     (["simulate-mcrb", "--trials", "3", "--sweep", "ps_n0_dbhz=40,1e4"], "sweep_values"),
     (["bounds", "--p-s-dbm", "1e4", "--nf", "3"], "p_s_dbm"),
     (["bounds", "--p-s-dbm", "-95", "--nf", "-5"], "nf_db"),
+    # a carrier outside [1 MHz, 100 GHz], which made v_min inf and tripped the
+    # bounds' consistency assertion, and a noise density below the thermal
+    # floor, the negative noise figure by another key
+    (["vmin", "--f-c", "1e-300", "--ps-n0", "50"], "f_c_hz"),
+    (["bounds", "--f-c", "1e-300", "--ps-n0", "50"], "f_c_hz"),
+    (["bounds", "--f-c", "2e11"], "f_c_hz"),
+    (["simulate-mcrb", "--f-c", "1e5", "--trials", "3"], "f_c_hz"),
+    (["bounds", "--p-s-dbm", "-95", "--n0", "-180"], "n0_dbm_hz"),
+    (["vmin", "--p-s-dbm", "-95", "--n0", "-174.01"], "n0_dbm_hz"),
 ])
 def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypatch):
     # every input is checked before any frame is synthesized
@@ -358,9 +371,15 @@ def test_default_analytic_figures_are_pinned(figure, capsys):
 
 _M290 = ["--mode", "Mode 290", "--ps-n0", "52.8", "--trials", "400", "--seed", "11"]
 _FM0_640K = ["--blf", "640e3", "--encoding", "FM0", "--ps-n0", "52.8"]
+_MILLER_160K = ["--blf", "160e3", "--ps-n0", "52.8", "--trials", "400", "--seed", "19",
+                "--encoding"]
 
 # SHA-256 of simulation CSVs, covering every way a trial gets its block sums:
-# ASK with and without zeroing, PSK, rect frames, and each sweep kind.
+# ASK with and without zeroing, PSK, rect frames, each sweep kind, and every
+# Gen2 encoding (FM0, Miller-2, -4 and -8).  The rect run's EPC and the 0.2 ms
+# bursts of the t0 sweep and figure 5 are shorter than one 312.5 us block:
+# their periodogram is flat, so their estimates, and these three digests,
+# follow the rounding of the block sums and move with their summation order.
 SIMULATION_SHA256 = {
     "mcrb_ask_both": (
         ["simulate-mcrb", *_M290, "--modulation", "ask", "--parts", "both"],
@@ -378,14 +397,20 @@ SIMULATION_SHA256 = {
         ["simulate-mcrb", *_M290, "--modulation", "ask", "--parts", "both",
          "--no-ask-zeroing"],
         "4f576369ca6457c83fe084bd8ae42c8169b33013dfda33379bea76fad8c698c4"),
+    "mcrb_ask_both_miller2": (
+        ["simulate-mcrb", *_MILLER_160K, "Miller2", "--modulation", "ask", "--parts", "both"],
+        "47519b04830f22baf1a5c8951ad7e166688101d3e9c1c8914cac00a341ff96ca"),
+    "mcrb_ask_both_miller4": (
+        ["simulate-mcrb", *_MILLER_160K, "Miller4", "--modulation", "ask", "--parts", "both"],
+        "bac1f79073f8745be62bd6faa0f3a17b5425b8b239d36581145acd40b05f17b2"),
     "mcrb_rect": (
         ["simulate-mcrb", *_FM0_640K, "--parts", "epc", "--waveform-model", "rect",
          "--trials", "400", "--seed", "12"],
-        "054d8a1b8e8b534def425415c5b2cd4a2e58afa545d05565ac9ae8b89e69d4e5"),
+        "6b173c2d84ce0d07f0a5d75269809cb66aaa9df335a2d293ebef388891795237"),
     "mcrb_t0_sweep": (
         ["simulate-mcrb", *_FM0_640K, "--modulation", "psk", "--trials", "300",
          "--seed", "13", "--sweep", "t0_s=2e-4,1e-3"],
-        "57f38195e81bc9b5888c2adbfaa32b3017ffc20f94eacf18504102968e59067a"),
+        "fe2580bb2f27a0f6858cab6fe17023143c3dd3c36bfcfa76a65c865fb0c88464"),
     "mcrb_ratio_sweep": (
         ["simulate-mcrb", "--mode", "Mode 204", "--modulation", "psk", "--trials", "300",
          "--seed", "14", "--sweep", "ps_n0_dbhz=60,70,80"],
@@ -403,7 +428,7 @@ SIMULATION_SHA256 = {
         "0a551546114d8822944354e7d8fcdbf5610d58d6ffa189843376bb420a6555f8"),
     "figure5_trials": (
         ["figure", "5", "--trials", "30", "--seed", "16", "--set", "t0_grid_s=2e-4,1e-3,5e-3"],
-        "fdf923a6ccabce1985957dc040ac535ef3d5c0bacbc0f840a83593ad0292fcc0"),
+        "a2c10f637d7181eb7f5ca2f26990b9aa6905f68bd9f59f2663c289624ab68af5"),
     "figure7_trials": (
         ["figure", "7", "--trials", "200", "--seed", "17"],
         "2a26d3bcf17e6e0f50a86358fde9c61138176427ba95f0a63fa7a28c9296d9bf"),
@@ -415,6 +440,22 @@ def test_simulation_csvs_are_pinned(name, capsys):
     argv, want = SIMULATION_SHA256[name]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == want
+
+
+def test_a_miller8_ask_job_leaves_numpy_ma_unimported():
+    # np.unique and np.union1d import numpy.ma, a megabyte of modules that
+    # would add to every job's setup time and peak memory
+    job = ["simulate-mcrb", "--blf", "40e3", "--encoding", "miller-8", "--parts", "both",
+           "--modulation", "ask", "--ps-n0", "52.8", "--trials", "20", "--seed", "1"]
+    code = ("import contextlib, io, sys\n"
+            "from rfid_doppler.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = main({job!r})\n"
+            "print(status, 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("argv", [

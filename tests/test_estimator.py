@@ -19,6 +19,7 @@ from rfid_doppler import experiments as X
 from rfid_doppler import protocol as P
 
 MILLER8_40K = P.ReaderMode("m8-40k", 40e3, P.MILLER8)
+MILLER8_HALF = B.symbol_half(8, "gen2")
 F_D_1MS = bd.doppler_shift(1.0, 868e6)          # 5.79 Hz
 
 
@@ -165,8 +166,9 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
                         parts=parts)
     wiped = E.wipe_modulation(frame, ask_zeroing=zeroing)
     want = E.integrate_blocks(wiped, halfwidth)
-    table = E.BlockTable(B.frame_layout(built, mode.blf_hz, fs), 37.0, modulation, zeroing,
-                         halfwidth)
+    table = E.BlockTable(B.frame_layout(built, mode.blf_hz, fs),
+                         B.symbol_half(mode.encoding.spread_factor, waveform), 37.0, modulation,
+                         zeroing, halfwidth)
     got = table.blocks(frame_states(built))
     # every block of the frame, the pause's too, in both
     assert got.z.shape == want.z.shape == (1, math.ceil(frame.n_samples / E._block_samples(
@@ -184,7 +186,7 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
 def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zeroing):
     bits16, bits_epc, built = block_parts(MILLER8_40K, "gen2", "both")
-    table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, modulation, zeroing)
+    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, F_D_1MS, modulation, zeroing)
     signal = table.blocks(frame_states(built))
     for seed in range(4):
         # the 36 ms span makes the peak sharp enough to pin it to 1e-9 Hz
@@ -200,13 +202,83 @@ def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zer
         assert abs(E.search_peak(blocks).f_hat_hz[0] - want) <= 1e-9
 
 
+def per_piece_blocks(layout, f_d_hz, modulation, zeroing, halfwidth, states):
+    """The block sums of a batch of state rows, piece by piece: the oracle of
+    BlockTable.
+
+    Every half-interval is split at the block edges; each piece takes the
+    Doppler rotation sum, sample count and time sum of its samples, weighted
+    by the wiped amplitude and mask of its own state, and the pieces of each
+    block are added in time order.
+    """
+    fs = layout.sample_rate_hz
+    b = E._block_samples(fs, halfwidth, None)
+    starts, ends, halves, n_half = [], [], [], 0
+    for edges in layout.edges:
+        part_starts = np.union1d(edges[:-1], np.arange((edges[0] // b + 1) * b, edges[-1], b))
+        starts.append(part_starts)
+        ends.append(np.append(part_starts[1:], edges[-1]))
+        halves.append(n_half + np.searchsorted(edges, part_starts, side="right") - 1)
+        n_half += edges.size - 1
+    starts, ends, half = map(np.concatenate, (starts, ends, halves))
+    lengths = ends - starts
+    partial = np.cumsum(B.doppler_rotation(f_d_hz, np.arange(lengths.max()) / fs))
+    rotation = B.doppler_rotation(f_d_hz, starts / fs) * partial[lengths - 1]
+    signs, kept = E._wipe_rule(modulation, zeroing)
+    amps = B.amplitudes(modulation)
+    piece_state = states[:, half]
+    amp = np.array([amps[s] * signs[s] if kept[s] else 0.0 for s in (0, 1)])[piece_state]
+    mask = np.array(kept)[piece_state]
+    block = starts // b
+    block_starts = np.flatnonzero(np.diff(block, prepend=-1))
+
+    def grid(values):
+        out = np.zeros((states.shape[0], -(-layout.n_samples // b)), dtype=values.dtype)
+        out[:, block[block_starts]] = np.add.reduceat(values, block_starts, axis=1)
+        return out
+    count = grid(mask * lengths.astype(float))
+    tau = grid(mask * ((starts + ends - 1) * lengths / (2.0 * fs))) / np.maximum(count, 1.0)
+    first, last = mask.argmax(axis=1), mask.shape[1] - 1 - mask[:, ::-1].argmax(axis=1)
+    span = E._span(starts[first] / fs, (ends[last] - 1) / fs, fs)
+    return E.BlockSums(z=grid(amp * rotation), count=count, tau=tau, span_s=span)
+
+
+MILLER2_160K = P.ReaderMode("m2-160k", 160e3, P.MILLER2)
+MILLER4_160K = P.ReaderMode("m4-160k", 160e3, P.MILLER4)
+
+
+@pytest.mark.parametrize("mode", [FM0_160K, MILLER2_160K, MILLER4_160K, MILLER8_40K],
+                         ids=["fm0", "miller2", "miller4", "miller8"])
+@pytest.mark.parametrize("halfwidth", [200.0, 20e3])
+@pytest.mark.parametrize("rate", [None, 30.3], ids=["default-rate", "non-integer-step"])
+@pytest.mark.parametrize("parts", ["rn16", "epc", "both"])
+def test_word_sums_match_per_piece_sums(mode, halfwidth, rate, parts):
+    fs = None if rate is None else rate * mode.blf_hz
+    for waveform in ("gen2", "rect"):
+        frames = [block_parts(mode, waveform, parts, seed)[2] for seed in range(4)]
+        states = np.concatenate([frame_states(built) for built in frames])
+        layout = B.frame_layout(frames[0], mode.blf_hz, fs)
+        for modulation, zeroing in (("ask", True), ("ask", False), ("psk", True)):
+            table = E.BlockTable(layout, B.symbol_half(mode.encoding.spread_factor, waveform),
+                                 37.0, modulation, zeroing, halfwidth)
+            got = table.blocks(states)
+            want = per_piece_blocks(layout, 37.0, modulation, zeroing, halfwidth, states)
+            assert np.array_equal(got.count, want.count)
+            # relative to each block's own sums; a block without masked
+            # samples holds exact zeros in both
+            for name in ("z", "tau", "span_s"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), (waveform, modulation, name)
+
+
 @pytest.mark.parametrize("modulation", ["ask", "psk"])
 @pytest.mark.parametrize("zeroing", [True, False])
 def test_block_table_ignores_states_exactly_when_it_says_so(modulation, zeroing):
+    # rows of encoded random bits: the only rows a table takes
     _, _, built = block_parts(MILLER8_40K, "gen2", "both")
-    table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, modulation, zeroing)
-    rng = np.random.Generator(np.random.Philox(key=9))
-    states = rng.integers(0, 2, (5, table.n_half), dtype=np.int8)
+    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, F_D_1MS, modulation, zeroing)
+    states = np.concatenate([frame_states(block_parts(MILLER8_40K, "gen2", "both", seed)[2])
+                             for seed in range(9, 14)])
     assert len({row.tobytes() for row in states}) == 5
     blocks = table.blocks(states)
     same = all(np.array_equal(a, np.broadcast_to(a[:1], a.shape))
@@ -218,12 +290,40 @@ def test_block_table_ignores_states_exactly_when_it_says_so(modulation, zeroing)
 
 def test_block_table_rejects_states_of_another_layout():
     _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
-    table = E.BlockTable(B.frame_layout(built, 40e3), 0.0, "psk")
+    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, 0.0, "psk")
     with pytest.raises(ValueError, match="states"):
         table.blocks(built[0][2][None, :-1])
     # one frame is a batch of one row
     with pytest.raises(ValueError, match="states"):
         table.blocks(built[0][2])
+    # an FM0 part of 35 two-half symbols is no run of 16-half Miller-8 symbols
+    _, _, fm0 = block_parts(FM0_160K, "gen2", "rn16")
+    with pytest.raises(ValueError, match="symbol_half"):
+        E.BlockTable(B.frame_layout(fm0, 160e3), MILLER8_HALF, 0.0, "psk")
+
+
+@pytest.mark.parametrize("mode, waveform", [(MILLER8_40K, "gen2"), (FM0_160K, "gen2"),
+                                            (MILLER8_40K, "rect")])
+def test_block_table_rejects_states_that_are_not_its_symbol_words(mode, waveform):
+    # a row that no encoder gives could only come out as wrong sums
+    _, _, built = block_parts(mode, waveform, "both")
+    m = mode.encoding.spread_factor
+    table = E.BlockTable(B.frame_layout(built, mode.blf_hz), B.symbol_half(m, waveform), 0.0,
+                         "ask")
+    states = frame_states(built)
+    table.blocks(states)
+    # a state other than 0 and 1 over a whole half-symbol
+    bad = [states.copy()]
+    bad[0][0, m:2 * m] += 2
+    if m > 1:
+        # one half-interval flipped, and a half-symbol holding the other
+        # waveform's pattern: Miller's without its subcarrier, rect's with one
+        bad += [states.copy(), states.copy()]
+        bad[1][0, 3 * m + 1] ^= 1
+        bad[2][0, :m] = B.symbol_half(m, {"gen2": "rect", "rect": "gen2"}[waveform])
+    for row in bad:
+        with pytest.raises(ValueError, match="states"):
+            table.blocks(row)
 
 
 def test_block_table_rejects_complex_amplitudes(monkeypatch):
@@ -231,7 +331,7 @@ def test_block_table_rejects_complex_amplitudes(monkeypatch):
     _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
     monkeypatch.setattr(E, "amplitudes", lambda modulation: (1.0 + 0.0j, -1.0 + 0.5j))
     with pytest.raises(ValueError, match="real"):
-        E.BlockTable(B.frame_layout(built, 40e3), 0.0, "psk")
+        E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, 0.0, "psk")
 
 
 @pytest.mark.parametrize("f_d", [1e5, -1e5])
@@ -305,7 +405,7 @@ def test_batched_search_equals_row_by_row_search():
     # ASK rows of one table, with spans rescaled so that k_max runs from 0
     # to 115: the batch's coarse grid takes two chunks of k, a row alone one
     _, _, built = block_parts(MILLER8_40K, "gen2", "both")
-    table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, "ask")
+    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, F_D_1MS, "ask")
     rng = np.random.Generator(np.random.Philox(key=21))
     states = np.stack([np.concatenate([B.encode_miller(rng.integers(0, 2, n_bits), 8, True)
                                        for n_bits in (16, 112)]) for _ in range(8)])
@@ -329,7 +429,7 @@ def test_search_rows_regroups_batches_into_bounded_chunks(monkeypatch):
     # 8 noisy ASK rows in batches of 1, 6 and 1, searched in chunks of 3
     # rows: the batch of 6 fills the rest of one chunk and all of the next
     _, _, built = block_parts(MILLER8_40K, "gen2", "both")
-    table = E.BlockTable(B.frame_layout(built, 40e3), F_D_1MS, "ask")
+    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, F_D_1MS, "ask")
     rng = np.random.Generator(np.random.Philox(key=23))
     signal = table.blocks(np.stack([np.concatenate(
         [B.encode_miller(rng.integers(0, 2, n_bits), 8, True) for n_bits in (16, 112)])
@@ -358,12 +458,12 @@ def test_a_block_table_rotated_to_a_shift_equals_one_built_there():
     # at() recomputes only the rotation sums; at the table's own shift it is the table
     _, _, built = block_parts(MILLER8_40K, "gen2", "both")
     layout = B.frame_layout(built, 40e3)
-    table = E.BlockTable(layout, 0.0, "ask")
+    table = E.BlockTable(layout, MILLER8_HALF, 0.0, "ask")
     assert table.at(0.0) is table
     states = frame_states(built)
     for rotated, f_d in ((table.at(F_D_1MS), F_D_1MS), (table.at(-37.0), -37.0),
                          (table.at(F_D_1MS).at(0.0), 0.0)):
-        direct = E.BlockTable(layout, f_d, "ask").blocks(states)
+        direct = E.BlockTable(layout, MILLER8_HALF, f_d, "ask").blocks(states)
         for name in ("z", "count", "tau", "span_s"):
             assert np.array_equal(getattr(rotated.blocks(states), name), getattr(direct, name))
 
@@ -374,7 +474,8 @@ def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
     rng = np.random.Generator(np.random.Philox(key=22))
     bits = [(rng.integers(0, 2, 16), rng.integers(0, 2, 112)) for _ in range(5)]
     parts = [reply_parts(FM0_160K, "gen2", *pair, "both") for pair in bits]
-    table = E.BlockTable(B.frame_layout(parts[0], 160e3), 37.0, modulation, zeroing, 20e3)
+    table = E.BlockTable(B.frame_layout(parts[0], 160e3), B.symbol_half(1, "gen2"), 37.0,
+                         modulation, zeroing, 20e3)
     batch = table.blocks(np.stack([np.concatenate([s for _, _, s in built]) for built in parts]))
     if zeroing and modulation == "ask":
         assert (batch.count == 0).any()
@@ -430,7 +531,8 @@ def test_block_integration_rejects_bad_block_parameters(name, value):
     if name == "search_halfwidth_hz":
         _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
         with pytest.raises(ValueError, match=name):
-            E.BlockTable(B.frame_layout(built, 40e3), 0.0, "psk", search_halfwidth_hz=value)
+            E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, 0.0, "psk",
+                         search_halfwidth_hz=value)
 
 
 def test_estimator_contract_errors():

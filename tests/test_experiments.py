@@ -220,9 +220,10 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     assert np.array_equal(estimates(1), six[:1])
     assert np.array_equal(estimates(3), six[:3])
     assert np.all(np.abs(six - f_d) < 1.0)
-    # two frames per block-sum batch (2,784 pieces per frame): runs of 4 and
-    # 6 trials end inside a batch and cross batch boundaries, and one search
-    # after trial 0's covers all their batches (48 rows of 116 blocks per chunk)
+    # two frames per block-sum batch (6 table rows of 277 symbol slots per
+    # frame): runs of 4 and 6 trials end inside a batch and cross batch
+    # boundaries, and one search after trial 0's covers all their batches
+    # (42 rows of 116 blocks per chunk)
     batches, searches = [], []
     blocks, search = E.BlockTable.blocks, E.search_peak
 
@@ -236,7 +237,7 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
 
     monkeypatch.setattr(E.BlockTable, "blocks", recording_blocks)
     monkeypatch.setattr(E, "search_peak", recording_search)
-    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 2 * 2784)
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3 * 6 * 277 - 1)
     assert np.array_equal(estimates(4), six[:4])
     assert batches == [2, 1]
     assert searches == [(1, 116), (3, 116)]
@@ -377,8 +378,9 @@ def test_each_table_computes_its_shared_row_once(monkeypatch):
 @pytest.mark.parametrize("modulation, waveform, calls", [
     ("psk", "gen2", 1), ("psk", "rect", 0), ("ask", "rect", 0), ("ask", "gen2", 1 + 3)])
 def test_only_gen2_ask_trials_after_trial_0_draw_bits(monkeypatch, modulation, waveform, calls):
-    # 40 trials in batches of 13 (2,784 pieces per Miller-8 frame) after trial 0
-    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 13 * 2784)
+    # 40 trials in batches of 13 (6 table rows of 277 symbol slots per Miller-8
+    # frame) after trial 0
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 13 * 6 * 277)
     drawn = []
     random_bits = X._random_bits
 
