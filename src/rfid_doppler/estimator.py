@@ -225,25 +225,26 @@ class BlockTable:
         half_starts = np.concatenate([e[:-1] for e in edges])
         cuts = [np.arange((e[0] // b + 1) * b, e[-1], b) for e in edges]
         both = np.concatenate([half_starts, *cuts])
-        order = np.argsort(both, kind="stable")
+        order = both.argsort(kind="stable")
         order = order[_run_heads(both[order])]
-        starts, half = both[order], np.cumsum(order < half_starts.size) - 1
-        ends = np.minimum(np.append(starts[1:], layout.n_samples),
+        starts, half = both[order], (order < half_starts.size).cumsum() - 1
+        ends = np.minimum(np.concatenate([starts[1:], [layout.n_samples]]),
                           np.concatenate([e[1:] for e in edges])[half])
         self.sample_rate_hz, self.n_half = fs, half_starts.size
         self._n_blocks = -(-layout.n_samples // b)
         # a slot is the pieces of one symbol in one block, in time order
         symbol, block = half // (2 * m), starts // b
         new_slot = _run_heads(symbol * self._n_blocks + block)
-        slot_starts = np.flatnonzero(new_slot)
+        slot_starts = new_slot.nonzero()[0]
         self._slot_block, self._slot_symbol = block[slot_starts], symbol[slot_starts]
         self._slots = np.arange(slot_starts.size)
         # a symbol half's m states in state 0 and in state 1, as m-byte integers
         self._half_states = np.array([symbol_half, 1 ^ symbol_half], np.int8).view(f"u{m}").ravel()
-        # a piece's group g = 2 h + p at g slots + slot, and 4 slots on for the
-        # imaginary part of its value; word w of a slot is its entry w slots + slot
+        # a piece adds the real part of a value to its group, symbol half h
+        # and state p in symbol_half, at (2 h + p) slots + slot, the imaginary
+        # part 4 slots on; a table row holds word w of a slot at w slots + slot
         n = 4 * slot_starts.size
-        group = np.cumsum(new_slot) - 1 + slot_starts.size * (
+        group = new_slot.cumsum() - 1 + slot_starts.size * (
             2 * np.arange(2)[:, None] + symbol_half).ravel()[half % (2 * m)]
         self._groups = (group[:, None] + [0, n]).ravel()
         lengths = ends - starts
@@ -268,6 +269,11 @@ class BlockTable:
         np.minimum.at(bounds, self._groups, (self._first_s + 1j * ((1 - ends) / fs)).view(float))
         dropped = np.where(kept, 0.0, np.inf)[_WORD_STATES][:, :, None]
         self._table[4:] = (bounds.reshape(2, 1, 4, -1) + dropped).min(axis=2).reshape(2, n)
+        # whether blocks can give different rows for different states: whether
+        # the words' entries differ anywhere; the words of PSK have the same
+        # weights, so their entries agree bit for bit at every shift
+        words = self._table.reshape(6, 4, -1)
+        self.depends_on_states = bool((words != words[:, :1]).any())
 
     def _by_word(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per word and slot, the sums over the slot's groups of the weight of
@@ -280,7 +286,7 @@ class BlockTable:
     def _rotate(self, f_d_hz: float) -> None:
         # a piece's rotation sum is the rotation at its first sample times
         # the sum of the first ``length`` rotations from t = 0
-        partial = np.cumsum(doppler_rotation(f_d_hz, self._sample_s))
+        partial = doppler_rotation(f_d_hz, self._sample_s).cumsum()
         rotation = doppler_rotation(f_d_hz, self._first_s) * partial[self._last_sample]
         self.f_d_hz = f_d_hz
         self._table[:2] = self._by_word(rotation, self._amp)
@@ -297,13 +303,6 @@ class BlockTable:
         shifted._table = self._table.copy()
         shifted._rotate(f_d_hz)
         return shifted
-
-    @property
-    def depends_on_states(self) -> bool:
-        """Whether :meth:`blocks` can give different rows for different states:
-        whether the four words' entries differ anywhere."""
-        words = self._table.reshape(6, 4, -1)
-        return bool((words != words[:, :1]).any())
 
     @property
     def batch_rows(self) -> int:
@@ -328,7 +327,7 @@ class BlockTable:
             raise ValueError("states: a row is not a run of this table's symbol words")
         words = 2 * in_state_1[:, 0::2] + in_state_1[:, 1::2]
         entries = (words * self._slots.size)[:, self._slot_symbol] + self._slots
-        values = np.take(self._table, entries, axis=1)
+        values = self._table.take(entries, axis=1)
         first, minus_last = values[4:].min(axis=2)
         if first.max() == np.inf:
             raise ValueError("support mask is empty, nothing to estimate from")
