@@ -223,8 +223,8 @@ class BlockTable:
         # would import numpy.ma, a megabyte of modules) and ends at the next
         # piece's start or the half-interval's end
         half_starts = np.concatenate([e[:-1] for e in edges])
-        cuts = [np.arange((e[0] // b + 1) * b, e[-1], b) for e in edges]
-        both = np.concatenate([half_starts, *cuts])
+        both = np.concatenate([half_starts, *(np.arange((e[0] // b + 1) * b, e[-1], b)
+                                              for e in edges)])
         order = both.argsort(kind="stable")
         order = order[_run_heads(both[order])]
         starts, half = both[order], (order < half_starts.size).cumsum() - 1
@@ -236,7 +236,9 @@ class BlockTable:
         symbol, block = half // (2 * m), starts // b
         new_slot = _run_heads(symbol * self._n_blocks + block)
         slot_starts = new_slot.nonzero()[0]
-        self._slot_block, self._slot_symbol = block[slot_starts], symbol[slot_starts]
+        self._slot_symbol = symbol[slot_starts]
+        self._block_starts = _run_heads(block[slot_starts]).nonzero()[0]
+        self._occupied = block[slot_starts[self._block_starts]]    # the blocks that hold slots
         self._slots = np.arange(slot_starts.size)
         # a symbol half's m states in state 0 and in state 1, as m-byte integers
         self._half_states = np.array([symbol_half, 1 ^ symbol_half], np.int8).view(f"u{m}").ravel()
@@ -255,8 +257,8 @@ class BlockTable:
         # the real and imaginary parts of z are summed from real weights
         if any(a.imag for a in amps):
             raise ValueError(f"{modulation} amplitudes must be real, got {amps}")
-        amp = [amps[s].real * signs[s] if kept[s] else 0.0 for s in (0, 1)]
-        self._amp = np.array(amp)[_WORD_STATES]
+        self._amp = np.array([amps[s].real * signs[s] if kept[s] else 0.0
+                              for s in (0, 1)])[_WORD_STATES]
         # rows: z's real and imaginary part, sample count, time sum, first
         # masked time and minus the last
         self._table = np.empty((6, n))
@@ -331,11 +333,10 @@ class BlockTable:
         first, minus_last = values[4:].min(axis=2)
         if first.max() == np.inf:
             raise ValueError("support mask is empty, nothing to estimate from")
-        # each row's slots add, in time order, into the sums of its blocks
-        rows, n = states.shape[0], self._n_blocks
-        keys = (self._slot_block + n * np.arange(rows)[:, None]).ravel()
-        re, im, cnt, tsum = (np.bincount(keys, v.ravel(), rows * n).reshape(rows, n)
-                             for v in values[:4])
+        # each block adds its slots' entries into a zero grid of every block
+        grid = np.zeros((4, states.shape[0], self._n_blocks))
+        grid[:, :, self._occupied] = np.add.reduceat(values[:4], self._block_starts, axis=2)
+        re, im, cnt, tsum = grid
         return BlockSums(z=re + 1j * im, count=cnt, tau=tsum / np.maximum(cnt, 1.0),
                          span_s=_span(first, -minus_last, self.sample_rate_hz))
 

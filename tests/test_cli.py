@@ -406,11 +406,11 @@ SIMULATION_SHA256 = {
     "mcrb_rect": (
         ["simulate-mcrb", *_FM0_640K, "--parts", "epc", "--waveform-model", "rect",
          "--trials", "400", "--seed", "12"],
-        "6b173c2d84ce0d07f0a5d75269809cb66aaa9df335a2d293ebef388891795237"),
+        "502dbac358c09de5aa979f3452f1ad5bdc42fd7a14314d402b26b328e7dc8862"),
     "mcrb_t0_sweep": (
         ["simulate-mcrb", *_FM0_640K, "--modulation", "psk", "--trials", "300",
          "--seed", "13", "--sweep", "t0_s=2e-4,1e-3"],
-        "fe2580bb2f27a0f6858cab6fe17023143c3dd3c36bfcfa76a65c865fb0c88464"),
+        "f7b6c0d2c4e9e2e5389099184c06945aee4b92374f0c84e02ab91aabf06a76e3"),
     "mcrb_ratio_sweep": (
         ["simulate-mcrb", "--mode", "Mode 204", "--modulation", "psk", "--trials", "300",
          "--seed", "14", "--sweep", "ps_n0_dbhz=60,70,80"],
@@ -428,7 +428,7 @@ SIMULATION_SHA256 = {
         "0a551546114d8822944354e7d8fcdbf5610d58d6ffa189843376bb420a6555f8"),
     "figure5_trials": (
         ["figure", "5", "--trials", "30", "--seed", "16", "--set", "t0_grid_s=2e-4,1e-3,5e-3"],
-        "a2c10f637d7181eb7f5ca2f26990b9aa6905f68bd9f59f2663c289624ab68af5"),
+        "42275f58ffce2078042003b08a940cc08981674a03b26352b37f2ec48f33875d"),
     "figure7_trials": (
         ["figure", "7", "--trials", "200", "--seed", "17"],
         "2a26d3bcf17e6e0f50a86358fde9c61138176427ba95f0a63fa7a28c9296d9bf"),
