@@ -217,7 +217,8 @@ class BlockTable:
         fs, m, edges = layout.sample_rate_hz, symbol_half.size, layout.edges
         b = _block_samples(fs, search_halfwidth_hz, None)
         if any((e.size - 1) % (2 * m) for e in edges):
-            raise ValueError(f"symbol_half: a part is no run of symbols of {2 * m} half-intervals")
+            raise ValueError(f"symbol_half: a part is not a run of symbols of {2 * m} "
+                             f"half-intervals")
         # a piece of a half-interval starts at its start or a block edge (a
         # stable sort puts a half-interval first; np.unique and np.union1d
         # would import numpy.ma, a megabyte of modules) and ends at the next
