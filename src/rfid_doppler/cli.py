@@ -5,6 +5,11 @@ key = value file) with individual flags overriding file values.  Each
 setting is declared once, as a field of experiments.ExperimentConfig: a
 flag's dest is the field name, and its text goes through the field's parser,
 as a config-file value does.  A subcommand takes only the flags it reads.
+bounds, vmin and noise-figure print ``key = value`` lines
+(experiments.write_key_values), the other subcommands CSV
+(experiments.write_csv); both writers refuse a number that is not finite,
+naming its key or column.  A figure whose ``--set`` overrides take its
+dataset out of floating-point range exits 2 naming those keys.
 Exit codes: 0 success, 2 configuration error, 3 failed --check comparison.
 
 Each subcommand is declared once, in ``_SUBCOMMANDS``: its help line, its
@@ -68,8 +73,7 @@ def _build_config(args) -> ExperimentConfig:
     for f in dataclasses.fields(config):
         value = getattr(args, f.name, None)
         if value is not None:
-            # flags hold text, except the on/off switches, which parse as 'True'/'False'
-            config.set_field(f.name, str(value))
+            config.set_field(f.name, value)
     return config
 
 
@@ -87,25 +91,24 @@ def _cmd_bounds(args) -> int:
     mode, link, timing, c_t = _resolved(config)
     scenario = bounds.MotionScenario(config.v, config.f_c_hz, config.p_err)
     result = bounds.evaluate_bounds(scenario, c_t, link)
-    lines = [
-        f"mode = {mode.label}",
-        f"blf_hz = {mode.blf_hz:.12g}",
-        f"encoding = {mode.encoding.name}",
-        f"parts = {config.parts}",
-        f"t_rn16_s = {float(timing.t_rn16):.12g}",
-        f"t_pause_s = {float(timing.t_pause):.12g}",
-        f"t_epc_s = {float(timing.t_epc):.12g}",
-        f"c_t_s3 = {c_t:.12g}",
-        f"ps_n0_dbhz = {link.ps_n0_dbhz:.12g}",
-        f"v_m_per_s = {scenario.v:.12g}",
-        f"p_err = {scenario.p_err:.12g}",
-        f"f_c_hz = {scenario.f_c_hz:.12g}",
-        f"sigma_max_sq_hz2 = {result.sigma_max_sq:.12g}",
-        f"mcrb_var_hz2 = {result.sigma_mcrb_sq:.12g}",
-        f"v_min_m_per_s = {result.v_min:.12g}",
-        f"detectable = {str(result.detectable).lower()}",
-    ]
-    experiments._write_lines(args.out or sys.stdout, lines)
+    experiments.write_key_values(args.out or sys.stdout, [
+        ("mode", mode.label),
+        ("blf_hz", mode.blf_hz),
+        ("encoding", mode.encoding.name),
+        ("parts", config.parts),
+        ("t_rn16_s", float(timing.t_rn16)),
+        ("t_pause_s", float(timing.t_pause)),
+        ("t_epc_s", float(timing.t_epc)),
+        ("c_t_s3", c_t),
+        ("ps_n0_dbhz", link.ps_n0_dbhz),
+        ("v_m_per_s", scenario.v),
+        ("p_err", scenario.p_err),
+        ("f_c_hz", scenario.f_c_hz),
+        ("sigma_max_sq_hz2", result.sigma_max_sq),
+        ("mcrb_var_hz2", result.sigma_mcrb_sq),
+        ("v_min_m_per_s", result.v_min),
+        ("detectable", str(result.detectable).lower()),
+    ])
     return 0
 
 
@@ -113,16 +116,15 @@ def _cmd_vmin(args) -> int:
     config = _build_config(args)
     mode, link, timing, c_t = _resolved(config)
     value = bounds.v_min(c_t, link.ps_n0_linear, config.f_c_hz, config.p_err)
-    lines = [
-        f"mode = {mode.label}",
-        f"parts = {config.parts}",
-        f"c_t_s3 = {c_t:.12g}",
-        f"ps_n0_dbhz = {link.ps_n0_dbhz:.12g}",
-        f"p_err = {config.p_err:.12g}",
-        f"f_c_hz = {config.f_c_hz:.12g}",
-        f"v_min_m_per_s = {value:.12g}",
-    ]
-    experiments._write_lines(args.out or sys.stdout, lines)
+    experiments.write_key_values(args.out or sys.stdout, [
+        ("mode", mode.label),
+        ("parts", config.parts),
+        ("c_t_s3", c_t),
+        ("ps_n0_dbhz", link.ps_n0_dbhz),
+        ("p_err", config.p_err),
+        ("f_c_hz", config.f_c_hz),
+        ("v_min_m_per_s", value),
+    ])
     return 0
 
 
@@ -133,9 +135,18 @@ def _cmd_figure(args) -> int:
         if not sep:
             raise ConfigError(f"--set: expected KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value
-    comments, fieldnames, rows = experiments.figure_dataset(
-        args.id, overrides, trials=args.trials or 0, seed=args.seed or 0)
-    experiments.write_csv(args.out or sys.stdout, comments, fieldnames, rows)
+    try:
+        comments, fieldnames, rows = experiments.figure_dataset(
+            args.id, overrides, trials=args.trials or 0, seed=args.seed or 0)
+        experiments.write_csv(args.out or sys.stdout, comments, fieldnames, rows)
+    except ConfigError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
+        if not overrides:
+            raise
+        # the defaults stay in range, so the overrides took the values out of it
+        raise ConfigError(f"{', '.join(overrides)}: out of the range this figure can "
+                          f"compute ({exc})") from None
     return 0
 
 
@@ -195,9 +206,7 @@ def _cmd_noise_figure(args) -> int:
     values = {key: experiments._parsed(key, experiments._finite, getattr(args, key))
               for key in ("p_s_dbm", "ber", "blf_hz")}
     report = experiments.noise_figure_report(**values, m=args.m)
-    lines = [f"{key} = {experiments._format_value(value)}"
-             for key, value in report.items()]
-    experiments._write_lines(args.out or sys.stdout, lines)
+    experiments.write_key_values(args.out or sys.stdout, report.items())
     return 0
 
 

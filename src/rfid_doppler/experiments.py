@@ -1,10 +1,16 @@
 """Monte Carlo harness, figure datasets, and CSV emission.
 
 A run's settings are declared once, as the fields of :class:`ExperimentConfig`;
-the figure datasets declare their own parameters in ``_FIGURES``.  A run's
-frames are described once too, as a frame source of one list of signals:
-the reply's parts (protocol.reply_signals) or a single burst at t = 0 in a
-t0 sweep, encoded by baseband.frame_parts.
+the figure datasets declare their own parameters in ``_FIGURES``.  Each
+setting has one rule, the parser its field declares: it reads the setting's
+text, from a flag, a config file or a figure ``--set``, and checks a value set
+in code, so ``validate`` adds only the rules between settings.  The figure
+parameters take the same parsers.  Every number written, to a CSV or as a
+``key = value`` line, goes through one cell rule, which refuses a number that
+is not finite and names its column or key.  A run's frames are described once
+too, as a frame source of one list of signals: the reply's parts
+(protocol.reply_signals) or a single burst at t = 0 in a t0 sweep, encoded by
+baseband.frame_parts.
 
 Everything here is deterministic for a given (config, seed).  Frame kind k of
 a grid point (k = 0: MCRB trials and the static frame of a detection trial,
@@ -51,7 +57,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -97,13 +102,13 @@ def _rng(seed: int) -> np.random.Generator:
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
+def _parse_bool(value) -> bool:
+    lowered = str(value).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {value!r}")
 
 
 def _parsed(key: str, parse, value):
@@ -114,65 +119,86 @@ def _parsed(key: str, parse, value):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {text.strip()!r}")
-    return value
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be a finite number, got {number}")
+    return number
 
 
-def _items(text: str) -> list[str]:
-    items = [x.strip() for x in text.split(",") if x.strip()]
+def _items(value) -> list:
+    """The items of a comma-separated text, or of a list set in code."""
+    if isinstance(value, str):
+        value = [x.strip() for x in value.split(",") if x.strip()]
+    items = list(value)
     if not items:
         raise ValueError("expected a comma-separated list")
     return items
 
 
 def _each(parse):
-    """Parser of a comma-separated list whose items ``parse`` reads."""
-    return lambda text: [parse(x) for x in _items(text)]
-
-
-_float_list = _each(_finite)
+    """Parser of a list whose items ``parse`` reads."""
+    return lambda value: [parse(x) for x in _items(value)]
 
 
 def _checked(parse, ok, rule: str):
-    """Parser that reads a value with ``parse`` and requires ``ok(value)``."""
-    def parse_checked(text: str):
-        value = parse(text)
-        if not ok(value):
-            raise ValueError(f"must be {rule}, got {text.strip()!r}")
-        return value
+    """Parser that reads a value with ``parse`` and requires ``ok(value)``;
+    ``rule`` completes the message 'must ...'."""
+    def parse_checked(value):
+        parsed = parse(value)
+        if not ok(parsed):
+            raise ValueError(f"must {rule}, got {parsed!r}")
+        return parsed
     return parse_checked
 
 
-_positive = _checked(_finite, lambda x: x > 0, "positive")
-_non_negative = _checked(_finite, lambda x: x >= 0, ">= 0")
+def _one_of(*choices: str):
+    """Parser of one of the strings ``choices``."""
+    return _checked(lambda value: str(value).strip(), choices.__contains__,
+                    f"be one of {', '.join(choices)}")
+
+
+_positive = _checked(_finite, lambda x: x > 0, "be positive")
+_non_negative = _checked(_finite, lambda x: x >= 0, "be >= 0")
 # Real links lie within about 0-150 dB-Hz of P_S/N0.  Within +-300 dB a dB
 # value's linear form, and the bounds of any Gen2 reply timing taken from it,
 # stay finite.
 _MAX_DB = 300.0
-_db = _checked(_finite, lambda x: abs(x) <= _MAX_DB, "in [-300, 300] dB")
+_db = _checked(_finite, lambda x: abs(x) <= _MAX_DB, "lie in [-300, 300] dB")
 # a receiver adds noise, so its noise figure is >= 0 dB and its noise density
 # no lower than the thermal floor
-_noise_figure = _checked(_finite, lambda x: 0 <= x <= _MAX_DB, "in [0, 300] dB")
+_noise_figure = _checked(_finite, lambda x: 0 <= x <= _MAX_DB, "lie in [0, 300] dB")
 _noise_density = _checked(_finite, lambda x: bounds.THERMAL_NOISE_DBM_HZ <= x <= _MAX_DB,
-                          "in [-174, 300] dBm/Hz")
+                          "lie in [-174, 300] dBm/Hz")
 # radio carriers from 1 MHz to 100 GHz, both UHF RFID bands (860-960 MHz)
 # and every figure default among them
-_carrier = _checked(_finite, lambda f: 1e6 <= f <= 1e11, "a carrier in [1e6, 1e11] Hz")
+_carrier = _checked(_finite, lambda f: 1e6 <= f <= 1e11, "be a carrier in [1e6, 1e11] Hz")
+# tag speeds below light, which keeps every Doppler shift below 2 f_c
+_speed = _checked(_finite, lambda v: 0 <= v < bounds.SPEED_OF_LIGHT,
+                  "lie in [0, 299792458) m/s")
+_moving_speed = _checked(_finite, lambda v: 0 < v < bounds.SPEED_OF_LIGHT,
+                         "lie in (0, 299792458) m/s")
+_p_err = _checked(_finite, lambda p: 0 < p < 0.5, "lie in (0, 0.5)")
+_blf = _checked(_finite, lambda f: protocol.BLF_MIN_HZ <= f <= protocol.BLF_MAX_HZ,
+                "lie in the Gen2 range [40e3, 640e3] Hz")
+_epc_bits = _checked(int, lambda bits: bits in (96, 128, 256), "be 96, 128 or 256")
+_part = _one_of("rn16", "epc", "both")
+_modulation = _one_of(*baseband.MODULATIONS)
+_waveform_model = _one_of(*baseband.WAVEFORM_MODELS)
 
 
 def _increasing(grid: list) -> list:
-    if len(grid) == 0:
-        raise ValueError("must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("values must be strictly increasing")
     return grid
 
 
-def _grid(text: str) -> list[float]:
-    return _increasing(_float_list(text))
+def _grid(value) -> list[float]:
+    return _increasing(_each(_finite)(value))
+
+
+def _speed_grid(value) -> list[float]:
+    return _increasing(_each(_moving_speed)(value))
 
 
 def _opt_str(text: str):
@@ -185,78 +211,59 @@ REFERENCE_PS_N0_DBHZ = 52.8
 # Trials of a run: 128 MiB per float64 array of their estimates, the budget of
 # the frame-size limit of baseband.
 _MAX_TRIALS = 1 << 24
+_trials = _checked(int, lambda n: 1 <= n <= _MAX_TRIALS, f"lie in [1, {_MAX_TRIALS}]")
 
 
 def _setting(default, parse):
-    """A config field whose text form, in a config file or a flag, ``parse`` reads."""
+    """A config field whose one rule is ``parse``: it reads the field's text
+    form, in a config file or a flag, and checks a value set in code."""
     return dataclasses.field(default=default, metadata={"parse": parse})
 
 
 @dataclass
 class ExperimentConfig:
     """The settings of a bounds or Monte Carlo run.  Each field declares its
-    name, default and the parser of its text form, which config files and the
-    CLI flags (whose dest is the field name) share."""
+    name, default and its one rule, the parser that config files, the CLI
+    flags (whose dest is the field name) and :meth:`validate` share."""
 
     mode_label: Optional[str] = _setting("Mode 290", _opt_str)
-    blf_hz: Optional[float] = _setting(None, _finite)
+    blf_hz: Optional[float] = _setting(None, _blf)
     encoding: Optional[str] = _setting(None, str)
     trext: bool = _setting(True, _parse_bool)
-    epc_bits: int = _setting(96, int)
+    epc_bits: int = _setting(96, _epc_bits)
     f_c_hz: float = _setting(868e6, _carrier)
-    p_err: float = _setting(1e-3, _finite)
+    p_err: float = _setting(1e-3, _p_err)
     ps_n0_dbhz: Optional[float] = _setting(None, _db)
     p_s_dbm: Optional[float] = _setting(None, _db)
     n0_dbm_hz: Optional[float] = _setting(None, _noise_density)
     nf_db: Optional[float] = _setting(None, _noise_figure)
-    v: float = _setting(1.0, _finite)
-    v_grid: Optional[list[float]] = _setting(None, _grid)
-    trials: int = _setting(1000, int)
+    v: float = _setting(1.0, _speed)
+    v_grid: Optional[list[float]] = _setting(None, _speed_grid)
+    trials: int = _setting(1000, _trials)
     seed: int = _setting(0, int)
-    waveform_model: str = _setting("gen2", str)
-    modulation: str = _setting("ask", str)
-    parts: str = _setting("both", str)
+    waveform_model: str = _setting("gen2", _waveform_model)
+    modulation: str = _setting("ask", _modulation)
+    parts: str = _setting("both", _part)
     sample_rate_hz: Optional[float] = _setting(None, _finite)
     ask_zeroing: bool = _setting(True, _parse_bool)
-    search_halfwidth_hz: float = _setting(200.0, _finite)
-    estimator_model: str = _setting("gaussian", str)
-    sigma_sq_hz2: Optional[float] = _setting(None, _finite)
-    sweep_param: Optional[str] = _setting(None, _opt_str)       # 'ps_n0_dbhz' or 't0_s'
+    search_halfwidth_hz: float = _setting(200.0, _positive)
+    estimator_model: str = _setting("gaussian", _one_of("gaussian", "baseband"))
+    sigma_sq_hz2: Optional[float] = _setting(None, _positive)
+    sweep_param: Optional[str] = _setting(None, _one_of("ps_n0_dbhz", "t0_s"))
     sweep_values: Optional[list[float]] = _setting(None, _grid)
 
     def validate(self) -> None:
+        """Check each set field by its own rule, then the rules between fields."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                _parsed(f.name, f.metadata["parse"], value)
         if self.mode_label is None and self.blf_hz is None:
             raise ConfigError("mode_label: give a catalog label or explicit blf_hz/encoding")
         if (self.blf_hz is None) != (self.encoding is None):
             raise ConfigError("blf_hz: blf_hz and encoding must be given together")
-        if self.epc_bits not in (96, 128, 256):
-            raise ConfigError(f"epc_bits: must be 96, 128 or 256, got {self.epc_bits}")
-        _parsed("f_c_hz", _carrier, str(self.f_c_hz))
-        if not 0.0 < self.p_err < 0.5:
-            raise ConfigError(f"p_err: must lie in (0, 0.5), got {self.p_err}")
-        if self.v < 0:
-            raise ConfigError(f"v: must be >= 0, got {self.v}")
-        if not 1 <= self.trials <= _MAX_TRIALS:
-            raise ConfigError(f"trials: must lie in [1, {_MAX_TRIALS}], got {self.trials}")
-        if self.modulation not in baseband.MODULATIONS:
-            raise ConfigError(f"modulation: must be one of {baseband.MODULATIONS}")
-        if self.waveform_model not in baseband.WAVEFORM_MODELS:
-            raise ConfigError(f"waveform_model: must be one of {baseband.WAVEFORM_MODELS}")
-        if self.parts not in ("rn16", "epc", "both"):
-            raise ConfigError(f"parts: must be rn16, epc or both, got {self.parts!r}")
-        if self.estimator_model not in ("gaussian", "baseband"):
-            raise ConfigError(f"estimator_model: must be gaussian or baseband")
-        if self.search_halfwidth_hz <= 0:
-            raise ConfigError(f"search_halfwidth_hz: must be positive")
-        if self.sigma_sq_hz2 is not None and self.sigma_sq_hz2 <= 0:
-            raise ConfigError(f"sigma_sq_hz2: must be positive, got {self.sigma_sq_hz2}")
-        for name in ("v_grid", "sweep_values"):
-            if getattr(self, name) is not None:
-                _parsed(name, _increasing, getattr(self, name))
         if (self.sweep_param is None) != (self.sweep_values is None):
             raise ConfigError("sweep_param: sweep_param and sweep_values go together")
-        if self.sweep_param is not None and self.sweep_param not in ("ps_n0_dbhz", "t0_s"):
-            raise ConfigError(f"sweep_param: must be ps_n0_dbhz or t0_s, got {self.sweep_param!r}")
         if self.sweep_param == "ps_n0_dbhz" and max(map(abs, self.sweep_values)) > _MAX_DB:
             raise ConfigError("sweep_values: must be in [-300, 300] dB in a ps_n0_dbhz sweep")
         if self.ps_n0_dbhz is not None and self.p_s_dbm is not None:
@@ -271,8 +278,8 @@ class ExperimentConfig:
             config.set_field(key, value)
         return config
 
-    def set_field(self, key: str, value: str) -> None:
-        """Set one field from its textual config form."""
+    def set_field(self, key: str, value) -> None:
+        """Set one field from its text form or a value, through its rule."""
         for f in dataclasses.fields(self):
             if f.name == key:
                 setattr(self, key, _parsed(key, f.metadata["parse"], value))
@@ -611,13 +618,14 @@ def run_detection_experiment(config: ExperimentConfig):
     estimation bound equals that variance.
     """
     mode = _simulation_mode(config)
+    # v_grid's rule takes moving tags only; v's also takes a tag at rest
+    if config.v_grid is None and config.v <= 0:
+        raise ConfigError(f"v: a detection run needs a moving tag, got {config.v}")
     f_c = config.f_c_hz
     comments = ["motion detection monte carlo"] + config.comment_lines()
     rows = []
     speeds = []     # (v, f_d, sigma_sq) per grid point
     for v in config.v_grid if config.v_grid is not None else [config.v]:
-        if v <= 0:
-            raise ConfigError(f"v_grid: speeds must be positive, got {v}")
         sigma_sq = config.sigma_sq_hz2 if config.sigma_sq_hz2 is not None \
             else bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, config.p_err))
         speeds.append((v, bounds.doppler_shift(v, f_c), sigma_sq))
@@ -672,8 +680,7 @@ def _figure4(params, trials, seed):
              "sigma_max_sq_hz2": bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, p))}
             for p in p_errs for v in v_grid]
     comments = [f"tolerable estimation variance over tag speed, f_c = {f_c:.12g} Hz"]
-    return comments, ["v_m_per_s", "p_err", "sigma_max_sq_hz2"], \
-        _finite_column(rows, "sigma_max_sq_hz2")
+    return comments, ["v_m_per_s", "p_err", "sigma_max_sq_hz2"], rows
 
 
 def _figure5(params, trials, seed):
@@ -703,7 +710,7 @@ def _figure5(params, trials, seed):
                             "emp_var_hz2": sim_rows[0]["emp_var_hz2"]})
             rows.append(row)
     comments = ["estimation variance bound over single-signal duration"]
-    return comments, fieldnames, _finite_column(rows, "mcrb_var_hz2")
+    return comments, fieldnames, rows
 
 
 def _figure7(params, trials, seed):
@@ -743,7 +750,7 @@ def _figure7(params, trials, seed):
             rows.append(row)
     comments = [f"two-part estimation variance bound over pause length at "
                 f"{ratio:.12g} dB-Hz (Miller-8, 40 kHz reply timings)"]
-    return comments, fieldnames, _finite_column(rows, "c_t_s3")
+    return comments, fieldnames, rows
 
 
 def _figure8(params, trials, seed):
@@ -757,8 +764,7 @@ def _figure8(params, trials, seed):
                 rows.append({"v_m_per_s": v, "p_err": p_err, "parts": parts,
                              "ps_n0_dbhz": bounds.required_ps_n0(v, c_t, f_c, p_err)})
     comments = ["required P_S/N0 over tag speed (Miller-8, 40 kHz)"]
-    return comments, ["v_m_per_s", "p_err", "parts", "ps_n0_dbhz"], \
-        _finite_column(rows, "ps_n0_dbhz")
+    return comments, ["v_m_per_s", "p_err", "parts", "ps_n0_dbhz"], rows
 
 
 def _figure9(params, trials, seed):
@@ -771,8 +777,7 @@ def _figure9(params, trials, seed):
             rows.append({"v_m_per_s": v, "encoding": mode.encoding.name, "blf_hz": blf,
                          "ps_n0_dbhz": bounds.required_ps_n0(v, c_t, f_c, p_err)})
     comments = [f"required P_S/N0 over tag speed per encoding and BLF, p_err = {p_err:.12g}"]
-    return comments, ["v_m_per_s", "encoding", "blf_hz", "ps_n0_dbhz"], \
-        _finite_column(rows, "ps_n0_dbhz")
+    return comments, ["v_m_per_s", "encoding", "blf_hz", "ps_n0_dbhz"], rows
 
 
 def _figure10(params, trials, seed):
@@ -784,7 +789,7 @@ def _figure10(params, trials, seed):
             for nf in params["nf_db_list"] for v in v_grid]
     comments = [f"required tag power over speed per noise figure "
                 f"({mode.label}, p_err = {p_err:.12g})"]
-    return comments, ["v_m_per_s", "nf_db", "p_s_dbm"], _finite_column(rows, "p_s_dbm")
+    return comments, ["v_m_per_s", "nf_db", "p_s_dbm"], rows
 
 
 def _figure11(params, trials, seed):
@@ -800,14 +805,7 @@ def _figure11(params, trials, seed):
                          "p_s_dbm": bounds.required_ps_dbm(v, c_t, f_c, p_err, nf_db)})
     comments = [f"required tag power over speed per EPC length (Mode 290, "
                 f"NF = {nf_db:.12g} dB)"]
-    return comments, ["v_m_per_s", "epc_bits", "p_s_dbm"], _finite_column(rows, "p_s_dbm")
-
-
-def _finite_column(rows: list, name: str) -> list:
-    """Return ``rows``; raise OverflowError where column ``name`` is not finite."""
-    if not all(map(math.isfinite, map(operator.itemgetter(name), rows))):
-        raise OverflowError(f"{name} is not finite")
-    return rows
+    return comments, ["v_m_per_s", "epc_bits", "p_s_dbm"], rows
 
 
 def _combos(text: str) -> list[tuple[str, float]]:
@@ -822,17 +820,6 @@ def _combos(text: str) -> list[tuple[str, float]]:
     return combos
 
 
-_p_err = _checked(_finite, lambda p: 0 < p < 0.5, "in (0, 0.5)")
-_blf = _checked(_finite, lambda f: protocol.BLF_MIN_HZ <= f <= protocol.BLF_MAX_HZ,
-                "in the Gen2 range [40e3, 640e3] Hz")
-_part = _checked(str, lambda part: part in ("rn16", "epc", "both"), "rn16, epc or both")
-_epc_bits = _checked(int, lambda bits: bits in (96, 128, 256), "96, 128 or 256")
-
-
-def _speed_grid(text: str) -> list[float]:
-    return _increasing(_each(_positive)(text))
-
-
 _SPEED_AXIS = {"f_c_hz": (_carrier, 868e6),
                "v_grid": (_speed_grid, _geomspace(0.01, 10.0, 61))}
 _P_ERR = {"p_err": (_p_err, 0.001)}
@@ -843,10 +830,11 @@ _FIGURES = {
     4: (_figure4, {**_SPEED_AXIS, "p_err_list": (_each(_p_err), [0.05, 0.01, 0.001])}),
     5: (_figure5, {"t0_grid_s": (_each(_positive), _geomspace(1e-4, 1e-1, 61)),
                    "ps_n0_dbhz_list": (_each(_db), [30.0, REFERENCE_PS_N0_DBHZ, 80.0]),
-                   "blf_hz": (_finite, 640_000.0), "encoding": (str, "FM0"),
-                   "modulation": (str, "ask"), "waveform_model": (str, "gen2"),
+                   "blf_hz": (_blf, 640_000.0), "encoding": (str, "FM0"),
+                   "modulation": (_modulation, "ask"),
+                   "waveform_model": (_waveform_model, "gen2"),
                    "sample_rate_hz": (_finite, None)}),
-    7: (_figure7, {"ps_n0_dbhz": (_db, REFERENCE_PS_N0_DBHZ), "modulation": (str, "ask"),
+    7: (_figure7, {"ps_n0_dbhz": (_db, REFERENCE_PS_N0_DBHZ), "modulation": (_modulation, "ask"),
                    "t_pause_grid_s": (_each(_non_negative), _geomspace(1e-4, 1.0, 61))}),
     8: (_figure8, {**_SPEED_AXIS, "p_err_list": (_each(_p_err), [0.05, 0.01, 0.001]),
                    "parts_list": (_each(_part), ["rn16", "epc", "both"])}),
@@ -869,11 +857,12 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
     purely closed-form and reject ``trials`` > 0; figures 5 and 7 optionally
     add Monte Carlo columns when ``trials`` > 0 (figure 7 simulates its marked
     operating point only) and check their simulation parameters either way.
-    ``overrides`` replaces parameter defaults; a string value is read by the
-    parameter's parser (the text form of ``--set KEY=VALUE``), any other
-    value is used as given.  Overrides that take the dataset out of
-    floating-point range (an overflow, a division by zero, an ``inf`` cell)
-    raise a ConfigError naming them.
+    ``overrides`` replaces parameter defaults; each value, the text form of
+    ``--set KEY=VALUE`` or a value set in code, goes through the parameter's
+    parser.  The rows may still leave floating-point range (an overflow, a
+    division by zero, an ``inf`` cell) where the overrides take them there:
+    the builders raise ArithmeticError or ValueError, or leave a non-finite
+    number that the writer refuses.
     """
     try:
         builder, params = _FIGURES[int(figure_id)]
@@ -890,17 +879,8 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
         if key not in params:
             raise ConfigError(f"{key}: unused key, figure {figure_id} takes "
                               f"{', '.join(params)}")
-        values[key] = _parsed(key, params[key][0], value) if isinstance(value, str) else value
-    try:
-        return builder(values, trials, seed)
-    except ConfigError:
-        raise
-    except (ArithmeticError, ValueError) as exc:
-        if not overrides:
-            raise
-        # the defaults stay in range, so the overrides took the values out of it
-        raise ConfigError(f"{', '.join(overrides)}: out of the range this figure can "
-                          f"compute ({exc})") from None
+        values[key] = _parsed(key, params[key][0], value)
+    return builder(values, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -916,27 +896,32 @@ def noise_figure_report(p_s_dbm: float = -95.8, ber: float = 1e-3,
             "ps_n0_dbhz": ratio, "n0_dbm_hz": n0, "nf_db": nf}
 
 
-def _format_value(value) -> str:
+def _format_value(name: str, value) -> str:
+    """The text of ``value`` in column or key ``name``: empty for None, 12
+    significant digits for a float, str() for anything else.  A float that
+    is not finite (also a numpy float64) raises a ValueError naming ``name``."""
     if value is None:
         return ""
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{name}: must be a finite number, got {value}")
         return format(value, ".12g")
     return str(value)
 
 
-def _column_text(values: list) -> list:
-    """The cells of one column, each as _format_value writes it.
+def _column_text(name: str, values: list) -> list:
+    """The cells of column ``name``, each as _format_value writes it.
 
-    A column of plain floats maps one format over its values ("%.12g" % x
-    and format(x, ".12g") print the same digits), a column of strings is
-    used as it is, and any other column is formatted cell by cell.
+    A column of finite plain floats maps one format over its values
+    ("%.12g" % x and format(x, ".12g") print the same digits), a column of
+    strings is used as it is, and any other column is formatted cell by cell.
     """
     types = set(map(type, values))
-    if types == {float}:
+    if types == {float} and all(map(math.isfinite, values)):
         return list(map("%.12g".__mod__, values))
     if types == {str}:
         return values
-    return list(map(_format_value, values))
+    return [_format_value(name, value) for value in values]
 
 
 def _write_lines(out, lines) -> None:
@@ -960,10 +945,16 @@ def write_csv(out, comments: Sequence[str], fieldnames: Sequence[str],
     A missing key or None is an empty cell, and floats have 12 significant
     digits.  Each column is gathered once and formatted by one rule chosen
     from its value types; the whole table then goes out in one write, so a
-    formatting error writes nothing.
+    formatting error, such as a number that is not finite, writes nothing.
     """
-    columns = [_column_text([row.get(name) for row in rows]) for name in fieldnames]
+    columns = [_column_text(name, [row.get(name) for row in rows]) for name in fieldnames]
     lines = [f"# {line}" for line in comments]
     lines.append(",".join(fieldnames))
     lines += map(",".join, zip(*columns))
     _write_lines(out, lines)
+
+
+def write_key_values(out, pairs) -> None:
+    """Write one ``key = value`` line per (key, value) pair to a path or a
+    stream, each value as write_csv writes a cell, in one write."""
+    _write_lines(out, [f"{key} = {_format_value(key, value)}" for key, value in pairs])

@@ -298,7 +298,13 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     (["simulate-mcrb", "--f-c", "1e5", "--trials", "3"], "f_c_hz"),
     (["bounds", "--p-s-dbm", "-95", "--n0", "-180"], "n0_dbm_hz"),
     (["vmin", "--p-s-dbm", "-95", "--n0", "-174.01"], "n0_dbm_hz"),
+    # speeds at or above light, whose bounds and Doppler shifts left
+    # floating-point range
+    (["bounds", "--v", "1e300"], "v"),
+    (["simulate-detect", "--v-grid", "1e300", "--trials", "5"], "v_grid"),
+    (["simulate-mcrb", "--v", "299792458", "--trials", "3"], "v"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypatch):
     # every input is checked before any frame is synthesized
     def no_frame(*args, **kwargs):
@@ -310,6 +316,36 @@ def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {key}: " in captured.err
+
+
+def test_a_detection_at_rest_names_the_speed_given(capsys):
+    assert main(["simulate-detect", "--v", "0", "--trials", "5"]) == 2
+    assert capsys.readouterr().err == ("config error: v: a detection run needs a moving "
+                                       "tag, got 0.0\n")
+    assert main(["simulate-detect", "--v-grid", "0,1", "--trials", "5"]) == 2
+    assert capsys.readouterr().err.startswith("config error: v_grid: must lie in (0, ")
+
+
+def test_an_overflowing_figure_column_names_the_keys_and_the_column(capsys, tmp_path):
+    # a pause of 1e300 s takes C_T beyond the float range; the writer refuses it
+    out = tmp_path / "fig7.csv"
+    out.write_text("kept\n", encoding="utf-8")
+    assert main(["figure", "7", "--set", "t_pause_grid_s=1e300", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: t_pause_grid_s: out of the range")
+    assert "c_t_s3: must be a finite number, got inf" in captured.err
+    assert out.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_a_figure_key_and_a_config_key_share_their_rule(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("modulation = qam\n", encoding="utf-8")
+    assert main(["simulate-mcrb", "--config", str(cfg)]) == 2
+    from_file = capsys.readouterr().err
+    assert main(["figure", "5", "--set", "modulation=qam"]) == 2
+    assert capsys.readouterr().err == from_file
+    assert from_file == "config error: modulation: must be one of ask, psk, got 'qam'\n"
 
 
 def test_trials_above_the_ceiling_exit_2_naming_trials(capsys):

@@ -96,6 +96,48 @@ def test_validate_names_the_offending_field(field, value, needle):
         config.validate()
 
 
+@pytest.mark.parametrize("name, text, value", [
+    ("blf_hz", "1e9", 1e9),
+    ("epc_bits", "200", 200),
+    ("f_c_hz", "1e5", 1e5),
+    ("p_err", "0.7", 0.7),
+    ("ps_n0_dbhz", "1e4", 1e4),
+    ("p_s_dbm", "-400", -400.0),
+    ("n0_dbm_hz", "-180", -180.0),
+    ("nf_db", "-5", -5.0),
+    ("v", "3e8", 3e8),
+    ("v_grid", "0.5,0", [0.5, 0.0]),
+    ("trials", "0", 0),
+    ("waveform_model", "square", "square"),
+    ("modulation", "qam", "qam"),
+    ("parts", "preamble", "preamble"),
+    ("search_halfwidth_hz", "0", 0.0),
+    ("estimator_model", "oracle", "oracle"),
+    ("sigma_sq_hz2", "-1", -1.0),
+    ("sweep_param", "bandwidth", "bandwidth"),
+    ("sweep_values", "2,1", [2.0, 1.0]),
+])
+def test_one_rule_per_setting(name, text, value):
+    # a setting's text form and a value set in code meet the same rule
+    with pytest.raises(ConfigError) as from_text:
+        ExperimentConfig().set_field(name, text)
+    config = ExperimentConfig()
+    setattr(config, name, value)
+    with pytest.raises(ConfigError) as from_value:
+        config.validate()
+    assert str(from_text.value).startswith(f"{name}: ")
+    assert str(from_value.value) == str(from_text.value)
+
+
+def test_speeds_lie_below_light():
+    c = bd.SPEED_OF_LIGHT
+    ExperimentConfig(v=0.0, v_grid=[1e-9, math.nextafter(c, 0.0)]).validate()
+    for config in (ExperimentConfig(v=c), ExperimentConfig(v_grid=[1.0, 1e300]),
+                   ExperimentConfig(v_grid=[0.0, 1.0])):
+        with pytest.raises(ConfigError, match="^v(_grid)?: must lie in "):
+            config.validate()
+
+
 def test_validate_sweep_pairing_and_link_conflicts():
     with pytest.raises(ConfigError, match="sweep_param"):
         ExperimentConfig(sweep_values=[1.0, 2.0]).validate()
@@ -601,6 +643,15 @@ def test_figure11_longer_epc_needs_less_power():
         assert b < a
 
 
+def test_figure_overrides_set_in_code_meet_the_text_rules():
+    as_text = X.figure_dataset(9, {"p_err": "0.01", "v_grid": "0.5,1"})
+    assert X.figure_dataset(9, {"p_err": 0.01, "v_grid": [0.5, 1.0]}) == as_text
+    for key, value in [("v_grid", [1.0, 0.5]), ("p_err", 0.7), ("v_grid", [0.0, 1.0]),
+                       ("f_c_hz", 1e300)]:
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            X.figure_dataset(9, {key: value})
+
+
 def test_figure_dataset_rejects_unknown_ids_and_keys():
     with pytest.raises(ConfigError, match="figure_id"):
         X.figure_dataset(6)
@@ -643,12 +694,13 @@ def test_write_csv_to_path(tmp_path):
 def per_cell_csv(comments, fieldnames, rows) -> str:
     """The CSV text write_csv writes, made one cell at a time."""
     lines = [f"# {line}" for line in comments] + [",".join(fieldnames)]
-    lines += [",".join(X._format_value(row.get(name)) for name in fieldnames) for row in rows]
+    lines += [",".join(X._format_value(name, row.get(name)) for name in fieldnames)
+              for row in rows]
     return "".join(line + "\n" for line in lines)
 
 
-EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 100.0, 1.0 / 3.0,
-               1.7e308, 2.5e-13]
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 100.0, 1.0 / 3.0, 1.7e308, 2.5e-13]
+NON_FINITE = [math.inf, -math.inf, math.nan]
 
 
 @pytest.mark.parametrize("comments, fieldnames, rows", [
@@ -683,8 +735,8 @@ def test_write_csv_prints_edge_floats_at_12_digits():
     buf = io.StringIO()
     X.write_csv(buf, [], ["x"], [{"x": x} for x in EDGE_FLOATS])
     assert buf.getvalue().splitlines()[1:] == [
-        "0", "-0", "inf", "-inf", "nan", "4.94065645841e-324", "1e+16", "100",
-        "0.333333333333", "1.7e+308", "2.5e-13"]
+        "0", "-0", "4.94065645841e-324", "1e+16", "100", "0.333333333333", "1.7e+308",
+        "2.5e-13"]
 
 
 def test_write_csv_leaves_an_existing_file_on_a_formatting_error(tmp_path):
@@ -697,3 +749,37 @@ def test_write_csv_leaves_an_existing_file_on_a_formatting_error(tmp_path):
     with pytest.raises(RuntimeError, match="no text form"):
         X.write_csv(path, ["note"], ["x"], [{"x": 1.0}, {"x": Unprintable()}])
     assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("bad", [float, np.float64])
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("column", [
+    [1.0, 2.0],             # a float column
+    [1.0, "", None, 3],     # a mixed column
+])
+def test_writers_refuse_non_finite_numbers(bad, value, column, tmp_path):
+    rows = [{"x": x, "y": "kept"} for x in column + [bad(value)]]
+    writes = []
+
+    class Stream:
+        write = writes.append
+
+    with pytest.raises(ValueError, match=r"^x: must be a finite number, got (-?inf|nan)$"):
+        X.write_csv(Stream(), ["note"], ["y", "x"], rows)
+    with pytest.raises(ValueError, match=r"^x: must be a finite number"):
+        X.write_key_values(Stream(), [("y", 1.0), ("x", bad(value))])
+    assert writes == []
+    path = tmp_path / "rows.csv"
+    path.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^x: "):
+        X.write_csv(path, [], ["x"], rows)
+    with pytest.raises(ValueError, match="^x: "):
+        X.write_key_values(path, [("x", bad(value))])
+    assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_write_key_values_prints_cells_as_write_csv_does():
+    buf = io.StringIO()
+    X.write_key_values(buf, [("a", 1.0 / 3.0), ("b", np.float64(2.5e-13)), ("m", 8),
+                             ("s", "true"), ("none", None)])
+    assert buf.getvalue() == "a = 0.333333333333\nb = 2.5e-13\nm = 8\ns = true\nnone = \n"
