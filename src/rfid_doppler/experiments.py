@@ -20,11 +20,15 @@ trial 0's sample noise, derived with an iterated SplitMix64 mix,
     derive_seed(master_seed, grid_index, 3 k + j), j = 0 bits, 1 block noise, 2 trial 0
 
 and every trial takes a fixed stride of each stream.  Trial i's bits are the
-i-th run of ceil(bits per frame / 64) raw words of the bits stream.  Trial 0
-synthesizes its frame sample by sample with per-sample noise (add_awgn).  The
-other trials run on the block sums the estimator reads, taken straight from
-the frames' states through the block table of their frame source: a run
-builds one table per source and rotates it to each other Doppler shift.
+i-th run of ceil(bits per frame / 64) raw words of the bits stream.  Before
+any trial runs, a run draws trial 0's bits at every grid point and frame kind,
+and where each trial's states give its block sums (gen2 ASK) also those of
+its first batch, and encodes all of them in one baseband.frame_parts call;
+the frame source itself encodes nothing.  Trial 0 synthesizes its frame
+sample by sample with per-sample noise (add_awgn).  The other trials run on
+the block sums the estimator reads, taken straight from the frames' states
+through the block table of their frame source: a run builds one table per
+source and rotates it to each other Doppler shift.
 Trial i adds the (i - 1)-th run of one complex value per block of the
 frame's block grid from the block noise stream (add_block_awgn), scaled to
 the noise of the block's summed samples (0 for a block without any).  Each
@@ -39,10 +43,11 @@ the other grid points, and re-runs give identical CSV.
 Where the noiseless block sums cannot differ between trials, the batches
 share one row of them and their trials draw no bits: rect frames carry no
 bits, and under PSK the wipe-off maps both states to amplitude +1 and keeps
-both in the mask, so every frame gives the same sums whatever its bits.  No
-trial after trial 0 reads the bits stream then, so trial i's strides, and
-with them every estimate, stay as they are; only gen2 ASK batches draw and
-encode their trials' bits.
+both in the mask, so every frame gives the same sums whatever its bits, and
+the shared row comes from any trial 0's frame.  No trial after trial 0 reads
+the bits stream then, so trial i's strides, and with them every estimate,
+stay as they are; only gen2 ASK batches after the first draw and encode
+their trials' bits.
 
 The keys depend on the master seed and the indices only.  Runs that differ
 only in modulation or ask_zeroing also take the same strides: they use common
@@ -57,6 +62,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -117,6 +123,14 @@ def _parsed(key: str, parse, value):
         return parse(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
+
+
+def _integer(value) -> int:
+    """An integer from its text or an integer value; a float, even 2.0, is refused."""
+    try:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"must be an integer, got {value!r}") from None
 
 
 def _finite(value) -> float:
@@ -181,7 +195,7 @@ _moving_speed = _checked(_finite, lambda v: 0 < v < bounds.SPEED_OF_LIGHT,
 _p_err = _checked(_finite, lambda p: 0 < p < 0.5, "lie in (0, 0.5)")
 _blf = _checked(_finite, lambda f: protocol.BLF_MIN_HZ <= f <= protocol.BLF_MAX_HZ,
                 "lie in the Gen2 range [40e3, 640e3] Hz")
-_epc_bits = _checked(int, lambda bits: bits in (96, 128, 256), "be 96, 128 or 256")
+_epc_bits = _checked(_integer, lambda bits: bits in (96, 128, 256), "be 96, 128 or 256")
 _part = _one_of("rn16", "epc", "both")
 _modulation = _one_of(*baseband.MODULATIONS)
 _waveform_model = _one_of(*baseband.WAVEFORM_MODELS)
@@ -201,8 +215,25 @@ def _speed_grid(value) -> list[float]:
     return _increasing(_each(_moving_speed)(value))
 
 
-def _opt_str(text: str):
-    return None if text.strip().lower() in ("", "none") else text.strip()
+def _encoding(name):
+    """An encoding name that protocol.encoding_from_name knows, as it is given."""
+    protocol.encoding_from_name(str(name))
+    return name
+
+
+def _mode_label(text) -> str:
+    """A label of the reader-mode catalog (protocol.find_reader_mode), stripped."""
+    label = str(text).strip()
+    try:
+        protocol.find_reader_mode(label)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    return label
+
+
+def _opt_mode_label(text) -> Optional[str]:
+    """A catalog label, or None for an empty text or 'none'."""
+    return None if str(text).strip().lower() in ("", "none") else _mode_label(text)
 
 
 # The paper-style defaults: European band, 0.1% error target, Mode 290, and
@@ -211,7 +242,7 @@ REFERENCE_PS_N0_DBHZ = 52.8
 # Trials of a run: 128 MiB per float64 array of their estimates, the budget of
 # the frame-size limit of baseband.
 _MAX_TRIALS = 1 << 24
-_trials = _checked(int, lambda n: 1 <= n <= _MAX_TRIALS, f"lie in [1, {_MAX_TRIALS}]")
+_trials = _checked(_integer, lambda n: 1 <= n <= _MAX_TRIALS, f"lie in [1, {_MAX_TRIALS}]")
 
 
 def _setting(default, parse):
@@ -226,9 +257,9 @@ class ExperimentConfig:
     name, default and its one rule, the parser that config files, the CLI
     flags (whose dest is the field name) and :meth:`validate` share."""
 
-    mode_label: Optional[str] = _setting("Mode 290", _opt_str)
+    mode_label: Optional[str] = _setting("Mode 290", _opt_mode_label)
     blf_hz: Optional[float] = _setting(None, _blf)
-    encoding: Optional[str] = _setting(None, str)
+    encoding: Optional[str] = _setting(None, _encoding)
     trext: bool = _setting(True, _parse_bool)
     epc_bits: int = _setting(96, _epc_bits)
     f_c_hz: float = _setting(868e6, _carrier)
@@ -240,7 +271,7 @@ class ExperimentConfig:
     v: float = _setting(1.0, _speed)
     v_grid: Optional[list[float]] = _setting(None, _speed_grid)
     trials: int = _setting(1000, _trials)
-    seed: int = _setting(0, int)
+    seed: int = _setting(0, _integer)
     waveform_model: str = _setting("gen2", _waveform_model)
     modulation: str = _setting("ask", _modulation)
     parts: str = _setting("both", _part)
@@ -392,14 +423,13 @@ class _FrameSource:
     A frame takes one row of ``n_bits`` random bits, the payload bits of its
     signals in order; rect frames take none (``n_bits`` = 0), so all their
     frames are the same.  ``parts`` turns an array of such rows, one frame
-    per row, or one frame's 1-D row, into the (kind, exact start time,
-    states) parts of the frame(s) (:func:`baseband.frame_parts`), which
-    :func:`baseband.synthesize_reply` samples at ``blf_hz``.  A part's state
-    count depends on its symbol count only, so all frames of a source share
-    one sample ``layout``, and every symbol the pattern ``symbol_half``
-    (:func:`baseband.symbol_half`); ``zero_bit_states`` are the concatenated
-    states of the frame whose bits are all 0, the states of every frame if
-    ``n_bits`` = 0.
+    per row, into the (kind, exact start time, states) parts of the frames
+    (:func:`baseband.frame_parts`), which :func:`baseband.synthesize_reply`
+    samples at ``blf_hz`` one row at a time.  A part's state count depends
+    on its symbol count only, 2M half-intervals a symbol, so all frames of a
+    source share one sample ``layout``, and every symbol the pattern
+    ``symbol_half`` (:func:`baseband.symbol_half`); the source encodes no
+    frame itself.
     """
 
     blf_hz: float
@@ -407,21 +437,20 @@ class _FrameSource:
     parts: Callable
     layout: baseband.FrameLayout
     symbol_half: np.ndarray
-    zero_bit_states: np.ndarray
 
 
 def _frame_source(config: ExperimentConfig, mode: protocol.ReaderMode,
                   signals: list) -> _FrameSource:
     """Frames of ``signals``, (kind, exact start time, symbol count) triples
     such as :func:`protocol.reply_signals` gives, in the configured waveform
-    model; the layout and zero-bit states come from one frame of all-0 bits."""
-    n_bits = sum(baseband.payload_bits(mode, config.waveform_model, signals))
-    parts = functools.partial(baseband.frame_parts, mode, config.waveform_model, signals)
-    built = parts(np.zeros(n_bits, dtype=np.int8))
-    return _FrameSource(mode.blf_hz, n_bits, parts,
-                        baseband.frame_layout(built, mode.blf_hz, config.sample_rate_hz),
-                        baseband.symbol_half(mode.encoding.spread_factor, config.waveform_model),
-                        np.concatenate([states for _, _, states in built]))
+    model; the layout comes from the signals' state counts."""
+    m, model = mode.encoding.spread_factor, config.waveform_model
+    # frame_layout reads a part's state count only, so a range stands in for its states
+    counts = [(kind, start, range(2 * m * n_symbols)) for kind, start, n_symbols in signals]
+    return _FrameSource(mode.blf_hz, sum(baseband.payload_bits(mode, model, signals)),
+                        functools.partial(baseband.frame_parts, mode, model, signals),
+                        baseband.frame_layout(counts, mode.blf_hz, config.sample_rate_hz),
+                        baseband.symbol_half(m, model))
 
 
 def _block_tables(config: ExperimentConfig, source: _FrameSource, shifts: list) -> dict:
@@ -448,31 +477,40 @@ def _repeated(row: estimator.BlockSums, rows: int) -> estimator.BlockSums:
                                  for a in (row.z, row.count, row.tau, row.span_s)))
 
 
+def _states(parts: list) -> np.ndarray:
+    """The states of every part of a batch of frames, one frame per row."""
+    return np.concatenate([states for _, _, states in parts], axis=1)
+
+
 def _trials(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
-            shared: Optional[estimator.BlockSums], ratio_dbhz: float, grid_index: int, k: int):
+            shared: Optional[estimator.BlockSums], bit_generator: np.random.BitGenerator,
+            trial0_parts: list, first_states: np.ndarray, ratio_dbhz: float,
+            grid_index: int, k: int):
     """Frame kind k of every trial of a grid point: trial 0's estimate, and the
     noisy block sums of the other trials.
 
     The frames come from ``source`` at the Doppler shift of ``table``, the
-    source's block table at that shift.  Trial 0 runs the sample-level
-    pipeline (synthesize, wipe off, estimate) at once.  The other trials
-    come from the returned generator in batches of at most
-    ``table.batch_rows``: each trial adds its stride of the block noise
-    stream to the block sums of its noiseless wiped frame.  Those block sums
-    are the one row ``shared`` by every trial when it is given; then these
-    trials draw no bits and encode nothing, which changes no estimate, as no
-    other trial reads the bits stream.  Otherwise each batch draws its
-    trials' bits and encodes them together.
+    source's block table at that shift.  :func:`_estimates` encodes the
+    parts of trial 0's frame, ``trial0_parts``, and the states of the first
+    batch of trials, ``first_states`` (no rows when the trials share one
+    row); ``bit_generator`` is the point's bits stream after their rows.
+    Trial 0 runs the sample-level pipeline
+    (synthesize, wipe off, estimate) at once.  The other trials come from the
+    returned generator in batches of at most ``table.batch_rows``: each trial
+    adds its stride of the block noise stream to the block sums of its
+    noiseless wiped frame.  Those block sums are the one row ``shared`` by
+    every trial when it is given; then these trials draw no bits and encode
+    nothing, which changes no estimate, as no other trial reads the bits
+    stream.  Otherwise the first batch takes ``first_states`` and each later
+    batch draws its trials' bits and encodes them together.
     """
-    bits_key, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
-    bit_generator = np.random.Philox(key=bits_key)
-    bits = _random_bits(bit_generator, 1, source.n_bits)[0]
+    _, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
     params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
                                     sample_rate_hz=config.sample_rate_hz, seed=sample_key)
     # trial 0's frame is a temporary: held in a local until the return, it
     # raised the page faults of an mcrb job from about 500 to 840
     trial0 = estimator.estimate_doppler(
-        estimator.wipe_modulation(baseband.synthesize_reply(source.parts(bits), source.blf_hz,
+        estimator.wipe_modulation(baseband.synthesize_reply(trial0_parts, source.blf_hz,
                                                             config.modulation, params),
                                   ask_zeroing=config.ask_zeroing),
         search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz
@@ -481,18 +519,19 @@ def _trials(config: ExperimentConfig, source: _FrameSource, table: estimator.Blo
     # every job (BENCH_12.json)
     noise_rng = _rng(noise_key)
 
-    def batches():
+    def batches(states):
         for first in range(1, config.trials, table.batch_rows):
             rows = min(table.batch_rows, config.trials - first)
             if shared is None:
-                bits = _random_bits(bit_generator, rows, source.n_bits)
-                blocks = table.blocks(np.concatenate(
-                    [states for _, _, states in source.parts(bits)], axis=1))
+                if states is None:
+                    states = _states(source.parts(_random_bits(bit_generator, rows,
+                                                               source.n_bits)))
+                blocks, states = table.blocks(states), None
             else:
                 blocks = _repeated(shared, rows)
             yield dataclasses.replace(blocks, z=baseband.add_block_awgn(
                 blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz, noise_rng))
-    return trial0, batches()
+    return trial0, batches(first_states)
 
 
 def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> list:
@@ -500,17 +539,41 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
 
     A point is (Doppler shift, link ratio in dB-Hz, grid index, frame kind);
     every shift is checked against the search window before any trial runs.
-    Where the noiseless block sums cannot differ between frames (the source
-    takes no bits, rect, or the table does not depend on the states, PSK),
-    each table's one row of them is computed once, for every point at its
-    shift.  Each point's trial 0 runs on its own (:func:`_trials`), then one
-    run-level search (:func:`estimator.search_rows`) covers the other trials
-    of every point, and its estimates are split back by point.
+    Before any trial, each point draws trial 0's row of its bits stream and,
+    where its table depends on the states (gen2 ASK), the rows of its first
+    batch; one :func:`baseband.frame_parts` call encodes them all.  Where the
+    noiseless block sums cannot differ between frames (the source takes no
+    bits, rect, or the table does not depend on the states, PSK), each
+    table's one row of them is computed once, for every point at its shift,
+    from any of these frames.  Each point's trial 0 then runs on its own
+    (:func:`_trials`), and one run-level search
+    (:func:`estimator.search_rows`) covers the other trials of every point;
+    its estimates are split back by point.
     """
     tables = _block_tables(config, source, list(dict.fromkeys(f_d for f_d, _, _, _ in points)))
-    shared = {f_d: None if source.n_bits > 0 and table.depends_on_states
-              else table.blocks(source.zero_bit_states[None]) for f_d, table in tables.items()}
-    runs = [_trials(config, source, tables[f_d], shared[f_d], *rest) for f_d, *rest in points]
+    own_rows = {f_d for f_d, table in tables.items()
+                if source.n_bits > 0 and table.depends_on_states}
+    streams, draws = [], []
+    for f_d, _, grid_index, k in points:
+        bit_generator = np.random.Philox(key=_stream_keys(config.seed, grid_index, k)[0])
+        first = min(tables[f_d].batch_rows, config.trials - 1) if f_d in own_rows else 0
+        draws.append(_random_bits(bit_generator, 1, source.n_bits))
+        if first:
+            draws.append(_random_bits(bit_generator, first, source.n_bits))
+        streams.append((bit_generator, first))
+    bits = np.concatenate(draws)
+    # rect parts hold the states of every frame in one row
+    parts = [(kind, start, np.broadcast_to(states, (len(bits), states.shape[-1])))
+             for kind, start, states in source.parts(bits)]
+    states = _states(parts)
+    shared = {f_d: None if f_d in own_rows else table.blocks(states[:1])
+              for f_d, table in tables.items()}
+    runs, row = [], 0
+    for (f_d, *rest), (bit_generator, first) in zip(points, streams):
+        runs.append(_trials(config, source, tables[f_d], shared[f_d], bit_generator,
+                            [(kind, start, part[row]) for kind, start, part in parts],
+                            states[row + 1:row + 1 + first], *rest))
+        row += 1 + first
     later = estimator.search_rows(itertools.chain.from_iterable(batches for _, batches in runs),
                                   search_halfwidth_hz=config.search_halfwidth_hz)
     return [np.append(trial0, rest)
@@ -830,7 +893,7 @@ _FIGURES = {
     4: (_figure4, {**_SPEED_AXIS, "p_err_list": (_each(_p_err), [0.05, 0.01, 0.001])}),
     5: (_figure5, {"t0_grid_s": (_each(_positive), _geomspace(1e-4, 1e-1, 61)),
                    "ps_n0_dbhz_list": (_each(_db), [30.0, REFERENCE_PS_N0_DBHZ, 80.0]),
-                   "blf_hz": (_blf, 640_000.0), "encoding": (str, "FM0"),
+                   "blf_hz": (_blf, 640_000.0), "encoding": (_encoding, "FM0"),
                    "modulation": (_modulation, "ask"),
                    "waveform_model": (_waveform_model, "gen2"),
                    "sample_rate_hz": (_finite, None)}),
@@ -843,7 +906,7 @@ _FIGURES = {
                                         ("Miller8", 640e3), ("Miller8", 40e3)])}),
     10: (_figure10, {**_SPEED_AXIS, **_P_ERR,
                      "nf_db_list": (_each(_noise_figure), [0.0, 5.0, 10.0, 15.0, 20.0, 25.4]),
-                     "mode_label": (str, "Mode 290")}),
+                     "mode_label": (_mode_label, "Mode 290")}),
     11: (_figure11, {**_SPEED_AXIS, **_P_ERR, "nf_db": (_noise_figure, 25.4),
                      "epc_bits_list": (_each(_epc_bits), [96, 128, 256])}),
 }

@@ -116,6 +116,8 @@ def test_validate_names_the_offending_field(field, value, needle):
     ("sigma_sq_hz2", "-1", -1.0),
     ("sweep_param", "bandwidth", "bandwidth"),
     ("sweep_values", "2,1", [2.0, 1.0]),
+    ("encoding", "bogus", "bogus"),
+    ("mode_label", "Mode 999", "Mode 999"),
 ])
 def test_one_rule_per_setting(name, text, value):
     # a setting's text form and a value set in code meet the same rule
@@ -127,6 +129,48 @@ def test_one_rule_per_setting(name, text, value):
         config.validate()
     assert str(from_text.value).startswith(f"{name}: ")
     assert str(from_value.value) == str(from_text.value)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("trials", 2.5), ("trials", 3.0), ("seed", 1.7), ("seed", np.float64(2.0)),
+    ("epc_bits", 96.5), ("epc_bits", 96.0),
+])
+def test_integer_settings_refuse_every_other_number(name, value):
+    # int() would truncate a float and leave the run to fail on it
+    with pytest.raises(ConfigError, match=f"^{name}: must be an integer, got "):
+        ExperimentConfig(**{name: value}).validate()
+    with pytest.raises(ConfigError, match=f"^{name}: must be an integer, got '{value}'$"):
+        ExperimentConfig().set_field(name, str(value))
+    ExperimentConfig(**{name: np.int64(96)}).validate()
+
+
+def test_a_fractional_trial_count_fails_as_a_config_error():
+    config = ExperimentConfig(mode_label="Mode 204", p_err=0.05, trials=2.5,
+                              estimator_model="baseband", modulation="psk")
+    with pytest.raises(ConfigError, match="^trials: must be an integer, got 2.5$"):
+        X.run_detection_experiment(config)
+
+
+@pytest.mark.parametrize("config, name", [
+    (ExperimentConfig(blf_hz=40e3, encoding="bogus", mode_label=None), "encoding"),
+    (ExperimentConfig(mode_label="Mode 999"), "mode_label"),
+])
+def test_names_are_checked_by_their_own_fields(config, name):
+    with pytest.raises(ConfigError, match=f"^{name}: "):
+        config.validate()
+
+
+def test_name_settings_keep_their_text():
+    # the config echo of every CSV header prints the text as given
+    config = ExperimentConfig()
+    config.set_field("encoding", "miller-8")
+    config.set_field("mode_label", "Mode 204")
+    assert (config.encoding, config.mode_label) == ("miller-8", "Mode 204")
+    config.set_field("mode_label", "none")
+    assert config.mode_label is None
+    config.set_field("blf_hz", "40e3")
+    config.validate()
+    assert "encoding = miller-8" in config.comment_lines()
 
 
 def test_speeds_lie_below_light():
@@ -437,6 +481,66 @@ def test_only_gen2_ask_trials_after_trial_0_draw_bits(monkeypatch, modulation, w
     # trial 0 takes one row of RN16 + EPC + CRC bits, an empty row for rect frames
     assert drawn[0] == (1, 0 if waveform == "rect" else 16 + 96 + 16)
     assert [rows for rows, count in drawn if count] == [1, 13, 13, 13][:calls]
+
+
+def counting_frame_parts(monkeypatch):
+    """The number of rows of every baseband.frame_parts call from now on."""
+    rows = []
+    frame_parts = B.frame_parts
+
+    def counting(mode, waveform_model, signals, bits):
+        rows.append(np.shape(bits)[0])
+        return frame_parts(mode, waveform_model, signals, bits)
+
+    monkeypatch.setattr(B, "frame_parts", counting)
+    return rows
+
+
+@pytest.mark.parametrize("model", ["gen2", "rect"])
+@pytest.mark.parametrize("mode, signals", [
+    (P.find_reader_mode("Mode 204"), P.reply_signals(P.find_reader_mode("Mode 204"), "both")),
+    (P.ReaderMode("m8", 40e3, P.MILLER8), P.reply_signals(P.ReaderMode("m8", 40e3, P.MILLER8),
+                                                          "epc")),
+    (P.ReaderMode("m4", 160e3, P.MILLER4), [("burst", 0, 40)]),
+], ids=["mode204-both", "miller8-epc", "miller4-burst"])
+def test_a_frame_source_encodes_nothing(monkeypatch, model, mode, signals):
+    # its layout comes from the signals' state counts, the layout of every frame
+    encoded = counting_frame_parts(monkeypatch)
+    config = ExperimentConfig(mode_label=None, blf_hz=mode.blf_hz, encoding=mode.encoding.name,
+                              waveform_model=model)
+    source = X._frame_source(config, mode, signals)
+    assert encoded == []
+    frame = B.frame_parts(mode, model, signals, np.ones(source.n_bits, dtype=np.int8))
+    layout = B.frame_layout(frame, mode.blf_hz)
+    assert source.layout.n_samples == layout.n_samples
+    assert [e.tolist() for e in source.layout.edges] == [e.tolist() for e in layout.edges]
+
+
+@pytest.mark.parametrize("run, config, encoded", [
+    # the benchmark's Mode 204 PSK detection: trial 0 of 3 speeds x 2 frame kinds
+    (X.run_detection_experiment,
+     ExperimentConfig(mode_label="Mode 204", p_err=0.05, v_grid=[0.5, 1.0, 2.0], trials=10,
+                      estimator_model="baseband", modulation="psk", seed=4), [6]),
+    # the benchmark's Miller-8 ASK job: trial 0 and its first batch of 19,
+    # all its trials (39 frames per batch)
+    (X.run_mcrb_experiment,
+     ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="miller-8", parts="both",
+                      modulation="ask", ps_n0_dbhz=52.8, trials=20, seed=4), [20]),
+    # 3 ratios of 100 trials in batches of 39: trial 0 and the first batch of
+    # each ratio up front, then each later batch on its own
+    (X.run_mcrb_experiment,
+     ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="miller-8", parts="both",
+                      modulation="ask", trials=100, seed=4, sweep_param="ps_n0_dbhz",
+                      sweep_values=[50.0, 52.8, 60.0]), [3 * 40] + [39, 21] * 3),
+    (X.run_mcrb_experiment,
+     ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="miller-8", parts="both",
+                      modulation="psk", trials=100, seed=4, sweep_param="ps_n0_dbhz",
+                      sweep_values=[50.0, 52.8, 60.0]), [3]),
+], ids=["detect-mode204-psk", "mcrb-miller8-ask", "mcrb-sweep-ask-batches", "mcrb-sweep-psk"])
+def test_a_run_encodes_trial_0_of_every_point_in_one_call(monkeypatch, run, config, encoded):
+    found = counting_frame_parts(monkeypatch)
+    run(config)
+    assert found == encoded
 
 
 @pytest.mark.parametrize("kind", ["mcrb", "detect"])
