@@ -494,15 +494,15 @@ def _trials(config: ExperimentConfig, source: _FrameSource, table: estimator.Blo
     parts of trial 0's frame, ``trial0_parts``, and the states of the first
     batch of trials, ``first_states`` (no rows when the trials share one
     row); ``bit_generator`` is the point's bits stream after their rows.
-    Trial 0 runs the sample-level pipeline
-    (synthesize, wipe off, estimate) at once.  The other trials come from the
-    returned generator in batches of at most ``table.batch_rows``: each trial
-    adds its stride of the block noise stream to the block sums of its
-    noiseless wiped frame.  Those block sums are the one row ``shared`` by
-    every trial when it is given; then these trials draw no bits and encode
-    nothing, which changes no estimate, as no other trial reads the bits
-    stream.  Otherwise the first batch takes ``first_states`` and each later
-    batch draws its trials' bits and encodes them together.
+    Trial 0 runs the sample-level pipeline (synthesize, wipe off, estimate)
+    at once.  The other trials come from the returned generator in batches
+    of at most ``table.batch_rows``: each trial adds its stride of the block
+    noise stream to the block sums of its noiseless wiped frame.  Those
+    block sums are the one row ``shared`` by every trial when it is given;
+    then these trials draw no bits and encode nothing, which changes no
+    estimate, as no other trial reads the bits stream.  Otherwise the first
+    batch takes ``first_states`` and each later batch draws its trials' bits
+    and encodes them together.
     """
     _, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
     params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
@@ -553,15 +553,12 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
     tables = _block_tables(config, source, list(dict.fromkeys(f_d for f_d, _, _, _ in points)))
     own_rows = {f_d for f_d, table in tables.items()
                 if source.n_bits > 0 and table.depends_on_states}
-    streams, draws = [], []
-    for f_d, _, grid_index, k in points:
-        bit_generator = np.random.Philox(key=_stream_keys(config.seed, grid_index, k)[0])
-        first = min(tables[f_d].batch_rows, config.trials - 1) if f_d in own_rows else 0
-        draws.append(_random_bits(bit_generator, 1, source.n_bits))
-        if first:
-            draws.append(_random_bits(bit_generator, first, source.n_bits))
-        streams.append((bit_generator, first))
-    bits = np.concatenate(draws)
+    streams = [(np.random.Philox(key=_stream_keys(config.seed, grid_index, k)[0]),
+                min(tables[f_d].batch_rows, config.trials - 1) if f_d in own_rows else 0)
+               for f_d, _, grid_index, k in points]
+    # trial 0's row and the first batch's rows of each point, in stream order
+    bits = np.concatenate([_random_bits(bit_generator, rows, source.n_bits)
+                           for bit_generator, first in streams for rows in (1, first) if rows])
     # rect parts hold the states of every frame in one row
     parts = [(kind, start, np.broadcast_to(states, (len(bits), states.shape[-1])))
              for kind, start, states in source.parts(bits)]
