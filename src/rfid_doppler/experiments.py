@@ -25,13 +25,14 @@ any trial runs, a run draws trial 0's bits at every grid point and frame kind,
 and where each trial's states give its block sums (gen2 ASK) also those of
 its first batch, and encodes all of them in one baseband.frame_parts call;
 the frame source itself encodes nothing.  Trial 0 synthesizes its frame
-sample by sample with per-sample noise (add_awgn).  The other trials run on
-the block sums the estimator reads, taken straight from the frames' states
-through the block table of their frame source: a run builds one table per
-source and rotates it to each other Doppler shift.
-Trial i adds the (i - 1)-th run of one complex value per block of the
-frame's block grid from the block noise stream (add_block_awgn), scaled to
-the noise of the block's summed samples (0 for a block without any).  Each
+sample by sample with per-sample noise (add_awgn), after the other trials,
+so that a run never holds their rows and its frame at once.  The others run
+on the block sums the estimator reads, taken straight from the frames'
+states through the block table of their frame source: a run builds one
+table per source and rotates it to each other Doppler shift.  Trial i adds
+the (i - 1)-th run of one complex value per block of the frame's block
+grid from the block noise stream (add_block_awgn), scaled to the noise of
+the block's summed samples (0 for a block without any).  Each
 grid point and frame kind makes its trials' noisy block sums in batches that
 bound memory, a batch drawing its trials' strides in one call per stream,
 the same numbers as one trial after another.  One peak search then covers
@@ -482,56 +483,51 @@ def _states(parts: list) -> np.ndarray:
     return np.concatenate([states for _, _, states in parts], axis=1)
 
 
-def _trials(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
-            shared: Optional[estimator.BlockSums], bit_generator: np.random.BitGenerator,
-            trial0_parts: list, first_states: np.ndarray, ratio_dbhz: float,
-            grid_index: int, k: int):
-    """Frame kind k of every trial of a grid point: trial 0's estimate, and the
-    noisy block sums of the other trials.
-
-    The frames come from ``source`` at the Doppler shift of ``table``, the
-    source's block table at that shift.  :func:`_estimates` encodes the
-    parts of trial 0's frame, ``trial0_parts``, and the states of the first
-    batch of trials, ``first_states`` (no rows when the trials share one
-    row); ``bit_generator`` is the point's bits stream after their rows.
-    Trial 0 runs the sample-level pipeline (synthesize, wipe off, estimate)
-    at once.  The other trials come from the returned generator in batches
-    of at most ``table.batch_rows``: each trial adds its stride of the block
-    noise stream to the block sums of its noiseless wiped frame.  Those
-    block sums are the one row ``shared`` by every trial when it is given;
-    then these trials draw no bits and encode nothing, which changes no
-    estimate, as no other trial reads the bits stream.  Otherwise the first
-    batch takes ``first_states`` and each later batch draws its trials' bits
-    and encodes them together.
-    """
-    _, noise_key, sample_key = _stream_keys(config.seed, grid_index, k)
+def _trial0(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
+            parts: list, ratio_dbhz: float, grid_index: int, k: int) -> float:
+    """Trial 0's estimate at a grid point: its frame, the ``parts`` of one
+    row of ``source`` at the Doppler shift of ``table``, runs the
+    sample-level pipeline (synthesize with per-sample noise, wipe off,
+    estimate)."""
     params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
-                                    sample_rate_hz=config.sample_rate_hz, seed=sample_key)
-    # trial 0's frame is a temporary: held in a local until the return, it
-    # raised the page faults of an mcrb job from about 500 to 840
-    trial0 = estimator.estimate_doppler(
-        estimator.wipe_modulation(baseband.synthesize_reply(trial0_parts, source.blf_hz,
+                                    sample_rate_hz=config.sample_rate_hz,
+                                    seed=_stream_keys(config.seed, grid_index, k)[2])
+    # the frame is a temporary: held in a local until the return, it raised
+    # the page faults of an mcrb job from about 500 to 840
+    return estimator.estimate_doppler(
+        estimator.wipe_modulation(baseband.synthesize_reply(parts, source.blf_hz,
                                                             config.modulation, params),
                                   ask_zeroing=config.ask_zeroing),
         search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz
-    # made here rather than in the generator: where these small allocations
-    # fall decides whether glibc trims the heap, and with it page faults of
-    # every job (BENCH_12.json)
-    noise_rng = _rng(noise_key)
 
-    def batches(states):
-        for first in range(1, config.trials, table.batch_rows):
-            rows = min(table.batch_rows, config.trials - first)
-            if shared is None:
-                if states is None:
-                    states = _states(source.parts(_random_bits(bit_generator, rows,
-                                                               source.n_bits)))
-                blocks, states = table.blocks(states), None
-            else:
-                blocks = _repeated(shared, rows)
-            yield dataclasses.replace(blocks, z=baseband.add_block_awgn(
-                blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz, noise_rng))
-    return trial0, batches(first_states)
+
+def _batches(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
+             shared: Optional[estimator.BlockSums], bit_generator: np.random.BitGenerator,
+             states: np.ndarray, ratio_dbhz: float, grid_index: int, k: int):
+    """The noisy block sums of trials 1 and up of frame kind k at a grid
+    point, in batches of at most ``table.batch_rows``.
+
+    The frames come from ``source`` at the Doppler shift of ``table``, the
+    source's block table at that shift.  Each trial adds its stride of the
+    block noise stream to the block sums of its noiseless wiped frame.
+    Those block sums are the one row ``shared`` by every trial when it is
+    given; then these trials draw no bits and encode nothing, which changes
+    no estimate, as no other trial reads the bits stream.  Otherwise the
+    first batch takes ``states``, which :func:`_estimates` encodes, and each
+    later batch draws its trials' bits from ``bit_generator`` and encodes
+    them together.
+    """
+    noise_rng = _rng(_stream_keys(config.seed, grid_index, k)[1])
+    for first in range(1, config.trials, table.batch_rows):
+        rows = min(table.batch_rows, config.trials - first)
+        if shared is None:
+            if states is None:
+                states = _states(source.parts(_random_bits(bit_generator, rows, source.n_bits)))
+            blocks, states = table.blocks(states), None
+        else:
+            blocks = _repeated(shared, rows)
+        yield dataclasses.replace(blocks, z=baseband.add_block_awgn(
+            blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz, noise_rng))
 
 
 def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> list:
@@ -545,10 +541,10 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
     noiseless block sums cannot differ between frames (the source takes no
     bits, rect, or the table does not depend on the states, PSK), each
     table's one row of them is computed once, for every point at its shift,
-    from any of these frames.  Each point's trial 0 then runs on its own
-    (:func:`_trials`), and one run-level search
-    (:func:`estimator.search_rows`) covers the other trials of every point;
-    its estimates are split back by point.
+    from any of these frames.  One run-level search
+    (:func:`estimator.search_rows`) covers trials 1 and up of every point
+    (:func:`_batches`), and each point's trial 0 then runs on its own
+    (:func:`_trial0`).
     """
     tables = _block_tables(config, source, list(dict.fromkeys(f_d for f_d, _, _, _ in points)))
     own_rows = {f_d for f_d, table in tables.items()
@@ -565,16 +561,21 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
     states = _states(parts)
     shared = {f_d: None if f_d in own_rows else table.blocks(states[:1])
               for f_d, table in tables.items()}
-    runs, row = [], 0
-    for (f_d, *rest), (bit_generator, first) in zip(points, streams):
-        runs.append(_trials(config, source, tables[f_d], shared[f_d], bit_generator,
-                            [(kind, start, part[row]) for kind, start, part in parts],
-                            states[row + 1:row + 1 + first], *rest))
-        row += 1 + first
-    later = estimator.search_rows(itertools.chain.from_iterable(batches for _, batches in runs),
+    rows = list(itertools.accumulate((1 + first for _, first in streams), initial=0))
+    # trial 0 runs last, on copies of its rows, so that a job never holds a
+    # batch and trial 0's frame-sized arrays at once: held together, they made
+    # glibc trim the heap after each mcrb job and fault it back in the next
+    # (about 440 minor page faults a job against 15)
+    trial0 = [[(kind, start, part[row].copy()) for kind, start, part in parts] for row in rows[:-1]]
+    batches = [_batches(config, source, tables[f_d], shared[f_d], bit_generator,
+                        states[row + 1:row + 1 + first], *rest)
+               for (f_d, *rest), (bit_generator, first), row in zip(points, streams, rows)]
+    del bits, parts, states
+    later = estimator.search_rows(itertools.chain.from_iterable(batches),
                                   search_halfwidth_hz=config.search_halfwidth_hz)
-    return [np.append(trial0, rest)
-            for (trial0, _), rest in zip(runs, later.reshape(len(points), config.trials - 1))]
+    return [np.append(_trial0(config, source, tables[f_d], frame, *rest), found)
+            for (f_d, *rest), frame, found in zip(points, trial0,
+                                                  later.reshape(len(points), config.trials - 1))]
 
 
 def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) -> int:

@@ -308,7 +308,7 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     assert np.all(np.abs(six - f_d) < 1.0)
     # two frames per block-sum batch (6 table rows of 277 symbol slots per
     # frame): runs of 4 and 6 trials end inside a batch and cross batch
-    # boundaries, and one search after trial 0's covers all their batches
+    # boundaries, and one search before trial 0's covers all their batches
     # (42 rows of 116 blocks per chunk)
     batches, searches = [], []
     blocks, search = E.BlockTable.blocks, E.search_peak
@@ -326,10 +326,10 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3 * 6 * 277 - 1)
     assert np.array_equal(estimates(4), six[:4])
     assert batches == [2, 1]
-    assert searches == [(1, 116), (3, 116)]
+    assert searches == [(3, 116), (1, 116)]
     assert np.array_equal(estimates(6), six)
     assert batches == [2, 1, 2, 2, 1]
-    assert searches == [(1, 116), (3, 116), (1, 116), (5, 116)]
+    assert searches == [(3, 116), (1, 116), (5, 116), (1, 116)]
 
 
 def per_trial_estimates(config, source, table, ratio_dbhz, k):
@@ -394,14 +394,14 @@ def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
 
     monkeypatch.setattr(E, "search_peak", recording_search)
     X._estimates(config, source, points)
-    assert searches == [(1, 3)] * 6 + [(54, 3)]
+    assert searches == [(54, 3)] + [(1, 3)] * 6
     # chunks of 7 rows: the 54 rows of trials 1-9 at 6 points take 8 searches,
     # and 6 of the 7 chunk boundaries fall inside a point's 9 rows
     monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 7 * 3)
     searches.clear()
     chunked = X._estimates(config, source, points)
     assert all(np.array_equal(a, b) for a, b in zip(chunked, together))
-    assert searches == [(1, 3)] * 6 + [(7, 3)] * 7 + [(5, 3)]
+    assert searches == [(7, 3)] * 7 + [(5, 3)] + [(1, 3)] * 6
     assert all(rows * blocks <= E._CHUNK_ELEMENTS for rows, blocks in searches)
 
 
