@@ -148,11 +148,10 @@ def rect_states(n_symbols: int, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Doppler shift, link quality, sampling and randomness of one frame."""
+    """Doppler shift, link quality and randomness of one frame."""
 
     f_d_hz: float
     ps_n0_dbhz: Optional[float]       # None synthesizes a noiseless frame
-    sample_rate_hz: Optional[float] = None   # None -> default_sample_rate(blf)
     seed: int = 0
 
 
@@ -166,18 +165,16 @@ class FrameTruth:
 
 @dataclass
 class BasebandFrame:
-    """Sampled complex baseband reply plus its exact state layout.
+    """Sampled complex baseband reply plus the state of every sample.
 
     ``sample_state`` holds the backscatter state per sample (-1 during the
-    pause and any trailing fill).  ``part_slices`` are [start, end) sample
-    index pairs per signal part.
+    pause and any trailing fill); where each part lies is in the
+    :class:`FrameLayout` the frame was sampled on.
     """
 
     sample_rate_hz: float
     samples: np.ndarray
     sample_state: np.ndarray
-    part_slices: list[tuple[int, int]]
-    part_kinds: list[str]
     truth: FrameTruth
 
     @property
@@ -340,24 +337,22 @@ def payload_bits(mode: protocol.ReaderMode, waveform_model: str, signals: Sequen
     return [n_symbols - framing for _, _, n_symbols in signals]
 
 
-def frame_parts(mode: protocol.ReaderMode, waveform_model: str, signals: Sequence[tuple],
-                bits: Optional[Sequence[int]]) -> list:
-    """(kind, exact start time, states) of each signal of a frame.
+def frame_states(mode: protocol.ReaderMode, waveform_model: str, signals: Sequence[tuple],
+                 bits: Optional[Sequence[int]]) -> np.ndarray:
+    """The states of every signal of a frame, concatenated in signal order.
 
     ``signals`` are (kind, exact start time, symbol count) triples, such as
     :func:`protocol.reply_signals` gives.  Under 'gen2' a row of ``bits``
     holds the payload bits of every signal in order (:func:`payload_bits`),
     which the mode's FM0/Miller scheme encodes with preamble and end symbol;
-    a 2-D array holds one frame per row and gives 2-D states, one row per
-    frame.  'rect' ignores ``bits`` and emits the data-independent
-    reflect/absorb symbol pattern of the simplified model, 1-D states the
-    same for every frame.
+    a 2-D array holds one frame per row and gives one row of states each.
+    'rect' ignores ``bits`` and gives the data-independent reflect/absorb
+    symbol pattern of the simplified model, one 1-D row for every frame.
     """
     sizes = payload_bits(mode, waveform_model, signals)
     enc = mode.encoding
     if waveform_model == "rect":
-        return [(kind, start, rect_states(n_symbols, enc.spread_factor))
-                for kind, start, n_symbols in signals]
+        return rect_states(sum(n_symbols for _, _, n_symbols in signals), enc.spread_factor)
     bits = _as_bits([] if bits is None else bits, "bits")
     if bits.shape[-1] != sum(sizes):
         raise ValueError(f"bits: expected rows of {sum(sizes)} payload bits, got {bits.shape[-1]}")
@@ -365,42 +360,42 @@ def frame_parts(mode: protocol.ReaderMode, waveform_model: str, signals: Sequenc
     def encode(row):
         return encode_miller(row, enc.spread_factor, mode.trext) if enc.is_miller \
             else encode_fm0(row, mode.trext)
-    rows = np.split(bits, np.cumsum(sizes)[:-1], axis=-1)
-    return [(kind, start, encode(row)) for (kind, start, _), row in zip(signals, rows)]
+    return np.concatenate([encode(row) for row in np.split(bits, np.cumsum(sizes)[:-1], axis=-1)],
+                          axis=-1)
 
 
-def synthesize_reply(parts: Sequence[tuple], blf_hz: float, modulation: str,
+def synthesize_reply(states: np.ndarray, layout: FrameLayout, modulation: str,
                      params: ChannelParams) -> BasebandFrame:
     """Sample, modulate, Doppler-rotate and (optionally) add noise to one frame.
 
-    ``parts`` is a list of (kind, exact start time, 1-D state-per-half-interval
-    array) triples on the 1/(2 BLF) grid, such as :func:`frame_parts` gives.
+    ``states`` is one row of states per half-interval, every part's in
+    order, such as :func:`frame_states` gives; ``layout`` places each part's
+    share of them on the sample grid.
     """
-    layout = frame_layout(parts, blf_hz, params.sample_rate_hz)
-    fs = layout.sample_rate_hz
+    n_states = [edges.size - 1 for edges in layout.edges]
+    states = np.asarray(states)
+    if states.shape != (sum(n_states),) or not states.size:
+        raise ValueError(f"states: a sampled frame takes one row of the {sum(n_states)} states "
+                         f"of its layout, got shape {states.shape}")
     sample_state = np.full(layout.n_samples, -1, dtype=np.int8)
-    part_slices: list[tuple[int, int]] = []
-    for (kind, _, states), edges in zip(parts, layout.edges):
-        if states.ndim != 1 or states.size == 0:
-            raise ValueError(f"{kind}: a sampled frame takes the bits of one frame, "
-                             f"got states of shape {states.shape}")
-        i0, i1 = int(edges[0]), int(edges[-1])
-        sample_state[i0:i1] = np.repeat(states, np.diff(edges))
-        part_slices.append((i0, i1))
+    for part, edges in zip(np.split(states, np.cumsum(n_states)[:-1]), layout.edges):
+        sample_state[edges[0]:edges[-1]] = np.repeat(part, np.diff(edges))
 
     # state -1 (pause and fill) indexes the trailing 0
     samples = np.array([*amplitudes(modulation), 0.0])[sample_state]
+    fs = layout.sample_rate_hz
     _rotate_uniform(samples, params.f_d_hz, fs)
 
     if params.ps_n0_dbhz is not None:
         samples = add_awgn(samples, params.ps_n0_dbhz, fs, params.seed)
 
     return BasebandFrame(sample_rate_hz=fs, samples=samples, sample_state=sample_state,
-                         part_slices=part_slices, part_kinds=[kind for kind, _, _ in parts],
                          truth=FrameTruth(f_d_hz=params.f_d_hz, modulation=modulation))
 
 
 def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
                      params: ChannelParams) -> BasebandFrame:
-    """Synthesize one part of prebuilt 0/1 ``states`` starting at t = 0."""
-    return synthesize_reply([("burst", Fraction(0), states)], blf_hz, modulation, params)
+    """Synthesize one part of prebuilt 0/1 ``states`` starting at t = 0, at
+    the default sample rate."""
+    return synthesize_reply(states, frame_layout([("burst", Fraction(0), states)], blf_hz),
+                            modulation, params)

@@ -203,9 +203,12 @@ def _cmd_simulate_detect(args) -> int:
 
 
 def _cmd_noise_figure(args) -> int:
+    # only the flags given: noise_figure_report's signature holds the defaults
     values = {key: experiments._parsed(key, experiments._finite, getattr(args, key))
-              for key in ("p_s_dbm", "ber", "blf_hz")}
-    report = experiments.noise_figure_report(**values, m=args.m)
+              for key in ("p_s_dbm", "ber", "blf_hz") if getattr(args, key) is not None}
+    if args.m is not None:
+        values["m"] = args.m
+    report = experiments.noise_figure_report(**values)
     experiments.write_key_values(args.out or sys.stdout, report.items())
     return 0
 
@@ -248,10 +251,10 @@ def _simulate_detect_arguments(sp):
 
 
 def _noise_figure_arguments(sp):
-    sp.add_argument("--p-s-dbm", dest="p_s_dbm", default="-95.8")
-    sp.add_argument("--ber", default="1e-3")
-    sp.add_argument("--blf", dest="blf_hz", default="160e3")
-    sp.add_argument("--m", type=int, choices=(1, 2, 4, 8), default=8,
+    sp.add_argument("--p-s-dbm", dest="p_s_dbm")
+    sp.add_argument("--ber")
+    sp.add_argument("--blf", dest="blf_hz")
+    sp.add_argument("--m", type=int, choices=(1, 2, 4, 8),
                     help="spread factor: 1 (FM0), 2, 4 or 8")
     _add_output(sp)
 

@@ -9,8 +9,9 @@ parameters take the same parsers.  Every number written, to a CSV or as a
 ``key = value`` line, goes through one cell rule, which refuses a number that
 is not finite and names its column or key.  A run's frames are described once
 too, as a frame source of one list of signals: the reply's parts
-(protocol.reply_signals) or a single burst at t = 0 in a t0 sweep, encoded by
-baseband.frame_parts.
+(protocol.reply_signals) or a single burst at t = 0 in a t0 sweep.  A frame's
+states are one row, every signal's in order (baseband.frame_states), and the
+source lays the signals out on the sample grid once, for all its frames.
 
 Everything here is deterministic for a given (config, seed).  Frame kind k of
 a grid point (k = 0: MCRB trials and the static frame of a detection trial,
@@ -23,13 +24,14 @@ and every trial takes a fixed stride of each stream.  Trial i's bits are the
 i-th run of ceil(bits per frame / 64) raw words of the bits stream.  Before
 any trial runs, a run draws trial 0's bits at every grid point and frame kind,
 and where each trial's states give its block sums (gen2 ASK) also those of
-its first batch, and encodes all of them in one baseband.frame_parts call;
-the frame source itself encodes nothing.  Trial 0 synthesizes its frame
-sample by sample with per-sample noise (add_awgn), after the other trials,
-so that a run never holds their rows and its frame at once.  The others run
-on the block sums the estimator reads, taken straight from the frames'
-states through the block table of their frame source: a run builds one
-table per source and rotates it to each other Doppler shift.  Trial i adds
+its first batch, and encodes all of them in one baseband.frame_states call;
+the frame source itself encodes nothing.  Trial 0 samples its row on the
+source's layout with per-sample noise (synthesize_reply, add_awgn), after
+the other trials, so that a run never holds their rows and its frame at
+once.  The others run on the block sums the estimator reads, taken
+straight from the frames' states through the block table of their frame
+source: a run builds one table per source and rotates it to each other
+Doppler shift.  Trial i adds
 the (i - 1)-th run of one complex value per block of the frame's block
 grid from the block noise stream (add_block_awgn), scaled to the noise of
 the block's summed samples (0 for a block without any).  Each
@@ -423,19 +425,19 @@ class _FrameSource:
 
     A frame takes one row of ``n_bits`` random bits, the payload bits of its
     signals in order; rect frames take none (``n_bits`` = 0), so all their
-    frames are the same.  ``parts`` turns an array of such rows, one frame
-    per row, into the (kind, exact start time, states) parts of the frames
-    (:func:`baseband.frame_parts`), which :func:`baseband.synthesize_reply`
-    samples at ``blf_hz`` one row at a time.  A part's state count depends
-    on its symbol count only, 2M half-intervals a symbol, so all frames of a
-    source share one sample ``layout``, and every symbol the pattern
+    frames are the same.  ``states`` turns an array of such rows, one frame
+    per row, into one row of states per frame, every signal's in order
+    (:func:`baseband.frame_states`; rect: one 1-D row for every frame).  A
+    signal's state count depends on its symbol count only, 2M
+    half-intervals a symbol, so all frames of a source share one sample
+    ``layout``, on which :func:`baseband.synthesize_reply` samples a row and
+    from which the block table takes its sums, and every symbol the pattern
     ``symbol_half`` (:func:`baseband.symbol_half`); the source encodes no
     frame itself.
     """
 
-    blf_hz: float
     n_bits: int
-    parts: Callable
+    states: Callable
     layout: baseband.FrameLayout
     symbol_half: np.ndarray
 
@@ -448,8 +450,8 @@ def _frame_source(config: ExperimentConfig, mode: protocol.ReaderMode,
     m, model = mode.encoding.spread_factor, config.waveform_model
     # frame_layout reads a part's state count only, so a range stands in for its states
     counts = [(kind, start, range(2 * m * n_symbols)) for kind, start, n_symbols in signals]
-    return _FrameSource(mode.blf_hz, sum(baseband.payload_bits(mode, model, signals)),
-                        functools.partial(baseband.frame_parts, mode, model, signals),
+    return _FrameSource(sum(baseband.payload_bits(mode, model, signals)),
+                        functools.partial(baseband.frame_states, mode, model, signals),
                         baseband.frame_layout(counts, mode.blf_hz, config.sample_rate_hz),
                         baseband.symbol_half(m, model))
 
@@ -478,24 +480,18 @@ def _repeated(row: estimator.BlockSums, rows: int) -> estimator.BlockSums:
                                  for a in (row.z, row.count, row.tau, row.span_s)))
 
 
-def _states(parts: list) -> np.ndarray:
-    """The states of every part of a batch of frames, one frame per row."""
-    return np.concatenate([states for _, _, states in parts], axis=1)
-
-
 def _trial0(config: ExperimentConfig, source: _FrameSource, table: estimator.BlockTable,
-            parts: list, ratio_dbhz: float, grid_index: int, k: int) -> float:
-    """Trial 0's estimate at a grid point: its frame, the ``parts`` of one
-    row of ``source`` at the Doppler shift of ``table``, runs the
-    sample-level pipeline (synthesize with per-sample noise, wipe off,
+            states: np.ndarray, ratio_dbhz: float, grid_index: int, k: int) -> float:
+    """Trial 0's estimate at a grid point: its frame, one row of ``states``
+    of ``source`` at the Doppler shift of ``table``, runs the sample-level
+    pipeline (sample on the source's layout with per-sample noise, wipe off,
     estimate)."""
     params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
-                                    sample_rate_hz=config.sample_rate_hz,
                                     seed=_stream_keys(config.seed, grid_index, k)[2])
     # the frame is a temporary: held in a local until the return, it raised
     # the page faults of an mcrb job from about 500 to 840
     return estimator.estimate_doppler(
-        estimator.wipe_modulation(baseband.synthesize_reply(parts, source.blf_hz,
+        estimator.wipe_modulation(baseband.synthesize_reply(states, source.layout,
                                                             config.modulation, params),
                                   ask_zeroing=config.ask_zeroing),
         search_halfwidth_hz=config.search_halfwidth_hz).f_hat_hz
@@ -522,7 +518,7 @@ def _batches(config: ExperimentConfig, source: _FrameSource, table: estimator.Bl
         rows = min(table.batch_rows, config.trials - first)
         if shared is None:
             if states is None:
-                states = _states(source.parts(_random_bits(bit_generator, rows, source.n_bits)))
+                states = source.states(_random_bits(bit_generator, rows, source.n_bits))
             blocks, states = table.blocks(states), None
         else:
             blocks = _repeated(shared, rows)
@@ -537,14 +533,14 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
     every shift is checked against the search window before any trial runs.
     Before any trial, each point draws trial 0's row of its bits stream and,
     where its table depends on the states (gen2 ASK), the rows of its first
-    batch; one :func:`baseband.frame_parts` call encodes them all.  Where the
+    batch; one :func:`baseband.frame_states` call encodes them all.  Where the
     noiseless block sums cannot differ between frames (the source takes no
     bits, rect, or the table does not depend on the states, PSK), each
     table's one row of them is computed once, for every point at its shift,
     from any of these frames.  One run-level search
     (:func:`estimator.search_rows`) covers trials 1 and up of every point
-    (:func:`_batches`), and each point's trial 0 then runs on its own
-    (:func:`_trial0`).
+    (:func:`_batches`), and each point's trial 0 then samples a copy of its
+    row on the source's layout (:func:`_trial0`).
     """
     tables = _block_tables(config, source, list(dict.fromkeys(f_d for f_d, _, _, _ in points)))
     own_rows = {f_d for f_d, table in tables.items()
@@ -555,10 +551,8 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
     # trial 0's row and the first batch's rows of each point, in stream order
     bits = np.concatenate([_random_bits(bit_generator, rows, source.n_bits)
                            for bit_generator, first in streams for rows in (1, first) if rows])
-    # rect parts hold the states of every frame in one row
-    parts = [(kind, start, np.broadcast_to(states, (len(bits), states.shape[-1])))
-             for kind, start, states in source.parts(bits)]
-    states = _states(parts)
+    states = source.states(bits)
+    states = np.broadcast_to(states, (len(bits), states.shape[-1]))   # rect: one row for all
     shared = {f_d: None if f_d in own_rows else table.blocks(states[:1])
               for f_d, table in tables.items()}
     rows = list(itertools.accumulate((1 + first for _, first in streams), initial=0))
@@ -566,11 +560,11 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
     # batch and trial 0's frame-sized arrays at once: held together, they made
     # glibc trim the heap after each mcrb job and fault it back in the next
     # (about 440 minor page faults a job against 15)
-    trial0 = [[(kind, start, part[row].copy()) for kind, start, part in parts] for row in rows[:-1]]
+    trial0 = [states[row].copy() for row in rows[:-1]]
     batches = [_batches(config, source, tables[f_d], shared[f_d], bit_generator,
                         states[row + 1:row + 1 + first], *rest)
                for (f_d, *rest), (bit_generator, first), row in zip(points, streams, rows)]
-    del bits, parts, states
+    del bits, states
     later = estimator.search_rows(itertools.chain.from_iterable(batches),
                                   search_halfwidth_hz=config.search_halfwidth_hz)
     return [np.append(_trial0(config, source, tables[f_d], frame, *rest), found)

@@ -47,17 +47,31 @@ def merged_runs(states) -> list[tuple[int, int]]:
     return runs
 
 
-def reply_parts(mode, waveform, bits16, bits_epc, parts="both"):
-    """(kind, start, states) of the selected parts of a reply, from the RN16
+def reply_states(mode, waveform, bits16, bits_epc, parts="both"):
+    """One row of the states of the selected parts of a reply, from the RN16
     bits and the EPC bits (CRC included); rect replies take no bits."""
     signals = P.reply_signals(mode, parts)
     bits = {"rn16": bits16, "epc": bits_epc}
     row = None if waveform == "rect" else np.concatenate(
         [np.asarray(bits[kind]) for kind, _, _ in signals], axis=-1)
-    return B.frame_parts(mode, waveform, signals, row)
+    return B.frame_states(mode, waveform, signals, row)
 
 
-def reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts="both"):
-    """The sampled reply of :func:`reply_parts`."""
-    return B.synthesize_reply(reply_parts(mode, waveform, bits16, bits_epc, parts),
-                              mode.blf_hz, modulation, params)
+def reply_layout(mode, parts="both", fs=None):
+    """The sample layout of the selected parts of a reply at ``fs`` (None:
+    the default rate), from their state counts, 2M half-intervals a symbol."""
+    m = mode.encoding.spread_factor
+    return B.frame_layout([(kind, start, range(2 * m * n_symbols))
+                           for kind, start, n_symbols in P.reply_signals(mode, parts)],
+                          mode.blf_hz, fs)
+
+
+def part_slices(layout):
+    """[start, end) sample indices of each part of a layout."""
+    return [(int(edges[0]), int(edges[-1])) for edges in layout.edges]
+
+
+def reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts="both", fs=None):
+    """The reply of :func:`reply_states` sampled on :func:`reply_layout`."""
+    return B.synthesize_reply(reply_states(mode, waveform, bits16, bits_epc, parts),
+                              reply_layout(mode, parts, fs), modulation, params)

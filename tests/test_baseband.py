@@ -6,15 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import merged_runs, reply_frame
+from conftest import merged_runs, part_slices, reply_frame, reply_layout, reply_states
 from rfid_doppler import baseband as B
 from rfid_doppler import protocol as P
 
 MILLER8_40K = P.ReaderMode("m8-40k", 40e3, P.MILLER8)
 
 
-def noiseless(f_d=0.0, fs=None, seed=0):
-    return B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=None, sample_rate_hz=fs, seed=seed)
+def noiseless(f_d=0.0, seed=0):
+    return B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=None, seed=seed)
 
 
 def two_part_frame(modulation="ask", waveform="gen2", mode=MILLER8_40K, f_d=0.0,
@@ -22,9 +22,9 @@ def two_part_frame(modulation="ask", waveform="gen2", mode=MILLER8_40K, f_d=0.0,
     rng = np.random.Generator(np.random.Philox(key=42))
     bits16 = rng.integers(0, 2, 16)
     bits_epc = rng.integers(0, 2, mode.epc_bits + 16)
-    params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ps_n0, sample_rate_hz=fs, seed=seed)
+    params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ps_n0, seed=seed)
     return reply_frame(mode, modulation, waveform, bits16, bits_epc,
-                       params, parts=parts)
+                       params, parts=parts, fs=fs)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_noiseless_average_power_over_parts_is_unity(modulation, waveform):
     frame = two_part_frame(modulation, waveform)
     energy = 0.0
     duration = 0.0
-    for i0, i1 in frame.part_slices:
+    for i0, i1 in part_slices(reply_layout(MILLER8_40K)):
         energy += float(np.sum(np.abs(frame.samples[i0:i1]) ** 2)) / frame.sample_rate_hz
         duration += (i1 - i0) / frame.sample_rate_hz
     assert energy / duration == pytest.approx(1.0, rel=5e-3)
@@ -234,9 +234,10 @@ def test_fm0_ask_power_stays_within_the_parity_wobble():
         bits_epc = rng.integers(0, 2, 112)
         frame = reply_frame(mode, "ask", "gen2", bits16, bits_epc,
                             noiseless(), parts="both")
+        slices = part_slices(reply_layout(mode))
         energy = sum(float(np.sum(np.abs(frame.samples[i0:i1]) ** 2))
-                     for i0, i1 in frame.part_slices) / frame.sample_rate_hz
-        duration = sum((i1 - i0) for i0, i1 in frame.part_slices) / frame.sample_rate_hz
+                     for i0, i1 in slices) / frame.sample_rate_hz
+        duration = sum((i1 - i0) for i0, i1 in slices) / frame.sample_rate_hz
         worst = max(worst, abs(energy / duration - 1.0))
     assert worst <= bound * (1 + 1e-9)
 
@@ -245,12 +246,13 @@ def test_two_part_layout_and_sample_count():
     frame = two_part_frame()
     timing = P.reply_timing(MILLER8_40K)
     fs = Fraction(frame.sample_rate_hz)
-    assert frame.part_kinds == ["rn16", "epc"]
-    assert frame.part_slices[0][0] == 0
-    assert frame.part_slices[1][0] == round((timing.t_rn16 + timing.t_pause) * fs)
+    slices = part_slices(reply_layout(MILLER8_40K))
+    assert len(slices) == 2
+    assert slices[0][0] == 0
+    assert slices[1][0] == round((timing.t_rn16 + timing.t_pause) * fs)
     assert frame.n_samples == math.ceil((timing.t_rn16 + timing.t_pause + timing.t_epc) * fs)
     # pause samples carry no signal state
-    gap = slice(frame.part_slices[0][1], frame.part_slices[1][0])
+    gap = slice(slices[0][1], slices[1][0])
     assert np.all(frame.sample_state[gap] == -1)
     assert np.all(frame.samples[gap] == 0)
 
@@ -258,7 +260,7 @@ def test_two_part_layout_and_sample_count():
 def test_single_part_selection():
     frame = two_part_frame(parts="epc")
     timing = P.reply_timing(MILLER8_40K)
-    assert frame.part_kinds == ["epc"]
+    assert len(reply_layout(MILLER8_40K, "epc").edges) == 1
     assert frame.n_samples == math.ceil(timing.t_epc * Fraction(frame.sample_rate_hz))
 
 
@@ -271,7 +273,7 @@ def test_doppler_rotation_preserves_magnitude():
 def test_gen2_miller_and_rect_share_the_reflect_budget():
     for waveform in ("gen2", "rect"):
         frame = two_part_frame("ask", waveform)
-        for i0, i1 in frame.part_slices:
+        for i0, i1 in part_slices(reply_layout(MILLER8_40K)):
             states = frame.sample_state[i0:i1]
             assert int(np.sum(states == 1)) == (i1 - i0) // 2
 
@@ -283,8 +285,7 @@ def test_default_sample_rate_is_16_per_transition_interval():
 
 def test_sample_rate_below_four_per_transition_is_rejected():
     with pytest.raises(ValueError, match="sample_rate_hz"):
-        reply_frame(MILLER8_40K, "ask", "rect", None, None,
-                    B.ChannelParams(0.0, None, sample_rate_hz=100e3))
+        reply_frame(MILLER8_40K, "ask", "rect", None, None, noiseless(), fs=100e3)
     # exactly 4 samples per transition interval is the least allowed rate
     for blf in (40e3, 105e3, 640e3):
         B.check_sample_rate(8.0 * blf, blf)
@@ -294,12 +295,12 @@ def test_sample_rate_below_four_per_transition_is_rejected():
 
 
 def test_non_multiple_sample_rate_still_snaps_consistently():
-    params = B.ChannelParams(0.0, None, sample_rate_hz=1.0e6)  # not 32*BLF
     frame = reply_frame(MILLER8_40K, "ask", "rect", None, None,
-                        params, parts="rn16")
+                        noiseless(), parts="rn16", fs=1.0e6)  # not 32*BLF
+    (_, end), = part_slices(reply_layout(MILLER8_40K, "rn16", 1.0e6))
     # every sample belongs to exactly one state; totals match the duration
-    assert np.all(frame.sample_state[:frame.part_slices[0][1]] >= 0)
-    assert frame.part_slices[0][1] == round(7.8e-3 * 1.0e6)
+    assert np.all(frame.sample_state[:end] >= 0)
+    assert end == round(7.8e-3 * 1.0e6)
 
 
 def test_bits_length_contract():
@@ -311,7 +312,7 @@ def test_bits_length_contract():
                     [0] * 96, noiseless(), parts="epc")  # missing CRC bits
     # the encoders take a batch of bit rows, a sampled frame only one row
     for rows in (1, 2):
-        with pytest.raises(ValueError, match="rn16: a sampled frame takes the bits of one frame"):
+        with pytest.raises(ValueError, match="^states: a sampled frame takes one row"):
             reply_frame(MILLER8_40K, "ask", "gen2", [[0, 1] * 8] * rows,
                         [[0, 1] * 56] * rows, noiseless())
 
@@ -458,12 +459,13 @@ def test_part_slices_and_sample_state_follow_the_half_interval_grid():
     fs = Fraction(frame.sample_rate_hz)
     half = Fraction(1, 2) / Fraction(40e3)
     starts = [Fraction(0), timing.t_rn16 + timing.t_pause]
-    for (i0, i1), start, states in zip(frame.part_slices, starts, encoded, strict=True):
+    slices = part_slices(reply_layout(MILLER8_40K))
+    for (i0, i1), start, states in zip(slices, starts, encoded, strict=True):
         edges = [round((start + j * half) * fs) for j in range(states.size + 1)]
         assert (i0, i1) == (edges[0], edges[-1])
         for state, a, b in zip(states, edges, edges[1:]):
             assert b > a and np.all(frame.sample_state[a:b] == state)
-    (_, pause_start), (pause_end, end) = frame.part_slices
+    (_, pause_start), (pause_end, end) = slices
     assert pause_end - pause_start == round(timing.t_pause * fs)
     assert np.all(frame.sample_state[pause_start:pause_end] == -1)
     assert np.all(frame.sample_state[end:] == -1)
@@ -472,11 +474,11 @@ def test_part_slices_and_sample_state_follow_the_half_interval_grid():
 def test_synthesize_burst_single_part():
     states = B.rect_states(40, 8)
     frame = B.synthesize_burst(states, 40e3, "ask", noiseless())
-    assert frame.part_kinds == ["burst"]
+    assert np.all(frame.sample_state >= 0)
     assert frame.n_samples == 40 * round(frame.sample_rate_hz * 8 / 40e3)
     assert float(np.mean(np.abs(frame.samples) ** 2)) == pytest.approx(1.0, rel=1e-12)
     for states in (np.zeros(0, dtype=np.int8), np.zeros((2, 8), dtype=np.int8)):
-        with pytest.raises(ValueError, match="^burst: a sampled frame takes the bits of one"):
+        with pytest.raises(ValueError, match="^states: a sampled frame takes one row"):
             B.synthesize_burst(states, 40e3, "ask", noiseless())
 
 
@@ -497,22 +499,33 @@ def test_one_signal_burst_spec_gives_the_burst_frame(mode, waveform):
     params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=50.0, seed=4)
     signals = [("burst", Fraction(0), 40)]
     assert B.payload_bits(mode, waveform, signals) == [n_bits if waveform == "gen2" else 0]
-    spec = B.synthesize_reply(B.frame_parts(mode, waveform, signals, bits), mode.blf_hz, "ask",
-                              params)
+    spec_states = B.frame_states(mode, waveform, signals, bits)
+    assert np.array_equal(spec_states, states)
+    layout = B.frame_layout([("burst", Fraction(0), spec_states)], mode.blf_hz)
+    spec = B.synthesize_reply(spec_states, layout, "ask", params)
     burst = B.synthesize_burst(states, mode.blf_hz, "ask", params)
-    assert spec.part_kinds == burst.part_kinds == ["burst"]
-    assert spec.part_slices == burst.part_slices
+    assert spec.n_samples == burst.n_samples == layout.n_samples
     assert np.array_equal(spec.sample_state, burst.sample_state)
     assert np.array_equal(spec.samples, burst.samples)
 
 
-def test_frame_parts_rejects_a_wrong_bit_count():
+def test_synthesize_reply_takes_one_row_of_its_layouts_states():
+    layout = reply_layout(MILLER8_40K)
+    states = reply_states(MILLER8_40K, "rect", None, None)
+    assert B.synthesize_reply(states, layout, "ask", noiseless()).n_samples == layout.n_samples
+    for bad in (states[:-1], np.append(states, 0), np.stack([states, states]), states[None]):
+        with pytest.raises(ValueError, match="^states: a sampled frame takes one row of the "
+                                             f"{states.size} states of its layout"):
+            B.synthesize_reply(bad, layout, "ask", noiseless())
+
+
+def test_frame_states_rejects_a_wrong_bit_count():
     signals = P.reply_signals(MILLER8_40K, "both")
     assert B.payload_bits(MILLER8_40K, "gen2", signals) == [16, 112]
     for bits in ([0] * 127, [[0] * 129] * 2, None):
         with pytest.raises(ValueError, match="^bits: "):
-            B.frame_parts(MILLER8_40K, "gen2", signals, bits)
+            B.frame_states(MILLER8_40K, "gen2", signals, bits)
     with pytest.raises(ValueError, match="^bits: bits must be 0 or 1"):
-        B.frame_parts(MILLER8_40K, "gen2", signals, [2] * 128)
-    rows = B.frame_parts(MILLER8_40K, "gen2", signals, np.zeros((3, 128), dtype=np.int8))
-    assert [states.shape[0] for _, _, states in rows] == [3, 3]
+        B.frame_states(MILLER8_40K, "gen2", signals, [2] * 128)
+    rows = B.frame_states(MILLER8_40K, "gen2", signals, np.zeros((3, 128), dtype=np.int8))
+    assert rows.shape == (3, 2 * 8 * sum(n for _, _, n in signals))

@@ -43,6 +43,18 @@ def test_noise_figure_defaults(capsys):
     assert float(values["ps_n0_dbhz"]) == pytest.approx(52.81, abs=0.01)
 
 
+def test_noise_figure_without_flags_prints_what_the_readme_flags_print(capsys):
+    # the defaults live in noise_figure_report's signature only
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    command, = [line.split() for line in readme.splitlines()
+                if line.startswith("rfid-doppler noise-figure ")]
+    assert len(command) > 2
+    assert main(command[1:]) == 0
+    flagged = capsys.readouterr().out
+    assert main(["noise-figure"]) == 0
+    assert capsys.readouterr().out == flagged
+
+
 def test_vmin_headline_number(capsys):
     assert main(["vmin", "--mode", "Mode 290", "--p-s-dbm", "-95.8",
                  "--n0", "-148.6", "--p-err", "1e-3", "--f-c", "868e6"]) == 0

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import reply_frame, reply_parts
+from conftest import part_slices, reply_frame, reply_layout, reply_states
 from rfid_doppler import baseband as B
 from rfid_doppler import bounds as bd
 from rfid_doppler import estimator as E
@@ -45,7 +45,7 @@ def test_psk_wipe_leaves_a_pure_tone():
     residual = np.abs(wiped.samples[wiped.support_mask] - tone[wiped.support_mask])
     assert float(residual.max()) <= 1e-12
     # full part spans stay in the mask
-    for i0, i1 in frame.part_slices:
+    for i0, i1 in part_slices(reply_layout(MILLER8_40K)):
         assert wiped.support_mask[i0:i1].all()
 
 
@@ -76,7 +76,8 @@ def test_wipe_masks_out_the_pause_in_all_cases():
     for modulation in ("ask", "psk"):
         frame = make_frame(modulation, ps_n0=60.0, seed=2)
         wiped = E.wipe_modulation(frame)
-        gap = slice(frame.part_slices[0][1], frame.part_slices[1][0])
+        (_, pause_start), (pause_end, _) = part_slices(reply_layout(MILLER8_40K))
+        gap = slice(pause_start, pause_end)
         assert not wiped.support_mask[gap].any()
         assert np.all(wiped.samples[gap] == 0)
 
@@ -141,12 +142,7 @@ def block_parts(mode, waveform, parts, seed=5):
     rng = np.random.Generator(np.random.Philox(key=seed))
     bits16 = rng.integers(0, 2, 16)
     bits_epc = rng.integers(0, 2, mode.epc_bits + 16)
-    return bits16, bits_epc, reply_parts(mode, waveform, bits16, bits_epc, parts)
-
-
-def frame_states(built):
-    """The states of all parts of one frame as a one-row batch."""
-    return np.concatenate([states for _, _, states in built])[None]
+    return bits16, bits_epc, reply_states(mode, waveform, bits16, bits_epc, parts)
 
 
 # A 20 kHz window makes the FM0 blocks 15-16 samples long, so at the
@@ -160,16 +156,16 @@ def frame_states(built):
 def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulation, zeroing,
                                                 waveform, parts):
     fs = None if rate is None else rate * mode.blf_hz
-    bits16, bits_epc, built = block_parts(mode, waveform, parts)
-    params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=None, sample_rate_hz=fs)
+    bits16, bits_epc, states = block_parts(mode, waveform, parts)
+    params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=None)
     frame = reply_frame(mode, modulation, waveform, bits16, bits_epc, params,
-                        parts=parts)
+                        parts=parts, fs=fs)
     wiped = E.wipe_modulation(frame, ask_zeroing=zeroing)
     want = E.integrate_blocks(wiped, halfwidth)
-    table = E.BlockTable(B.frame_layout(built, mode.blf_hz, fs),
+    table = E.BlockTable(reply_layout(mode, parts, fs),
                          B.symbol_half(mode.encoding.spread_factor, waveform), 37.0, modulation,
                          zeroing, halfwidth)
-    got = table.blocks(frame_states(built))
+    got = table.blocks(states[None])
     # every block of the frame, the pause's too, in both
     assert got.z.shape == want.z.shape == (1, math.ceil(frame.n_samples / E._block_samples(
         frame.sample_rate_hz, halfwidth, None)))
@@ -185,9 +181,9 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
 
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
 def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zeroing):
-    bits16, bits_epc, built = block_parts(MILLER8_40K, "gen2", "both")
-    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, F_D_1MS, modulation, zeroing)
-    signal = table.blocks(frame_states(built))
+    bits16, bits_epc, states = block_parts(MILLER8_40K, "gen2", "both")
+    table = E.BlockTable(reply_layout(MILLER8_40K), MILLER8_HALF, F_D_1MS, modulation, zeroing)
+    signal = table.blocks(states[None])
     for seed in range(4):
         # the 36 ms span makes the peak sharp enough to pin it to 1e-9 Hz
         params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=45.0, seed=seed)
@@ -255,9 +251,8 @@ MILLER4_160K = P.ReaderMode("m4-160k", 160e3, P.MILLER4)
 def test_word_sums_match_per_piece_sums(mode, halfwidth, rate, parts):
     fs = None if rate is None else rate * mode.blf_hz
     for waveform in ("gen2", "rect"):
-        frames = [block_parts(mode, waveform, parts, seed)[2] for seed in range(4)]
-        states = np.concatenate([frame_states(built) for built in frames])
-        layout = B.frame_layout(frames[0], mode.blf_hz, fs)
+        states = np.stack([block_parts(mode, waveform, parts, seed)[2] for seed in range(4)])
+        layout = reply_layout(mode, parts, fs)
         for modulation, zeroing in (("ask", True), ("ask", False), ("psk", True)):
             table = E.BlockTable(layout, B.symbol_half(mode.encoding.spread_factor, waveform),
                                  37.0, modulation, zeroing, halfwidth)
@@ -275,10 +270,9 @@ def test_word_sums_match_per_piece_sums(mode, halfwidth, rate, parts):
 @pytest.mark.parametrize("zeroing", [True, False])
 def test_block_table_ignores_states_exactly_when_it_says_so(modulation, zeroing):
     # rows of encoded random bits: the only rows a table takes
-    _, _, built = block_parts(MILLER8_40K, "gen2", "both")
-    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, F_D_1MS, modulation, zeroing)
-    states = np.concatenate([frame_states(block_parts(MILLER8_40K, "gen2", "both", seed)[2])
-                             for seed in range(9, 14)])
+    table = E.BlockTable(reply_layout(MILLER8_40K), MILLER8_HALF, F_D_1MS, modulation, zeroing)
+    states = np.stack([block_parts(MILLER8_40K, "gen2", "both", seed)[2]
+                       for seed in range(9, 14)])
     assert len({row.tobytes() for row in states}) == 5
     blocks = table.blocks(states)
     same = all(np.array_equal(a, np.broadcast_to(a[:1], a.shape))
@@ -289,28 +283,26 @@ def test_block_table_ignores_states_exactly_when_it_says_so(modulation, zeroing)
 
 
 def test_block_table_rejects_states_of_another_layout():
-    _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
-    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, 0.0, "psk")
+    _, _, states = block_parts(MILLER8_40K, "gen2", "epc")
+    table = E.BlockTable(reply_layout(MILLER8_40K, "epc"), MILLER8_HALF, 0.0, "psk")
     with pytest.raises(ValueError, match="states"):
-        table.blocks(built[0][2][None, :-1])
+        table.blocks(states[None, :-1])
     # one frame is a batch of one row
     with pytest.raises(ValueError, match="states"):
-        table.blocks(built[0][2])
+        table.blocks(states)
     # an FM0 part of 35 two-half symbols is no run of 16-half Miller-8 symbols
-    _, _, fm0 = block_parts(FM0_160K, "gen2", "rn16")
     with pytest.raises(ValueError, match="symbol_half"):
-        E.BlockTable(B.frame_layout(fm0, 160e3), MILLER8_HALF, 0.0, "psk")
+        E.BlockTable(reply_layout(FM0_160K, "rn16"), MILLER8_HALF, 0.0, "psk")
 
 
 @pytest.mark.parametrize("mode, waveform", [(MILLER8_40K, "gen2"), (FM0_160K, "gen2"),
                                             (MILLER8_40K, "rect")])
 def test_block_table_rejects_states_that_are_not_its_symbol_words(mode, waveform):
     # a row that no encoder gives could only come out as wrong sums
-    _, _, built = block_parts(mode, waveform, "both")
+    _, _, states = block_parts(mode, waveform, "both")
     m = mode.encoding.spread_factor
-    table = E.BlockTable(B.frame_layout(built, mode.blf_hz), B.symbol_half(m, waveform), 0.0,
-                         "ask")
-    states = frame_states(built)
+    table = E.BlockTable(reply_layout(mode), B.symbol_half(m, waveform), 0.0, "ask")
+    states = states[None]
     table.blocks(states)
     # a state other than 0 and 1 over a whole half-symbol
     bad = [states.copy()]
@@ -328,19 +320,18 @@ def test_block_table_rejects_states_that_are_not_its_symbol_words(mode, waveform
 
 def test_block_table_rejects_complex_amplitudes(monkeypatch):
     # the table sums the real and imaginary parts of z from real weights
-    _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
     monkeypatch.setattr(E, "amplitudes", lambda modulation: (1.0 + 0.0j, -1.0 + 0.5j))
     with pytest.raises(ValueError, match="real"):
-        E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, 0.0, "psk")
+        E.BlockTable(reply_layout(MILLER8_40K, "epc"), MILLER8_HALF, 0.0, "psk")
 
 
 @pytest.mark.parametrize("f_d", [1e5, -1e5])
 def test_wide_window_coarse_grid_spans_several_chunks(f_d):
     # 2,496 samples, one per block, and 9,356 coarse cells per side: the
     # coarse grid runs in six chunks of k, and the peak lies in the fourth
-    params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=None, sample_rate_hz=320e3)
+    params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=None)
     frame = reply_frame(MILLER8_40K, "psk", "gen2", *block_parts(
-        MILLER8_40K, "gen2", "rn16")[:2], params, parts="rn16")
+        MILLER8_40K, "gen2", "rn16")[:2], params, parts="rn16", fs=320e3)
     report = E.estimate_doppler(E.wipe_modulation(frame), search_halfwidth_hz=150e3,
                                 block_len_s=0)
     assert abs(report.f_hat_hz - f_d) <= 1e-3
@@ -404,8 +395,7 @@ def test_newton_refinement_finds_the_periodogram_peak(mode, modulation, parts):
 def test_batched_search_equals_row_by_row_search():
     # ASK rows of one table, with spans rescaled so that k_max runs from 0
     # to 115: the batch's coarse grid takes two chunks of k, a row alone one
-    _, _, built = block_parts(MILLER8_40K, "gen2", "both")
-    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, F_D_1MS, "ask")
+    table = E.BlockTable(reply_layout(MILLER8_40K), MILLER8_HALF, F_D_1MS, "ask")
     rng = np.random.Generator(np.random.Philox(key=21))
     states = np.stack([np.concatenate([B.encode_miller(rng.integers(0, 2, n_bits), 8, True)
                                        for n_bits in (16, 112)]) for _ in range(8)])
@@ -428,8 +418,7 @@ def test_batched_search_equals_row_by_row_search():
 def test_search_rows_regroups_batches_into_bounded_chunks(monkeypatch):
     # 8 noisy ASK rows in batches of 1, 6 and 1, searched in chunks of 3
     # rows: the batch of 6 fills the rest of one chunk and all of the next
-    _, _, built = block_parts(MILLER8_40K, "gen2", "both")
-    table = E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, F_D_1MS, "ask")
+    table = E.BlockTable(reply_layout(MILLER8_40K), MILLER8_HALF, F_D_1MS, "ask")
     rng = np.random.Generator(np.random.Philox(key=23))
     signal = table.blocks(np.stack([np.concatenate(
         [B.encode_miller(rng.integers(0, 2, n_bits), 8, True) for n_bits in (16, 112)])
@@ -456,11 +445,11 @@ def test_search_rows_regroups_batches_into_bounded_chunks(monkeypatch):
 
 def test_a_block_table_rotated_to_a_shift_equals_one_built_there():
     # at() recomputes only the rotation sums; at the table's own shift it is the table
-    _, _, built = block_parts(MILLER8_40K, "gen2", "both")
-    layout = B.frame_layout(built, 40e3)
+    _, _, states = block_parts(MILLER8_40K, "gen2", "both")
+    layout = reply_layout(MILLER8_40K)
     table = E.BlockTable(layout, MILLER8_HALF, 0.0, "ask")
     assert table.at(0.0) is table
-    states = frame_states(built)
+    states = states[None]
     for rotated, f_d in ((table.at(F_D_1MS), F_D_1MS), (table.at(-37.0), -37.0),
                          (table.at(F_D_1MS).at(0.0), 0.0)):
         direct = E.BlockTable(layout, MILLER8_HALF, f_d, "ask").blocks(states)
@@ -473,14 +462,14 @@ def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
     # FM0 blocks of 15-16 samples: ASK zeroing leaves blocks without masked samples
     rng = np.random.Generator(np.random.Philox(key=22))
     bits = [(rng.integers(0, 2, 16), rng.integers(0, 2, 112)) for _ in range(5)]
-    parts = [reply_parts(FM0_160K, "gen2", *pair, "both") for pair in bits]
-    table = E.BlockTable(B.frame_layout(parts[0], 160e3), B.symbol_half(1, "gen2"), 37.0,
+    frames = [reply_states(FM0_160K, "gen2", *pair, "both") for pair in bits]
+    table = E.BlockTable(reply_layout(FM0_160K), B.symbol_half(1, "gen2"), 37.0,
                          modulation, zeroing, 20e3)
-    batch = table.blocks(np.stack([np.concatenate([s for _, _, s in built]) for built in parts]))
+    batch = table.blocks(np.stack(frames))
     if zeroing and modulation == "ask":
         assert (batch.count == 0).any()
-    for row, built in enumerate(parts):
-        alone = table.blocks(np.concatenate([s for _, _, s in built])[None])
+    for row, states in enumerate(frames):
+        alone = table.blocks(states[None])
         assert np.array_equal(batch.z[row], alone.z[0])
         assert np.array_equal(batch.count[row], alone.count[0])
         assert np.array_equal(batch.tau[row], alone.tau[0])
@@ -529,9 +518,8 @@ def test_block_integration_rejects_bad_block_parameters(name, value):
     with pytest.raises(ValueError, match=name):
         E.integrate_blocks(wiped, **{name: value})
     if name == "search_halfwidth_hz":
-        _, _, built = block_parts(MILLER8_40K, "gen2", "epc")
         with pytest.raises(ValueError, match=name):
-            E.BlockTable(B.frame_layout(built, 40e3), MILLER8_HALF, 0.0, "psk",
+            E.BlockTable(reply_layout(MILLER8_40K, "epc"), MILLER8_HALF, 0.0, "psk",
                          search_halfwidth_hz=value)
 
 

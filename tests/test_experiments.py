@@ -342,9 +342,8 @@ def per_trial_estimates(config, source, table, ratio_dbhz, k):
     out = []
     for _ in range(1, config.trials):
         bits = X._random_bits(bit_generator, 1, source.n_bits)
-        states = np.concatenate([np.broadcast_to(states, (1, states.shape[-1])) for _, _, states
-                                 in source.parts(bits)], axis=1)
-        blocks = table.blocks(states)
+        states = source.states(bits)
+        blocks = table.blocks(np.broadcast_to(states, (1, states.shape[-1])))
         z = B.add_block_awgn(blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz,
                              noise_rng)
         out.append(E.search_peak(dataclasses.replace(blocks, z=z)).f_hat_hz[0])
@@ -483,16 +482,16 @@ def test_only_gen2_ask_trials_after_trial_0_draw_bits(monkeypatch, modulation, w
     assert [rows for rows, count in drawn if count] == [1, 13, 13, 13][:calls]
 
 
-def counting_frame_parts(monkeypatch):
-    """The number of rows of every baseband.frame_parts call from now on."""
+def counting_frame_states(monkeypatch):
+    """The number of rows of every baseband.frame_states call from now on."""
     rows = []
-    frame_parts = B.frame_parts
+    frame_states = B.frame_states
 
     def counting(mode, waveform_model, signals, bits):
         rows.append(np.shape(bits)[0])
-        return frame_parts(mode, waveform_model, signals, bits)
+        return frame_states(mode, waveform_model, signals, bits)
 
-    monkeypatch.setattr(B, "frame_parts", counting)
+    monkeypatch.setattr(B, "frame_states", counting)
     return rows
 
 
@@ -505,27 +504,36 @@ def counting_frame_parts(monkeypatch):
 ], ids=["mode204-both", "miller8-epc", "miller4-burst"])
 def test_a_frame_source_encodes_nothing(monkeypatch, model, mode, signals):
     # its layout comes from the signals' state counts, the layout of every frame
-    encoded = counting_frame_parts(monkeypatch)
+    encoded = counting_frame_states(monkeypatch)
     config = ExperimentConfig(mode_label=None, blf_hz=mode.blf_hz, encoding=mode.encoding.name,
                               waveform_model=model)
     source = X._frame_source(config, mode, signals)
     assert encoded == []
-    frame = B.frame_parts(mode, model, signals, np.ones(source.n_bits, dtype=np.int8))
+    # each signal encoded on its own, laid out from its states
+    frame = [(kind, start, B.frame_states(mode, model, [(kind, start, n_symbols)],
+                                          np.ones(n_bits, dtype=np.int8)))
+             for (kind, start, n_symbols), n_bits
+             in zip(signals, B.payload_bits(mode, model, signals))]
     layout = B.frame_layout(frame, mode.blf_hz)
     assert source.layout.n_samples == layout.n_samples
     assert [e.tolist() for e in source.layout.edges] == [e.tolist() for e in layout.edges]
 
 
+# the configurations of the benchmark's Mode 204 PSK detection and Miller-8 ASK jobs
+DETECT_MODE204 = ExperimentConfig(mode_label="Mode 204", p_err=0.05, v_grid=[0.5, 1.0, 2.0],
+                                  trials=10, estimator_model="baseband", modulation="psk",
+                                  seed=4)
+MCRB_MILLER8_ASK = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="miller-8",
+                                    parts="both", modulation="ask", ps_n0_dbhz=52.8, trials=20,
+                                    seed=4)
+
+
 @pytest.mark.parametrize("run, config, encoded", [
     # the benchmark's Mode 204 PSK detection: trial 0 of 3 speeds x 2 frame kinds
-    (X.run_detection_experiment,
-     ExperimentConfig(mode_label="Mode 204", p_err=0.05, v_grid=[0.5, 1.0, 2.0], trials=10,
-                      estimator_model="baseband", modulation="psk", seed=4), [6]),
+    (X.run_detection_experiment, DETECT_MODE204, [6]),
     # the benchmark's Miller-8 ASK job: trial 0 and its first batch of 19,
     # all its trials (39 frames per batch)
-    (X.run_mcrb_experiment,
-     ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="miller-8", parts="both",
-                      modulation="ask", ps_n0_dbhz=52.8, trials=20, seed=4), [20]),
+    (X.run_mcrb_experiment, MCRB_MILLER8_ASK, [20]),
     # 3 ratios of 100 trials in batches of 39: trial 0 and the first batch of
     # each ratio up front, then each later batch on its own
     (X.run_mcrb_experiment,
@@ -538,9 +546,31 @@ def test_a_frame_source_encodes_nothing(monkeypatch, model, mode, signals):
                       sweep_values=[50.0, 52.8, 60.0]), [3]),
 ], ids=["detect-mode204-psk", "mcrb-miller8-ask", "mcrb-sweep-ask-batches", "mcrb-sweep-psk"])
 def test_a_run_encodes_trial_0_of_every_point_in_one_call(monkeypatch, run, config, encoded):
-    found = counting_frame_parts(monkeypatch)
+    found = counting_frame_states(monkeypatch)
     run(config)
     assert found == encoded
+
+
+@pytest.mark.parametrize("run, config, layouts", [
+    (X.run_detection_experiment, DETECT_MODE204, 1),
+    (X.run_mcrb_experiment, MCRB_MILLER8_ASK, 1),
+    # one burst source per duration
+    (X.run_mcrb_experiment,
+     ExperimentConfig(blf_hz=640e3, encoding="FM0", ps_n0_dbhz=52.8, trials=3,
+                      sweep_param="t0_s", sweep_values=[2e-4, 1e-3]), 2),
+], ids=["detect-mode204-psk", "mcrb-miller8-ask", "t0-sweep-2"])
+def test_a_run_lays_out_each_frame_source_once(monkeypatch, run, config, layouts):
+    # trial 0 samples its row on its source's layout
+    calls = []
+    frame_layout = B.frame_layout
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return frame_layout(*args, **kwargs)
+
+    monkeypatch.setattr(B, "frame_layout", counting)
+    run(config)
+    assert len(calls) == layouts
 
 
 @pytest.mark.parametrize("kind", ["mcrb", "detect"])
