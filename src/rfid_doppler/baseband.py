@@ -33,14 +33,6 @@ WAVEFORM_MODELS = ("gen2", "rect")
 # 4x the 0.1 s FM0 bursts of figure 5 at its default 32 x 640 kHz.
 _MAX_FRAME_SAMPLES = 1 << 23
 
-# FM0 preamble: 1010v1 after an optional 12-symbol pilot of data-0s; the v
-# symbol is shaped like a data-1 but skips the inversion at its boundary.
-_FM0_PREAMBLE = ((1, True), (0, True), (1, True), (0, True), (1, False), (1, True))
-_FM0_PILOT_SYMBOLS = 12
-# Miller preamble: 010111 after a pilot of 4 (TRext=0) or 16 (TRext=1) data-0s.
-_MILLER_PREAMBLE = (0, 1, 0, 1, 1, 1)
-_MILLER_PILOT = {False: 4, True: 16}
-
 
 def _as_bits(bits: Sequence[int], what: str) -> np.ndarray:
     """Bits as int8: a 1-D sequence, or a 2-D array of one sequence per row."""
@@ -60,21 +52,17 @@ def encode_fm0(bits: Sequence[int], trext: Optional[bool] = None) -> np.ndarray:
     data-0 adds a mid-bit inversion.  With ``trext`` given, the full reply
     signal is produced (pilot + preamble + bits + end-of-signaling dummy 1);
     with ``trext=None`` only the data symbols are encoded.  A 2-D ``bits``
-    array holds one sequence per row and gives one row of states each.
+    array holds one sequence per row and gives one row of states each.  The
+    pilot and preamble are protocol.FM0_PILOT and protocol.FM0_PREAMBLE.
     """
     data = _as_bits(bits, "fm0 bits")
-    head_bits: list[int] = []
-    head_inverts: list[bool] = []
+    head: list[tuple[int, bool]] = []     # (bit, inverts at its leading boundary)
     if trext is not None:
-        if trext:
-            head_bits += [0] * _FM0_PILOT_SYMBOLS
-            head_inverts += [True] * _FM0_PILOT_SYMBOLS
-        head_bits += [bit for bit, _ in _FM0_PREAMBLE]
-        head_inverts += [invert for _, invert in _FM0_PREAMBLE]
+        head = [(0, True)] * protocol.FM0_PILOT[bool(trext)] + list(protocol.FM0_PREAMBLE)
     tail = [1] if trext is not None else []
-    symbols = _framed(head_bits, data, tail)
+    symbols = _framed([bit for bit, _ in head], data, tail)
     inverts = np.ones(symbols.shape[-1], dtype=np.int8)
-    inverts[:len(head_inverts)] = head_inverts
+    inverts[:len(head)] = [invert for _, invert in head]
     # state inversions before each symbol's first half: one at an inverting
     # boundary, one more after a data-0 (its mid-bit inversion)
     flips = np.zeros(symbols.shape, dtype=np.int64)
@@ -101,14 +89,15 @@ def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> 
     Baseband Miller (phase inversion at the boundary between consecutive
     data-0s, mid-bit inversion inside every data-1) multiplied by a square
     subcarrier of M cycles per bit.  ``trext`` and 2-D ``bits`` as in
-    :func:`encode_fm0`.
+    :func:`encode_fm0`; the pilot and preamble are protocol.MILLER_PILOT and
+    protocol.MILLER_PREAMBLE.
     """
     if m not in (2, 4, 8):
         raise ValueError(f"Miller spread factor must be 2, 4 or 8, got {m}")
     data = _as_bits(bits, "miller bits")
     head: list[int] = []
     if trext is not None:
-        head = [0] * _MILLER_PILOT[bool(trext)] + list(_MILLER_PREAMBLE)
+        head = [0] * protocol.MILLER_PILOT[bool(trext)] + list(protocol.MILLER_PREAMBLE)
     tail = [1] if trext is not None else []
     symbols = _framed(head, data, tail)
     # baseband inversions before each bit's first half: one after a data-1

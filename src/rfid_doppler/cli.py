@@ -4,7 +4,12 @@ bounds, vmin, simulate-mcrb and simulate-detect accept --config (flat
 key = value file) with individual flags overriding file values.  Each
 setting is declared once, as a field of experiments.ExperimentConfig: a
 flag's dest is the field name, and its text goes through the field's parser,
-as a config-file value does.  A subcommand takes only the flags it reads.
+as a config-file value does.  A subcommand takes only the flags it reads, and
+from a config file only the settings its flags set (simulate-mcrb: also
+sweep_param and sweep_values, which --sweep sets); any other key exits 2
+naming it.  experiments.resolve_reader_mode checks a run's settings, in one
+place.  noise-figure's --p-s-dbm and --blf follow the rules of the config
+fields p_s_dbm and blf_hz.
 bounds, vmin and noise-figure print ``key = value`` lines
 (experiments.write_key_values), the other subcommands CSV
 (experiments.write_csv); both writers refuse a number that is not finite,
@@ -69,16 +74,25 @@ def _add_simulation(sp):
 
 
 def _build_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    for f in dataclasses.fields(config):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            config.set_field(f.name, value)
+    """A command's config: the values of its config file, then of its flags.
+
+    Its settings are the fields that its flags set, and for simulate-mcrb,
+    whose --sweep sets them, sweep_param and sweep_values; a file key
+    outside them is refused, as a flag the command lacks is.
+    """
+    given = vars(args)
+    settings = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name in given]
+    if "sweep" in given:
+        settings += ["sweep_param", "sweep_values"]
+    config = ExperimentConfig.from_file(args.config, settings) if args.config \
+        else ExperimentConfig()
+    for name in settings:
+        if given.get(name) is not None:
+            config.set_field(name, given[name])
     return config
 
 
 def _resolved(config):
-    config.validate()
     mode = experiments.resolve_reader_mode(config)
     link = experiments.resolve_link_budget(config)
     timing = protocol.reply_timing(mode)
@@ -203,11 +217,10 @@ def _cmd_simulate_detect(args) -> int:
 
 
 def _cmd_noise_figure(args) -> int:
-    # only the flags given: noise_figure_report's signature holds the defaults
-    values = {key: experiments._parsed(key, experiments._finite, getattr(args, key))
-              for key in ("p_s_dbm", "ber", "blf_hz") if getattr(args, key) is not None}
-    if args.m is not None:
-        values["m"] = args.m
+    # only the flags given, as text: noise_figure_report's signature holds the
+    # defaults, and it reads each value by its rule
+    values = {key: getattr(args, key) for key in ("p_s_dbm", "ber", "blf_hz", "m")
+              if getattr(args, key) is not None}
     report = experiments.noise_figure_report(**values)
     experiments.write_key_values(args.out or sys.stdout, report.items())
     return 0

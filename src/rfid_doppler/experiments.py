@@ -4,8 +4,12 @@ A run's settings are declared once, as the fields of :class:`ExperimentConfig`;
 the figure datasets declare their own parameters in ``_FIGURES``.  Each
 setting has one rule, the parser its field declares: it reads the setting's
 text, from a flag, a config file or a figure ``--set``, and checks a value set
-in code, so ``validate`` adds only the rules between settings.  The figure
-parameters take the same parsers.  Every number written, to a CSV or as a
+in code, so ``validate`` adds only the rules between settings.  A run's
+settings are checked in one place, :func:`resolve_reader_mode`, which
+validates a config before it builds the run's reader mode; bounds, vmin and
+every Monte Carlo run call it before they read a setting.  The figure
+parameters and the noise-figure report's p_s_dbm and blf_hz take the same
+parsers.  Every number written, to a CSV or as a
 ``key = value`` line, goes through one cell rule, which refuses a number that
 is not finite and names its column or key.  A run's frames are described once
 too, as a frame source of one list of signals: the reply's parts
@@ -306,10 +310,15 @@ class ExperimentConfig:
     # -- parsing -----------------------------------------------------------
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, settings: Optional[Sequence[str]] = None) -> "ExperimentConfig":
+        """The config read from a flat config file.  ``settings``, when
+        given, are the fields that the reading command reads, and a key
+        outside them is refused."""
         config = cls()
         for key, value in _read_key_values(path):
             config.set_field(key, value)
+            if settings is not None and key not in settings:
+                raise ConfigError(f"{key}: not a setting this command reads")
         return config
 
     def set_field(self, key: str, value) -> None:
@@ -353,23 +362,22 @@ def _read_key_values(path) -> list[tuple[str, str]]:
 
 
 def resolve_reader_mode(config: ExperimentConfig) -> protocol.ReaderMode:
-    """Reader mode from explicit parameters or the catalog label."""
+    """Check a run's settings and build its reader mode, from explicit
+    parameters or the catalog label.
+
+    The one place where a run's settings are checked: each set field by its
+    rule, then the rules between fields (:meth:`ExperimentConfig.validate`),
+    before any is read.  The rules of ``blf_hz``, ``encoding``,
+    ``mode_label`` and ``epc_bits`` admit only values that the mode takes,
+    so building it cannot fail.
+    """
+    config.validate()
     if config.blf_hz is not None:
-        encoding = _parsed("encoding", protocol.encoding_from_name, config.encoding)
-        try:
-            return protocol.ReaderMode("custom", config.blf_hz, encoding,
-                                       trext=config.trext, epc_bits=config.epc_bits)
-        except ValueError as exc:
-            raise ConfigError(f"blf_hz: {exc}") from None
-    mode = _catalog_mode(config.mode_label)
-    return dataclasses.replace(mode, epc_bits=config.epc_bits, trext=config.trext)
-
-
-def _catalog_mode(label: str) -> protocol.ReaderMode:
-    try:
-        return protocol.find_reader_mode(label)
-    except KeyError as exc:
-        raise ConfigError(f"mode_label: {exc.args[0]}") from None
+        return protocol.ReaderMode("custom", config.blf_hz,
+                                   protocol.encoding_from_name(config.encoding),
+                                   trext=config.trext, epc_bits=config.epc_bits)
+    return dataclasses.replace(protocol.find_reader_mode(config.mode_label),
+                               epc_bits=config.epc_bits, trext=config.trext)
 
 
 def _simulation_mode(config: ExperimentConfig) -> protocol.ReaderMode:
@@ -378,7 +386,6 @@ def _simulation_mode(config: ExperimentConfig) -> protocol.ReaderMode:
     Covers every key a simulation reads, so a bad value fails before any
     trial runs, and in figures 5 and 7 also when no trial is asked for.
     """
-    config.validate()
     mode = resolve_reader_mode(config)
     fs = config.sample_rate_hz
     if fs is None:
@@ -393,19 +400,17 @@ def _simulation_mode(config: ExperimentConfig) -> protocol.ReaderMode:
 
 def resolve_link_budget(config: ExperimentConfig) -> bounds.LinkBudget:
     """Link budget from the ratio, from power + noise terms, or the default."""
+    if config.ps_n0_dbhz is not None:
+        return bounds.LinkBudget(ps_n0_dbhz=config.ps_n0_dbhz)
+    if config.p_s_dbm is None:
+        return bounds.LinkBudget(ps_n0_dbhz=REFERENCE_PS_N0_DBHZ)
+    if config.n0_dbm_hz is None and config.nf_db is None:
+        raise ConfigError("p_s_dbm: needs n0_dbm_hz or nf_db alongside")
     try:
-        if config.ps_n0_dbhz is not None:
-            return bounds.LinkBudget(ps_n0_dbhz=config.ps_n0_dbhz)
-        if config.p_s_dbm is not None:
-            if config.n0_dbm_hz is None and config.nf_db is None:
-                raise ConfigError("p_s_dbm: needs n0_dbm_hz or nf_db alongside")
-            return bounds.LinkBudget.from_power(config.p_s_dbm, config.n0_dbm_hz,
-                                                config.nf_db)
-    except ConfigError:
-        raise
+        return bounds.LinkBudget.from_power(config.p_s_dbm, config.n0_dbm_hz, config.nf_db)
     except ValueError as exc:
-        raise ConfigError(f"link budget: {exc}") from None
-    return bounds.LinkBudget(ps_n0_dbhz=REFERENCE_PS_N0_DBHZ)
+        # given both, the noise figure must match the noise density
+        raise ConfigError(f"nf_db: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +842,7 @@ def _figure9(params, trials, seed):
 
 def _figure10(params, trials, seed):
     f_c, p_err, v_grid = params["f_c_hz"], params["p_err"], params["v_grid"]
-    mode = _catalog_mode(params["mode_label"])
+    mode = protocol.find_reader_mode(params["mode_label"])
     c_t = bounds.timing_factor(protocol.reply_timing(mode), "both")
     rows = [{"v_m_per_s": v, "nf_db": nf,
              "p_s_dbm": bounds.required_ps_dbm(v, c_t, f_c, p_err, nf)}
@@ -944,7 +949,15 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
 
 def noise_figure_report(p_s_dbm: float = -95.8, ber: float = 1e-3,
                         blf_hz: float = 160e3, m: int = 8) -> dict:
-    """Back-solve the receiver noise density from a sensitivity point."""
+    """Back-solve the receiver noise density from a sensitivity point.
+
+    ``p_s_dbm``, ``ber`` and ``blf_hz`` may be given as text.  ``p_s_dbm`` and
+    ``blf_hz`` go through the rules of the config fields of those names;
+    ``ber`` must be finite, and bounds.ps_n0_from_ber checks its range.
+    """
+    p_s_dbm = _parsed("p_s_dbm", _db, p_s_dbm)
+    ber = _parsed("ber", _finite, ber)
+    blf_hz = _parsed("blf_hz", _blf, blf_hz)
     ratio = bounds.ps_n0_from_ber(blf_hz, m, ber)
     n0, nf = bounds.noise_density_from_sensitivity(p_s_dbm, ber, blf_hz, m)
     return {"p_s_dbm": p_s_dbm, "ber": ber, "blf_hz": blf_hz, "m": m,

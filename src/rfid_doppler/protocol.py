@@ -8,7 +8,8 @@ Model of a tag reply signal, in uplink symbols:
 
     symbols = preamble + payload + (16 CRC bits, EPC reply only) + 1 end symbol
 
-with preamble lengths (pilot pattern + sync) of
+with preamble lengths (pilot pattern + sync, counted from the patterns below,
+which the encoders of baseband read) of
 
     FM0:    18 symbols with pilot (TRext=1), 6 without
     Miller: 22 symbols with pilot (TRext=1), 10 without
@@ -30,13 +31,14 @@ CRC16_BITS = 16
 RN16_BITS = 16
 END_OF_SIGNALING_SYMBOLS = 1
 
-# preamble symbol totals, keyed by (is_miller, trext)
-_PREAMBLE_SYMBOLS = {
-    (False, False): 6,
-    (False, True): 18,
-    (True, False): 10,
-    (True, True): 22,
-}
+# FM0 preamble: 1010v1 after a pilot of 12 data-0s (TRext=1) or none; the v
+# symbol is shaped like a data-1 but skips the inversion at its boundary.
+# Each symbol is (bit, whether the state inverts at its leading boundary).
+FM0_PREAMBLE = ((1, True), (0, True), (1, True), (0, True), (1, False), (1, True))
+FM0_PILOT = {False: 0, True: 12}
+# Miller preamble: 010111 after a pilot of 4 (TRext=0) or 16 (TRext=1) data-0s.
+MILLER_PREAMBLE = (0, 1, 0, 1, 1, 1)
+MILLER_PILOT = {False: 4, True: 16}
 
 
 @dataclass(frozen=True)
@@ -132,7 +134,9 @@ def symbol_period(blf_hz, scheme: EncodingScheme) -> Fraction:
 
 def preamble_symbols(scheme: EncodingScheme, trext: bool) -> int:
     """Preamble length in symbols (pilot pattern plus sync sequence)."""
-    return _PREAMBLE_SYMBOLS[(scheme.is_miller, bool(trext))]
+    if scheme.is_miller:
+        return MILLER_PILOT[bool(trext)] + len(MILLER_PREAMBLE)
+    return FM0_PILOT[bool(trext)] + len(FM0_PREAMBLE)
 
 
 def reply_symbol_counts(scheme: EncodingScheme, payload_bits: int, trext: bool,

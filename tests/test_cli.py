@@ -79,6 +79,28 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     assert main(["vmin", "--config", str(cfg), "--p-err", "1e-3"]) == 0
     strict = float(parse_kv(capsys.readouterr().out)["v_min_m_per_s"])
     assert strict > relaxed
+    # --sweep sets sweep_param and sweep_values, so simulate-mcrb reads them from a file
+    sweep = tmp_path / "sweep"
+    sweep.write_text("sweep_param = ps_n0_dbhz\nsweep_values = 50,60\n", encoding="utf-8")
+    assert main(["simulate-mcrb", "--config", str(sweep), *FAST_SIM, "--trials", "3"]) == 0
+    assert capsys.readouterr().out.count(",epc,") == 2
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["simulate-detect", "--trials", "2"], "nf_db = 3"),
+    (["simulate-detect", "--trials", "2"], "p_s_dbm = -90"),
+    (["simulate-detect", "--trials", "2"], "sweep_values = 1,2"),
+    (["simulate-mcrb", "--trials", "2"], "p_err = 0.01"),
+    (["vmin"], "v = 2"),
+    (["bounds"], "trials = 5"),
+])
+def test_a_config_file_key_the_command_does_not_read_exits_2(argv, setting, tmp_path, capsys):
+    # a file key outside the command's settings fails as the flag for it does
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"mode_label = Mode 290\n{setting}\n", encoding="utf-8")
+    assert main([*argv, "--config", str(cfg)]) == 2
+    key = setting.split(" = ")[0]
+    assert capsys.readouterr().err == f"config error: {key}: not a setting this command reads\n"
 
 
 def test_figure_writes_csv(tmp_path):
@@ -200,6 +222,9 @@ def test_noise_figure_rejects_a_spread_factor_gen2_lacks(m, capsys):
     (["--blf", "1e9"], "blf_hz"),
     (["--blf", "-1"], "blf_hz"),
     (["--ber", "0.7"], "ber"),
+    # the flags take the rules of the config fields of the same name
+    (["--p-s-dbm", "400"], "p_s_dbm"),
+    (["--p-s-dbm", "-400"], "p_s_dbm"),
 ])
 def test_noise_figure_range_errors_exit_2_naming_the_field(argv, field, capsys):
     assert main(["noise-figure", *argv]) == 2
@@ -301,6 +326,8 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     (["simulate-mcrb", "--trials", "3", "--sweep", "ps_n0_dbhz=40,1e4"], "sweep_values"),
     (["bounds", "--p-s-dbm", "1e4", "--nf", "3"], "p_s_dbm"),
     (["bounds", "--p-s-dbm", "-95", "--nf", "-5"], "nf_db"),
+    # a noise figure that disagrees with the noise density given beside it
+    (["bounds", "--p-s-dbm", "-95.8", "--n0", "-150", "--nf", "3"], "nf_db"),
     # a carrier outside [1 MHz, 100 GHz], which made v_min inf and tripped the
     # bounds' consistency assertion, and a noise density below the thermal
     # floor, the negative noise figure by another key

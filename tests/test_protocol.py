@@ -48,6 +48,7 @@ def test_reply_symbol_counts_examples():
     assert P.reply_symbol_counts(P.FM0, 16, trext=False, with_crc=False) == 23
     assert P.reply_symbol_counts(P.FM0, 96, trext=True, with_crc=True) == 131
     assert P.reply_symbol_counts(P.MILLER2, 16, trext=True, with_crc=False) == 39
+    assert P.reply_symbol_counts(P.MILLER8, 16, trext=False, with_crc=False) == 27
 
 
 def test_reply_symbol_counts_rejects_empty_payload():
