@@ -7,8 +7,10 @@ flag's dest is the field name, and its text goes through the field's parser,
 as a config-file value does.  A subcommand takes only the flags it reads, and
 from a config file only the settings its flags set (simulate-mcrb: also
 sweep_param and sweep_values, which --sweep sets); any other key exits 2
-naming it.  experiments.resolve_reader_mode checks a run's settings, in one
-place.  noise-figure's --p-s-dbm and --blf follow the rules of the config
+naming it.  experiments.resolve checks a run's settings, in one place, and
+resolves them into the setup that bounds, vmin and every Monte Carlo run read:
+the parsed settings, the reader mode, the link budget and the reply's timing
+factor.  noise-figure's --p-s-dbm and --blf follow the rules of the config
 fields p_s_dbm and blf_hz.
 bounds, vmin and noise-figure print ``key = value`` lines
 (experiments.write_key_values), the other subcommands CSV
@@ -30,7 +32,7 @@ import dataclasses
 import math
 import sys
 
-from . import bounds, experiments, protocol
+from . import bounds, experiments
 from .experiments import CheckFailure, ConfigError, ExperimentConfig
 
 
@@ -92,19 +94,11 @@ def _build_config(args) -> ExperimentConfig:
     return config
 
 
-def _resolved(config):
-    mode = experiments.resolve_reader_mode(config)
-    link = experiments.resolve_link_budget(config)
-    timing = protocol.reply_timing(mode)
-    c_t = bounds.timing_factor(timing, config.parts)
-    return mode, link, timing, c_t
-
-
 def _cmd_bounds(args) -> int:
-    config = _build_config(args)
-    mode, link, timing, c_t = _resolved(config)
+    setup = experiments.resolve(_build_config(args))
+    config, mode, link, timing = setup.config, setup.mode, setup.link, setup.timing
     scenario = bounds.MotionScenario(config.v, config.f_c_hz, config.p_err)
-    result = bounds.evaluate_bounds(scenario, c_t, link)
+    result = bounds.evaluate_bounds(scenario, setup.c_t, link)
     experiments.write_key_values(args.out or sys.stdout, [
         ("mode", mode.label),
         ("blf_hz", mode.blf_hz),
@@ -113,7 +107,7 @@ def _cmd_bounds(args) -> int:
         ("t_rn16_s", float(timing.t_rn16)),
         ("t_pause_s", float(timing.t_pause)),
         ("t_epc_s", float(timing.t_epc)),
-        ("c_t_s3", c_t),
+        ("c_t_s3", setup.c_t),
         ("ps_n0_dbhz", link.ps_n0_dbhz),
         ("v_m_per_s", scenario.v),
         ("p_err", scenario.p_err),
@@ -127,14 +121,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_vmin(args) -> int:
-    config = _build_config(args)
-    mode, link, timing, c_t = _resolved(config)
-    value = bounds.v_min(c_t, link.ps_n0_linear, config.f_c_hz, config.p_err)
+    setup = experiments.resolve(_build_config(args))
+    config = setup.config
+    value = bounds.v_min(setup.c_t, setup.link.ps_n0_linear, config.f_c_hz, config.p_err)
     experiments.write_key_values(args.out or sys.stdout, [
-        ("mode", mode.label),
+        ("mode", setup.mode.label),
         ("parts", config.parts),
-        ("c_t_s3", c_t),
-        ("ps_n0_dbhz", link.ps_n0_dbhz),
+        ("c_t_s3", setup.c_t),
+        ("ps_n0_dbhz", setup.link.ps_n0_dbhz),
         ("p_err", config.p_err),
         ("f_c_hz", config.f_c_hz),
         ("v_min_m_per_s", value),

@@ -4,10 +4,12 @@ A run's settings are declared once, as the fields of :class:`ExperimentConfig`;
 the figure datasets declare their own parameters in ``_FIGURES``.  Each
 setting has one rule, the parser its field declares: it reads the setting's
 text, from a flag, a config file or a figure ``--set``, and checks a value set
-in code, so ``validate`` adds only the rules between settings.  A run's
-settings are checked in one place, :func:`resolve_reader_mode`, which
-validates a config before it builds the run's reader mode; bounds, vmin and
-every Monte Carlo run call it before they read a setting.  The figure
+in code, so ``validate`` adds only the rules between settings and hands back
+a copy that holds each setting's parsed value.  A run's settings are checked
+in one place, :func:`resolve`, which validates a config and resolves the copy
+into the run's setup (:class:`RunSetup`): the parsed settings, the reader
+mode, the link budget, the reply's timing and its timing factor C_T.  bounds,
+vmin and every Monte Carlo run read their settings from the setup.  The figure
 parameters and the noise-figure report's p_s_dbm and blf_hz take the same
 parsers.  Every number written, to a CSV or as a
 ``key = value`` line, goes through one cell rule, which refuses a number that
@@ -290,22 +292,23 @@ class ExperimentConfig:
     sweep_param: Optional[str] = _setting(None, _one_of("ps_n0_dbhz", "t0_s"))
     sweep_values: Optional[list[float]] = _setting(None, _grid)
 
-    def validate(self) -> None:
-        """Check each set field by its own rule, then the rules between fields."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                _parsed(f.name, f.metadata["parse"], value)
-        if self.mode_label is None and self.blf_hz is None:
+    def validate(self) -> "ExperimentConfig":
+        """A copy that holds each set field's value as its rule parses it,
+        after the rules between fields have been checked on those values."""
+        config = dataclasses.replace(self, **{
+            f.name: _parsed(f.name, f.metadata["parse"], value)
+            for f in dataclasses.fields(self) if (value := getattr(self, f.name)) is not None})
+        if config.mode_label is None and config.blf_hz is None:
             raise ConfigError("mode_label: give a catalog label or explicit blf_hz/encoding")
-        if (self.blf_hz is None) != (self.encoding is None):
+        if (config.blf_hz is None) != (config.encoding is None):
             raise ConfigError("blf_hz: blf_hz and encoding must be given together")
-        if (self.sweep_param is None) != (self.sweep_values is None):
+        if (config.sweep_param is None) != (config.sweep_values is None):
             raise ConfigError("sweep_param: sweep_param and sweep_values go together")
-        if self.sweep_param == "ps_n0_dbhz" and max(map(abs, self.sweep_values)) > _MAX_DB:
+        if config.sweep_param == "ps_n0_dbhz" and max(map(abs, config.sweep_values)) > _MAX_DB:
             raise ConfigError("sweep_values: must be in [-300, 300] dB in a ps_n0_dbhz sweep")
-        if self.ps_n0_dbhz is not None and self.p_s_dbm is not None:
+        if config.ps_n0_dbhz is not None and config.p_s_dbm is not None:
             raise ConfigError("ps_n0_dbhz: give either the ratio or p_s_dbm with a noise term")
+        return config
 
     # -- parsing -----------------------------------------------------------
 
@@ -361,32 +364,41 @@ def _read_key_values(path) -> list[tuple[str, str]]:
     return pairs
 
 
-def resolve_reader_mode(config: ExperimentConfig) -> protocol.ReaderMode:
-    """Check a run's settings and build its reader mode, from explicit
-    parameters or the catalog label.
+@dataclass(frozen=True)
+class RunSetup:
+    """What a bounds or Monte Carlo run starts from: its ``config``, holding
+    each setting's parsed value, its reader ``mode``, its ``link`` budget,
+    the reply's ``timing`` and the timing factor ``c_t`` of the configured
+    parts."""
+
+    config: ExperimentConfig
+    mode: protocol.ReaderMode
+    link: bounds.LinkBudget
+    timing: protocol.ReplyTiming
+    c_t: float
+
+
+def resolve(config: ExperimentConfig) -> RunSetup:
+    """Check a run's settings and resolve them into its setup.
 
     The one place where a run's settings are checked: each set field by its
     rule, then the rules between fields (:meth:`ExperimentConfig.validate`),
-    before any is read.  The rules of ``blf_hz``, ``encoding``,
-    ``mode_label`` and ``epc_bits`` admit only values that the mode takes,
-    so building it cannot fail.
+    before any is read; every later step reads the parsed copy.  The rules
+    of ``blf_hz``, ``encoding``, ``mode_label`` and ``epc_bits`` admit only
+    values that the mode takes, so building it cannot fail.  The sample rate
+    must suit the mode and the search window must fit below half of it, so
+    a bad value fails before any trial runs, and in figures 5 and 7 also when
+    no trial is asked for.  The link budget comes from the ratio, from the
+    tag power and a noise term, or is the reference ratio.
     """
-    config.validate()
+    config = config.validate()
     if config.blf_hz is not None:
-        return protocol.ReaderMode("custom", config.blf_hz,
+        mode = protocol.ReaderMode("custom", config.blf_hz,
                                    protocol.encoding_from_name(config.encoding),
                                    trext=config.trext, epc_bits=config.epc_bits)
-    return dataclasses.replace(protocol.find_reader_mode(config.mode_label),
-                               epc_bits=config.epc_bits, trext=config.trext)
-
-
-def _simulation_mode(config: ExperimentConfig) -> protocol.ReaderMode:
-    """Check a Monte Carlo config and resolve its reader mode.
-
-    Covers every key a simulation reads, so a bad value fails before any
-    trial runs, and in figures 5 and 7 also when no trial is asked for.
-    """
-    mode = resolve_reader_mode(config)
+    else:
+        mode = dataclasses.replace(protocol.find_reader_mode(config.mode_label),
+                                   epc_bits=config.epc_bits, trext=config.trext)
     fs = config.sample_rate_hz
     if fs is None:
         fs = baseband.default_sample_rate(mode.blf_hz)
@@ -395,22 +407,19 @@ def _simulation_mode(config: ExperimentConfig) -> protocol.ReaderMode:
     if not config.search_halfwidth_hz <= fs / 2.0:
         raise ConfigError(f"search_halfwidth_hz: must not exceed fs/2 = {fs / 2.0:.12g} Hz, "
                           f"got {config.search_halfwidth_hz:.12g}")
-    return mode
-
-
-def resolve_link_budget(config: ExperimentConfig) -> bounds.LinkBudget:
-    """Link budget from the ratio, from power + noise terms, or the default."""
-    if config.ps_n0_dbhz is not None:
-        return bounds.LinkBudget(ps_n0_dbhz=config.ps_n0_dbhz)
     if config.p_s_dbm is None:
-        return bounds.LinkBudget(ps_n0_dbhz=REFERENCE_PS_N0_DBHZ)
-    if config.n0_dbm_hz is None and config.nf_db is None:
+        link = bounds.LinkBudget(ps_n0_dbhz=REFERENCE_PS_N0_DBHZ if config.ps_n0_dbhz is None
+                                 else config.ps_n0_dbhz)
+    elif config.n0_dbm_hz is None and config.nf_db is None:
         raise ConfigError("p_s_dbm: needs n0_dbm_hz or nf_db alongside")
-    try:
-        return bounds.LinkBudget.from_power(config.p_s_dbm, config.n0_dbm_hz, config.nf_db)
-    except ValueError as exc:
-        # given both, the noise figure must match the noise density
-        raise ConfigError(f"nf_db: {exc}") from None
+    else:
+        try:
+            link = bounds.LinkBudget.from_power(config.p_s_dbm, config.n0_dbm_hz, config.nf_db)
+        except ValueError as exc:
+            # given both, the noise figure must match the noise density
+            raise ConfigError(f"nf_db: {exc}") from None
+    timing = protocol.reply_timing(mode)
+    return RunSetup(config, mode, link, timing, bounds.timing_factor(timing, config.parts))
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +456,17 @@ class _FrameSource:
     symbol_half: np.ndarray
 
 
-def _frame_source(config: ExperimentConfig, mode: protocol.ReaderMode,
-                  signals: list) -> _FrameSource:
+def _frame_source(setup: RunSetup, signals: list) -> _FrameSource:
     """Frames of ``signals``, (kind, exact start time, symbol count) triples
-    such as :func:`protocol.reply_signals` gives, in the configured waveform
-    model; the layout comes from the signals' state counts."""
-    m, model = mode.encoding.spread_factor, config.waveform_model
+    such as :func:`protocol.reply_signals` gives, of the setup's reader mode
+    in its waveform model; the layout comes from the signals' state counts."""
+    mode, model = setup.mode, setup.config.waveform_model
+    m = mode.encoding.spread_factor
     # frame_layout reads a part's state count only, so a range stands in for its states
     counts = [(kind, start, range(2 * m * n_symbols)) for kind, start, n_symbols in signals]
     return _FrameSource(sum(baseband.payload_bits(mode, model, signals)),
                         functools.partial(baseband.frame_states, mode, model, signals),
-                        baseband.frame_layout(counts, mode.blf_hz, config.sample_rate_hz),
+                        baseband.frame_layout(counts, mode.blf_hz, setup.config.sample_rate_hz),
                         baseband.symbol_half(m, model))
 
 
@@ -614,8 +623,8 @@ def run_mcrb_experiment(config: ExperimentConfig):
     point at the configured link budget is run; sweep_param selects a sweep
     over the link ratio or (for single bursts) over the signal duration.
     """
-    mode = _simulation_mode(config)
-    link = resolve_link_budget(config)
+    setup = resolve(config)
+    config, mode, link = setup.config, setup.mode, setup.link
     f_d_true = bounds.doppler_shift(config.v, config.f_c_hz)
     comments = ["mcrb monte carlo"] + config.comment_lines()
     rows = []
@@ -624,7 +633,7 @@ def run_mcrb_experiment(config: ExperimentConfig):
         # every burst's frame size is checked before any trial
         symbols = [_burst_symbols(t0_req, mode, config.waveform_model)
                    for t0_req in config.sweep_values]
-        sources = [_frame_source(config, mode, [("burst", Fraction(0), n)]) for n in symbols]
+        sources = [_frame_source(setup, [("burst", Fraction(0), n)]) for n in symbols]
         for gi, (t0_req, n_symbols, source) in enumerate(
                 zip(config.sweep_values, symbols, sources)):
             t0 = n_symbols * float(protocol.symbol_period(mode.blf_hz, mode.encoding))
@@ -638,21 +647,20 @@ def run_mcrb_experiment(config: ExperimentConfig):
                          "f_d_true_hz": f_d_true, "mcrb_var_hz2": mcrb, **stats})
         return comments, MCRB_BURST_FIELDS, rows
 
-    timing = protocol.reply_timing(mode)
-    c_t = bounds.timing_factor(timing, config.parts)
+    timing = setup.timing
     ratios = config.sweep_values if config.sweep_param == "ps_n0_dbhz" \
         else [link.ps_n0_dbhz]
-    source = _frame_source(config, mode, protocol.reply_signals(mode, config.parts))
+    source = _frame_source(setup, protocol.reply_signals(mode, config.parts))
     found = _estimates(config, source, [(f_d_true, ratio, gi, 0)
                                         for gi, ratio in enumerate(ratios)])
     for ratio, estimates in zip(ratios, found):
-        mcrb = bounds.mcrb_sigma_sq(c_t, bounds.linear_from_db(ratio))
+        mcrb = bounds.mcrb_sigma_sq(setup.c_t, bounds.linear_from_db(ratio))
         stats = _error_stats(estimates - f_d_true)
         rows.append({"ps_n0_dbhz": ratio, "parts": config.parts,
                      "modulation": config.modulation,
                      "waveform_model": config.waveform_model,
                      "t_rn16_s": float(timing.t_rn16), "t_pause_s": float(timing.t_pause),
-                     "t_epc_s": float(timing.t_epc), "c_t_s3": c_t,
+                     "t_epc_s": float(timing.t_epc), "c_t_s3": setup.c_t,
                      "f_d_true_hz": f_d_true, "mcrb_var_hz2": mcrb, **stats})
     return comments, MCRB_REPLY_FIELDS, rows
 
@@ -677,7 +685,8 @@ def run_detection_experiment(config: ExperimentConfig):
     baseband model runs the full frame pipeline at the P_S/N0 whose
     estimation bound equals that variance.
     """
-    mode = _simulation_mode(config)
+    setup = resolve(config)
+    config = setup.config
     # v_grid's rule takes moving tags only; v's also takes a tag at rest
     if config.v_grid is None and config.v <= 0:
         raise ConfigError(f"v: a detection run needs a moving tag, got {config.v}")
@@ -699,14 +708,13 @@ def run_detection_experiment(config: ExperimentConfig):
     else:
         # every speed shares the timing and the frames; the static (k = 0) and
         # moving (k = 1) frames of every speed are searched together
-        c_t = bounds.timing_factor(protocol.reply_timing(mode), config.parts)
         points = []
         for gi, (_, f_d, sigma_sq) in enumerate(speeds):
             # link ratio at which the estimation bound equals sigma_sq
-            ratio_dbhz = bounds.db_from_linear(3.0 / (2.0 * math.pi ** 2 * c_t * sigma_sq))
+            ratio_dbhz = bounds.db_from_linear(3.0 / (2.0 * math.pi ** 2 * setup.c_t * sigma_sq))
             points += [(0.0, ratio_dbhz, gi, 0), (f_d, ratio_dbhz, gi, 1)]
-        found = _estimates(config, _frame_source(config, mode, protocol.reply_signals(
-            mode, config.parts)), points)
+        found = _estimates(config, _frame_source(setup, protocol.reply_signals(
+            setup.mode, config.parts)), points)
         estimates = list(zip(found[::2], found[1::2]))
 
     for (v, f_d, sigma_sq), (est_static, est_moving) in zip(speeds, estimates):
@@ -747,11 +755,10 @@ def _figure5(params, trials, seed):
     t0_grid, ratios = params["t0_grid_s"], params["ps_n0_dbhz_list"]
     fieldnames = ["t0_s", "ps_n0_dbhz", "mcrb_var_hz2"]
     rows = []
-    sim_config = ExperimentConfig(
+    sim_config = resolve(ExperimentConfig(
         mode_label=None, blf_hz=params["blf_hz"], encoding=params["encoding"],
         modulation=params["modulation"], waveform_model=params["waveform_model"],
-        sample_rate_hz=params["sample_rate_hz"])
-    _simulation_mode(sim_config)
+        sample_rate_hz=params["sample_rate_hz"])).config
     if trials > 0:
         fieldnames += ["t0_simulated_s", "trials", "emp_var_hz2"]
     for ratio in ratios:
@@ -779,11 +786,11 @@ def _figure7(params, trials, seed):
     t_rn16, t_epc = float(timing.t_rn16), float(timing.t_epc)
     operating_pause = float(timing.t_pause)
     configs = [("rn16_epc", t_rn16, t_epc), ("epc_epc", t_epc, t_epc)]
-    sim_config = ExperimentConfig(mode_label=None, blf_hz=_MILLER8_40K.blf_hz,
-                                  encoding="Miller8", ps_n0_dbhz=ratio,
-                                  modulation=params["modulation"], waveform_model="gen2",
-                                  parts="both", seed=seed)
-    _simulation_mode(sim_config)
+    sim_config = resolve(ExperimentConfig(mode_label=None, blf_hz=_MILLER8_40K.blf_hz,
+                                          encoding="Miller8", ps_n0_dbhz=ratio,
+                                          modulation=params["modulation"],
+                                          waveform_model="gen2", parts="both",
+                                          seed=seed)).config
     fieldnames = ["config", "t_pause_s", "t1_s", "t2_s", "c_t_s3", "mcrb_var_hz2",
                   "is_operating_point"]
     if trials > 0:

@@ -191,26 +191,47 @@ def test_validate_sweep_pairing_and_link_conflicts():
         ExperimentConfig(blf_hz=40e3).validate()
 
 
-def test_resolve_reader_mode_paths():
-    explicit = X.resolve_reader_mode(ExperimentConfig(mode_label=None, blf_hz=40e3,
-                                                      encoding="miller-8"))
+def test_resolve_builds_the_reader_mode():
+    explicit = X.resolve(ExperimentConfig(mode_label=None, blf_hz=40e3,
+                                          encoding="miller-8")).mode
     assert explicit.encoding is P.MILLER8 and explicit.blf_hz == 40e3
-    catalog = X.resolve_reader_mode(ExperimentConfig(epc_bits=256))
+    catalog = X.resolve(ExperimentConfig(epc_bits=256)).mode
     assert catalog.label == "Mode 290" and catalog.epc_bits == 256
     with pytest.raises(ConfigError, match="mode_label"):
-        X.resolve_reader_mode(ExperimentConfig(mode_label="Mode 0"))
+        X.resolve(ExperimentConfig(mode_label="Mode 0"))
     with pytest.raises(ConfigError, match="blf_hz"):
-        X.resolve_reader_mode(ExperimentConfig(mode_label=None, blf_hz=30e3,
-                                               encoding="fm0"))
+        X.resolve(ExperimentConfig(mode_label=None, blf_hz=30e3, encoding="fm0"))
 
 
-def test_resolve_link_budget_paths():
-    assert X.resolve_link_budget(ExperimentConfig()).ps_n0_dbhz == 52.8
-    assert X.resolve_link_budget(ExperimentConfig(ps_n0_dbhz=60.0)).ps_n0_dbhz == 60.0
-    link = X.resolve_link_budget(ExperimentConfig(p_s_dbm=-95.8, nf_db=25.4))
+def test_resolve_builds_the_link_budget():
+    assert X.resolve(ExperimentConfig()).link.ps_n0_dbhz == 52.8
+    assert X.resolve(ExperimentConfig(ps_n0_dbhz=60.0)).link.ps_n0_dbhz == 60.0
+    link = X.resolve(ExperimentConfig(p_s_dbm=-95.8, nf_db=25.4)).link
     assert link.ps_n0_dbhz == pytest.approx(52.8)
     with pytest.raises(ConfigError, match="p_s_dbm"):
-        X.resolve_link_budget(ExperimentConfig(p_s_dbm=-95.8))
+        X.resolve(ExperimentConfig(p_s_dbm=-95.8))
+
+
+def test_resolve_gives_the_timing_factor_of_the_configured_parts():
+    setup = X.resolve(ExperimentConfig(parts="epc"))
+    assert setup.timing == P.reply_timing(P.find_reader_mode("Mode 290"))
+    assert setup.c_t == bd.timing_factor(setup.timing, "epc")
+
+
+def test_resolve_reads_the_parsed_settings():
+    # the mode is built from each setting's parsed value, not the one given:
+    # the text "false" is no pilot tone, so the Miller preamble has 10 symbols
+    setup = X.resolve(ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="miller-8",
+                                       trext="false"))
+    assert setup.mode.trext is False and setup.config.trext is False
+    assert P.preamble_symbols(setup.mode.encoding, setup.mode.trext) == 10
+    # a catalog label is looked up stripped
+    assert X.resolve(ExperimentConfig(mode_label=" Mode 290 ")).mode == \
+        P.find_reader_mode("Mode 290")
+    config = ExperimentConfig(trials="25", v_grid="0.5, 1")
+    parsed = config.validate()
+    assert (parsed.trials, parsed.v_grid) == (25, [0.5, 1.0])
+    assert (config.trials, config.v_grid) == ("25", "0.5, 1")
 
 
 def test_derive_seed_is_deterministic_and_spreads():
@@ -293,12 +314,12 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     # same strides of its grid point's streams either way
     config = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="Miller8",
                               ps_n0_dbhz=52.8, modulation="ask", parts="both", seed=3)
-    mode = X.resolve_reader_mode(config)
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
 
     def estimates(trials):
         run = dataclasses.replace(config, trials=trials)
-        source = X._frame_source(run, mode, P.reply_signals(mode, run.parts))
+        setup = X.resolve(run)
+        source = X._frame_source(setup, P.reply_signals(setup.mode, run.parts))
         found, = X._estimates(run, source, [(f_d, 52.8, 0, k)])
         return found
 
@@ -357,8 +378,8 @@ def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, wave
     config = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="Miller8",
                               ps_n0_dbhz=52.8, modulation=modulation, parts="both",
                               waveform_model=waveform, trials=7, seed=5)
-    mode = X.resolve_reader_mode(config)
-    source = X._frame_source(config, mode, P.reply_signals(mode, config.parts))
+    setup = X.resolve(config)
+    source = X._frame_source(setup, P.reply_signals(setup.mode, config.parts))
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
     table, = X._block_tables(config, source, [f_d]).values()
     assert (source.n_bits > 0 and table.depends_on_states) == (
@@ -376,8 +397,8 @@ def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
     # three speeds, 3 blocks per frame
     config = ExperimentConfig(mode_label="Mode 204", p_err=0.05, trials=10, seed=6,
                               estimator_model="baseband", modulation="psk")
-    mode = X.resolve_reader_mode(config)
-    source = X._frame_source(config, mode, P.reply_signals(mode, config.parts))
+    setup = X.resolve(config)
+    source = X._frame_source(setup, P.reply_signals(setup.mode, config.parts))
     points = [(f, 62.0 - gi, gi, k) for gi, v in enumerate((0.5, 1.0, 2.0))
               for k, f in enumerate((0.0, bd.doppler_shift(v, config.f_c_hz)))]
     together = X._estimates(config, source, points)
@@ -507,7 +528,7 @@ def test_a_frame_source_encodes_nothing(monkeypatch, model, mode, signals):
     encoded = counting_frame_states(monkeypatch)
     config = ExperimentConfig(mode_label=None, blf_hz=mode.blf_hz, encoding=mode.encoding.name,
                               waveform_model=model)
-    source = X._frame_source(config, mode, signals)
+    source = X._frame_source(X.resolve(config), signals)
     assert encoded == []
     # each signal encoded on its own, laid out from its states
     frame = [(kind, start, B.frame_states(mode, model, [(kind, start, n_symbols)],
