@@ -281,10 +281,11 @@ def check_sample_rate(sample_rate_hz: float, blf_hz: float) -> None:
 
 def frame_layout(parts: Sequence[tuple], blf_hz: float,
                  sample_rate_hz: Optional[float] = None) -> FrameLayout:
-    """Snap the (kind, exact start time, states) parts of a frame to its sample grid.
+    """Snap the (kind, exact start time, state count) parts of a frame to its sample grid.
 
-    Only the number of states of a part matters, not their values.
-    ``sample_rate_hz`` None means :func:`default_sample_rate`.
+    A count may be any int: one whose frame exceeds the frame-size limit is
+    refused before any array is made.  ``sample_rate_hz`` None means
+    :func:`default_sample_rate`.
     """
     fs = sample_rate_hz if sample_rate_hz is not None else default_sample_rate(blf_hz)
     check_sample_rate(fs, blf_hz)
@@ -292,8 +293,8 @@ def frame_layout(parts: Sequence[tuple], blf_hz: float,
     fs_frac = Fraction(fs)
 
     total_end = Fraction(0)
-    for _, start, states in parts:
-        total_end = max(total_end, start + len(states) * half)
+    for _, start, count in parts:
+        total_end = max(total_end, start + count * half)
     n_samples = math.ceil(total_end * fs_frac)
     if n_samples > _MAX_FRAME_SAMPLES:
         raise ValueError(f"sample_rate_hz: a frame of {n_samples} samples at {fs:.12g} Hz "
@@ -301,8 +302,8 @@ def frame_layout(parts: Sequence[tuple], blf_hz: float,
 
     step = fs_frac * half   # samples per half-interval
     edges = []
-    for _, start, states in parts:
-        index = np.arange(len(states) + 1, dtype=np.int64)
+    for _, start, count in parts:
+        index = np.arange(count + 1, dtype=np.int64)
         if step.denominator == 1:
             edges.append(round(start * fs_frac) + int(step) * index)
         else:
@@ -386,5 +387,5 @@ def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
                      params: ChannelParams) -> BasebandFrame:
     """Synthesize one part of prebuilt 0/1 ``states`` starting at t = 0, at
     the default sample rate."""
-    return synthesize_reply(states, frame_layout([("burst", Fraction(0), states)], blf_hz),
+    return synthesize_reply(states, frame_layout([("burst", Fraction(0), len(states))], blf_hz),
                             modulation, params)

@@ -13,8 +13,9 @@ continuous periodogram, inside the coarse cell on either side (the
 coarse-then-fine search of Rife & Boorstyn, IEEE Trans. IT 1974).
 
 For speed the periodogram is evaluated on coherently pre-integrated blocks:
-samples are summed in blocks much shorter than 1/search_halfwidth and each
-block keeps the exact time centroid of its masked samples.  This regroups the
+samples are summed in blocks much shorter than 1/search_halfwidth, and never
+longer than the frame, and each block keeps the exact time centroid of its
+masked samples.  This regroups the
 sum without changing the peak location of a noiseless tone and costs a
 negligible fraction of the post-integration SNR at the searched offsets; set
 block_len_s = 0 to evaluate sample-by-sample instead.  Block sums come in one
@@ -145,13 +146,16 @@ def _check_halfwidth(search_halfwidth_hz: float) -> None:
 
 
 def _block_samples(sample_rate_hz: float, search_halfwidth_hz: float,
-                   block_len_s: float | None) -> int:
+                   block_len_s: float | None, n_samples: int) -> int:
+    """Samples of a block ``block_len_s`` long, at least one and at most the
+    frame's ``n_samples``: a longer block also gives one block, and a window
+    of a few 1e-300 Hz would make it too long for an int."""
     _check_halfwidth(search_halfwidth_hz)
     if block_len_s is None:
         block_len_s = 1.0 / (16.0 * search_halfwidth_hz)
     elif not (math.isfinite(block_len_s) and block_len_s >= 0):
         raise ValueError(f"block_len_s: must be finite and >= 0, got {block_len_s}")
-    return max(1, int(round(block_len_s * sample_rate_hz)))
+    return max(1, int(round(min(n_samples, block_len_s * sample_rate_hz))))
 
 
 def _span(first_s, last_s, sample_rate_hz: float):
@@ -173,7 +177,7 @@ def integrate_blocks(w: WipedSignal, search_halfwidth_hz: float = 200.0,
         raise ValueError("support mask is empty, nothing to estimate from")
     n = mask.size
     t = np.arange(n) / fs
-    edges = np.arange(0, n, _block_samples(fs, search_halfwidth_hz, block_len_s))
+    edges = np.arange(0, n, _block_samples(fs, search_halfwidth_hz, block_len_s, n))
     cnt = np.add.reduceat(mask.astype(np.float64), edges)
     tau = np.add.reduceat(t * mask, edges) / np.maximum(cnt, 1.0)
     first = int(mask.argmax())
@@ -215,7 +219,7 @@ class BlockTable:
     def __init__(self, layout: FrameLayout, symbol_half: np.ndarray, f_d_hz: float,
                  modulation: str, ask_zeroing: bool = True, search_halfwidth_hz: float = 200.0):
         fs, m, edges = layout.sample_rate_hz, symbol_half.size, layout.edges
-        b = _block_samples(fs, search_halfwidth_hz, None)
+        b = _block_samples(fs, search_halfwidth_hz, None, layout.n_samples)
         if any((e.size - 1) % (2 * m) for e in edges):
             raise ValueError(f"symbol_half: a part is not a run of symbols of {2 * m} "
                              f"half-intervals")

@@ -308,6 +308,11 @@ class ExperimentConfig:
             raise ConfigError("sweep_values: must be in [-300, 300] dB in a ps_n0_dbhz sweep")
         if config.ps_n0_dbhz is not None and config.p_s_dbm is not None:
             raise ConfigError("ps_n0_dbhz: give either the ratio or p_s_dbm with a noise term")
+        noise = [key for key in ("n0_dbm_hz", "nf_db") if getattr(config, key) is not None]
+        if config.p_s_dbm is not None and not noise:
+            raise ConfigError("p_s_dbm: needs n0_dbm_hz or nf_db alongside")
+        if config.p_s_dbm is None and noise:
+            raise ConfigError(f"{noise[0]}: a noise term is read only with p_s_dbm alongside")
         return config
 
     # -- parsing -----------------------------------------------------------
@@ -410,8 +415,6 @@ def resolve(config: ExperimentConfig) -> RunSetup:
     if config.p_s_dbm is None:
         link = bounds.LinkBudget(ps_n0_dbhz=REFERENCE_PS_N0_DBHZ if config.ps_n0_dbhz is None
                                  else config.ps_n0_dbhz)
-    elif config.n0_dbm_hz is None and config.nf_db is None:
-        raise ConfigError("p_s_dbm: needs n0_dbm_hz or nf_db alongside")
     else:
         try:
             link = bounds.LinkBudget.from_power(config.p_s_dbm, config.n0_dbm_hz, config.nf_db)
@@ -462,8 +465,7 @@ def _frame_source(setup: RunSetup, signals: list) -> _FrameSource:
     in its waveform model; the layout comes from the signals' state counts."""
     mode, model = setup.mode, setup.config.waveform_model
     m = mode.encoding.spread_factor
-    # frame_layout reads a part's state count only, so a range stands in for its states
-    counts = [(kind, start, range(2 * m * n_symbols)) for kind, start, n_symbols in signals]
+    counts = [(kind, start, 2 * m * n_symbols) for kind, start, n_symbols in signals]
     return _FrameSource(sum(baseband.payload_bits(mode, model, signals)),
                         functools.partial(baseband.frame_states, mode, model, signals),
                         baseband.frame_layout(counts, mode.blf_hz, setup.config.sample_rate_hz),
@@ -693,10 +695,17 @@ def run_detection_experiment(config: ExperimentConfig):
     f_c = config.f_c_hz
     comments = ["motion detection monte carlo"] + config.comment_lines()
     rows = []
+    # the setting that gives the variance: sigma_sq_hz2, or else the speed
+    key = "sigma_sq_hz2" if config.sigma_sq_hz2 is not None \
+        else "v" if config.v_grid is None else "v_grid"
     speeds = []     # (v, f_d, sigma_sq) per grid point
     for v in config.v_grid if config.v_grid is not None else [config.v]:
         sigma_sq = config.sigma_sq_hz2 if config.sigma_sq_hz2 is not None \
             else bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, config.p_err))
+        if not sigma_sq > 0:
+            # a Doppler shift of a few 1e-291 Hz squares to 0
+            raise ConfigError(f"{key}: the tolerable variance at {v:.6g} m/s underflows "
+                              f"to {sigma_sq}")
         speeds.append((v, bounds.doppler_shift(v, f_c), sigma_sq))
     if config.estimator_model == "gaussian":
         estimates = []
@@ -711,7 +720,11 @@ def run_detection_experiment(config: ExperimentConfig):
         points = []
         for gi, (_, f_d, sigma_sq) in enumerate(speeds):
             # link ratio at which the estimation bound equals sigma_sq
-            ratio_dbhz = bounds.db_from_linear(3.0 / (2.0 * math.pi ** 2 * setup.c_t * sigma_sq))
+            bound_per_ratio = 2.0 * math.pi ** 2 * setup.c_t * sigma_sq
+            if bound_per_ratio == 0:
+                raise ConfigError(f"{key}: a variance of {sigma_sq:.6g} Hz^2 needs a link "
+                                  f"ratio beyond floating-point range")
+            ratio_dbhz = bounds.db_from_linear(3.0 / bound_per_ratio)
             points += [(0.0, ratio_dbhz, gi, 0), (f_d, ratio_dbhz, gi, 1)]
         found = _estimates(config, _frame_source(setup, protocol.reply_signals(
             setup.mode, config.parts)), points)

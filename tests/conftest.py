@@ -61,7 +61,7 @@ def reply_layout(mode, parts="both", fs=None):
     """The sample layout of the selected parts of a reply at ``fs`` (None:
     the default rate), from their state counts, 2M half-intervals a symbol."""
     m = mode.encoding.spread_factor
-    return B.frame_layout([(kind, start, range(2 * m * n_symbols))
+    return B.frame_layout([(kind, start, 2 * m * n_symbols)
                            for kind, start, n_symbols in P.reply_signals(mode, parts)],
                           mode.blf_hz, fs)
 

@@ -501,7 +501,7 @@ def test_one_signal_burst_spec_gives_the_burst_frame(mode, waveform):
     assert B.payload_bits(mode, waveform, signals) == [n_bits if waveform == "gen2" else 0]
     spec_states = B.frame_states(mode, waveform, signals, bits)
     assert np.array_equal(spec_states, states)
-    layout = B.frame_layout([("burst", Fraction(0), spec_states)], mode.blf_hz)
+    layout = B.frame_layout([("burst", Fraction(0), spec_states.size)], mode.blf_hz)
     spec = B.synthesize_reply(spec_states, layout, "ask", params)
     burst = B.synthesize_burst(states, mode.blf_hz, "ask", params)
     assert spec.n_samples == burst.n_samples == layout.n_samples

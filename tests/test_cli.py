@@ -342,6 +342,21 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     (["bounds", "--v", "1e300"], "v"),
     (["simulate-detect", "--v-grid", "1e300", "--trials", "5"], "v_grid"),
     (["simulate-mcrb", "--v", "299792458", "--trials", "3"], "v"),
+    # a noise term without the tag power it goes with, which the link budget
+    # used to ignore
+    (["vmin", "--ps-n0", "50", "--n0", "-150", "--nf", "3"], "n0_dbm_hz"),
+    (["bounds", "--ps-n0", "50", "--n0", "-150", "--nf", "3"], "n0_dbm_hz"),
+    (["bounds", "--nf", "3"], "nf_db"),
+    # a tolerable variance that underflows to 0, or whose link ratio would be
+    # 3/0, which raised ZeroDivisionError in the frame pipeline
+    (["simulate-detect", "--estimator", "baseband", "--v", "1e-300", "--trials", "2"], "v"),
+    (["simulate-detect", "--v", "1e-300", "--trials", "2"], "v"),
+    (["simulate-detect", "--estimator", "baseband", "--v-grid", "1e-300,1", "--trials", "2"],
+     "v_grid"),
+    (["simulate-detect", "--estimator", "baseband", "--sigma-sq", "5e-324", "--trials", "2"],
+     "sigma_sq_hz2"),
+    # a burst whose state count no C integer holds
+    (["simulate-mcrb", "--trials", "2", "--sweep", "t0_s=1e300"], "sample_rate_hz"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypatch):
@@ -363,6 +378,17 @@ def test_a_detection_at_rest_names_the_speed_given(capsys):
                                        "tag, got 0.0\n")
     assert main(["simulate-detect", "--v-grid", "0,1", "--trials", "5"]) == 2
     assert capsys.readouterr().err.startswith("config error: v_grid: must lie in (0, ")
+
+
+@pytest.mark.parametrize("halfwidth", ["1e-300", "5e-324"])
+def test_a_window_of_a_few_1e_300_hz_takes_one_block_per_frame(halfwidth, capsys):
+    # 1/(16 W) overflowed the block length; a block as long as the frame gives
+    # the one block that any longer one gives
+    assert main(["simulate-mcrb", "--search-halfwidth", halfwidth, "--v", "0",
+                 "--trials", "2"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["trials"] == "2" and math.isfinite(float(values["emp_mse_hz2"]))
 
 
 def test_an_overflowing_figure_column_names_the_keys_and_the_column(capsys, tmp_path):

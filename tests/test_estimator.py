@@ -168,7 +168,7 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
     got = table.blocks(states[None])
     # every block of the frame, the pause's too, in both
     assert got.z.shape == want.z.shape == (1, math.ceil(frame.n_samples / E._block_samples(
-        frame.sample_rate_hz, halfwidth, None)))
+        frame.sample_rate_hz, halfwidth, None, frame.n_samples)))
     if parts == "both":
         assert (want.count == 0).any()
     assert np.array_equal(got.count, want.count)
@@ -177,6 +177,24 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
     assert np.all(np.abs(got.z - want.z) <= 1e-12 * want.count)
     assert np.all(np.abs(got.tau - want.tau) <= 1e-12)
     assert np.array_equal(got.span_s, want.span_s)
+
+
+@pytest.mark.parametrize("halfwidth", [1e-300, 5e-324])
+def test_a_block_is_never_longer_than_its_frame(halfwidth):
+    # 1/(16 W) is 6e298 s at W = 1e-300 Hz, and times fs inf at 5e-324 Hz; at
+    # 1 Hz, 80,000 samples, the block already holds the 46,336-sample frame
+    layout = reply_layout(MILLER8_40K)
+    assert E._block_samples(layout.sample_rate_hz, halfwidth, None, layout.n_samples) == \
+        layout.n_samples
+    _, _, states = block_parts(MILLER8_40K, "gen2", "both")
+    one_block, narrow = (E.BlockTable(layout, MILLER8_HALF, 0.0, "ask", True, w).blocks(
+        states[None]) for w in (1.0, halfwidth))
+    wiped = E.wipe_modulation(make_frame("ask"))
+    for got, want in ((narrow, one_block),
+                      (E.integrate_blocks(wiped, halfwidth), E.integrate_blocks(wiped, 1.0))):
+        assert got.z.shape == (1, 1)
+        for name in ("z", "count", "tau", "span_s"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
@@ -208,7 +226,7 @@ def per_piece_blocks(layout, f_d_hz, modulation, zeroing, halfwidth, states):
     block are added in time order.
     """
     fs = layout.sample_rate_hz
-    b = E._block_samples(fs, halfwidth, None)
+    b = E._block_samples(fs, halfwidth, None, layout.n_samples)
     starts, ends, halves, n_half = [], [], [], 0
     for edges in layout.edges:
         part_starts = np.union1d(edges[:-1], np.arange((edges[0] // b + 1) * b, edges[-1], b))

@@ -191,6 +191,16 @@ def test_validate_sweep_pairing_and_link_conflicts():
         ExperimentConfig(blf_hz=40e3).validate()
 
 
+@pytest.mark.parametrize("settings, key", [
+    ({"nf_db": 3.0}, "nf_db"),
+    ({"n0_dbm_hz": -150.0}, "n0_dbm_hz"),
+    ({"ps_n0_dbhz": 50.0, "n0_dbm_hz": -150.0, "nf_db": 3.0}, "n0_dbm_hz"),
+])
+def test_a_noise_term_needs_the_tag_power(settings, key):
+    with pytest.raises(ConfigError, match=f"^{key}: a noise term is read only with p_s_dbm"):
+        ExperimentConfig(**settings).validate()
+
+
 def test_resolve_builds_the_reader_mode():
     explicit = X.resolve(ExperimentConfig(mode_label=None, blf_hz=40e3,
                                           encoding="miller-8")).mode
@@ -530,9 +540,9 @@ def test_a_frame_source_encodes_nothing(monkeypatch, model, mode, signals):
                               waveform_model=model)
     source = X._frame_source(X.resolve(config), signals)
     assert encoded == []
-    # each signal encoded on its own, laid out from its states
+    # each signal encoded on its own, laid out from its states' count
     frame = [(kind, start, B.frame_states(mode, model, [(kind, start, n_symbols)],
-                                          np.ones(n_bits, dtype=np.int8)))
+                                          np.ones(n_bits, dtype=np.int8)).size)
              for (kind, start, n_symbols), n_bits
              in zip(signals, B.payload_bits(mode, model, signals))]
     layout = B.frame_layout(frame, mode.blf_hz)
