@@ -720,11 +720,11 @@ def run_detection_experiment(config: ExperimentConfig):
         points = []
         for gi, (_, f_d, sigma_sq) in enumerate(speeds):
             # link ratio at which the estimation bound equals sigma_sq
-            bound_per_ratio = 2.0 * math.pi ** 2 * setup.c_t * sigma_sq
-            if bound_per_ratio == 0:
+            three_over_ratio = 2.0 * math.pi ** 2 * setup.c_t * sigma_sq
+            if three_over_ratio == 0:
                 raise ConfigError(f"{key}: a variance of {sigma_sq:.6g} Hz^2 needs a link "
                                   f"ratio beyond floating-point range")
-            ratio_dbhz = bounds.db_from_linear(3.0 / bound_per_ratio)
+            ratio_dbhz = bounds.db_from_linear(3.0 / three_over_ratio)
             points += [(0.0, ratio_dbhz, gi, 0), (f_d, ratio_dbhz, gi, 1)]
         found = _estimates(config, _frame_source(setup, protocol.reply_signals(
             setup.mode, config.parts)), points)
@@ -795,15 +795,14 @@ def _figure5(params, trials, seed):
 
 def _figure7(params, trials, seed):
     ratio, pause_grid = params["ps_n0_dbhz"], params["t_pause_grid_s"]
-    timing = protocol.reply_timing(_MILLER8_40K)
+    setup = resolve(ExperimentConfig(mode_label=None, blf_hz=_MILLER8_40K.blf_hz,
+                                     encoding="Miller8", ps_n0_dbhz=ratio,
+                                     modulation=params["modulation"], waveform_model="gen2",
+                                     parts="both", seed=seed))
+    sim_config, timing = setup.config, setup.timing
     t_rn16, t_epc = float(timing.t_rn16), float(timing.t_epc)
     operating_pause = float(timing.t_pause)
     configs = [("rn16_epc", t_rn16, t_epc), ("epc_epc", t_epc, t_epc)]
-    sim_config = resolve(ExperimentConfig(mode_label=None, blf_hz=_MILLER8_40K.blf_hz,
-                                          encoding="Miller8", ps_n0_dbhz=ratio,
-                                          modulation=params["modulation"],
-                                          waveform_model="gen2", parts="both",
-                                          seed=seed)).config
     fieldnames = ["config", "t_pause_s", "t1_s", "t2_s", "c_t_s3", "mcrb_var_hz2",
                   "is_operating_point"]
     if trials > 0:
