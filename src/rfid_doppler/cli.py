@@ -20,8 +20,10 @@ dataset out of floating-point range exits 2 naming those keys.
 Exit codes: 0 success, 2 configuration error, 3 failed --check comparison.
 
 Each subcommand is declared once, in ``_SUBCOMMANDS``: its help line, its
-argument adder and its handler.  ``main`` parses the argv after the name with
-that subcommand's own parser; only a command that cannot run builds the parser
+argument adder and its handler.  One handler serves bounds and vmin, which
+prints the lines of bounds that need no speed, and one serves simulate-mcrb
+and simulate-detect.  ``main`` parses the argv after the name with that
+subcommand's own parser; only a command that cannot run builds the parser
 that lists every subcommand, for the top-level help or a usage error.
 """
 
@@ -79,8 +81,8 @@ def _build_config(args) -> ExperimentConfig:
     """A command's config: the values of its config file, then of its flags.
 
     Its settings are the fields that its flags set, and for simulate-mcrb,
-    whose --sweep sets them, sweep_param and sweep_values; a file key
-    outside them is refused, as a flag the command lacks is.
+    whose --sweep PARAM=V1,V2,... sets them, sweep_param and sweep_values; a
+    file key outside them is refused, as a flag the command lacks is.
     """
     given = vars(args)
     settings = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name in given]
@@ -91,15 +93,26 @@ def _build_config(args) -> ExperimentConfig:
     for name in settings:
         if given.get(name) is not None:
             config.set_field(name, given[name])
+    if given.get("sweep"):
+        param, sep, values = args.sweep.partition("=")
+        if not sep:
+            raise ConfigError("sweep: expected PARAM=V1,V2,... (param ps_n0_dbhz or t0_s)")
+        config.set_field("sweep_param", param)
+        config.set_field("sweep_values", values)
     return config
 
 
+# the lines of bounds that need no speed and no reply timing: vmin's lines
+_VMIN_KEYS = ("mode", "parts", "c_t_s3", "ps_n0_dbhz", "p_err", "f_c_hz", "v_min_m_per_s")
+
+
 def _cmd_bounds(args) -> int:
+    """bounds prints every bound; vmin, which has no --v, the lines of _VMIN_KEYS."""
     setup = experiments.resolve(_build_config(args))
     config, mode, link, timing = setup.config, setup.mode, setup.link, setup.timing
     scenario = bounds.MotionScenario(config.v, config.f_c_hz, config.p_err)
     result = bounds.evaluate_bounds(scenario, setup.c_t, link)
-    experiments.write_key_values(args.out or sys.stdout, [
+    pairs = [
         ("mode", mode.label),
         ("blf_hz", mode.blf_hz),
         ("encoding", mode.encoding.name),
@@ -116,23 +129,10 @@ def _cmd_bounds(args) -> int:
         ("mcrb_var_hz2", result.sigma_mcrb_sq),
         ("v_min_m_per_s", result.v_min),
         ("detectable", str(result.detectable).lower()),
-    ])
-    return 0
-
-
-def _cmd_vmin(args) -> int:
-    setup = experiments.resolve(_build_config(args))
-    config = setup.config
-    value = bounds.v_min(setup.c_t, setup.link.ps_n0_linear, config.f_c_hz, config.p_err)
-    experiments.write_key_values(args.out or sys.stdout, [
-        ("mode", setup.mode.label),
-        ("parts", config.parts),
-        ("c_t_s3", setup.c_t),
-        ("ps_n0_dbhz", setup.link.ps_n0_dbhz),
-        ("p_err", config.p_err),
-        ("f_c_hz", config.f_c_hz),
-        ("v_min_m_per_s", value),
-    ])
+    ]
+    if "v" not in vars(args):
+        pairs = [pair for pair in pairs if pair[0] in _VMIN_KEYS]
+    experiments.write_key_values(args.out or sys.stdout, pairs)
     return 0
 
 
@@ -158,8 +158,9 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _check_mcrb_rows(rows, ask_penalty: bool) -> None:
+def _check_mcrb_rows(rows, config: ExperimentConfig) -> None:
     # ASK without zeroing keeps the absorb samples' noise: twice the bound
+    ask_penalty = config.modulation == "ask" and not config.ask_zeroing
     lo, hi = (1.8, 2.2) if ask_penalty else (0.9, 1.15)
     for row in rows:
         ratio = row["emp_var_hz2"] / row["mcrb_var_hz2"]
@@ -174,23 +175,7 @@ def _check_mcrb_rows(rows, ask_penalty: bool) -> None:
                 f"({3.0 * sem:.6g} Hz) at row {row}")
 
 
-def _cmd_simulate_mcrb(args) -> int:
-    config = _build_config(args)
-    if args.sweep:
-        if "=" not in args.sweep:
-            raise ConfigError("sweep: expected PARAM=V1,V2,... "
-                              "(param ps_n0_dbhz or t0_s)")
-        param, values = args.sweep.split("=", 1)
-        config.set_field("sweep_param", param)
-        config.set_field("sweep_values", values)
-    comments, fieldnames, rows = experiments.run_mcrb_experiment(config)
-    experiments.write_csv(args.out or sys.stdout, comments, fieldnames, rows)
-    if args.check:
-        _check_mcrb_rows(rows, config.modulation == "ask" and not config.ask_zeroing)
-    return 0
-
-
-def _check_detect_rows(rows) -> None:
+def _check_detect_rows(rows, config: ExperimentConfig) -> None:
     for row in rows:
         p = row["p_err_predicted"]
         n = 2 * row["trials"]
@@ -201,12 +186,16 @@ def _check_detect_rows(rows) -> None:
                 f"around {p:.6g} (halfwidth {halfwidth:.6g}) at v = {row['v_m_per_s']}")
 
 
-def _cmd_simulate_detect(args) -> int:
+def _cmd_simulate(args) -> int:
+    """simulate-mcrb (the command with --sweep) and simulate-detect."""
+    mcrb = "sweep" in vars(args)
     config = _build_config(args)
-    comments, fieldnames, rows = experiments.run_detection_experiment(config)
+    # looked up as the command runs, so that a wrapper set on the module is called
+    run = experiments.run_mcrb_experiment if mcrb else experiments.run_detection_experiment
+    comments, fieldnames, rows = run(config)
     experiments.write_csv(args.out or sys.stdout, comments, fieldnames, rows)
     if args.check:
-        _check_detect_rows(rows)
+        (_check_mcrb_rows if mcrb else _check_detect_rows)(rows, config)
     return 0
 
 
@@ -269,12 +258,12 @@ def _noise_figure_arguments(sp):
 # name -> (help, argument adder, handler), in the order --help lists them
 _SUBCOMMANDS = {
     "bounds": ("print every bound for one configuration", _bounds_arguments, _cmd_bounds),
-    "vmin": ("print the minimum detectable tag speed", _vmin_arguments, _cmd_vmin),
+    "vmin": ("print the minimum detectable tag speed", _vmin_arguments, _cmd_bounds),
     "figure": ("emit the dataset behind one figure", _figure_arguments, _cmd_figure),
     "simulate-mcrb": ("Monte Carlo check of the estimation variance bound",
-                      _simulate_mcrb_arguments, _cmd_simulate_mcrb),
+                      _simulate_mcrb_arguments, _cmd_simulate),
     "simulate-detect": ("Monte Carlo check of classification error rates",
-                        _simulate_detect_arguments, _cmd_simulate_detect),
+                        _simulate_detect_arguments, _cmd_simulate),
     "noise-figure": ("back-solve N0 and NF from a sensitivity point",
                      _noise_figure_arguments, _cmd_noise_figure),
 }

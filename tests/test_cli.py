@@ -250,18 +250,20 @@ def test_detect_check_fails_on_a_nan_error_rate():
     row = {"v_m_per_s": 1.0, "p_err_predicted": 0.05, "trials": 100,
            "error_rate": math.nan}
     with pytest.raises(CheckFailure):
-        cli._check_detect_rows([row])
+        cli._check_detect_rows([row], ExperimentConfig())
 
 
 def test_mcrb_check_fails_on_a_biased_mean_error():
     row = {"ps_n0_dbhz": 52.8, "mcrb_var_hz2": 0.0174, "trials": 2000,
            "emp_var_hz2": 0.0174, "emp_mean_err_hz": 0.0}
-    cli._check_mcrb_rows([row], ask_penalty=False)
+    # PSK carries no ASK penalty
+    config = ExperimentConfig(modulation="psk")
+    cli._check_mcrb_rows([row], config)
     # 3 standard errors of the mean are 3 * sqrt(0.0174 / 2000) = 0.0088 Hz
-    cli._check_mcrb_rows([dict(row, emp_mean_err_hz=-0.0087)], ask_penalty=False)
+    cli._check_mcrb_rows([dict(row, emp_mean_err_hz=-0.0087)], config)
     for mean in (0.0089, -0.0089, math.nan):
         with pytest.raises(CheckFailure, match="mean error .* at row .*'ps_n0_dbhz': 52.8"):
-            cli._check_mcrb_rows([row, dict(row, emp_mean_err_hz=mean)], ask_penalty=False)
+            cli._check_mcrb_rows([row, dict(row, emp_mean_err_hz=mean)], config)
 
 
 @pytest.mark.parametrize("figure, setting, key", [
