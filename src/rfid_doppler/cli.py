@@ -94,7 +94,7 @@ def _build_config(args) -> ExperimentConfig:
         if given.get(name) is not None:
             config.set_field(name, given[name])
     if given.get("sweep"):
-        param, sep, values = args.sweep.partition("=")
+        param, sep, values = given["sweep"].partition("=")
         if not sep:
             raise ConfigError("sweep: expected PARAM=V1,V2,... (param ps_n0_dbhz or t0_s)")
         config.set_field("sweep_param", param)
@@ -110,6 +110,8 @@ def _cmd_bounds(args) -> int:
     """bounds prints every bound; vmin, which has no --v, the lines of _VMIN_KEYS."""
     setup = experiments.resolve(_build_config(args))
     config, mode, link, timing = setup.config, setup.mode, setup.link, setup.timing
+    if config.v <= 0:
+        raise ConfigError(f"v: a bounds run needs a moving tag, got {config.v}")
     scenario = bounds.MotionScenario(config.v, config.f_c_hz, config.p_err)
     result = bounds.evaluate_bounds(scenario, setup.c_t, link)
     pairs = [

@@ -719,12 +719,17 @@ def run_detection_experiment(config: ExperimentConfig):
         # moving (k = 1) frames of every speed are searched together
         points = []
         for gi, (_, f_d, sigma_sq) in enumerate(speeds):
-            # link ratio at which the estimation bound equals sigma_sq
+            # link ratio at which the estimation bound equals sigma_sq, held to
+            # the range of ps_n0_dbhz: beyond it a frame carries no noise
             three_over_ratio = 2.0 * math.pi ** 2 * setup.c_t * sigma_sq
             if three_over_ratio == 0:
                 raise ConfigError(f"{key}: a variance of {sigma_sq:.6g} Hz^2 needs a link "
                                   f"ratio beyond floating-point range")
-            ratio_dbhz = bounds.db_from_linear(3.0 / three_over_ratio)
+            try:
+                ratio_dbhz = _db(bounds.db_from_linear(3.0 / three_over_ratio))
+            except ValueError as exc:
+                raise ConfigError(f"{key}: the link ratio for a variance of {sigma_sq:.6g} "
+                                  f"Hz^2 {exc}") from None
             points += [(0.0, ratio_dbhz, gi, 0), (f_d, ratio_dbhz, gi, 1)]
         found = _estimates(config, _frame_source(setup, protocol.reply_signals(
             setup.mode, config.parts)), points)
@@ -818,14 +823,11 @@ def _figure7(params, trials, seed):
                    "c_t_s3": c_t,
                    "mcrb_var_hz2": bounds.mcrb_sigma_sq(c_t, linear),
                    "is_operating_point": int(marked)}
-            if trials > 0:
-                if marked:
-                    _, _, sim_rows = run_mcrb_experiment(
-                        dataclasses.replace(sim_config, trials=trials))
-                    row.update({"trials": sim_rows[0]["trials"],
-                                "emp_var_hz2": sim_rows[0]["emp_var_hz2"]})
-                else:
-                    row.update({"trials": "", "emp_var_hz2": ""})
+            if trials > 0 and marked:
+                # the writer leaves the other rows' cells empty
+                _, _, sim_rows = run_mcrb_experiment(dataclasses.replace(sim_config, trials=trials))
+                row.update({"trials": sim_rows[0]["trials"],
+                            "emp_var_hz2": sim_rows[0]["emp_var_hz2"]})
             rows.append(row)
     comments = [f"two-part estimation variance bound over pause length at "
                 f"{ratio:.12g} dB-Hz (Miller-8, 40 kHz reply timings)"]

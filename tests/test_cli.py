@@ -62,6 +62,24 @@ def test_vmin_headline_number(capsys):
     assert float(values["v_min_m_per_s"]) == pytest.approx(1.1145, abs=5e-3)
 
 
+@pytest.mark.parametrize("argv", [
+    # README's vmin command
+    ["--mode", "Mode 290", "--p-s-dbm", "-95.8", "--n0", "-148.6", "--p-err", "1e-3"],
+    ["--mode", "Mode 204", "--parts", "epc", "--f-c", "915e6"],
+    ["--blf", "40e3", "--encoding", "miller-8"],
+    ["--p-s-dbm", "-95.8", "--nf", "25.4"],
+])
+def test_vmin_prints_the_lines_of_bounds_that_need_no_speed(argv, capsys):
+    assert main(["vmin", *argv]) == 0
+    printed = capsys.readouterr().out
+    assert main(["bounds", *argv]) == 0
+    keys = [line.split(" = ")[0] for line in printed.splitlines()]
+    assert keys == ["mode", "parts", "c_t_s3", "ps_n0_dbhz", "p_err", "f_c_hz",
+                    "v_min_m_per_s"]
+    assert printed == "".join(line for line in capsys.readouterr().out.splitlines(True)
+                              if line.split(" = ")[0] in keys)
+
+
 def test_bounds_reports_consistent_quantities(capsys):
     assert main(["bounds", "--mode", "Mode 290", "--ps-n0", "52.8", "--v", "1.2"]) == 0
     values = parse_kv(capsys.readouterr().out)
@@ -357,6 +375,19 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
      "v_grid"),
     (["simulate-detect", "--estimator", "baseband", "--sigma-sq", "5e-324", "--trials", "2"],
      "sigma_sq_hz2"),
+    # a link ratio outside the [-300, 300] dB of ps_n0_dbhz, at which the
+    # frames carried no noise (or all noise)
+    (["simulate-detect", "--estimator", "baseband", "--v", "1e-150", "--trials", "2"], "v"),
+    (["simulate-detect", "--estimator", "baseband", "--v", "1e-155", "--trials", "2"], "v"),
+    (["simulate-detect", "--estimator", "baseband", "--v-grid", "1e-150,1", "--trials", "2"],
+     "v_grid"),
+    (["simulate-detect", "--estimator", "baseband", "--sigma-sq", "1e-300", "--trials", "2"],
+     "sigma_sq_hz2"),
+    (["simulate-detect", "--estimator", "baseband", "--sigma-sq", "1e300", "--trials", "2"],
+     "sigma_sq_hz2"),
+    # a tag at rest has no threshold, which bounds.sigma_max_sq refused naming no setting
+    (["bounds", "--v", "0"], "v"),
+    (["bounds", "--v", "-0"], "v"),
     # a burst whose state count no C integer holds
     (["simulate-mcrb", "--trials", "2", "--sweep", "t0_s=1e300"], "sample_rate_hz"),
 ])

@@ -7,7 +7,9 @@ single-flag sweep adds simulate-mcrb's ``--sweep`` of either parameter and
 each figure's ``--set`` keys.  simulate-* runs take ``--trials 2``, and
 simulate-detect runs both estimator models.  Every run must exit 0, 2 or 3 and
 raise nothing else, and a run that exits 0 must print no ``nan`` or ``inf``
-outside its ``#`` header.
+outside its ``#`` header.  A run that exits 2 must say what it refused:
+argparse's usage error, an error that leads with the names of the settings
+it refused, or an OSError that names the ``--config`` path.
 
 A pair runs only the values that each flag's own rule, the parser of its
 config field, takes: a value that the rule refuses exits 2 as soon as the
@@ -46,13 +48,40 @@ BASES = [
     (["noise-figure"], []),
 ]
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+# 'config error: NAME: ...' or 'error: NAME: ...', where NAME may join several
+# names with '/' or ', '
+REFUSAL = re.compile(r"(?:config )?error: (.+?): ")
+FIGURE_KEYS = {key for _, params in X._FIGURES.values() for key in params}
+
+
+def nameable(name):
+    """What a refusal by subcommand ``name`` may name: a config field, a
+    figure key, or one of the subcommand's flag dests and option strings."""
+    actions = cli._subcommand_parser(name)._actions
+    return FIELDS | FIGURE_KEYS | {action.dest for action in actions} \
+        | {option for action in actions for option in action.option_strings}
+
+
+NAMEABLE = {name: nameable(name) for name in cli._SUBCOMMANDS}
+
+
+def names_what_it_refused(argv, err):
+    """Whether ``err``, the stderr of a run that exits 2, says what it refused."""
+    if err.startswith("usage: ") and ": error: " in err:
+        return True
+    paths = [piece.partition("=")[2] for piece in argv if piece.startswith("--config=")]
+    if paths and repr(paths[-1]) in err:
+        return True     # the OSError of a config file that cannot be read
+    found = REFUSAL.match(err)
+    return found is not None and set(re.split(r"/|, ", found[1])) <= NAMEABLE[argv[0]]
 
 
 def run(argv):
-    """None if ``main(argv)`` exits 0, 2 or 3 and, exiting 0, prints only
-    finite numbers outside the ``#`` header; else what went wrong."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    """None if ``main(argv)`` exits 0, 2 or 3, exiting 0, prints only finite
+    numbers outside the ``#`` header, and exiting 2, says what it refused;
+    else what went wrong."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -64,6 +93,8 @@ def run(argv):
     printed = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
     if code == 0 and any(map(NON_FINITE.search, printed)):
         return "printed a number that is not finite"
+    if code == 2 and not names_what_it_refused(argv, err.getvalue()):
+        return f"refused naming no setting: {err.getvalue().strip()}"
     return None
 
 
@@ -111,7 +142,7 @@ def sweep_runs():
                 yield base + list(pair)
 
 
-def test_every_input_exits_0_2_or_3_and_prints_only_finite_numbers():
+def test_every_input_exits_0_2_or_3_prints_only_finite_numbers_and_names_a_refusal():
     escapes = []
     for argv in sweep_runs():
         found = run(argv)
