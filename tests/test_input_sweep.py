@@ -142,7 +142,7 @@ def sweep_runs():
                 yield base + list(pair)
 
 
-def test_every_input_exits_0_2_or_3_prints_only_finite_numbers_and_names_a_refusal():
+def test_every_input_exits_0_2_or_3_and_prints_only_finite_numbers():
     escapes = []
     for argv in sweep_runs():
         found = run(argv)
