@@ -15,17 +15,16 @@ coarse-then-fine search of Rife & Boorstyn, IEEE Trans. IT 1974).
 For speed the periodogram is evaluated on coherently pre-integrated blocks:
 samples are summed in blocks much shorter than 1/search_halfwidth, and never
 longer than the frame, and each block keeps the exact time centroid of its
-masked samples.  This regroups the
-sum without changing the peak location of a noiseless tone and costs a
-negligible fraction of the post-integration SNR at the searched offsets; set
-block_len_s = 0 to evaluate sample-by-sample instead.  Block sums come in one
-form, a batch with one row per frame (:class:`BlockSums`): integrate_blocks
-gives the one row of a sampled frame, and BlockTable the rows of noiseless
-frames straight from their symbol words (the states of a symbol's two
-halves), one table entry per symbol and block, so Monte Carlo trials skip
-the samples.  search_peak searches every row on its own, and a row gives
-exactly what it gives when searched alone; search_rows searches the rows of
-any number of batches in chunks of bounded size.
+masked samples.  This regroups the sum without changing the peak location of
+a noiseless tone and costs a negligible fraction of the post-integration SNR
+at the searched offsets.  Block sums come in one form, a batch with one row
+per frame (:class:`BlockSums`): integrate_blocks gives the one row of a
+sampled frame, and BlockTable the rows of noiseless frames straight from
+their symbol words (the states of a symbol's two halves), one table entry
+per symbol and block, so Monte Carlo trials skip the samples.  search_peak
+searches every row on its own, and a row gives exactly what it gives when
+searched alone; search_rows searches the rows of any number of batches in
+chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -145,17 +144,13 @@ def _check_halfwidth(search_halfwidth_hz: float) -> None:
                          f"got {search_halfwidth_hz}")
 
 
-def _block_samples(sample_rate_hz: float, search_halfwidth_hz: float,
-                   block_len_s: float | None, n_samples: int) -> int:
-    """Samples of a block ``block_len_s`` long, at least one and at most the
-    frame's ``n_samples``: a longer block also gives one block, and a window
-    of a few 1e-300 Hz would make it too long for an int."""
+def _block_samples(sample_rate_hz: float, search_halfwidth_hz: float, n_samples: int) -> int:
+    """Samples of a block 1/(16 search_halfwidth) long, at least one and at
+    most the frame's ``n_samples``: a longer block also gives one block, and
+    a window of a few 1e-300 Hz would make it too long for an int."""
     _check_halfwidth(search_halfwidth_hz)
-    if block_len_s is None:
-        block_len_s = 1.0 / (16.0 * search_halfwidth_hz)
-    elif not (math.isfinite(block_len_s) and block_len_s >= 0):
-        raise ValueError(f"block_len_s: must be finite and >= 0, got {block_len_s}")
-    return max(1, int(round(min(n_samples, block_len_s * sample_rate_hz))))
+    block_s = 1.0 / (16.0 * search_halfwidth_hz)
+    return max(1, int(round(min(n_samples, block_s * sample_rate_hz))))
 
 
 def _span(first_s, last_s, sample_rate_hz: float):
@@ -163,21 +158,16 @@ def _span(first_s, last_s, sample_rate_hz: float):
     return np.where(span > 0, span, 1.0 / sample_rate_hz)
 
 
-def integrate_blocks(w: WipedSignal, search_halfwidth_hz: float = 200.0,
-                     block_len_s: float | None = None) -> BlockSums:
-    """The block sums of one frame, as a batch of one row.
-
-    Blocks are ``block_len_s`` long from the first sample; the default is
-    1/(16 search_halfwidth), and ``block_len_s = 0`` makes every sample a
-    block of its own.
-    """
+def integrate_blocks(w: WipedSignal, search_halfwidth_hz: float = 200.0) -> BlockSums:
+    """The block sums of one frame, as a batch of one row, in blocks of
+    :func:`_block_samples` from the first sample."""
     fs = w.sample_rate_hz
     mask = np.asarray(w.support_mask, dtype=bool)
     if not mask.any():
         raise ValueError("support mask is empty, nothing to estimate from")
     n = mask.size
     t = np.arange(n) / fs
-    edges = np.arange(0, n, _block_samples(fs, search_halfwidth_hz, block_len_s, n))
+    edges = np.arange(0, n, _block_samples(fs, search_halfwidth_hz, n))
     cnt = np.add.reduceat(mask.astype(np.float64), edges)
     tau = np.add.reduceat(t * mask, edges) / np.maximum(cnt, 1.0)
     first = int(mask.argmax())
@@ -219,7 +209,7 @@ class BlockTable:
     def __init__(self, layout: FrameLayout, symbol_half: np.ndarray, f_d_hz: float,
                  modulation: str, ask_zeroing: bool = True, search_halfwidth_hz: float = 200.0):
         fs, m, edges = layout.sample_rate_hz, symbol_half.size, layout.edges
-        b = _block_samples(fs, search_halfwidth_hz, None, layout.n_samples)
+        b = _block_samples(fs, search_halfwidth_hz, layout.n_samples)
         if any((e.size - 1) % (2 * m) for e in edges):
             raise ValueError(f"symbol_half: a part is not a run of symbols of {2 * m} "
                              f"half-intervals")
@@ -471,8 +461,7 @@ def search_rows(batches: Iterable[BlockSums], search_halfwidth_hz: float = 200.0
     return np.concatenate(found) if found else np.empty(0)
 
 
-def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0,
-                     block_len_s: float | None = None) -> EstimateReport:
+def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0) -> EstimateReport:
     """Maximum-likelihood Doppler estimate over the masked support.
 
     :func:`integrate_blocks` followed by :func:`search_peak`.  The sign
@@ -482,8 +471,7 @@ def estimate_doppler(w: WipedSignal, search_halfwidth_hz: float = 200.0,
     if not 0.0 < search_halfwidth_hz <= w.sample_rate_hz / 2.0:
         raise ValueError(f"search_halfwidth_hz: must lie in (0, fs/2] = "
                          f"(0, {w.sample_rate_hz / 2.0:.12g}] Hz, got {search_halfwidth_hz}")
-    found = search_peak(integrate_blocks(w, search_halfwidth_hz, block_len_s),
-                        search_halfwidth_hz)
+    found = search_peak(integrate_blocks(w, search_halfwidth_hz), search_halfwidth_hz)
     return EstimateReport(f_hat_hz=float(found.f_hat_hz[0]),
                           refinement_iterations=int(found.refinement_iterations[0]))
 

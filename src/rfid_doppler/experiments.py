@@ -629,42 +629,35 @@ def run_mcrb_experiment(config: ExperimentConfig):
     config, mode, link = setup.config, setup.mode, setup.link
     f_d_true = bounds.doppler_shift(config.v, config.f_c_hz)
     comments = ["mcrb monte carlo"] + config.comment_lines()
-    rows = []
-
+    # groups of grid points: (frame source, link ratios, C_T, the rows' own
+    # fields), one per burst of a t0 sweep, else one of the reply
     if config.sweep_param == "t0_s":
+        fieldnames = MCRB_BURST_FIELDS
+        tb = float(protocol.symbol_period(mode.blf_hz, mode.encoding))
+        symbols = [_burst_symbols(t0, mode, config.waveform_model) for t0 in config.sweep_values]
         # every burst's frame size is checked before any trial
-        symbols = [_burst_symbols(t0_req, mode, config.waveform_model)
-                   for t0_req in config.sweep_values]
-        sources = [_frame_source(setup, [("burst", Fraction(0), n)]) for n in symbols]
-        for gi, (t0_req, n_symbols, source) in enumerate(
-                zip(config.sweep_values, symbols, sources)):
-            t0 = n_symbols * float(protocol.symbol_period(mode.blf_hz, mode.encoding))
-            c_t = bounds.c_t_single(t0)
-            mcrb = bounds.mcrb_sigma_sq(c_t, link.ps_n0_linear)
-            estimates, = _estimates(config, source, [(f_d_true, link.ps_n0_dbhz, gi, 0)])
-            stats = _error_stats(estimates - f_d_true)
-            rows.append({"t0_requested_s": t0_req, "t0_s": t0, "n_symbols": n_symbols,
-                         "ps_n0_dbhz": link.ps_n0_dbhz, "modulation": config.modulation,
-                         "waveform_model": config.waveform_model, "c_t_s3": c_t,
-                         "f_d_true_hz": f_d_true, "mcrb_var_hz2": mcrb, **stats})
-        return comments, MCRB_BURST_FIELDS, rows
-
-    timing = setup.timing
-    ratios = config.sweep_values if config.sweep_param == "ps_n0_dbhz" \
-        else [link.ps_n0_dbhz]
-    source = _frame_source(setup, protocol.reply_signals(mode, config.parts))
-    found = _estimates(config, source, [(f_d_true, ratio, gi, 0)
-                                        for gi, ratio in enumerate(ratios)])
-    for ratio, estimates in zip(ratios, found):
-        mcrb = bounds.mcrb_sigma_sq(setup.c_t, bounds.linear_from_db(ratio))
-        stats = _error_stats(estimates - f_d_true)
-        rows.append({"ps_n0_dbhz": ratio, "parts": config.parts,
-                     "modulation": config.modulation,
-                     "waveform_model": config.waveform_model,
-                     "t_rn16_s": float(timing.t_rn16), "t_pause_s": float(timing.t_pause),
-                     "t_epc_s": float(timing.t_epc), "c_t_s3": setup.c_t,
-                     "f_d_true_hz": f_d_true, "mcrb_var_hz2": mcrb, **stats})
-    return comments, MCRB_REPLY_FIELDS, rows
+        groups = [(_frame_source(setup, [("burst", Fraction(0), n)]), [link.ps_n0_dbhz],
+                   bounds.c_t_single(n * tb), {"t0_requested_s": t0, "t0_s": n * tb,
+                                               "n_symbols": n})
+                  for t0, n in zip(config.sweep_values, symbols)]
+    else:
+        fieldnames, timing = MCRB_REPLY_FIELDS, setup.timing
+        groups = [(_frame_source(setup, protocol.reply_signals(mode, config.parts)),
+                   config.sweep_values if config.sweep_param == "ps_n0_dbhz"
+                   else [link.ps_n0_dbhz], setup.c_t,
+                   {"parts": config.parts, "t_rn16_s": float(timing.t_rn16),
+                    "t_pause_s": float(timing.t_pause), "t_epc_s": float(timing.t_epc)})]
+    rows = []
+    for source, ratios, c_t, own in groups:
+        found = _estimates(config, source, [(f_d_true, ratio, len(rows) + i, 0)
+                                            for i, ratio in enumerate(ratios)])
+        rows += [{**own, "ps_n0_dbhz": ratio, "modulation": config.modulation,
+                  "waveform_model": config.waveform_model, "c_t_s3": c_t,
+                  "f_d_true_hz": f_d_true,
+                  "mcrb_var_hz2": bounds.mcrb_sigma_sq(c_t, bounds.linear_from_db(ratio)),
+                  **_error_stats(estimates - f_d_true)}
+                 for ratio, estimates in zip(ratios, found)]
+    return comments, fieldnames, rows
 
 
 DETECT_FIELDS = ["v_m_per_s", "f_d_hz", "threshold_hz", "sigma_sq_hz2",
@@ -719,14 +712,13 @@ def run_detection_experiment(config: ExperimentConfig):
         # moving (k = 1) frames of every speed are searched together
         points = []
         for gi, (_, f_d, sigma_sq) in enumerate(speeds):
-            # link ratio at which the estimation bound equals sigma_sq, held to
-            # the range of ps_n0_dbhz: beyond it a frame carries no noise
+            # link ratio at which the estimation bound equals sigma_sq (inf
+            # where 2 pi^2 C_T sigma_sq underflows to 0), held to the range of
+            # ps_n0_dbhz: beyond it a frame carries no noise
             three_over_ratio = 2.0 * math.pi ** 2 * setup.c_t * sigma_sq
-            if three_over_ratio == 0:
-                raise ConfigError(f"{key}: a variance of {sigma_sq:.6g} Hz^2 needs a link "
-                                  f"ratio beyond floating-point range")
             try:
-                ratio_dbhz = _db(bounds.db_from_linear(3.0 / three_over_ratio))
+                ratio_dbhz = _db(bounds.db_from_linear(3.0 / three_over_ratio
+                                                       if three_over_ratio else math.inf))
             except ValueError as exc:
                 raise ConfigError(f"{key}: the link ratio for a variance of {sigma_sq:.6g} "
                                   f"Hz^2 {exc}") from None

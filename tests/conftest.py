@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from rfid_doppler import baseband as B
+from rfid_doppler import estimator as E
 from rfid_doppler import protocol as P
 
 
@@ -75,3 +76,15 @@ def reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts="bot
     """The reply of :func:`reply_states` sampled on :func:`reply_layout`."""
     return B.synthesize_reply(reply_states(mode, waveform, bits16, bits_epc, parts),
                               reply_layout(mode, parts, fs), modulation, params)
+
+
+def sample_blocks(w):
+    """The block sums of a wiped frame with one block per sample: the
+    sample-by-sample oracle of the estimator's blocks.  A block holds its
+    sample (z), whether the sample is masked (count) and, if so, its time
+    (tau); the span runs from the first to the last masked sample."""
+    mask = np.asarray(w.support_mask, dtype=bool)
+    t = np.arange(mask.size) / w.sample_rate_hz
+    masked = np.flatnonzero(mask)
+    return E.BlockSums(z=w.samples[None], count=mask[None].astype(float), tau=(t * mask)[None],
+                       span_s=E._span(t[masked[0]], t[masked[-1]], w.sample_rate_hz).reshape(1))

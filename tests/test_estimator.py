@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import part_slices, reply_frame, reply_layout, reply_states
+from conftest import part_slices, reply_frame, reply_layout, reply_states, sample_blocks
 from rfid_doppler import baseband as B
 from rfid_doppler import bounds as bd
 from rfid_doppler import estimator as E
@@ -107,21 +107,26 @@ def test_blockless_evaluation_agrees_with_blocked():
     frame = make_frame("psk", f_d=12.5, parts="epc")
     wiped = E.wipe_modulation(frame)
     blocked = E.estimate_doppler(wiped)
-    exact = E.estimate_doppler(wiped, block_len_s=0)
-    assert abs(blocked.f_hat_hz - exact.f_hat_hz) <= 1e-3
+    exact = E.search_peak(sample_blocks(wiped)).f_hat_hz[0]
+    assert abs(blocked.f_hat_hz - exact) <= 1e-3
 
 
 def test_sample_by_sample_blocks_keep_every_sample():
     frame = make_frame("ask", parts="both", ps_n0=60.0, seed=3)
     wiped = E.wipe_modulation(frame)
-    blocks = E.integrate_blocks(wiped, block_len_s=0)
+    # a window of fs/16 makes a block 1/(16 W) = one sample long
+    blocks = E.integrate_blocks(wiped, frame.sample_rate_hz / 16)
     t = np.arange(frame.n_samples) / frame.sample_rate_hz
-    # one block per sample, the masked-out ones (pause, absorb states) as zeros
+    # one block per sample, the masked-out ones (pause, absorb states) as zeros,
+    # as the sample-by-sample oracle holds them
     assert np.array_equal(blocks.z, wiped.samples[None])
     assert np.array_equal(blocks.count, wiped.support_mask[None].astype(float))
     assert np.array_equal(blocks.tau, (t * wiped.support_mask)[None])
     masked = np.flatnonzero(wiped.support_mask)
     assert np.array_equal(blocks.span_s, [t[masked[-1]] - t[masked[0]]])
+    oracle = sample_blocks(wiped)
+    for name in ("z", "count", "tau", "span_s"):
+        assert np.array_equal(getattr(blocks, name), getattr(oracle, name))
 
 
 def test_block_sums_take_only_the_batch_form():
@@ -168,7 +173,7 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulatio
     got = table.blocks(states[None])
     # every block of the frame, the pause's too, in both
     assert got.z.shape == want.z.shape == (1, math.ceil(frame.n_samples / E._block_samples(
-        frame.sample_rate_hz, halfwidth, None, frame.n_samples)))
+        frame.sample_rate_hz, halfwidth, frame.n_samples)))
     if parts == "both":
         assert (want.count == 0).any()
     assert np.array_equal(got.count, want.count)
@@ -184,7 +189,7 @@ def test_a_block_is_never_longer_than_its_frame(halfwidth):
     # 1/(16 W) is 6e298 s at W = 1e-300 Hz, and times fs inf at 5e-324 Hz; at
     # 1 Hz, 80,000 samples, the block already holds the 46,336-sample frame
     layout = reply_layout(MILLER8_40K)
-    assert E._block_samples(layout.sample_rate_hz, halfwidth, None, layout.n_samples) == \
+    assert E._block_samples(layout.sample_rate_hz, halfwidth, layout.n_samples) == \
         layout.n_samples
     _, _, states = block_parts(MILLER8_40K, "gen2", "both")
     one_block, narrow = (E.BlockTable(layout, MILLER8_HALF, 0.0, "ask", True, w).blocks(
@@ -226,7 +231,7 @@ def per_piece_blocks(layout, f_d_hz, modulation, zeroing, halfwidth, states):
     block are added in time order.
     """
     fs = layout.sample_rate_hz
-    b = E._block_samples(fs, halfwidth, None, layout.n_samples)
+    b = E._block_samples(fs, halfwidth, layout.n_samples)
     starts, ends, halves, n_half = [], [], [], 0
     for edges in layout.edges:
         part_starts = np.union1d(edges[:-1], np.arange((edges[0] // b + 1) * b, edges[-1], b))
@@ -350,8 +355,8 @@ def test_wide_window_coarse_grid_spans_several_chunks(f_d):
     params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=None)
     frame = reply_frame(MILLER8_40K, "psk", "gen2", *block_parts(
         MILLER8_40K, "gen2", "rn16")[:2], params, parts="rn16", fs=320e3)
-    report = E.estimate_doppler(E.wipe_modulation(frame), search_halfwidth_hz=150e3,
-                                block_len_s=0)
+    assert E._block_samples(320e3, 150e3, frame.n_samples) == 1
+    report = E.estimate_doppler(E.wipe_modulation(frame), search_halfwidth_hz=150e3)
     assert abs(report.f_hat_hz - f_d) <= 1e-3
 
 
@@ -529,7 +534,6 @@ def test_search_peak_rejects_bad_search_parameters(name, value):
 @pytest.mark.parametrize("name, value", [
     ("search_halfwidth_hz", 0.0), ("search_halfwidth_hz", -5.0),
     ("search_halfwidth_hz", math.nan), ("search_halfwidth_hz", math.inf),
-    ("block_len_s", -1.0), ("block_len_s", math.nan), ("block_len_s", math.inf),
 ])
 def test_block_integration_rejects_bad_block_parameters(name, value):
     wiped = E.wipe_modulation(make_frame("psk"))
