@@ -145,13 +145,17 @@ def sigma_max_sq(scenario: MotionScenario) -> float:
     """Largest estimation variance that still meets the scenario's error rate.
 
     v^2 f_c^2 / (c^2 Q^-1(P_err)^2), i.e. v^2 f_c^2 / (2 c^2 erfinv(1 - 2 P_err)^2);
-    undefined for v = 0, where no threshold separates static from moving.
+    undefined for v = 0, where no threshold separates static from moving, and
+    refused where it underflows to 0, as at v = 1e-300 m/s.
     """
     if scenario.v <= 0:
-        raise ValueError("sigma_max_sq requires v > 0 (no threshold exists at v = 0)")
+        raise ValueError(f"a tag at rest has no threshold: v must be > 0, got {scenario.v}")
     z = _z(scenario.p_err)
     ratio = scenario.v * scenario.f_c_hz / SPEED_OF_LIGHT
-    return ratio * ratio / (z * z)
+    variance = ratio * ratio / (z * z)
+    if variance == 0:
+        raise ValueError(f"the tolerable variance at {scenario.v:.6g} m/s underflows to 0")
+    return variance
 
 
 def c_t_single(t0: float) -> float:

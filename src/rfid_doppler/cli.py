@@ -110,10 +110,16 @@ def _cmd_bounds(args) -> int:
     """bounds prints every bound; vmin, which has no --v, the lines of _VMIN_KEYS."""
     setup = experiments.resolve(_build_config(args))
     config, mode, link, timing = setup.config, setup.mode, setup.link, setup.timing
-    if config.v <= 0:
-        raise ConfigError(f"v: a bounds run needs a moving tag, got {config.v}")
     scenario = bounds.MotionScenario(config.v, config.f_c_hz, config.p_err)
-    result = bounds.evaluate_bounds(scenario, setup.c_t, link)
+    try:
+        result = bounds.evaluate_bounds(scenario, setup.c_t, link)
+    except ValueError as exc:
+        # the tolerable variance, of a tag at rest or one whose variance underflows
+        raise ConfigError(f"v: {exc}") from None
+    if not result.v_min < bounds.SPEED_OF_LIGHT:
+        raise ConfigError(f"{'ps_n0_dbhz' if config.p_s_dbm is None else 'p_s_dbm'}: the "
+                          f"minimum detectable speed {result.v_min:.6g} m/s is not below "
+                          f"light, c = {bounds.SPEED_OF_LIGHT:.0f} m/s")
     pairs = [
         ("mode", mode.label),
         ("blf_hz", mode.blf_hz),

@@ -693,12 +693,11 @@ def run_detection_experiment(config: ExperimentConfig):
         else "v" if config.v_grid is None else "v_grid"
     speeds = []     # (v, f_d, sigma_sq) per grid point
     for v in config.v_grid if config.v_grid is not None else [config.v]:
-        sigma_sq = config.sigma_sq_hz2 if config.sigma_sq_hz2 is not None \
-            else bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, config.p_err))
-        if not sigma_sq > 0:
-            # a Doppler shift of a few 1e-291 Hz squares to 0
-            raise ConfigError(f"{key}: the tolerable variance at {v:.6g} m/s underflows "
-                              f"to {sigma_sq}")
+        try:
+            sigma_sq = config.sigma_sq_hz2 if config.sigma_sq_hz2 is not None \
+                else bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, config.p_err))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
         speeds.append((v, bounds.doppler_shift(v, f_c), sigma_sq))
     if config.estimator_model == "gaussian":
         estimates = []
@@ -966,13 +965,19 @@ def noise_figure_report(p_s_dbm: float = -95.8, ber: float = 1e-3,
 
     ``p_s_dbm``, ``ber`` and ``blf_hz`` may be given as text.  ``p_s_dbm`` and
     ``blf_hz`` go through the rules of the config fields of those names;
-    ``ber`` must be finite, and bounds.ps_n0_from_ber checks its range.
+    ``ber`` must be finite, and bounds.ps_n0_from_ber checks its range.  The
+    noise figure that the point gives must take the rule of ``nf_db``, or
+    the point is refused naming ``p_s_dbm``.
     """
     p_s_dbm = _parsed("p_s_dbm", _db, p_s_dbm)
     ber = _parsed("ber", _finite, ber)
     blf_hz = _parsed("blf_hz", _blf, blf_hz)
     ratio = bounds.ps_n0_from_ber(blf_hz, m, ber)
     n0, nf = bounds.noise_density_from_sensitivity(p_s_dbm, ber, blf_hz, m)
+    try:
+        _noise_figure(nf)
+    except ValueError as exc:
+        raise ConfigError(f"p_s_dbm: the noise figure of this sensitivity {exc}") from None
     return {"p_s_dbm": p_s_dbm, "ber": ber, "blf_hz": blf_hz, "m": m,
             "ps_n0_dbhz": ratio, "n0_dbm_hz": n0, "nf_db": nf}
 

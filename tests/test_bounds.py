@@ -93,6 +93,12 @@ def test_sigma_max_sq_rejects_zero_speed():
         B.sigma_max_sq(B.MotionScenario(0.0, 868e6, 1e-3))
 
 
+@pytest.mark.parametrize("v", [1e-300, 5e-324])
+def test_sigma_max_sq_refuses_a_variance_that_underflows(v):
+    with pytest.raises(ValueError, match="underflows to 0"):
+        B.sigma_max_sq(B.MotionScenario(v, 868e6, 1e-3))
+
+
 def test_motion_scenario_validation():
     with pytest.raises(ValueError):
         B.MotionScenario(1.0, 868e6, 0.5)

@@ -304,7 +304,9 @@ def test_mcrb_check_fails_on_a_biased_mean_error():
     # a receiver's noise figure is >= 0 dB
     ("11", "nf_db=-300", "nf_db"),
     ("10", "nf_db_list=-5", "nf_db_list"),
-    # values that would overflow, divide by zero or leave inf cells
+    # values that would overflow, divide by zero, leave inf cells or make the
+    # tolerable variance underflow to 0
+    ("4", "v_grid=1e-300", "v_grid"),
     ("8", "v_grid=1e-300", "v_grid"),
     ("9", "v_grid=1e-300", "v_grid"),
     ("8", "v_grid=1e200", "v_grid"),
@@ -390,6 +392,15 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     (["bounds", "--v", "-0"], "v"),
     # a burst whose state count no C integer holds
     (["simulate-mcrb", "--trials", "2", "--sweep", "t0_s=1e300"], "sample_rate_hz"),
+    # a speed whose tolerable variance underflows to 0
+    (["bounds", "--v", "1e-300"], "v"),
+    # a minimum detectable speed at or above light: v_min is 2.97e8 m/s at
+    # -115.7 dB-Hz and 3.07e8 m/s at -116 dB-Hz
+    (["vmin", "--ps-n0", "-116"], "ps_n0_dbhz"),
+    (["vmin", "--p-s-dbm", "-290", "--nf", "0"], "p_s_dbm"),
+    # a sensitivity that gives a noise figure no receiver has: -28.8 dB and 300.19 dB
+    (["noise-figure", "--p-s-dbm", "-150"], "p_s_dbm"),
+    (["noise-figure", "--p-s-dbm", "179"], "p_s_dbm"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypatch):
