@@ -117,13 +117,13 @@ def test_sample_by_sample_blocks_keep_every_sample():
     # a window of fs/16 makes a block 1/(16 W) = one sample long
     blocks = E.integrate_blocks(wiped, frame.sample_rate_hz / 16)
     t = np.arange(frame.n_samples) / frame.sample_rate_hz
-    # one block per sample, the masked-out ones (pause, absorb states) as zeros,
-    # as the sample-by-sample oracle holds them
+    # one block per sample, the masked-out ones (pause, absorb states) as zeros
     assert np.array_equal(blocks.z, wiped.samples[None])
     assert np.array_equal(blocks.count, wiped.support_mask[None].astype(float))
     assert np.array_equal(blocks.tau, (t * wiped.support_mask)[None])
     masked = np.flatnonzero(wiped.support_mask)
     assert np.array_equal(blocks.span_s, [t[masked[-1]] - t[masked[0]]])
+    # the sample-by-sample oracle of the other tests holds the same sums
     oracle = sample_blocks(wiped)
     for name in ("z", "count", "tau", "span_s"):
         assert np.array_equal(getattr(blocks, name), getattr(oracle, name))
