@@ -8,17 +8,19 @@ amplitudes (ASK: 0 / sqrt(2 P_S); PSK: +sqrt(P_S) / -sqrt(P_S), P_S = 1),
 rotated by the Doppler term exp(-j 2 pi f_d t) with t = 0 at the start of
 the first part, and optionally buried in calibrated complex white noise.
 
-Sampling: the sample grid is t_n = n/fs.  Segment boundaries are snapped to
-the nearest sample, so no sample straddles two states; with the default
-sample rate (an integer number of samples per half-interval) every in-part
-boundary lands exactly on the grid and only the start of the second part can
-be off-grid by less than one sample.
+Sampling: every frame is sampled at 32 x BLF, 16 samples per half-interval,
+on the grid t_n = n/fs.  A part's start is snapped to the nearest sample and
+its half-interval boundaries follow 16 samples apart, so no sample straddles
+two states and only the start of the second part can be off the time grid,
+by less than one sample.  No result depends on the rate: the noise per
+sample is N0 * fs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -30,8 +32,10 @@ from .bounds import linear_from_db
 MODULATIONS = ("ask", "psk")
 WAVEFORM_MODELS = ("gen2", "rect")
 # Samples of the longest frame synthesized or laid out: 128 MiB as complex128,
-# 4x the 0.1 s FM0 bursts of figure 5 at its default 32 x 640 kHz.
+# 4x the 0.1 s FM0 bursts of figure 5 at 32 x 640 kHz.
 _MAX_FRAME_SAMPLES = 1 << 23
+# Samples per half-interval of 1/(2 BLF), the shortest interval between transitions
+_SAMPLES_PER_HALF = 16
 
 
 def _as_bits(bits: Sequence[int], what: str) -> np.ndarray:
@@ -172,8 +176,9 @@ class BasebandFrame:
 
 
 def default_sample_rate(blf_hz: float) -> float:
-    """16 samples per minimal transition interval of 1/(2 BLF)."""
-    return 32.0 * float(blf_hz)
+    """The sample rate of every frame, 32 x BLF: 16 samples per minimal
+    transition interval of 1/(2 BLF)."""
+    return 2.0 * _SAMPLES_PER_HALF * float(blf_hz)
 
 
 def amplitudes(modulation: str) -> tuple[complex, complex]:
@@ -272,44 +277,24 @@ class FrameLayout:
     edges: tuple
 
 
-def check_sample_rate(sample_rate_hz: float, blf_hz: float) -> None:
-    """Require at least 4 samples per transition interval of 1/(2 BLF)."""
-    if not sample_rate_hz >= 8.0 * blf_hz:
-        raise ValueError(f"sample_rate_hz: {sample_rate_hz} Hz is below 4 samples per "
-                         f"transition interval, 8 x BLF = {8.0 * blf_hz:.12g} Hz")
-
-
-def frame_layout(parts: Sequence[tuple], blf_hz: float,
-                 sample_rate_hz: Optional[float] = None) -> FrameLayout:
+def frame_layout(parts: Sequence[tuple], blf_hz: float) -> FrameLayout:
     """Snap the (kind, exact start time, state count) parts of a frame to its sample grid.
 
-    A count may be any int: one whose frame exceeds the frame-size limit is
-    refused before any array is made.  ``sample_rate_hz`` None means
-    :func:`default_sample_rate`.
+    The grid is :func:`default_sample_rate`'s: each part's start goes to the
+    nearest sample and its boundaries follow 16 samples apart.  A count may
+    be any int: one whose frame exceeds the frame-size limit is refused
+    before any array is made.
     """
-    fs = sample_rate_hz if sample_rate_hz is not None else default_sample_rate(blf_hz)
-    check_sample_rate(fs, blf_hz)
-    half = Fraction(1, 2) / Fraction(blf_hz)
+    fs = default_sample_rate(blf_hz)
     fs_frac = Fraction(fs)
-
-    total_end = Fraction(0)
-    for _, start, count in parts:
-        total_end = max(total_end, start + count * half)
-    n_samples = math.ceil(total_end * fs_frac)
+    half = Fraction(1, 2) / Fraction(blf_hz)
+    n_samples = math.ceil(max(start + count * half for _, start, count in parts) * fs_frac)
     if n_samples > _MAX_FRAME_SAMPLES:
-        raise ValueError(f"sample_rate_hz: a frame of {n_samples} samples at {fs:.12g} Hz "
+        raise ValueError(f"a frame of {Decimal(n_samples):.6g} samples at {fs:.12g} Hz "
                          f"exceeds the limit of {_MAX_FRAME_SAMPLES} samples per frame")
-
-    step = fs_frac * half   # samples per half-interval
-    edges = []
-    for _, start, count in parts:
-        index = np.arange(count + 1, dtype=np.int64)
-        if step.denominator == 1:
-            edges.append(round(start * fs_frac) + int(step) * index)
-        else:
-            # general sample rate: snap each boundary to the nearest sample
-            edges.append(np.rint(float(start * fs_frac) + float(step) * index).astype(np.int64))
-    return FrameLayout(sample_rate_hz=fs, n_samples=n_samples, edges=tuple(edges))
+    return FrameLayout(sample_rate_hz=fs, n_samples=n_samples, edges=tuple(
+        round(start * fs_frac) + _SAMPLES_PER_HALF * np.arange(count + 1, dtype=np.int64)
+        for _, start, count in parts))
 
 
 def payload_bits(mode: protocol.ReaderMode, waveform_model: str, signals: Sequence[tuple]) -> list:
@@ -385,7 +370,6 @@ def synthesize_reply(states: np.ndarray, layout: FrameLayout, modulation: str,
 
 def synthesize_burst(states: np.ndarray, blf_hz: float, modulation: str,
                      params: ChannelParams) -> BasebandFrame:
-    """Synthesize one part of prebuilt 0/1 ``states`` starting at t = 0, at
-    the default sample rate."""
+    """Synthesize one part of prebuilt 0/1 ``states`` starting at t = 0."""
     return synthesize_reply(states, frame_layout([("burst", Fraction(0), len(states))], blf_hz),
                             modulation, params)

@@ -11,7 +11,8 @@ naming it.  experiments.resolve checks a run's settings, in one place, and
 resolves them into the setup that bounds, vmin and every Monte Carlo run read:
 the parsed settings, the reader mode, the link budget and the reply's timing
 factor.  noise-figure's --p-s-dbm and --blf follow the rules of the config
-fields p_s_dbm and blf_hz.
+fields p_s_dbm and blf_hz.  No flag sets a sample rate: every frame is
+sampled at 32 x BLF (baseband.default_sample_rate), and no result depends on it.
 bounds, vmin and noise-figure print ``key = value`` lines
 (experiments.write_key_values), the other subcommands CSV
 (experiments.write_csv); both writers refuse a number that is not finite,
@@ -70,7 +71,6 @@ def _add_simulation(sp):
     sp.add_argument("--seed")
     sp.add_argument("--modulation", choices=("ask", "psk"))
     sp.add_argument("--waveform-model", dest="waveform_model", choices=("gen2", "rect"))
-    sp.add_argument("--sample-rate", dest="sample_rate_hz")
     sp.add_argument("--ask-zeroing", action=argparse.BooleanOptionalAction,
                     help="zero absorb intervals before ASK estimation")
     sp.add_argument("--search-halfwidth", dest="search_halfwidth_hz")

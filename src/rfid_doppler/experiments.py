@@ -284,7 +284,6 @@ class ExperimentConfig:
     waveform_model: str = _setting("gen2", _waveform_model)
     modulation: str = _setting("ask", _modulation)
     parts: str = _setting("both", _part)
-    sample_rate_hz: Optional[float] = _setting(None, _finite)
     ask_zeroing: bool = _setting(True, _parse_bool)
     search_halfwidth_hz: float = _setting(200.0, _positive)
     estimator_model: str = _setting("gaussian", _one_of("gaussian", "baseband"))
@@ -306,6 +305,10 @@ class ExperimentConfig:
             raise ConfigError("sweep_param: sweep_param and sweep_values go together")
         if config.sweep_param == "ps_n0_dbhz" and max(map(abs, config.sweep_values)) > _MAX_DB:
             raise ConfigError("sweep_values: must be in [-300, 300] dB in a ps_n0_dbhz sweep")
+        link = [key for key in ("ps_n0_dbhz", "p_s_dbm") if getattr(config, key) is not None]
+        if config.sweep_param == "ps_n0_dbhz" and link:
+            raise ConfigError(f"{link[0]}: a ps_n0_dbhz sweep sets the link ratio; "
+                              f"give no {link[0]} beside it")
         if config.ps_n0_dbhz is not None and config.p_s_dbm is not None:
             raise ConfigError("ps_n0_dbhz: give either the ratio or p_s_dbm with a noise term")
         noise = [key for key in ("n0_dbm_hz", "nf_db") if getattr(config, key) is not None]
@@ -390,10 +393,10 @@ def resolve(config: ExperimentConfig) -> RunSetup:
     rule, then the rules between fields (:meth:`ExperimentConfig.validate`),
     before any is read; every later step reads the parsed copy.  The rules
     of ``blf_hz``, ``encoding``, ``mode_label`` and ``epc_bits`` admit only
-    values that the mode takes, so building it cannot fail.  The sample rate
-    must suit the mode and the search window must fit below half of it, so
-    a bad value fails before any trial runs, and in figures 5 and 7 also when
-    no trial is asked for.  The link budget comes from the ratio, from the
+    values that the mode takes, so building it cannot fail.  The search
+    window must fit below half the mode's sample rate, 32 x BLF, so a bad
+    value fails before any trial runs, and in figures 5 and 7 also when no
+    trial is asked for.  The link budget comes from the ratio, from the
     tag power and a noise term, or is the reference ratio.
     """
     config = config.validate()
@@ -404,11 +407,7 @@ def resolve(config: ExperimentConfig) -> RunSetup:
     else:
         mode = dataclasses.replace(protocol.find_reader_mode(config.mode_label),
                                    epc_bits=config.epc_bits, trext=config.trext)
-    fs = config.sample_rate_hz
-    if fs is None:
-        fs = baseband.default_sample_rate(mode.blf_hz)
-    else:
-        baseband.check_sample_rate(fs, mode.blf_hz)
+    fs = baseband.default_sample_rate(mode.blf_hz)
     if not config.search_halfwidth_hz <= fs / 2.0:
         raise ConfigError(f"search_halfwidth_hz: must not exceed fs/2 = {fs / 2.0:.12g} Hz, "
                           f"got {config.search_halfwidth_hz:.12g}")
@@ -468,7 +467,7 @@ def _frame_source(setup: RunSetup, signals: list) -> _FrameSource:
     counts = [(kind, start, 2 * m * n_symbols) for kind, start, n_symbols in signals]
     return _FrameSource(sum(baseband.payload_bits(mode, model, signals)),
                         functools.partial(baseband.frame_states, mode, model, signals),
-                        baseband.frame_layout(counts, mode.blf_hz, setup.config.sample_rate_hz),
+                        baseband.frame_layout(counts, mode.blf_hz),
                         baseband.symbol_half(m, model))
 
 
@@ -590,8 +589,10 @@ def _estimates(config: ExperimentConfig, source: _FrameSource, points: list) -> 
 
 def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) -> int:
     """Symbol count whose duration best matches the requested t0."""
-    tb = float(protocol.symbol_period(mode.blf_hz, mode.encoding))
-    n = max(1, round(t0_s / tb))
+    symbols = t0_s / float(protocol.symbol_period(mode.blf_hz, mode.encoding))
+    if symbols == math.inf:
+        raise ValueError(f"a burst of {t0_s:.6g} s holds more symbols than a float counts")
+    n = max(1, round(symbols))
     if waveform_model == "gen2":
         # need at least one payload bit next to preamble and end symbol
         n = max(n, protocol.preamble_symbols(mode.encoding, mode.trext) + 2)
@@ -634,12 +635,17 @@ def run_mcrb_experiment(config: ExperimentConfig):
     if config.sweep_param == "t0_s":
         fieldnames = MCRB_BURST_FIELDS
         tb = float(protocol.symbol_period(mode.blf_hz, mode.encoding))
-        symbols = [_burst_symbols(t0, mode, config.waveform_model) for t0 in config.sweep_values]
         # every burst's frame size is checked before any trial
-        groups = [(_frame_source(setup, [("burst", Fraction(0), n)]), [link.ps_n0_dbhz],
-                   bounds.c_t_single(n * tb), {"t0_requested_s": t0, "t0_s": n * tb,
-                                               "n_symbols": n})
-                  for t0, n in zip(config.sweep_values, symbols)]
+        try:
+            symbols = [_burst_symbols(t0, mode, config.waveform_model)
+                       for t0 in config.sweep_values]
+            groups = [(_frame_source(setup, [("burst", Fraction(0), n)]), [link.ps_n0_dbhz],
+                       bounds.c_t_single(n * tb), {"t0_requested_s": t0, "t0_s": n * tb,
+                                                   "n_symbols": n})
+                      for t0, n in zip(config.sweep_values, symbols)]
+        except ValueError as exc:
+            # a plain ValueError, which figure 5 reports under its t0_grid_s
+            raise ValueError(f"sweep_values: {exc}") from None
     else:
         fieldnames, timing = MCRB_REPLY_FIELDS, setup.timing
         groups = [(_frame_source(setup, protocol.reply_signals(mode, config.parts)),
@@ -766,8 +772,7 @@ def _figure5(params, trials, seed):
     rows = []
     sim_config = resolve(ExperimentConfig(
         mode_label=None, blf_hz=params["blf_hz"], encoding=params["encoding"],
-        modulation=params["modulation"], waveform_model=params["waveform_model"],
-        sample_rate_hz=params["sample_rate_hz"])).config
+        modulation=params["modulation"], waveform_model=params["waveform_model"])).config
     if trials > 0:
         fieldnames += ["t0_simulated_s", "trials", "emp_var_hz2"]
     for ratio in ratios:
@@ -904,8 +909,7 @@ _FIGURES = {
                    "ps_n0_dbhz_list": (_each(_db), [30.0, REFERENCE_PS_N0_DBHZ, 80.0]),
                    "blf_hz": (_blf, 640_000.0), "encoding": (_encoding, "FM0"),
                    "modulation": (_modulation, "ask"),
-                   "waveform_model": (_waveform_model, "gen2"),
-                   "sample_rate_hz": (_finite, None)}),
+                   "waveform_model": (_waveform_model, "gen2")}),
     7: (_figure7, {"ps_n0_dbhz": (_db, REFERENCE_PS_N0_DBHZ), "modulation": (_modulation, "ask"),
                    "t_pause_grid_s": (_each(_non_negative), _geomspace(1e-4, 1.0, 61))}),
     8: (_figure8, {**_SPEED_AXIS, "p_err_list": (_each(_p_err), [0.05, 0.01, 0.001]),

@@ -58,13 +58,13 @@ def reply_states(mode, waveform, bits16, bits_epc, parts="both"):
     return B.frame_states(mode, waveform, signals, row)
 
 
-def reply_layout(mode, parts="both", fs=None):
-    """The sample layout of the selected parts of a reply at ``fs`` (None:
-    the default rate), from their state counts, 2M half-intervals a symbol."""
+def reply_layout(mode, parts="both"):
+    """The sample layout of the selected parts of a reply, from their state
+    counts, 2M half-intervals a symbol."""
     m = mode.encoding.spread_factor
     return B.frame_layout([(kind, start, 2 * m * n_symbols)
                            for kind, start, n_symbols in P.reply_signals(mode, parts)],
-                          mode.blf_hz, fs)
+                          mode.blf_hz)
 
 
 def part_slices(layout):
@@ -72,10 +72,10 @@ def part_slices(layout):
     return [(int(edges[0]), int(edges[-1])) for edges in layout.edges]
 
 
-def reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts="both", fs=None):
+def reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts="both"):
     """The reply of :func:`reply_states` sampled on :func:`reply_layout`."""
     return B.synthesize_reply(reply_states(mode, waveform, bits16, bits_epc, parts),
-                              reply_layout(mode, parts, fs), modulation, params)
+                              reply_layout(mode, parts), modulation, params)
 
 
 def sample_blocks(w):

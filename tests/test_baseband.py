@@ -18,13 +18,13 @@ def noiseless(f_d=0.0, seed=0):
 
 
 def two_part_frame(modulation="ask", waveform="gen2", mode=MILLER8_40K, f_d=0.0,
-                   ps_n0=None, seed=0, parts="both", fs=None):
+                   ps_n0=None, seed=0, parts="both"):
     rng = np.random.Generator(np.random.Philox(key=42))
     bits16 = rng.integers(0, 2, 16)
     bits_epc = rng.integers(0, 2, mode.epc_bits + 16)
     params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=ps_n0, seed=seed)
     return reply_frame(mode, modulation, waveform, bits16, bits_epc,
-                       params, parts=parts, fs=fs)
+                       params, parts=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -283,24 +283,32 @@ def test_default_sample_rate_is_16_per_transition_interval():
     assert B.default_sample_rate(640e3) == 32 * 640e3
 
 
-def test_sample_rate_below_four_per_transition_is_rejected():
-    with pytest.raises(ValueError, match="sample_rate_hz"):
-        reply_frame(MILLER8_40K, "ask", "rect", None, None, noiseless(), fs=100e3)
-    # exactly 4 samples per transition interval is the least allowed rate
-    for blf in (40e3, 105e3, 640e3):
-        B.check_sample_rate(8.0 * blf, blf)
-        for fs in (np.nextafter(8.0 * blf, 0.0), math.nan):
-            with pytest.raises(ValueError, match="sample_rate_hz"):
-                B.check_sample_rate(fs, blf)
-
-
-def test_non_multiple_sample_rate_still_snaps_consistently():
-    frame = reply_frame(MILLER8_40K, "ask", "rect", None, None,
-                        noiseless(), parts="rn16", fs=1.0e6)  # not 32*BLF
-    (_, end), = part_slices(reply_layout(MILLER8_40K, "rn16", 1.0e6))
-    # every sample belongs to exactly one state; totals match the duration
-    assert np.all(frame.sample_state[:end] >= 0)
-    assert end == round(7.8e-3 * 1.0e6)
+def test_every_part_steps_16_samples_from_its_nearest_start_sample():
+    # 32 x BLF is exact in floating point, so a half-interval is 16 samples
+    # at every BLF, and the edges are those of the rule for any sample rate:
+    # each boundary snapped to its nearest sample on its own.  The catalog
+    # modes, both ends of the BLF range in every encoding, and 1,000 BLFs
+    # drawn over it, each in one encoding in turn
+    encodings = list(P.ENCODINGS.values())
+    drawn = np.random.Generator(np.random.Philox(key=24)).uniform(P.BLF_MIN_HZ, P.BLF_MAX_HZ,
+                                                                   1000)
+    modes = [P.find_reader_mode("Mode 290"), P.find_reader_mode("Mode 204")]
+    modes += [P.ReaderMode("end", blf, encoding) for blf in (P.BLF_MIN_HZ, P.BLF_MAX_HZ)
+              for encoding in encodings]
+    modes += [P.ReaderMode("drawn", float(blf), encodings[i % len(encodings)])
+              for i, blf in enumerate(drawn)]
+    for mode in modes:
+        fs = Fraction(B.default_sample_rate(mode.blf_hz))
+        m = mode.encoding.spread_factor
+        for parts in ("rn16", "epc", "both"):
+            signals = P.reply_signals(mode, parts)
+            layout = B.frame_layout([(kind, start, 2 * m * n) for kind, start, n in signals],
+                                    mode.blf_hz)
+            for (_, start, n), edges in zip(signals, layout.edges, strict=True):
+                assert edges.size == 2 * m * n + 1
+                assert np.all(np.diff(edges) == 16), (mode, parts)
+                oracle = np.rint(float(start * fs) + 16.0 * np.arange(edges.size))
+                assert np.array_equal(edges, oracle), (mode, parts)
 
 
 def test_bits_length_contract():
@@ -329,15 +337,13 @@ def test_modulation_and_model_validation():
 
 def _rotation_frame(kind, modulation, f_d, ps_n0=None, seed=9):
     if kind.startswith("reply"):
-        fs = 1.0e6 if kind == "reply-1MHz" else None   # 1 MHz: 12.5 samples per half-interval
-        return two_part_frame(modulation, f_d=f_d, ps_n0=ps_n0, seed=seed, fs=fs)
+        return two_part_frame(modulation, f_d=f_d, ps_n0=ps_n0, seed=seed)
     states = B.rect_states(4, 8) if kind == "burst-1024" else np.arange(37) % 2
     return B.synthesize_burst(states, 40e3, modulation, B.ChannelParams(f_d, ps_n0, seed=seed))
 
 
 # sample count of each frame: 32^2 has no partial last block, the others do
-ROTATION_FRAMES = {"reply-32xBLF": 46336, "reply-1MHz": 36200, "burst-1024": 1024,
-                   "burst-592": 592}
+ROTATION_FRAMES = {"reply-32xBLF": 46336, "burst-1024": 1024, "burst-592": 592}
 
 
 @pytest.mark.parametrize("kind", sorted(ROTATION_FRAMES))

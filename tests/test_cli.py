@@ -100,7 +100,8 @@ def test_config_file_with_cli_override(tmp_path, capsys):
     # --sweep sets sweep_param and sweep_values, so simulate-mcrb reads them from a file
     sweep = tmp_path / "sweep"
     sweep.write_text("sweep_param = ps_n0_dbhz\nsweep_values = 50,60\n", encoding="utf-8")
-    assert main(["simulate-mcrb", "--config", str(sweep), *FAST_SIM, "--trials", "3"]) == 0
+    # (a ratio sweep sets the link ratio, so FAST_SIM's --ps-n0 stays off)
+    assert main(["simulate-mcrb", "--config", str(sweep), *FAST_SIM[:-2], "--trials", "3"]) == 0
     assert capsys.readouterr().out.count(",epc,") == 2
 
 
@@ -119,6 +120,15 @@ def test_a_config_file_key_the_command_does_not_read_exits_2(argv, setting, tmp_
     assert main([*argv, "--config", str(cfg)]) == 2
     key = setting.split(" = ")[0]
     assert capsys.readouterr().err == f"config error: {key}: not a setting this command reads\n"
+
+
+@pytest.mark.parametrize("command", ["simulate-mcrb", "simulate-detect"])
+def test_a_config_file_cannot_set_the_sample_rate(command, tmp_path, capsys):
+    # every frame is sampled at 32 x BLF
+    cfg = tmp_path / "cfg"
+    cfg.write_text("sample_rate_hz = 1e6\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--trials", "2"]) == 2
+    assert capsys.readouterr().err == "config error: sample_rate_hz: unknown config key\n"
 
 
 def test_figure_writes_csv(tmp_path):
@@ -300,6 +310,7 @@ def test_mcrb_check_fails_on_a_biased_mean_error():
     ("10", "p_err=0", "p_err"),
     ("11", "epc_bits_list=97", "epc_bits_list"),
     ("5", "t0_grid_s=0", "t0_grid_s"),
+    ("5", "sample_rate_hz=1e6", "sample_rate_hz"),
     ("7", "t_pause_grid_s=-1", "t_pause_grid_s"),
     # a receiver's noise figure is >= 0 dB
     ("11", "nf_db=-300", "nf_db"),
@@ -329,23 +340,25 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     (["figure", "5", "--trials", "-2"], "trials"),
     (["figure", "4", "--trials", "5"], "trials"),
     (["figure", "10", "--set", "mode_label=Nope"], "mode_label"),
-    (["simulate-mcrb", "--sample-rate", "1"], "sample_rate_hz"),
     (["simulate-mcrb", "--search-halfwidth", "1e9", "--trials", "3"], "search_halfwidth_hz"),
-    # 1e7 Hz lies above fs/2 = 4.096 MHz of Mode 204's default rate
+    # 1e7 Hz lies above fs/2 = 5.12 MHz of Mode 204's rate, 32 x 320 kHz
     (["simulate-mcrb", "--mode", "Mode 204", "--trials", "3", "--search-halfwidth", "1e7"],
      "search_halfwidth_hz"),
     (["simulate-detect", "--estimator", "baseband", "--mode", "Mode 204", "--trials", "3",
       "--search-halfwidth", "1e7"], "search_halfwidth_hz"),
-    # frames of 8e8 samples, and a 1 s burst of 2e7 after a short one
-    (["simulate-mcrb", "--mode", "Mode 204", "--trials", "3", "--sample-rate", "1e12"],
-     "sample_rate_hz"),
+    # a 1 s burst of 2e7 samples after a short one
     (["simulate-mcrb", "--blf", "640e3", "--encoding", "FM0", "--trials", "3",
-      "--sweep", "t0_s=2e-4,1"], "sample_rate_hz"),
+      "--sweep", "t0_s=2e-4,1"], "sweep_values"),
     # dB values whose linear form would overflow, and a negative noise figure
     (["vmin", "--ps-n0", "1e4"], "ps_n0_dbhz"),
     (["bounds", "--ps-n0", "1e4"], "ps_n0_dbhz"),
     (["simulate-mcrb", "--ps-n0", "1e4", "--trials", "3"], "ps_n0_dbhz"),
     (["simulate-mcrb", "--trials", "3", "--sweep", "ps_n0_dbhz=40,1e4"], "sweep_values"),
+    # a ratio sweep beside the link it would override, which it ran over
+    (["simulate-mcrb", "--mode", "Mode 290", "--trials", "5", "--ps-n0", "30",
+      "--sweep", "ps_n0_dbhz=40"], "ps_n0_dbhz"),
+    (["simulate-mcrb", "--mode", "Mode 290", "--trials", "5", "--p-s-dbm", "-90", "--nf", "10",
+      "--sweep", "ps_n0_dbhz=40"], "p_s_dbm"),
     (["bounds", "--p-s-dbm", "1e4", "--nf", "3"], "p_s_dbm"),
     (["bounds", "--p-s-dbm", "-95", "--nf", "-5"], "nf_db"),
     # a noise figure that disagrees with the noise density given beside it
@@ -390,8 +403,10 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     # a tag at rest has no threshold, which bounds.sigma_max_sq refused naming no setting
     (["bounds", "--v", "0"], "v"),
     (["bounds", "--v", "-0"], "v"),
-    # a burst whose state count no C integer holds
-    (["simulate-mcrb", "--trials", "2", "--sweep", "t0_s=1e300"], "sample_rate_hz"),
+    # a burst whose state count no C integer holds, and one whose symbol
+    # count overflows a float
+    (["simulate-mcrb", "--trials", "2", "--sweep", "t0_s=1e300"], "sweep_values"),
+    (["simulate-mcrb", "--trials", "2", "--sweep", "t0_s=1e308"], "sweep_values"),
     # a speed whose tolerable variance underflows to 0
     (["bounds", "--v", "1e-300"], "v"),
     # a minimum detectable speed at or above light: v_min is 2.97e8 m/s at
@@ -612,6 +627,9 @@ def test_a_miller8_ask_job_leaves_numpy_ma_unimported():
     ["simulate-detect", "--n0", "-148.6"],
     ["simulate-detect", "--nf", "25.4"],
     ["simulate-mcrb", "--p-err", "0.05"],
+    # every frame is sampled at 32 x BLF
+    ["simulate-mcrb", "--sample-rate", "1e6"],
+    ["simulate-detect", "--sample-rate", "1e6"],
 ])
 def test_a_subcommand_rejects_the_flags_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -643,8 +661,7 @@ SUBCOMMAND_ARGUMENTS = {
         "--trext/--no-trext:trext", "--epc-bits:epc_bits", "--f-c:f_c_hz",
         "--parts:parts", "--ps-n0:ps_n0_dbhz", "--p-s-dbm:p_s_dbm", "--n0:n0_dbm_hz",
         "--nf:nf_db", "--trials:trials", "--seed:seed", "--modulation:modulation",
-        "--waveform-model:waveform_model", "--sample-rate:sample_rate_hz",
-        "--ask-zeroing/--no-ask-zeroing:ask_zeroing",
+        "--waveform-model:waveform_model", "--ask-zeroing/--no-ask-zeroing:ask_zeroing",
         "--search-halfwidth:search_halfwidth_hz", "--v:v", "--sweep:sweep",
         "--check:check"],
     "simulate-detect": ["-h/--help:help", "--out:out", "--config:config",
@@ -652,7 +669,7 @@ SUBCOMMAND_ARGUMENTS = {
         "--trext/--no-trext:trext", "--epc-bits:epc_bits", "--f-c:f_c_hz",
         "--parts:parts", "--p-err:p_err", "--trials:trials", "--seed:seed",
         "--modulation:modulation", "--waveform-model:waveform_model",
-        "--sample-rate:sample_rate_hz", "--ask-zeroing/--no-ask-zeroing:ask_zeroing",
+        "--ask-zeroing/--no-ask-zeroing:ask_zeroing",
         "--search-halfwidth:search_halfwidth_hz", "--v:v", "--v-grid:v_grid",
         "--estimator:estimator_model", "--sigma-sq:sigma_sq_hz2", "--check:check"],
     "noise-figure": ["-h/--help:help", "--p-s-dbm:p_s_dbm", "--ber:ber", "--blf:blf_hz",

@@ -150,24 +150,20 @@ def block_parts(mode, waveform, parts, seed=5):
     return bits16, bits_epc, reply_states(mode, waveform, bits16, bits_epc, parts)
 
 
-# A 20 kHz window makes the FM0 blocks 15-16 samples long, so at the
-# non-integer step they cut half-intervals apart.
+# A 20 kHz window makes the FM0 blocks 16 samples long, one half-interval each.
 @pytest.mark.parametrize("mode, halfwidth", [(MILLER8_40K, 200.0), (FM0_160K, 20e3)],
                          ids=["miller8", "fm0"])
-@pytest.mark.parametrize("rate", [None, 30.3], ids=["default-rate", "non-integer-step"])
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
 @pytest.mark.parametrize("waveform", ["gen2", "rect"])
 @pytest.mark.parametrize("parts", ["rn16", "epc", "both"])
-def test_block_table_matches_wiped_sample_frame(mode, halfwidth, rate, modulation, zeroing,
+def test_block_table_matches_wiped_sample_frame(mode, halfwidth, modulation, zeroing,
                                                 waveform, parts):
-    fs = None if rate is None else rate * mode.blf_hz
     bits16, bits_epc, states = block_parts(mode, waveform, parts)
     params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=None)
-    frame = reply_frame(mode, modulation, waveform, bits16, bits_epc, params,
-                        parts=parts, fs=fs)
+    frame = reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts=parts)
     wiped = E.wipe_modulation(frame, ask_zeroing=zeroing)
     want = E.integrate_blocks(wiped, halfwidth)
-    table = E.BlockTable(reply_layout(mode, parts, fs),
+    table = E.BlockTable(reply_layout(mode, parts),
                          B.symbol_half(mode.encoding.spread_factor, waveform), 37.0, modulation,
                          zeroing, halfwidth)
     got = table.blocks(states[None])
@@ -269,13 +265,11 @@ MILLER4_160K = P.ReaderMode("m4-160k", 160e3, P.MILLER4)
 @pytest.mark.parametrize("mode", [FM0_160K, MILLER2_160K, MILLER4_160K, MILLER8_40K],
                          ids=["fm0", "miller2", "miller4", "miller8"])
 @pytest.mark.parametrize("halfwidth", [200.0, 20e3])
-@pytest.mark.parametrize("rate", [None, 30.3], ids=["default-rate", "non-integer-step"])
 @pytest.mark.parametrize("parts", ["rn16", "epc", "both"])
-def test_word_sums_match_per_piece_sums(mode, halfwidth, rate, parts):
-    fs = None if rate is None else rate * mode.blf_hz
+def test_word_sums_match_per_piece_sums(mode, halfwidth, parts):
     for waveform in ("gen2", "rect"):
         states = np.stack([block_parts(mode, waveform, parts, seed)[2] for seed in range(4)])
-        layout = reply_layout(mode, parts, fs)
+        layout = reply_layout(mode, parts)
         for modulation, zeroing in (("ask", True), ("ask", False), ("psk", True)):
             table = E.BlockTable(layout, B.symbol_half(mode.encoding.spread_factor, waveform),
                                  37.0, modulation, zeroing, halfwidth)
@@ -350,12 +344,12 @@ def test_block_table_rejects_complex_amplitudes(monkeypatch):
 
 @pytest.mark.parametrize("f_d", [1e5, -1e5])
 def test_wide_window_coarse_grid_spans_several_chunks(f_d):
-    # 2,496 samples, one per block, and 9,356 coarse cells per side: the
-    # coarse grid runs in six chunks of k, and the peak lies in the fourth
+    # 9,984 samples, one per block, and 9,359 coarse cells per side: the
+    # coarse grid runs in 1,560 chunks of six k, and the peak lies in chunk 1,040
     params = B.ChannelParams(f_d_hz=f_d, ps_n0_dbhz=None)
     frame = reply_frame(MILLER8_40K, "psk", "gen2", *block_parts(
-        MILLER8_40K, "gen2", "rn16")[:2], params, parts="rn16", fs=320e3)
-    assert E._block_samples(320e3, 150e3, frame.n_samples) == 1
+        MILLER8_40K, "gen2", "rn16")[:2], params, parts="rn16")
+    assert E._block_samples(frame.sample_rate_hz, 150e3, frame.n_samples) == 1
     report = E.estimate_doppler(E.wipe_modulation(frame), search_halfwidth_hz=150e3)
     assert abs(report.f_hat_hz - f_d) <= 1e-3
 
