@@ -11,6 +11,7 @@ from rfid_doppler import baseband as B
 from rfid_doppler import protocol as P
 
 MILLER8_40K = P.ReaderMode("m8-40k", 40e3, P.MILLER8)
+MILLER8_ODD = P.ReaderMode("m8-41.2k", 41204.0, P.MILLER8)
 
 
 def noiseless(f_d=0.0, seed=0):
@@ -337,13 +338,16 @@ def test_modulation_and_model_validation():
 
 def _rotation_frame(kind, modulation, f_d, ps_n0=None, seed=9):
     if kind.startswith("reply"):
-        return two_part_frame(modulation, f_d=f_d, ps_n0=ps_n0, seed=seed)
+        # 41,204 Hz: 1,318,528 samples a second, and the EPC starts 0.62 past a sample
+        mode = MILLER8_40K if kind == "reply-32xBLF" else MILLER8_ODD
+        return two_part_frame(modulation, mode=mode, f_d=f_d, ps_n0=ps_n0, seed=seed)
     states = B.rect_states(4, 8) if kind == "burst-1024" else np.arange(37) % 2
     return B.synthesize_burst(states, 40e3, modulation, B.ChannelParams(f_d, ps_n0, seed=seed))
 
 
 # sample count of each frame: 32^2 has no partial last block, the others do
-ROTATION_FRAMES = {"reply-32xBLF": 46336, "burst-1024": 1024, "burst-592": 592}
+ROTATION_FRAMES = {"reply-32xBLF": 46336, "reply-odd-blf": 46341, "burst-1024": 1024,
+                   "burst-592": 592}
 
 
 @pytest.mark.parametrize("kind", sorted(ROTATION_FRAMES))

@@ -150,14 +150,27 @@ def block_parts(mode, waveform, parts, seed=5):
     return bits16, bits_epc, reply_states(mode, waveform, bits16, bits_epc, parts)
 
 
-# A 20 kHz window makes the FM0 blocks 16 samples long, one half-interval each.
+def scaled(mode, blf_scale):
+    """``mode`` at ``blf_scale`` times its BLF."""
+    return dataclasses.replace(mode, blf_hz=mode.blf_hz * blf_scale)
+
+
+# At 1.0301 x BLF the EPC starts between samples, 0.29 to 0.62 past one, and
+# the blocks cut half-intervals apart: 412 samples at 200 Hz for Miller-8, and
+# 16 at 20 kHz for FM0, where the EPC's half-intervals start at 15 mod 16.  At
+# the round BLFs a 20 kHz window makes the FM0 blocks one half-interval each.
+BLF_SCALES = pytest.mark.parametrize("blf_scale", [1.0, 1.0301], ids=["round-blf", "odd-blf"])
+
+
 @pytest.mark.parametrize("mode, halfwidth", [(MILLER8_40K, 200.0), (FM0_160K, 20e3)],
                          ids=["miller8", "fm0"])
+@BLF_SCALES
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
 @pytest.mark.parametrize("waveform", ["gen2", "rect"])
 @pytest.mark.parametrize("parts", ["rn16", "epc", "both"])
-def test_block_table_matches_wiped_sample_frame(mode, halfwidth, modulation, zeroing,
+def test_block_table_matches_wiped_sample_frame(mode, halfwidth, blf_scale, modulation, zeroing,
                                                 waveform, parts):
+    mode = scaled(mode, blf_scale)
     bits16, bits_epc, states = block_parts(mode, waveform, parts)
     params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=None)
     frame = reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts=parts)
@@ -265,8 +278,10 @@ MILLER4_160K = P.ReaderMode("m4-160k", 160e3, P.MILLER4)
 @pytest.mark.parametrize("mode", [FM0_160K, MILLER2_160K, MILLER4_160K, MILLER8_40K],
                          ids=["fm0", "miller2", "miller4", "miller8"])
 @pytest.mark.parametrize("halfwidth", [200.0, 20e3])
+@BLF_SCALES
 @pytest.mark.parametrize("parts", ["rn16", "epc", "both"])
-def test_word_sums_match_per_piece_sums(mode, halfwidth, parts):
+def test_word_sums_match_per_piece_sums(mode, halfwidth, blf_scale, parts):
+    mode = scaled(mode, blf_scale)
     for waveform in ("gen2", "rect"):
         states = np.stack([block_parts(mode, waveform, parts, seed)[2] for seed in range(4)])
         layout = reply_layout(mode, parts)
