@@ -29,13 +29,9 @@ import numpy as np
 from . import protocol
 from .bounds import linear_from_db
 
-MODULATIONS = ("ask", "psk")
-WAVEFORM_MODELS = ("gen2", "rect")
 # Samples of the longest frame synthesized or laid out: 128 MiB as complex128,
 # 4x the 0.1 s FM0 bursts of figure 5 at 32 x 640 kHz.
 _MAX_FRAME_SAMPLES = 1 << 23
-# Samples per half-interval of 1/(2 BLF), the shortest interval between transitions
-_SAMPLES_PER_HALF = 16
 
 
 def _as_bits(bits: Sequence[int], what: str) -> np.ndarray:
@@ -175,12 +171,6 @@ class BasebandFrame:
         return self.samples.size
 
 
-def default_sample_rate(blf_hz: float) -> float:
-    """The sample rate of every frame, 32 x BLF: 16 samples per minimal
-    transition interval of 1/(2 BLF)."""
-    return 2.0 * _SAMPLES_PER_HALF * float(blf_hz)
-
-
 def amplitudes(modulation: str) -> tuple[complex, complex]:
     """(state-0, state-1) complex amplitudes for unit average signal power."""
     if modulation == "ask":
@@ -280,12 +270,12 @@ class FrameLayout:
 def frame_layout(parts: Sequence[tuple], blf_hz: float) -> FrameLayout:
     """Snap the (kind, exact start time, state count) parts of a frame to its sample grid.
 
-    The grid is :func:`default_sample_rate`'s: each part's start goes to the
-    nearest sample and its boundaries follow 16 samples apart.  A count may
-    be any int: one whose frame exceeds the frame-size limit is refused
-    before any array is made.
+    The grid is :func:`protocol.default_sample_rate`'s: each part's start
+    goes to the nearest sample and its boundaries follow 16 samples apart.
+    A count may be any int: one whose frame exceeds the frame-size limit is
+    refused before any array is made.
     """
-    fs = default_sample_rate(blf_hz)
+    fs = protocol.default_sample_rate(blf_hz)
     fs_frac = Fraction(fs)
     half = Fraction(1, 2) / Fraction(blf_hz)
     n_samples = math.ceil(max(start + count * half for _, start, count in parts) * fs_frac)
@@ -293,7 +283,7 @@ def frame_layout(parts: Sequence[tuple], blf_hz: float) -> FrameLayout:
         raise ValueError(f"a frame of {Decimal(n_samples):.6g} samples at {fs:.12g} Hz "
                          f"exceeds the limit of {_MAX_FRAME_SAMPLES} samples per frame")
     return FrameLayout(sample_rate_hz=fs, n_samples=n_samples, edges=tuple(
-        round(start * fs_frac) + _SAMPLES_PER_HALF * np.arange(count + 1, dtype=np.int64)
+        round(start * fs_frac) + protocol.SAMPLES_PER_HALF * np.arange(count + 1, dtype=np.int64)
         for _, start, count in parts))
 
 
@@ -303,7 +293,7 @@ def payload_bits(mode: protocol.ReaderMode, waveform_model: str, signals: Sequen
     Under 'gen2' a signal carries its symbol count less the preamble and the
     end symbol; a 'rect' signal carries none.
     """
-    if waveform_model not in WAVEFORM_MODELS:
+    if waveform_model not in protocol.WAVEFORM_MODELS:
         raise ValueError(f"unknown waveform model {waveform_model!r}")
     if waveform_model == "rect":
         return [0] * len(signals)

@@ -162,7 +162,11 @@ def c_t_single(t0: float) -> float:
     """Timing factor T0^3 for estimation from one signal part."""
     if t0 <= 0:
         raise ValueError(f"signal duration must be positive, got {t0}")
-    return float(t0) ** 3
+    try:
+        return float(t0) ** 3
+    except OverflowError:
+        raise ValueError(f"the cube of the signal duration {float(t0):.6g} s overflows "
+                         f"a float") from None
 
 
 def c_t_dual(t1: float, t2: float, t_pause: float) -> float:

@@ -12,7 +12,10 @@ resolves them into the setup that bounds, vmin and every Monte Carlo run read:
 the parsed settings, the reader mode, the link budget and the reply's timing
 factor.  noise-figure's --p-s-dbm and --blf follow the rules of the config
 fields p_s_dbm and blf_hz.  No flag sets a sample rate: every frame is
-sampled at 32 x BLF (baseband.default_sample_rate), and no result depends on it.
+sampled at 32 x BLF (protocol.default_sample_rate), and no result depends on it.
+bounds, vmin, noise-figure and a figure without --trials load no numpy: only
+the Monte Carlo runners of experiments import its engine (montecarlo), as
+they start.
 bounds, vmin and noise-figure print ``key = value`` lines
 (experiments.write_key_values), the other subcommands CSV
 (experiments.write_csv); both writers refuse a number that is not finite,

@@ -40,6 +40,14 @@ FM0_PILOT = {False: 0, True: 12}
 MILLER_PREAMBLE = (0, 1, 0, 1, 1, 1)
 MILLER_PILOT = {False: 4, True: 16}
 
+# The simulator's backscatter modulations and waveform models, which the
+# config rules of experiments and the frames of baseband share.
+MODULATIONS = ("ask", "psk")
+WAVEFORM_MODELS = ("gen2", "rect")
+# Samples per half-interval of 1/(2 BLF), the shortest interval between
+# state transitions, on the simulator's sample grid
+SAMPLES_PER_HALF = 16
+
 
 @dataclass(frozen=True)
 class EncodingScheme:
@@ -124,6 +132,12 @@ class ReplyTiming:
         if part == "epc":
             return self.t_epc
         raise ValueError(f"unknown signal part {part!r}")
+
+
+def default_sample_rate(blf_hz: float) -> float:
+    """The sample rate of every simulated frame, 32 x BLF: 16 samples per
+    minimal transition interval of 1/(2 BLF)."""
+    return 2.0 * SAMPLES_PER_HALF * float(blf_hz)
 
 
 def symbol_period(blf_hz, scheme: EncodingScheme) -> Fraction:

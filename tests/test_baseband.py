@@ -280,8 +280,8 @@ def test_gen2_miller_and_rect_share_the_reflect_budget():
 
 
 def test_default_sample_rate_is_16_per_transition_interval():
-    assert B.default_sample_rate(40e3) == 32 * 40e3
-    assert B.default_sample_rate(640e3) == 32 * 640e3
+    assert P.default_sample_rate(40e3) == 32 * 40e3
+    assert P.default_sample_rate(640e3) == 32 * 640e3
 
 
 def test_every_part_steps_16_samples_from_its_nearest_start_sample():
@@ -299,7 +299,7 @@ def test_every_part_steps_16_samples_from_its_nearest_start_sample():
     modes += [P.ReaderMode("drawn", float(blf), encodings[i % len(encodings)])
               for i, blf in enumerate(drawn)]
     for mode in modes:
-        fs = Fraction(B.default_sample_rate(mode.blf_hz))
+        fs = Fraction(P.default_sample_rate(mode.blf_hz))
         m = mode.encoding.spread_factor
         for parts in ("rn16", "epc", "both"):
             signals = P.reply_signals(mode, parts)

@@ -5,6 +5,7 @@ scipy.special.erfcinv serves as an independent oracle for the normal quantile.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ def test_c_t_single_cubes():
     assert B.c_t_single(1.0) == 1.0
     with pytest.raises(ValueError):
         B.c_t_single(0.0)
+
+
+@pytest.mark.parametrize("t0", [1e103, 1e308])
+def test_c_t_single_refuses_a_duration_whose_cube_overflows(t0):
+    with pytest.raises(ValueError, match=re.escape(f"duration {t0:.6g} s overflows")):
+        B.c_t_single(t0)
 
 
 def test_c_t_dual_reduces_to_single_without_pause():

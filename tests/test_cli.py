@@ -462,6 +462,16 @@ def test_an_overflowing_figure_column_names_the_keys_and_the_column(capsys, tmp_
     assert out.read_text(encoding="utf-8") == "kept\n"
 
 
+@pytest.mark.parametrize("trials", [[], ["--trials", "1"]])
+@pytest.mark.parametrize("t0", ["1e103", "1e308"])
+def test_a_burst_whose_cube_overflows_names_its_duration(t0, trials, capsys):
+    # the closed-form column cubes every duration before any trial runs
+    assert main(["figure", "5", *trials, "--set", f"t0_grid_s={t0}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: t0_grid_s: out of the range")
+    assert f"signal duration {float(t0):.6g} s overflows" in err
+
+
 def test_a_figure_key_and_a_config_key_share_their_rule(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("modulation = qam\n", encoding="utf-8")
@@ -619,6 +629,28 @@ def test_a_miller8_ask_job_leaves_numpy_ma_unimported():
                           text=True, check=True)
     status, before, after = done.stdout.split()
     assert status == "0" and after == before
+
+
+def test_the_closed_form_commands_load_no_numpy():
+    # bounds, vmin, noise-figure and the figures without --trials run on the
+    # standard library: only the Monte Carlo runners import the engine, which
+    # loads numpy, baseband and estimator
+    runs = [["bounds"], ["vmin"], ["noise-figure"], ["bounds", "--v", "0"]]
+    runs += [["figure", figure] for figure in ("4", "5", "7", "8", "9", "10", "11")]
+    code = ("import contextlib, io, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from rfid_doppler.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {runs!r}]\n"
+            "print(*codes)\n"
+            "print(*sorted(name for name in ('numpy', 'rfid_doppler.baseband', "
+            "'rfid_doppler.estimator', 'rfid_doppler.montecarlo') if name in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(Path(cli.__file__).parents[1])],
+                          capture_output=True, text=True, check=True)
+    codes, loaded = done.stdout.split("\n")[:2]
+    assert codes.split() == ["0"] * 3 + ["2"] + ["0"] * 7
+    assert loaded == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from rfid_doppler import baseband as B
 from rfid_doppler import bounds as bd
 from rfid_doppler import estimator as E
 from rfid_doppler import experiments as X
+from rfid_doppler import montecarlo as MC
 from rfid_doppler import protocol as P
 from rfid_doppler.experiments import ConfigError, ExperimentConfig
 
@@ -269,16 +270,16 @@ def test_philox_streams_split_into_uneven_pieces_as_one_draw():
 def test_stream_keys_are_distinct_across_kinds_and_grid_points():
     # trial 0's sample noise never reuses the block noise of trial 1, nor the
     # static frame the moving frame's numbers
-    point = [key for k in (0, 1) for key in X._stream_keys(7, 2, k)]
+    point = [key for k in (0, 1) for key in MC._stream_keys(7, 2, k)]
     assert len(set(point)) == 6
-    keys = {key for g in range(4) for k in (0, 1) for key in X._stream_keys(7, g, k)}
+    keys = {key for g in range(4) for k in (0, 1) for key in MC._stream_keys(7, g, k)}
     assert len(keys) == 4 * 6
     # nor the gaussian detection model's per-grid-point key
     assert keys.isdisjoint({X.derive_seed(7, g) for g in range(4)})
 
 
 def test_random_bits_take_a_fixed_stride_of_raw_words():
-    rows = X._random_bits(np.random.Philox(key=5), 3, 70)
+    rows = MC._random_bits(np.random.Philox(key=5), 3, 70)
     assert rows.shape == (3, 70) and rows.dtype == np.int8
     words = np.random.Philox(key=5).random_raw(6)
     # row r holds the low 70 bits of words 2r and 2r + 1, least significant first
@@ -286,7 +287,7 @@ def test_random_bits_take_a_fixed_stride_of_raw_words():
         expected = [(int(words[2 * r + i // 64]) >> (i % 64)) & 1 for i in range(70)]
         assert rows[r].tolist() == expected
     bit_generator = np.random.Philox(key=5)
-    assert np.array_equal(np.concatenate([X._random_bits(bit_generator, n, 70)
+    assert np.array_equal(np.concatenate([MC._random_bits(bit_generator, n, 70)
                                           for n in (1, 2)]), rows)
 
 
@@ -324,8 +325,8 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     def estimates(trials):
         run = dataclasses.replace(config, trials=trials)
         setup = X.resolve(run)
-        source = X._frame_source(setup, P.reply_signals(setup.mode, run.parts))
-        found, = X._estimates(run, source, [(f_d, 52.8, 0, k)])
+        source = MC.frame_source(setup, P.reply_signals(setup.mode, run.parts))
+        found, = MC.estimates(run, source, [(f_d, 52.8, 0, k)])
         return found
 
     six = estimates(6)
@@ -361,13 +362,13 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
 def per_trial_estimates(config, source, table, ratio_dbhz, k):
     """Trials 1 and up one by one, each drawing and encoding its bits and
     taking its block sums from its own states."""
-    bits_key, noise_key, _ = X._stream_keys(config.seed, 0, k)
+    bits_key, noise_key, _ = MC._stream_keys(config.seed, 0, k)
     bit_generator = np.random.Philox(key=bits_key)
-    X._random_bits(bit_generator, 1, source.n_bits)   # trial 0's stride
-    noise_rng = X._rng(noise_key)
+    MC._random_bits(bit_generator, 1, source.n_bits)   # trial 0's stride
+    noise_rng = MC._rng(noise_key)
     out = []
     for _ in range(1, config.trials):
-        bits = X._random_bits(bit_generator, 1, source.n_bits)
+        bits = MC._random_bits(bit_generator, 1, source.n_bits)
         states = source.states(bits)
         blocks = table.blocks(np.broadcast_to(states, (1, states.shape[-1])))
         z = B.add_block_awgn(blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz,
@@ -384,17 +385,17 @@ def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, wave
                               ps_n0_dbhz=52.8, modulation=modulation, parts="both",
                               waveform_model=waveform, trials=7, seed=5)
     setup = X.resolve(config)
-    source = X._frame_source(setup, P.reply_signals(setup.mode, config.parts))
+    source = MC.frame_source(setup, P.reply_signals(setup.mode, config.parts))
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
-    table, = X._block_tables(config, source, [f_d]).values()
+    table, = MC._block_tables(config, source, [f_d]).values()
     assert (source.n_bits > 0 and table.depends_on_states) == (
         (modulation, waveform) == ("ask", "gen2"))
-    one_batch, = X._estimates(config, source, [(f_d, 52.8, 0, 0)])
+    one_batch, = MC.estimates(config, source, [(f_d, 52.8, 0, 0)])
     assert np.array_equal(one_batch[1:], per_trial_estimates(config, source, table, 52.8, 0))
     # 3,000-element chunks: one trial per batch and per search, 26 coarse
     # cells per chunk of k
     monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3000)
-    assert np.array_equal(X._estimates(config, source, [(f_d, 52.8, 0, 0)])[0], one_batch)
+    assert np.array_equal(MC.estimates(config, source, [(f_d, 52.8, 0, 0)])[0], one_batch)
 
 
 def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
@@ -403,12 +404,12 @@ def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
     config = ExperimentConfig(mode_label="Mode 204", p_err=0.05, trials=10, seed=6,
                               estimator_model="baseband", modulation="psk")
     setup = X.resolve(config)
-    source = X._frame_source(setup, P.reply_signals(setup.mode, config.parts))
+    source = MC.frame_source(setup, P.reply_signals(setup.mode, config.parts))
     points = [(f, 62.0 - gi, gi, k) for gi, v in enumerate((0.5, 1.0, 2.0))
               for k, f in enumerate((0.0, bd.doppler_shift(v, config.f_c_hz)))]
-    together = X._estimates(config, source, points)
+    together = MC.estimates(config, source, points)
     for point, found in zip(points, together):
-        alone, = X._estimates(config, source, [point])
+        alone, = MC.estimates(config, source, [point])
         assert np.array_equal(found, alone)
     searches = []
     search = E.search_peak
@@ -418,13 +419,13 @@ def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
         return search(found, *args, **kwargs)
 
     monkeypatch.setattr(E, "search_peak", recording_search)
-    X._estimates(config, source, points)
+    MC.estimates(config, source, points)
     assert searches == [(54, 3)] + [(1, 3)] * 6
     # chunks of 7 rows: the 54 rows of trials 1-9 at 6 points take 8 searches,
     # and 6 of the 7 chunk boundaries fall inside a point's 9 rows
     monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 7 * 3)
     searches.clear()
-    chunked = X._estimates(config, source, points)
+    chunked = MC.estimates(config, source, points)
     assert all(np.array_equal(a, b) for a, b in zip(chunked, together))
     assert searches == [(7, 3)] * 7 + [(5, 3)] + [(1, 3)] * 6
     assert all(rows * blocks <= E._CHUNK_ELEMENTS for rows, blocks in searches)
@@ -493,13 +494,13 @@ def test_only_gen2_ask_trials_after_trial_0_draw_bits(monkeypatch, modulation, w
     # frame) after trial 0
     monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 13 * 6 * 277)
     drawn = []
-    random_bits = X._random_bits
+    random_bits = MC._random_bits
 
     def counting_bits(bit_generator, rows, count):
         drawn.append((rows, count))
         return random_bits(bit_generator, rows, count)
 
-    monkeypatch.setattr(X, "_random_bits", counting_bits)
+    monkeypatch.setattr(MC, "_random_bits", counting_bits)
     X.run_mcrb_experiment(ExperimentConfig(
         mode_label=None, blf_hz=40e3, encoding="Miller8", ps_n0_dbhz=52.8,
         modulation=modulation, waveform_model=waveform, trials=40, seed=2))
@@ -533,7 +534,7 @@ def test_a_frame_source_encodes_nothing(monkeypatch, model, mode, signals):
     encoded = counting_frame_states(monkeypatch)
     config = ExperimentConfig(mode_label=None, blf_hz=mode.blf_hz, encoding=mode.encoding.name,
                               waveform_model=model)
-    source = X._frame_source(X.resolve(config), signals)
+    source = MC.frame_source(X.resolve(config), signals)
     assert encoded == []
     # each signal encoded on its own, laid out from its states' count
     frame = [(kind, start, B.frame_states(mode, model, [(kind, start, n_symbols)],
@@ -725,6 +726,31 @@ def test_simulated_doppler_must_lie_inside_the_search_window():
 # ---------------------------------------------------------------------------
 # Figure datasets
 # ---------------------------------------------------------------------------
+
+# the default grids of the figures, then other (lo, hi, n): a wide span, a
+# narrow one, two points, and grids whose ends are powers of 10 or of 2
+DEFAULT_GRIDS = [(figure, "v_grid") for figure in (4, 8, 9, 10, 11)] + \
+    [(5, "t0_grid_s"), (7, "t_pause_grid_s")]
+GRIDS = [X._FIGURES[figure][1][key][1] for figure, key in DEFAULT_GRIDS]
+GRIDS += [X._geomspace(lo, hi, n) for lo, hi, n in [
+    (0.3, 7e5, 1000), (1e-300, 1e300, 7), (5.0, 5.5, 3), (1.0, 2.0, 2), (2.0, 1024.0, 11),
+    (1e-3, 1e3, 25)]]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=[f"figure{f}-{k}" for f, k in DEFAULT_GRIDS] + [
+    "0.3-7e5-1000", "1e-300-1e300-7", "5-5.5-3", "1-2-2", "2-1024-11", "1e-3-1e3-25"])
+def test_a_geometric_grid_keeps_its_endpoints_and_numpy_s_values_within_1_ulp(grid):
+    lo, hi, n = grid[0], grid[-1], len(grid)
+    assert X._geomspace(lo, hi, n) == grid
+    assert all(type(x) is float for x in grid)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    # numpy's power may round 10 ** x to the other neighbour of the exact
+    # value than libm's pow; the exponents are the same, and so are the ends
+    reference = np.geomspace(lo, hi, n)
+    assert reference[0] == lo and reference[-1] == hi
+    assert np.all(np.nextafter(reference, 0.0) <= grid)
+    assert np.all(grid <= np.nextafter(reference, np.inf))
+
 
 def test_figure4_matches_direct_evaluation():
     _, fieldnames, rows = X.figure_dataset(4, {"v_grid": [0.5, 1.0],
