@@ -2,17 +2,23 @@
 
 bounds, vmin, simulate-mcrb and simulate-detect accept --config (flat
 key = value file) with individual flags overriding file values.  Each
-setting is declared once, as a field of experiments.ExperimentConfig: a
-flag's dest is the field name, and its text goes through the field's parser,
-as a config-file value does.  A subcommand takes only the flags it reads, and
-from a config file only the settings its flags set (simulate-mcrb: also
-sweep_param and sweep_values, which --sweep sets); any other key exits 2
-naming it.  experiments.resolve checks a run's settings, in one place, and
-resolves them into the setup that bounds, vmin and every Monte Carlo run read:
-the parsed settings, the reader mode, the link budget and the reply's timing
-factor.  noise-figure's --p-s-dbm and --blf follow the rules of the config
-fields p_s_dbm and blf_hz.  No flag sets a sample rate: every frame is
-sampled at 32 x BLF (protocol.default_sample_rate), and no result depends on it.
+setting is declared once, as a field of experiments.ExperimentConfig that
+holds its parser, its flag and the flag's help.  Each of these commands
+reads the settings of one tuple of experiments (BOUNDS_SETTINGS,
+VMIN_SETTINGS, MCRB_SETTINGS, DETECT_SETTINGS), and _setting_arguments
+builds a flag for each setting of the tuple from its field, with no
+argparse type or choices.  A flag's text is read as a config-file value is:
+stripped, then by the field's parser, so both give the same value or the
+same error.  A config file may set only the settings of the command's tuple
+(simulate-mcrb: also sweep_param and sweep_values, which --sweep sets); any
+other key exits 2 naming it.  experiments.resolve checks a run's settings,
+in one place, and resolves them into the setup that bounds, vmin and every
+Monte Carlo run read: the parsed settings, the reader mode, the link budget
+and the reply's timing factor.  noise-figure's --p-s-dbm and --blf follow
+the rules of the config fields p_s_dbm and blf_hz; its --m, and figure's id,
+--trials and --seed, are read by named rules of experiments, which name
+them when they refuse.  No flag sets a sample rate: every frame is sampled
+at 32 x BLF (protocol.default_sample_rate), and no result depends on it.
 bounds, vmin, noise-figure and a figure without --trials load no numpy: only
 the Monte Carlo runners of experiments import its engine (montecarlo), as
 they start.
@@ -46,58 +52,52 @@ def _add_output(sp):
     sp.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 
-def _add_scenario(sp):
-    sp.add_argument("--config", metavar="FILE",
-                    help="flat key = value config file; flags override its values")
-    sp.add_argument("--mode", dest="mode_label", help="reader mode label, e.g. 'Mode 290'")
-    sp.add_argument("--blf", dest="blf_hz", help="explicit BLF in Hz")
-    sp.add_argument("--encoding", help="FM0 or Miller-2/4/8 (with --blf)")
-    sp.add_argument("--trext", action=argparse.BooleanOptionalAction, help="pilot tone on/off")
-    sp.add_argument("--epc-bits", dest="epc_bits", choices=("96", "128", "256"))
-    sp.add_argument("--f-c", dest="f_c_hz", help="carrier frequency in Hz")
-    sp.add_argument("--parts", choices=("rn16", "epc", "both"))
+def _metavar(choices) -> str:
+    return "{" + ",".join(map(str, choices)) + "}"
 
 
-def _add_p_err(sp):
-    sp.add_argument("--p-err", dest="p_err", help="target error probability")
+def _setting_arguments(settings, check: str = ""):
+    """Argument adder of a command that reads ``settings``: --out, --config,
+    a flag for each setting that has one, built from its config field, then
+    --sweep if the command reads sweep_param, and --check if ``check`` says
+    what it checks.  A flag's text goes through the field's rule; a boolean
+    takes --NAME and --no-NAME, and a rule of fixed choices shows them as
+    the flag's metavar."""
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
 
-
-def _add_link(sp):
-    sp.add_argument("--ps-n0", dest="ps_n0_dbhz", help="P_S/N0 in dB-Hz")
-    sp.add_argument("--p-s-dbm", dest="p_s_dbm", help="received tag power")
-    sp.add_argument("--n0", dest="n0_dbm_hz", help="noise density in dBm-Hz")
-    sp.add_argument("--nf", dest="nf_db", help="receiver noise figure in dB")
-
-
-def _add_simulation(sp):
-    sp.add_argument("--trials")
-    sp.add_argument("--seed")
-    sp.add_argument("--modulation", choices=("ask", "psk"))
-    sp.add_argument("--waveform-model", dest="waveform_model", choices=("gen2", "rect"))
-    sp.add_argument("--ask-zeroing", action=argparse.BooleanOptionalAction,
-                    help="zero absorb intervals before ASK estimation")
-    sp.add_argument("--search-halfwidth", dest="search_halfwidth_hz")
-    sp.add_argument("--v", help="tag speed in m/s")
+    def add(sp):
+        _add_output(sp)
+        sp.add_argument("--config", metavar="FILE",
+                        help="flat key = value config file; flags override its values")
+        for field in (fields[name] for name in settings if fields[name].metadata["flag"]):
+            choices = getattr(field.metadata["parse"], "choices", None)
+            kind = {"action": argparse.BooleanOptionalAction} if isinstance(field.default, bool) \
+                else {"metavar": choices and _metavar(choices)}
+            sp.add_argument(field.metadata["flag"], dest=field.name, help=field.metadata["help"],
+                            **kind)
+        if "sweep_param" in settings:
+            sp.add_argument("--sweep", metavar="PARAM=V1,V2,...",
+                            help="sweep ps_n0_dbhz or t0_s over the given values")
+        if check:
+            sp.add_argument("--check", action="store_true", help=f"exit 3 unless {check}")
+        sp.set_defaults(settings=settings)
+    return add
 
 
 def _build_config(args) -> ExperimentConfig:
     """A command's config: the values of its config file, then of its flags.
 
-    Its settings are the fields that its flags set, and for simulate-mcrb,
-    whose --sweep PARAM=V1,V2,... sets them, sweep_param and sweep_values; a
-    file key outside them is refused, as a flag the command lacks is.
+    Its settings are the command's tuple (args.settings); a file key outside
+    them is refused, as a flag the command lacks is.  simulate-mcrb's
+    --sweep PARAM=V1,V2,... sets sweep_param and sweep_values.
     """
-    given = vars(args)
-    settings = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name in given]
-    if "sweep" in given:
-        settings += ["sweep_param", "sweep_values"]
-    config = ExperimentConfig.from_file(args.config, settings) if args.config \
+    config = ExperimentConfig.from_file(args.config, args.settings) if args.config \
         else ExperimentConfig()
-    for name in settings:
-        if given.get(name) is not None:
-            config.set_field(name, given[name])
-    if given.get("sweep"):
-        param, sep, values = given["sweep"].partition("=")
+    for name in args.settings:
+        if getattr(args, name, None) is not None:
+            config.set_field(name, getattr(args, name))
+    if getattr(args, "sweep", None):
+        param, sep, values = args.sweep.partition("=")
         if not sep:
             raise ConfigError("sweep: expected PARAM=V1,V2,... (param ps_n0_dbhz or t0_s)")
         config.set_field("sweep_param", param)
@@ -141,7 +141,7 @@ def _cmd_bounds(args) -> int:
         ("v_min_m_per_s", result.v_min),
         ("detectable", str(result.detectable).lower()),
     ]
-    if "v" not in vars(args):
+    if "v" not in args.settings:
         pairs = [pair for pair in pairs if pair[0] in _VMIN_KEYS]
     experiments.write_key_values(args.out or sys.stdout, pairs)
     return 0
@@ -155,8 +155,8 @@ def _cmd_figure(args) -> int:
             raise ConfigError(f"--set: expected KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value
     try:
-        comments, fieldnames, rows = experiments.figure_dataset(
-            args.id, overrides, trials=args.trials or 0, seed=args.seed or 0)
+        comments, fieldnames, rows = experiments.figure_dataset(args.id, overrides,
+                                                                args.trials, args.seed)
         experiments.write_csv(args.out or sys.stdout, comments, fieldnames, rows)
     except ConfigError:
         raise
@@ -199,7 +199,7 @@ def _check_detect_rows(rows, config: ExperimentConfig) -> None:
 
 def _cmd_simulate(args) -> int:
     """simulate-mcrb (the command with --sweep) and simulate-detect."""
-    mcrb = "sweep" in vars(args)
+    mcrb = args.settings == experiments.MCRB_SETTINGS
     config = _build_config(args)
     # looked up as the command runs, so that a wrapper set on the module is called
     run = experiments.run_mcrb_experiment if mcrb else experiments.run_detection_experiment
@@ -220,61 +220,40 @@ def _cmd_noise_figure(args) -> int:
     return 0
 
 
-def _vmin_arguments(sp):
-    _add_output(sp); _add_scenario(sp); _add_p_err(sp); _add_link(sp)
-
-
-def _bounds_arguments(sp):
-    _vmin_arguments(sp)
-    sp.add_argument("--v", help="tag speed in m/s")
-
-
 def _figure_arguments(sp):
-    sp.add_argument("id", type=int, choices=(4, 5, 7, 8, 9, 10, 11))
+    sp.add_argument("id", metavar=_metavar(experiments.FIGURE_IDS))
     _add_output(sp)
-    sp.add_argument("--trials", type=int, help="add Monte Carlo columns (figures 5 and 7)")
-    sp.add_argument("--seed", type=int,
+    sp.add_argument("--trials", default=0, help="add Monte Carlo columns (figures 5 and 7)")
+    sp.add_argument("--seed", default=0,
                     help="Monte Carlo seed, read only by figures 5 and 7 with --trials; "
                          "the closed-form figures draw no random numbers")
     sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                     help="override a dataset parameter (repeatable)")
 
 
-def _simulate_mcrb_arguments(sp):
-    _add_output(sp); _add_scenario(sp); _add_link(sp); _add_simulation(sp)
-    sp.add_argument("--sweep", metavar="PARAM=V1,V2,...",
-                    help="sweep ps_n0_dbhz or t0_s over the given values")
-    sp.add_argument("--check", action="store_true",
-                    help="exit 3 unless the empirical variance matches the bound")
-
-
-def _simulate_detect_arguments(sp):
-    _add_output(sp); _add_scenario(sp); _add_p_err(sp); _add_simulation(sp)
-    sp.add_argument("--v-grid", dest="v_grid", metavar="V1,V2,...", help="tag speeds to sweep")
-    sp.add_argument("--estimator", dest="estimator_model", choices=("gaussian", "baseband"))
-    sp.add_argument("--sigma-sq", dest="sigma_sq_hz2", help="pin the estimator variance in Hz^2")
-    sp.add_argument("--check", action="store_true",
-                    help="exit 3 unless error rates match the prediction")
-
-
 def _noise_figure_arguments(sp):
     sp.add_argument("--p-s-dbm", dest="p_s_dbm")
     sp.add_argument("--ber")
     sp.add_argument("--blf", dest="blf_hz")
-    sp.add_argument("--m", type=int, choices=(1, 2, 4, 8),
-                    help="spread factor: 1 (FM0), 2, 4 or 8")
+    sp.add_argument("--m", help="spread factor: 1 (FM0), 2, 4 or 8")
     _add_output(sp)
 
 
 # name -> (help, argument adder, handler), in the order --help lists them
 _SUBCOMMANDS = {
-    "bounds": ("print every bound for one configuration", _bounds_arguments, _cmd_bounds),
-    "vmin": ("print the minimum detectable tag speed", _vmin_arguments, _cmd_bounds),
+    "bounds": ("print every bound for one configuration",
+               _setting_arguments(experiments.BOUNDS_SETTINGS), _cmd_bounds),
+    "vmin": ("print the minimum detectable tag speed",
+             _setting_arguments(experiments.VMIN_SETTINGS), _cmd_bounds),
     "figure": ("emit the dataset behind one figure", _figure_arguments, _cmd_figure),
     "simulate-mcrb": ("Monte Carlo check of the estimation variance bound",
-                      _simulate_mcrb_arguments, _cmd_simulate),
+                      _setting_arguments(experiments.MCRB_SETTINGS,
+                                         "the empirical variance matches the bound"),
+                      _cmd_simulate),
     "simulate-detect": ("Monte Carlo check of classification error rates",
-                        _simulate_detect_arguments, _cmd_simulate),
+                        _setting_arguments(experiments.DETECT_SETTINGS,
+                                         "error rates match the prediction"),
+                        _cmd_simulate),
     "noise-figure": ("back-solve N0 and NF from a sensitivity point",
                      _noise_figure_arguments, _cmd_noise_figure),
 }

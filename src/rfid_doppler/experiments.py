@@ -3,15 +3,20 @@
 A run's settings are declared once, as the fields of :class:`ExperimentConfig`;
 the figure datasets declare their own parameters in ``_FIGURES``.  Each
 setting has one rule, the parser its field declares: it reads the setting's
-text, from a flag, a config file or a figure ``--set``, and checks a value set
-in code, so ``validate`` adds only the rules between settings and hands back
-a copy that holds each setting's parsed value.  A run's settings are checked
+text, from a flag, a config file or a figure ``--set``, stripped first, and
+checks a value set in code, so ``validate`` adds only the rules between
+settings and hands back a copy that holds each setting's parsed value.  The
+field also declares its command-line flag and the flag's help, and each
+command's settings are one tuple here (``BOUNDS_SETTINGS``,
+``VMIN_SETTINGS``, ``MCRB_SETTINGS``, ``DETECT_SETTINGS``), from which the
+CLI builds the command's flags.  A run's settings are checked
 in one place, :func:`resolve`, which validates a config and resolves the copy
 into the run's setup (:class:`RunSetup`): the parsed settings, the reader
 mode, the link budget, the reply's timing and its timing factor C_T.  bounds,
 vmin and every Monte Carlo run read their settings from the setup.  The figure
 parameters and the noise-figure report's p_s_dbm and blf_hz take the same
-parsers.  Every number written, to a CSV or as a
+parsers; the figure id, trials and seed and the report's spread factor m
+have named rules of their own.  Every number written, to a CSV or as a
 ``key = value`` line, goes through one cell rule, which refuses a number that
 is not finite and names its column or key.
 
@@ -69,7 +74,7 @@ def derive_seed(master: int, *indices: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_bool(value) -> bool:
-    lowered = str(value).strip().lower()
+    lowered = str(value).lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
@@ -78,9 +83,12 @@ def _parse_bool(value) -> bool:
 
 
 def _parsed(key: str, parse, value):
-    """parse(value), reporting a failure as a ConfigError that names the key."""
+    """parse(value), reporting a failure as a ConfigError that names the key.
+
+    A text is stripped first, as a config file's value is, so a flag, a file
+    and a value set in code give a rule the same text."""
     try:
-        return parse(value)
+        return parse(value.strip() if isinstance(value, str) else value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
@@ -126,10 +134,17 @@ def _checked(parse, ok, rule: str):
     return parse_checked
 
 
+def _member(parse, choices: tuple):
+    """Parser that reads a value with ``parse`` and requires one of
+    ``choices``, which it keeps as its attribute ``choices``."""
+    rule = _checked(parse, choices.__contains__, f"be one of {', '.join(map(str, choices))}")
+    rule.choices = choices
+    return rule
+
+
 def _one_of(*choices: str):
     """Parser of one of the strings ``choices``."""
-    return _checked(lambda value: str(value).strip(), choices.__contains__,
-                    f"be one of {', '.join(choices)}")
+    return _member(str, choices)
 
 
 _positive = _checked(_finite, lambda x: x > 0, "be positive")
@@ -155,7 +170,7 @@ _moving_speed = _checked(_finite, lambda v: 0 < v < bounds.SPEED_OF_LIGHT,
 _p_err = _checked(_finite, lambda p: 0 < p < 0.5, "lie in (0, 0.5)")
 _blf = _checked(_finite, lambda f: protocol.BLF_MIN_HZ <= f <= protocol.BLF_MAX_HZ,
                 "lie in the Gen2 range [40e3, 640e3] Hz")
-_epc_bits = _checked(_integer, lambda bits: bits in (96, 128, 256), "be 96, 128 or 256")
+_epc_bits = _member(_integer, (96, 128, 256))
 _part = _one_of("rn16", "epc", "both")
 _modulation = _one_of(*protocol.MODULATIONS)
 _waveform_model = _one_of(*protocol.WAVEFORM_MODELS)
@@ -182,18 +197,17 @@ def _encoding(name):
 
 
 def _mode_label(text) -> str:
-    """A label of the reader-mode catalog (protocol.find_reader_mode), stripped."""
-    label = str(text).strip()
+    """A label of the reader-mode catalog (protocol.find_reader_mode)."""
     try:
-        protocol.find_reader_mode(label)
+        protocol.find_reader_mode(str(text))
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
-    return label
+    return str(text)
 
 
 def _opt_mode_label(text) -> Optional[str]:
     """A catalog label, or None for an empty text or 'none'."""
-    return None if str(text).strip().lower() in ("", "none") else _mode_label(text)
+    return None if str(text).lower() in ("", "none") else _mode_label(text)
 
 
 # The paper-style defaults: European band, 0.1% error target, Mode 290, and
@@ -205,40 +219,45 @@ _MAX_TRIALS = 1 << 24
 _trials = _checked(_integer, lambda n: 1 <= n <= _MAX_TRIALS, f"lie in [1, {_MAX_TRIALS}]")
 
 
-def _setting(default, parse):
+def _setting(default, parse, flag: Optional[str] = None, help: Optional[str] = None):
     """A config field whose one rule is ``parse``: it reads the field's text
-    form, in a config file or a flag, and checks a value set in code."""
-    return dataclasses.field(default=default, metadata={"parse": parse})
+    form, in a config file or given to its command-line ``flag``, which
+    ``help`` describes, and checks a value set in code."""
+    return dataclasses.field(default=default,
+                             metadata={"parse": parse, "flag": flag, "help": help})
 
 
 @dataclass
 class ExperimentConfig:
     """The settings of a bounds or Monte Carlo run.  Each field declares its
     name, default and its one rule, the parser that config files, the CLI
-    flags (whose dest is the field name) and :meth:`validate` share."""
+    flags and :meth:`validate` share, and its flag, whose dest is the field
+    name; sweep_param and sweep_values have none, as --sweep sets both."""
 
-    mode_label: Optional[str] = _setting("Mode 290", _opt_mode_label)
-    blf_hz: Optional[float] = _setting(None, _blf)
-    encoding: Optional[str] = _setting(None, _encoding)
-    trext: bool = _setting(True, _parse_bool)
-    epc_bits: int = _setting(96, _epc_bits)
-    f_c_hz: float = _setting(868e6, _carrier)
-    p_err: float = _setting(1e-3, _p_err)
-    ps_n0_dbhz: Optional[float] = _setting(None, _db)
-    p_s_dbm: Optional[float] = _setting(None, _db)
-    n0_dbm_hz: Optional[float] = _setting(None, _noise_density)
-    nf_db: Optional[float] = _setting(None, _noise_figure)
-    v: float = _setting(1.0, _speed)
-    v_grid: Optional[list[float]] = _setting(None, _speed_grid)
-    trials: int = _setting(1000, _trials)
-    seed: int = _setting(0, _integer)
-    waveform_model: str = _setting("gen2", _waveform_model)
-    modulation: str = _setting("ask", _modulation)
-    parts: str = _setting("both", _part)
-    ask_zeroing: bool = _setting(True, _parse_bool)
-    search_halfwidth_hz: float = _setting(200.0, _positive)
-    estimator_model: str = _setting("gaussian", _one_of("gaussian", "baseband"))
-    sigma_sq_hz2: Optional[float] = _setting(None, _positive)
+    mode_label: Optional[str] = _setting("Mode 290", _opt_mode_label, "--mode", "reader mode label")
+    blf_hz: Optional[float] = _setting(None, _blf, "--blf", "explicit BLF in Hz")
+    encoding: Optional[str] = _setting(None, _encoding, "--encoding", "FM0 or MillerM, with --blf")
+    trext: bool = _setting(True, _parse_bool, "--trext", "pilot tone on/off")
+    epc_bits: int = _setting(96, _epc_bits, "--epc-bits", "EPC length in bits")
+    f_c_hz: float = _setting(868e6, _carrier, "--f-c", "carrier frequency in Hz")
+    p_err: float = _setting(1e-3, _p_err, "--p-err", "target error probability")
+    ps_n0_dbhz: Optional[float] = _setting(None, _db, "--ps-n0", "P_S/N0 in dB-Hz")
+    p_s_dbm: Optional[float] = _setting(None, _db, "--p-s-dbm", "received tag power")
+    n0_dbm_hz: Optional[float] = _setting(None, _noise_density, "--n0", "noise density in dBm-Hz")
+    nf_db: Optional[float] = _setting(None, _noise_figure, "--nf", "receiver noise figure in dB")
+    v: float = _setting(1.0, _speed, "--v", "tag speed in m/s")
+    v_grid: Optional[list[float]] = _setting(None, _speed_grid, "--v-grid", "tag speeds to sweep")
+    trials: int = _setting(1000, _trials, "--trials", "Monte Carlo trials per grid point")
+    seed: int = _setting(0, _integer, "--seed", "Monte Carlo seed")
+    waveform_model: str = _setting("gen2", _waveform_model, "--waveform-model", "reply waveform")
+    modulation: str = _setting("ask", _modulation, "--modulation", "backscatter modulation")
+    parts: str = _setting("both", _part, "--parts", "reply parts the estimate reads")
+    ask_zeroing: bool = _setting(True, _parse_bool, "--ask-zeroing", "ASK: zero absorb intervals")
+    search_halfwidth_hz: float = _setting(200.0, _positive, "--search-halfwidth",
+                                          "half-width of the estimator's window in Hz")
+    estimator_model: str = _setting("gaussian", _one_of("gaussian", "baseband"), "--estimator",
+                                    "draw estimates from their distribution or from frames")
+    sigma_sq_hz2: Optional[float] = _setting(None, _positive, "--sigma-sq", "pinned variance, Hz^2")
     sweep_param: Optional[str] = _setting(None, _one_of("ps_n0_dbhz", "t0_s"))
     sweep_values: Optional[list[float]] = _setting(None, _grid)
 
@@ -375,6 +394,17 @@ def resolve(config: ExperimentConfig) -> RunSetup:
     return RunSetup(config, mode, link, timing, bounds.timing_factor(timing, config.parts))
 
 
+# The settings that each command reads, in the order of its flags: it takes
+# a flag and a config-file key for these fields only.  bounds and vmin read
+# them from their setup.
+_SCENARIO = ("mode_label", "blf_hz", "encoding", "trext", "epc_bits", "f_c_hz", "parts")
+_LINK = ("ps_n0_dbhz", "p_s_dbm", "n0_dbm_hz", "nf_db")
+_SIMULATION = ("trials", "seed", "modulation", "waveform_model", "ask_zeroing",
+               "search_halfwidth_hz", "v")
+VMIN_SETTINGS = (*_SCENARIO, "p_err", *_LINK)
+BOUNDS_SETTINGS = (*VMIN_SETTINGS, "v")
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo runners
 # ---------------------------------------------------------------------------
@@ -391,6 +421,8 @@ def _burst_symbols(t0_s: float, mode: protocol.ReaderMode, waveform_model: str) 
     return n
 
 
+# --sweep sets sweep_param and sweep_values
+MCRB_SETTINGS = (*_SCENARIO, *_LINK, *_SIMULATION, "sweep_param", "sweep_values")
 MCRB_REPLY_FIELDS = ["ps_n0_dbhz", "parts", "modulation", "waveform_model",
                      "t_rn16_s", "t_pause_s", "t_epc_s", "c_t_s3", "f_d_true_hz",
                      "mcrb_var_hz2", "trials", "emp_var_hz2", "emp_mse_hz2",
@@ -449,6 +481,8 @@ def run_mcrb_experiment(config: ExperimentConfig):
     return comments, fieldnames, rows
 
 
+DETECT_SETTINGS = (*_SCENARIO, "p_err", *_SIMULATION, "v_grid", "estimator_model",
+                   "sigma_sq_hz2")
 DETECT_FIELDS = ["v_m_per_s", "f_d_hz", "threshold_hz", "sigma_sq_hz2",
                  "p_err_predicted", "trials", "errors_static_as_moving",
                  "errors_moving_as_static", "error_rate"]
@@ -709,14 +743,23 @@ _FIGURES = {
 }
 
 
+FIGURE_IDS = tuple(_FIGURES)
+_figure_id = _member(_integer, FIGURE_IDS)
+# a figure's trials: 0 for none, else a run's, which the run's rule checks
+_figure_trials = _checked(_integer, lambda n: n >= 0, "be >= 0")
+
+
 def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
                    trials: int = 0, seed: int = 0):
     """Analytic dataset behind one of the paper-style figures.
 
-    Returns (comments, fieldnames, rows).  Figures 4, 8, 9, 10 and 11 are
-    purely closed-form and reject ``trials`` > 0; figures 5 and 7 optionally
-    add Monte Carlo columns when ``trials`` > 0 (figure 7 simulates its marked
-    operating point only) and check their simulation parameters either way.
+    Returns (comments, fieldnames, rows).  ``figure_id``, ``trials`` and
+    ``seed`` may be given as text, and each is read by its rule: one of
+    :data:`FIGURE_IDS`, an integer >= 0 and an integer.  Figures 4, 8, 9, 10
+    and 11 are purely closed-form and reject ``trials`` > 0; figures 5 and 7
+    optionally add Monte Carlo columns when ``trials`` > 0 (figure 7
+    simulates its marked operating point only) and check their simulation
+    parameters either way.
     ``overrides`` replaces parameter defaults; each value, the text form of
     ``--set KEY=VALUE`` or a value set in code, goes through the parameter's
     parser.  The rows may still leave floating-point range (an overflow, a
@@ -724,16 +767,13 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
     the builders raise ArithmeticError or ValueError, or leave a non-finite
     number that the writer refuses.
     """
-    try:
-        builder, params = _FIGURES[int(figure_id)]
-    except (KeyError, ValueError):
-        raise ConfigError(f"figure_id: unknown figure {figure_id!r}, "
-                          f"expected one of {sorted(_FIGURES)}") from None
-    if trials < 0:
-        raise ConfigError(f"trials: must be >= 0, got {trials}")
-    if trials > 0 and int(figure_id) not in (5, 7):
+    figure_id = _parsed("figure_id", _figure_id, figure_id)
+    trials = _parsed("trials", _figure_trials, trials)
+    seed = _parsed("seed", _integer, seed)
+    if trials > 0 and figure_id not in (5, 7):
         raise ConfigError(f"trials: figure {figure_id} is closed-form, only figures "
                           f"5 and 7 simulate; got {trials}")
+    builder, params = _FIGURES[figure_id]
     values = {key: default for key, (_, default) in params.items()}
     for key, value in (overrides or {}).items():
         if key not in params:
@@ -747,19 +787,23 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
 # Noise-figure report and CSV output
 # ---------------------------------------------------------------------------
 
+_spread_factor = _member(_integer, (1, 2, 4, 8))
+
+
 def noise_figure_report(p_s_dbm: float = -95.8, ber: float = 1e-3,
                         blf_hz: float = 160e3, m: int = 8) -> dict:
     """Back-solve the receiver noise density from a sensitivity point.
 
-    ``p_s_dbm``, ``ber`` and ``blf_hz`` may be given as text.  ``p_s_dbm`` and
-    ``blf_hz`` go through the rules of the config fields of those names;
-    ``ber`` must be finite, and bounds.ps_n0_from_ber checks its range.  The
-    noise figure that the point gives must take the rule of ``nf_db``, or
-    the point is refused naming ``p_s_dbm``.
+    Each input may be given as text.  ``p_s_dbm`` and ``blf_hz`` go through
+    the rules of the config fields of those names; ``ber`` must be finite,
+    and bounds.ps_n0_from_ber checks its range; the spread factor ``m`` must
+    be a Gen2 one, 1, 2, 4 or 8.  The noise figure that the point gives must
+    take the rule of ``nf_db``, or the point is refused naming ``p_s_dbm``.
     """
     p_s_dbm = _parsed("p_s_dbm", _db, p_s_dbm)
     ber = _parsed("ber", _finite, ber)
     blf_hz = _parsed("blf_hz", _blf, blf_hz)
+    m = _parsed("m", _spread_factor, m)
     ratio = bounds.ps_n0_from_ber(blf_hz, m, ber)
     n0, nf = bounds.noise_density_from_sensitivity(p_s_dbm, ber, blf_hz, m)
     try:

@@ -13,7 +13,7 @@ import pytest
 
 from rfid_doppler import baseband, cli
 from rfid_doppler.cli import main
-from rfid_doppler.experiments import CheckFailure, ExperimentConfig
+from rfid_doppler.experiments import CheckFailure, ConfigError, ExperimentConfig
 
 
 def parse_kv(text: str) -> dict:
@@ -238,12 +238,36 @@ def test_non_finite_flags_exit_2_naming_the_field(argv, field, capsys):
 
 @pytest.mark.parametrize("m", ["3", "0", "16", "-8", "8.0", "eight"])
 def test_noise_figure_rejects_a_spread_factor_gen2_lacks(m, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["noise-figure", "--m", m])
-    assert exc.value.code == 2
+    # the report's rule reads --m, as it reads the other flags
+    assert main(["noise-figure", "--m", m]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --m: invalid" in captured.err
+    assert captured.err.startswith("config error: m: must be ")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["figure", "6"], "figure_id"),
+    (["figure", "8.0"], "figure_id"),
+    (["figure", ""], "figure_id"),
+    (["figure", "8", "--trials", "1.5"], "trials"),
+    (["figure", "8", "--trials", ""], "trials"),
+    (["figure", "5", "--trials", "-2"], "trials"),
+    (["figure", "8", "--seed", "x"], "seed"),
+    (["figure", "7", "--seed", "1.0"], "seed"),
+    (["noise-figure", "--m", "8.0"], "m"),
+])
+def test_figure_and_noise_figure_arguments_are_read_by_named_rules(argv, key, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {key}: must ")
+
+
+def test_figure_arguments_are_stripped_as_a_config_value_is(capsys):
+    assert main(["figure", "4", "--trials", "0", "--seed", "3"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["figure", " 4 ", "--trials", " 0", "--seed", "3 "]) == 0
+    assert capsys.readouterr().out == plain
 
 
 @pytest.mark.parametrize("argv, field", [
@@ -742,6 +766,91 @@ def test_every_setting_flag_names_a_config_field(name):
     assert (link & dests) == (link if name != "simulate-detect" else set())
 
 
+@pytest.mark.parametrize("name", sorted(SUBCOMMAND_ARGUMENTS))
+def test_no_argument_has_choices_or_a_type(name):
+    # a value's one rule is its config field's, or a named rule of experiments;
+    # argparse's choices or type would be a second rule that runs first
+    assert [action.dest for action in subcommand_parser(name)._actions
+            if action.choices is not None or action.type is not None] == []
+
+
+def setting_flags():
+    """{field name: (command, flag)} for every config field that a flag sets."""
+    found = {}
+    for command in ("bounds", "simulate-mcrb", "simulate-detect"):
+        for action in subcommand_parser(command)._actions:
+            if action.dest in FIELDS and action.dest not in found:
+                found[action.dest] = (command, action.option_strings[0])
+    return found
+
+
+FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+SETTING_FLAGS = setting_flags()
+# The texts fed to every setting that a flag takes: numbers, lists and names,
+# padded, upper-case, empty and fractional, and each valid value of a rule
+# with fixed choices in those forms too.
+PARITY_TEXTS = ["", " ", "x", "nan", "-1", "0", "1e-300", "0.5", "2", "50", "128", " 128 ",
+                "128.0", "1e3", "0.5,1", "-150", " 868e6", "640e3", "both", " both", "BOTH",
+                "FM0", " miller-8 ", "Mode 204", " Mode 204", "none", "true", " off "]
+# the setting that a field needs beside it, given the same way
+COMPANIONS = {"blf_hz": ("encoding", "FM0"), "encoding": ("blf_hz", "640e3"),
+              "p_s_dbm": ("nf_db", "3"), "n0_dbm_hz": ("p_s_dbm", "-90"),
+              "nf_db": ("p_s_dbm", "-90")}
+
+
+def test_every_flagged_field_has_a_flag_here():
+    assert sorted(SETTING_FLAGS) == sorted(name for name, f in FIELDS.items()
+                                           if f.metadata["flag"])
+
+
+def config_outcome(build):
+    """The config that build() gives, validated, or the line main prints refusing it."""
+    try:
+        return build().validate()
+    except ConfigError as exc:
+        return f"config error: {exc}\n"
+
+
+@pytest.mark.parametrize("name", sorted(SETTING_FLAGS))
+def test_a_setting_reads_the_same_by_flag_by_file_and_in_code(name, tmp_path, capsys):
+    command, flag = SETTING_FLAGS[name]
+    parser, cfg = subcommand_parser(command), tmp_path / "run.cfg"
+    if isinstance(FIELDS[name].default, bool):
+        # a boolean flag takes no text: --NAME and --no-NAME are true and false
+        for text, argv in (("true", [flag]), ("false", [flag.replace("--", "--no-", 1)])):
+            cfg.write_text(f"{name} = {text}\n", encoding="utf-8")
+            assert cli._build_config(parser.parse_args(argv)).validate() == \
+                cli._build_config(parser.parse_args(["--config", str(cfg)])).validate() == \
+                ExperimentConfig(**{name: text}).validate()
+        return
+    choices = getattr(FIELDS[name].metadata["parse"], "choices", ())
+    texts = PARITY_TEXTS + [form for choice in map(str, choices)
+                            for form in (choice, f" {choice} ", choice.upper())]
+    other = COMPANIONS.get(name)
+    beside = {other[0]: other[1]} if other else {}
+    beside_flags = [f"{SETTING_FLAGS[other[0]][1]}={other[1]}"] if other else []
+    accepted = 0
+    for text in texts:
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in
+                               {name: text, **beside}.items()), encoding="utf-8")
+        argv = [f"{flag}={text}", *beside_flags]
+        by_flag = config_outcome(lambda: cli._build_config(parser.parse_args(argv)))
+        by_file = config_outcome(
+            lambda: cli._build_config(parser.parse_args(["--config", str(cfg)])))
+        in_code = config_outcome(lambda: ExperimentConfig(**{name: text, **beside}))
+        assert by_flag == by_file == in_code, text
+        if isinstance(by_flag, str):
+            assert by_flag.startswith(f"config error: {name}: "), text
+            # main prints the same refusal either way, before any trial
+            assert main([command, *argv]) == 2
+            assert capsys.readouterr() == ("", by_flag)
+            assert main([command, "--config", str(cfg)]) == 2
+            assert capsys.readouterr() == ("", by_flag)
+        else:
+            accepted += 1
+    assert accepted >= max(1, len(choices))
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -800,6 +909,10 @@ def outcome(run, capsys):
 def test_main_answers_as_the_single_parser_did(argv, capsys):
     def reference():
         args = single_parser().parse_args(argv)
-        return cli._SUBCOMMANDS[args.command][2](args)
+        try:
+            return cli._SUBCOMMANDS[args.command][2](args)
+        except ConfigError as exc:   # a refusal by a rule, such as figure 6's
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
     assert outcome(lambda: main(argv), capsys) == outcome(reference, capsys)
