@@ -14,10 +14,13 @@ coarse-then-fine search of Rife & Boorstyn, IEEE Trans. IT 1974).
 
 For speed the periodogram is evaluated on coherently pre-integrated blocks:
 samples are summed in blocks much shorter than 1/search_halfwidth, and never
-longer than the frame, and each block keeps the exact time centroid of its
-masked samples.  This regroups the sum without changing the peak location of
-a noiseless tone and costs a negligible fraction of the post-integration SNR
-at the searched offsets.  Block sums come in one form, a batch with one row
+longer than 1/32 of the frame, and each block keeps the exact time centroid
+of its masked samples.  This regroups the sum without moving the peak of a
+noiseless tone, and costs a negligible fraction both of the
+post-integration SNR at the searched offsets and of the frame's information
+for frequency: the block centroids keep at least 0.999 of the samples' time
+spread, as N equal blocks keep 1 - 1/N^2 of it, however short the reply.
+Block sums come in one form, a batch with one row
 per frame (:class:`BlockSums`): integrate_blocks gives the one row of a
 sampled frame, and BlockTable the rows of noiseless frames straight from
 their symbol words (the states of a symbol's two halves), one table entry
@@ -146,11 +149,14 @@ def _check_halfwidth(search_halfwidth_hz: float) -> None:
 
 def _block_samples(sample_rate_hz: float, search_halfwidth_hz: float, n_samples: int) -> int:
     """Samples of a block 1/(16 search_halfwidth) long, at least one and at
-    most the frame's ``n_samples``: a longer block also gives one block, and
-    a window of a few 1e-300 Hz would make it too long for an int."""
+    most 1/32 of the frame's ``n_samples``.  N equal blocks keep 1 - 1/N^2 of
+    the samples' time spread, the Fisher information for frequency, so a
+    frame of 32 or more blocks keeps 0.999 of it however short it is; the
+    cap also keeps a window of a few 1e-300 Hz from making a block too long
+    for an int."""
     _check_halfwidth(search_halfwidth_hz)
     block_s = 1.0 / (16.0 * search_halfwidth_hz)
-    return max(1, int(round(min(n_samples, block_s * sample_rate_hz))))
+    return max(1, int(round(min(n_samples // 32, block_s * sample_rate_hz))))
 
 
 def _span(first_s, last_s, sample_rate_hz: float):

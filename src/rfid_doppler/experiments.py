@@ -310,12 +310,13 @@ class ExperimentConfig:
                 return
         raise ConfigError(f"{key}: unknown config key")
 
-    def comment_lines(self) -> list[str]:
-        """Config echo for CSV headers, in field order, skipping unset values."""
+    def comment_lines(self, settings: Sequence[str]) -> list[str]:
+        """Config echo for CSV headers: the fields of ``settings``, the ones
+        the command reads, in field order, skipping unset values."""
         out = []
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if value is None:
+            if value is None or f.name not in settings:
                 continue
             if isinstance(value, list):
                 value = ",".join(format(x, ".12g") for x in value)
@@ -444,7 +445,7 @@ def run_mcrb_experiment(config: ExperimentConfig):
     setup = resolve(config)
     config, mode, link = setup.config, setup.mode, setup.link
     f_d_true = bounds.doppler_shift(config.v, config.f_c_hz)
-    comments = ["mcrb monte carlo"] + config.comment_lines()
+    comments = ["mcrb monte carlo"] + config.comment_lines(MCRB_SETTINGS)
     # groups of grid points: (frame source, link ratios, C_T, the rows' own
     # fields), one per burst of a t0 sweep, else one of the reply
     if config.sweep_param == "t0_s":
@@ -511,7 +512,7 @@ def run_detection_experiment(config: ExperimentConfig):
     if config.v_grid is None and config.v <= 0:
         raise ConfigError(f"v: a detection run needs a moving tag, got {config.v}")
     f_c = config.f_c_hz
-    comments = ["motion detection monte carlo"] + config.comment_lines()
+    comments = ["motion detection monte carlo"] + config.comment_lines(DETECT_SETTINGS)
     rows = []
     # the setting that gives the variance: sigma_sq_hz2, or else the speed
     key = "sigma_sq_hz2" if config.sigma_sq_hz2 is not None \

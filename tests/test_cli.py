@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rfid_doppler import baseband, cli
+from rfid_doppler import baseband, cli, experiments
 from rfid_doppler.cli import main
 from rfid_doppler.experiments import CheckFailure, ConfigError, ExperimentConfig
 
@@ -189,6 +189,18 @@ def test_simulate_mcrb_check_takes_the_psk_band_without_ask_zeroing(tmp_path):
     rows = [[line for line in (tmp_path / name).read_text(encoding="utf-8").splitlines()
              if not line.startswith("#")] for name in ("a.csv", "b.csv")]
     assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("parts", ["both", "epc"])
+def test_a_short_mode_204_reply_reaches_the_bound(parts, capsys):
+    # a 0.41 ms Mode 204 EPC held 2 blocks of 1/(16 x 200 Hz), whose centroids
+    # kept too little of its time spread: the ratio read 1.833 with EPC only
+    argv = ["simulate-mcrb", "--mode", "Mode 204", "--modulation", "psk", "--ps-n0", "81.2",
+            "--trials", "20000", "--seed", "5", "--parts", parts]
+    assert main([*argv, "--check"]) == 0
+    header, row = capsys.readouterr().out.splitlines()[-2:]
+    values = dict(zip(header.split(","), row.split(",")))
+    assert 0.9 <= float(values["emp_var_hz2"]) / float(values["mcrb_var_hz2"]) <= 1.15
 
 
 def test_simulate_detect_check_passes(tmp_path):
@@ -464,9 +476,9 @@ def test_a_detection_at_rest_names_the_speed_given(capsys):
 
 
 @pytest.mark.parametrize("halfwidth", ["1e-300", "5e-324"])
-def test_a_window_of_a_few_1e_300_hz_takes_one_block_per_frame(halfwidth, capsys):
-    # 1/(16 W) overflowed the block length; a block as long as the frame gives
-    # the one block that any longer one gives
+def test_a_window_of_a_few_1e_300_hz_takes_capped_blocks(halfwidth, capsys):
+    # 1/(16 W) overflowed the block length; the cap at 1/32 of the frame
+    # holds it to 1,448 samples of the 46,336-sample frame
     assert main(["simulate-mcrb", "--search-halfwidth", halfwidth, "--v", "0",
                  "--trials", "2"]) == 0
     header, row = capsys.readouterr().out.splitlines()[-2:]
@@ -570,59 +582,59 @@ _MILLER_160K = ["--blf", "160e3", "--ps-n0", "52.8", "--trials", "400", "--seed"
 
 # SHA-256 of simulation CSVs, covering every way a trial gets its block sums:
 # ASK with and without zeroing, PSK, rect frames, each sweep kind, and every
-# Gen2 encoding (FM0, Miller-2, -4 and -8).  The rect run's EPC and the 0.2 ms
-# bursts of the t0 sweep and figure 5 are shorter than one 312.5 us block:
-# their periodogram is flat, so their estimates, and these three digests,
-# follow the rounding of the block sums and move with their summation order.
+# Gen2 encoding (FM0, Miller-2, -4 and -8).  Each header echoes only the
+# settings its command reads.  The rect run's EPC and the 0.2 ms bursts of
+# the t0 sweep and figure 5 are shorter than one 312.5 us block of the
+# default window: the cap at 1/32 of the frame gives them 32 or more blocks.
 SIMULATION_SHA256 = {
     "mcrb_ask_both": (
         ["simulate-mcrb", *_M290, "--modulation", "ask", "--parts", "both"],
-        "ae53697ed055a39d959026b5bf245452f98c6e627bcefa6cee92e56f65bbe8b6"),
+        "902bb7edddaef572aa8454c5271f3142c09abeeefa71fce06968e6057e14e197"),
     "mcrb_ask_epc": (
         ["simulate-mcrb", *_M290, "--modulation", "ask", "--parts", "epc"],
-        "02d44711b3c7c75724a9f06e466f426996f11ccc62c94e01ecf089c907e545fd"),
+        "bb0bffe976ce6158f2fc950349b7fe9c65dc668f4b616bf44db2fae827078e05"),
     "mcrb_psk_both": (
         ["simulate-mcrb", *_M290, "--modulation", "psk", "--parts", "both"],
-        "5980b381d04ae49547fb0d00ed29845c5f6070b153ee7e296618a10ac982bef3"),
+        "896f6f97632208c931766b96ce7bab8401bf45534fd176d37f1e62fd8dfb3d7b"),
     "mcrb_psk_epc": (
         ["simulate-mcrb", *_M290, "--modulation", "psk", "--parts", "epc"],
-        "0cff5e8430db3f8e013486ed1bda37f0ccb3fdd148caa873fabc8376b0fe004c"),
+        "e99f324ddfc15387389eb8808d22fb76b94ece9ef75a293524b707406b2c9ea8"),
     "mcrb_ask_both_no_zeroing": (
         ["simulate-mcrb", *_M290, "--modulation", "ask", "--parts", "both",
          "--no-ask-zeroing"],
-        "4f576369ca6457c83fe084bd8ae42c8169b33013dfda33379bea76fad8c698c4"),
+        "3b703ac7149a569a11ac66c96189c6a14a2599e66e7a9bd3459b790d037c8827"),
     "mcrb_ask_both_miller2": (
         ["simulate-mcrb", *_MILLER_160K, "Miller2", "--modulation", "ask", "--parts", "both"],
-        "47519b04830f22baf1a5c8951ad7e166688101d3e9c1c8914cac00a341ff96ca"),
+        "e76199c004be8cb85eaf23d2b0f254b22694b2fbe37063fcc05675f17e55eb50"),
     "mcrb_ask_both_miller4": (
         ["simulate-mcrb", *_MILLER_160K, "Miller4", "--modulation", "ask", "--parts", "both"],
-        "bac1f79073f8745be62bd6faa0f3a17b5425b8b239d36581145acd40b05f17b2"),
+        "85f23c3ea7ca9a3fd86f1035af8ad337b07bfc47d6d66c9fb6a9b5a7f07e1d49"),
     "mcrb_rect": (
         ["simulate-mcrb", *_FM0_640K, "--parts", "epc", "--waveform-model", "rect",
          "--trials", "400", "--seed", "12"],
-        "502dbac358c09de5aa979f3452f1ad5bdc42fd7a14314d402b26b328e7dc8862"),
+        "63353e82a2472838c5d1d8feea06e7a8e9ff14ac98adf6ff94d3ffcd73ad7bfb"),
     "mcrb_t0_sweep": (
         ["simulate-mcrb", *_FM0_640K, "--modulation", "psk", "--trials", "300",
          "--seed", "13", "--sweep", "t0_s=2e-4,1e-3"],
-        "f7b6c0d2c4e9e2e5389099184c06945aee4b92374f0c84e02ab91aabf06a76e3"),
+        "2afb5411efe4b4065c6ae63c093fc548d2325b25605b895c9fb760457d92a68c"),
     "mcrb_ratio_sweep": (
         ["simulate-mcrb", "--mode", "Mode 204", "--modulation", "psk", "--trials", "300",
          "--seed", "14", "--sweep", "ps_n0_dbhz=60,70,80"],
-        "26a3997da16c9427894c174fbcf632055fae97cf1f8c8d99e1a62ef10503497b"),
+        "0bfea574b42fb05a177a970c443631f3a903795fa0ceb831046dbfb3c16cf190"),
     "detect_baseband": (
         ["simulate-detect", "--estimator", "baseband", "--mode", "Mode 204",
          "--modulation", "psk", "--p-err", "0.05", "--v-grid", "0.5,1,2",
          "--trials", "300", "--seed", "15"],
-        "2a0da8cc6f79ef009d76ac9ec0ab905efc2d46011f95a15d6e3cf793a68d65c0"),
+        "149a2ca32980dbaffe5adf1dc0459f99753fc16e433f6fe23a3a1546134e3cd3"),
     # one run-level search covers trials 1-999 of both frame kinds of all three speeds
     "detect_baseband_1000": (
         ["simulate-detect", "--estimator", "baseband", "--mode", "Mode 204",
          "--modulation", "psk", "--p-err", "0.05", "--v-grid", "0.5,1,2",
          "--trials", "1000", "--seed", "18"],
-        "0a551546114d8822944354e7d8fcdbf5610d58d6ffa189843376bb420a6555f8"),
+        "439e293f8ff9c6120582146bb1129b9a8e3aa202f998705569edf35a170ff6c9"),
     "figure5_trials": (
         ["figure", "5", "--trials", "30", "--seed", "16", "--set", "t0_grid_s=2e-4,1e-3,5e-3"],
-        "42275f58ffce2078042003b08a940cc08981674a03b26352b37f2ec48f33875d"),
+        "1658a62ebb98dbf01d1ea01a5921c9c1c15af2f5ff343d52456a1a0c7f333ae8"),
     "figure7_trials": (
         ["figure", "7", "--trials", "200", "--seed", "17"],
         "2a26d3bcf17e6e0f50a86358fde9c61138176427ba95f0a63fa7a28c9296d9bf"),
@@ -634,6 +646,18 @@ def test_simulation_csvs_are_pinned(name, capsys):
     argv, want = SIMULATION_SHA256[name]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == want
+
+
+@pytest.mark.parametrize("argv, settings", [
+    (["simulate-mcrb", "--trials", "2"], experiments.MCRB_SETTINGS),
+    (["simulate-detect", "--trials", "2"], experiments.DETECT_SETTINGS),
+])
+def test_a_csv_header_echoes_only_the_settings_its_command_reads(argv, settings, capsys):
+    assert main(argv) == 0
+    header = [line[2:].split(" = ")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("# ") and " = " in line]
+    # simulate-mcrb reads neither p_err nor estimator_model, whose defaults are set
+    assert "trials" in header and set(header) <= set(settings)
 
 
 def test_a_miller8_ask_job_leaves_numpy_ma_unimported():

@@ -196,19 +196,56 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, blf_scale, modu
 @pytest.mark.parametrize("halfwidth", [1e-300, 5e-324])
 def test_a_block_is_never_longer_than_its_frame(halfwidth):
     # 1/(16 W) is 6e298 s at W = 1e-300 Hz, and times fs inf at 5e-324 Hz; at
-    # 1 Hz, 80,000 samples, the block already holds the 46,336-sample frame
+    # 1 Hz, 80,000 samples, the block is already capped at 1/32 of the
+    # 46,336-sample frame, 1,448 samples, so the frame has 32 blocks
     layout = reply_layout(MILLER8_40K)
     assert E._block_samples(layout.sample_rate_hz, halfwidth, layout.n_samples) == \
-        layout.n_samples
+        layout.n_samples // 32 == 1448
     _, _, states = block_parts(MILLER8_40K, "gen2", "both")
-    one_block, narrow = (E.BlockTable(layout, MILLER8_HALF, 0.0, "ask", True, w).blocks(
+    capped, narrow = (E.BlockTable(layout, MILLER8_HALF, 0.0, "ask", True, w).blocks(
         states[None]) for w in (1.0, halfwidth))
     wiped = E.wipe_modulation(make_frame("ask"))
-    for got, want in ((narrow, one_block),
+    for got, want in ((narrow, capped),
                       (E.integrate_blocks(wiped, halfwidth), E.integrate_blocks(wiped, 1.0))):
-        assert got.z.shape == (1, 1)
+        assert got.z.shape == (1, 32)
         for name in ("z", "count", "tau", "span_s"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("parts", ["rn16", "epc", "both"])
+@pytest.mark.parametrize("mode", P._BUILTIN_MODES, ids=lambda mode: mode.label)
+def test_block_centroids_keep_the_samples_time_spread(mode, parts):
+    # The Fisher information for the frequency of a tone is proportional to
+    # the spread of its sample times about their mean.  A block keeps only
+    # its samples' centroid, and so loses their spread about it: N equal
+    # blocks keep 1 - 1/N^2 of it.  Checked on the signal parts' samples, the
+    # mask of a PSK frame, in blocks of the default 200 Hz window.
+    layout = reply_layout(mode, parts)
+    fs, n = layout.sample_rate_hz, layout.n_samples
+    index = np.concatenate([np.arange(i0, i1) for i0, i1 in part_slices(layout)])
+    t = index / fs
+    block = index // E._block_samples(fs, 200.0, n)
+    count = np.bincount(block)
+    tau = np.bincount(block, t)[count > 0] / count[count > 0]
+    samples = float(((t - t.mean()) ** 2).sum())
+    centroids = float((count[count > 0] * (tau - t.mean()) ** 2).sum())
+    assert centroids / samples >= 0.999
+
+
+@pytest.mark.parametrize("parts", ["rn16", "epc", "both"])
+@pytest.mark.parametrize("blf", [40e3, 160e3, 640e3])
+@pytest.mark.parametrize("encoding", [P.FM0, P.MILLER2, P.MILLER4, P.MILLER8],
+                         ids=lambda encoding: encoding.name)
+def test_a_noiseless_frame_gives_its_shift(encoding, blf, parts):
+    # an FM0 RN16 reply at 640 kHz is 0.05 ms long, shorter than one block of
+    # 1/(16 x 200 Hz): as a single block its periodogram was flat, and it
+    # estimated -44.6 Hz for 37 Hz
+    mode = P.ReaderMode("sweep", blf, encoding)
+    n16, n_epc = B.payload_bits(mode, "gen2", P.reply_signals(mode, "both"))
+    rng = np.random.Generator(np.random.Philox(key=37))
+    frame = reply_frame(mode, "psk", "gen2", rng.integers(0, 2, n16), rng.integers(0, 2, n_epc),
+                        B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=None), parts=parts)
+    assert abs(E.estimate_doppler(E.wipe_modulation(frame)).f_hat_hz - 37.0) <= 1e-3
 
 
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])

@@ -171,7 +171,7 @@ def test_name_settings_keep_their_text():
     assert config.mode_label is None
     config.set_field("blf_hz", "40e3")
     config.validate()
-    assert "encoding = miller-8" in config.comment_lines()
+    assert "encoding = miller-8" in config.comment_lines(X.MCRB_SETTINGS)
 
 
 def test_speeds_lie_below_light():
@@ -400,7 +400,7 @@ def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, wave
 
 def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
     # the Mode 204 detection of the benchmark: static and moving frames of
-    # three speeds, 3 blocks per frame
+    # three speeds, 33 blocks of 255 samples per 8,180-sample frame
     config = ExperimentConfig(mode_label="Mode 204", p_err=0.05, trials=10, seed=6,
                               estimator_model="baseband", modulation="psk")
     setup = X.resolve(config)
@@ -420,14 +420,14 @@ def test_searching_grid_points_together_changes_no_estimate(monkeypatch):
 
     monkeypatch.setattr(E, "search_peak", recording_search)
     MC.estimates(config, source, points)
-    assert searches == [(54, 3)] + [(1, 3)] * 6
+    assert searches == [(54, 33)] + [(1, 33)] * 6
     # chunks of 7 rows: the 54 rows of trials 1-9 at 6 points take 8 searches,
     # and 6 of the 7 chunk boundaries fall inside a point's 9 rows
-    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 7 * 3)
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 7 * 33)
     searches.clear()
     chunked = MC.estimates(config, source, points)
     assert all(np.array_equal(a, b) for a, b in zip(chunked, together))
-    assert searches == [(7, 3)] * 7 + [(5, 3)] + [(1, 3)] * 6
+    assert searches == [(7, 33)] * 7 + [(5, 33)] + [(1, 33)] * 6
     assert all(rows * blocks <= E._CHUNK_ELEMENTS for rows, blocks in searches)
 
 
