@@ -24,9 +24,11 @@ the Monte Carlo runners of experiments import its engine (montecarlo), as
 they start.
 bounds, vmin and noise-figure print ``key = value`` lines
 (experiments.write_key_values), the other subcommands CSV
-(experiments.write_csv); both writers refuse a number that is not finite,
-naming its key or column.  A figure whose ``--set`` overrides take its
-dataset out of floating-point range exits 2 naming those keys.
+(experiments.write_csv); a simulation CSV's ``#`` header echoes the set
+settings of its command's tuple, and no other.  Both writers refuse a
+number that is not finite, naming its key or column.  A figure whose
+``--set`` overrides take its dataset out of floating-point range exits 2
+naming those keys.
 Exit codes: 0 success, 2 configuration error, 3 failed --check comparison.
 
 Each subcommand is declared once, in ``_SUBCOMMANDS``: its help line, its
