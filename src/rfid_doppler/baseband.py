@@ -8,6 +8,14 @@ amplitudes (ASK: 0 / sqrt(2 P_S); PSK: +sqrt(P_S) / -sqrt(P_S), P_S = 1),
 rotated by the Doppler term exp(-j 2 pi f_d t) with t = 0 at the start of
 the first part, and optionally buried in calibrated complex white noise.
 
+Encoding gives one int8 word per symbol (frame_words): 2a + b, where a and b
+are the baseband states of the symbol's two halves.  Each half spans M
+half-intervals (FM0: M = 1, Miller-M) holding its state XOR the pattern
+symbol_half, so a row of words is a whole frame.  The block path of the
+Monte Carlo trials reads words; only the sample-level path, the oracle,
+expands them into states (symbol_states), as encode_fm0 and encode_miller
+do.
+
 Sampling: every frame is sampled at 32 x BLF, 16 samples per half-interval,
 on the grid t_n = n/fs.  A part's start is snapped to the nearest sample and
 its half-interval boundaries follow 16 samples apart, so no sample straddles
@@ -45,6 +53,62 @@ def _as_bits(bits: Sequence[int], what: str) -> np.ndarray:
     return arr
 
 
+# Symbol codes: a data bit, 0 or 1, and 2 for FM0's preamble violation, a 1
+# whose leading boundary does not invert.  Row 0 holds FM0's rules, row 1
+# Miller's: _MID[rule, symbol] is whether the baseband state inverts at the
+# symbol's middle, and _FLIPS[rule, previous, symbol] whether it inverts
+# from the previous symbol's first half to this one's, that is at the
+# previous symbol's middle and at their boundary.  FM0 inverts in the middle
+# of a data-0 and at every boundary but a violation's; Miller inverts in
+# the middle of a data-1 and at the boundary between two data-0s.
+_MID = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int8)
+_FLIPS = _MID[:, :, None] ^ np.array([[[1, 1, 0]] * 3, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]],
+                                     dtype=np.int8)
+
+
+def _framed(head: list, data: np.ndarray, tail: list) -> np.ndarray:
+    """head + data + tail symbols along the last axis, on every row of ``data``."""
+    rows = data.shape[:-1]
+    return np.concatenate([np.broadcast_to(np.array(head, dtype=np.int8), rows + (len(head),)),
+                           data,
+                           np.broadcast_to(np.array(tail, dtype=np.int8), rows + (len(tail),))],
+                          axis=-1)
+
+
+def _words(data: np.ndarray, m: int, trext: Optional[bool]) -> np.ndarray:
+    """The symbol word 2a + b of every symbol of FM0 (m = 1) or Miller-m
+    bits: a and b are the baseband states of the symbol's two halves, and a
+    reply starts in state 0.
+
+    With ``trext`` given, the full reply is encoded (pilot + preamble + bits
+    + end-of-signaling dummy 1); with ``trext=None`` only the data symbols.
+    A 2-D ``data`` array holds one sequence per row and gives one row of
+    words each.
+    """
+    head = []
+    if trext is not None and m > 1:
+        head = [0] * protocol.MILLER_PILOT[bool(trext)] + list(protocol.MILLER_PREAMBLE)
+    elif trext is not None:
+        head = [0] * protocol.FM0_PILOT[bool(trext)] + \
+            [bit if invert else 2 for bit, invert in protocol.FM0_PREAMBLE]
+    symbols = _framed(head, data, [] if trext is None else [1])
+    rule = int(m > 1)
+    flips = np.zeros(symbols.shape, dtype=np.int8)
+    flips[..., 1:] = _FLIPS[rule].take(3 * symbols[..., :-1] + symbols[..., 1:])
+    first = np.bitwise_xor.accumulate(flips, axis=-1)
+    return 3 * first ^ _MID[rule].take(symbols)
+
+
+def symbol_states(words: np.ndarray, symbol_half: np.ndarray) -> np.ndarray:
+    """The state of every half-interval of rows of symbol words, the form
+    the sample-level path reads: each half of a symbol holds its baseband
+    state (a, then b, of the word 2a + b) XOR ``symbol_half``, so a symbol
+    spans 2M half-intervals."""
+    words = np.asarray(words)
+    halves = np.stack([words >> 1, words & 1], axis=-1)
+    return (halves[..., None] ^ symbol_half).reshape(words.shape[:-1] + (-1,))
+
+
 def encode_fm0(bits: Sequence[int], trext: Optional[bool] = None) -> np.ndarray:
     """FM0 backscatter states per half-bit interval.
 
@@ -55,32 +119,7 @@ def encode_fm0(bits: Sequence[int], trext: Optional[bool] = None) -> np.ndarray:
     array holds one sequence per row and gives one row of states each.  The
     pilot and preamble are protocol.FM0_PILOT and protocol.FM0_PREAMBLE.
     """
-    data = _as_bits(bits, "fm0 bits")
-    head: list[tuple[int, bool]] = []     # (bit, inverts at its leading boundary)
-    if trext is not None:
-        head = [(0, True)] * protocol.FM0_PILOT[bool(trext)] + list(protocol.FM0_PREAMBLE)
-    tail = [1] if trext is not None else []
-    symbols = _framed([bit for bit, _ in head], data, tail)
-    inverts = np.ones(symbols.shape[-1], dtype=np.int8)
-    inverts[:len(head)] = [invert for _, invert in head]
-    # state inversions before each symbol's first half: one at an inverting
-    # boundary, one more after a data-0 (its mid-bit inversion)
-    flips = np.zeros(symbols.shape, dtype=np.int64)
-    flips[..., 1:] = inverts[1:] + 1 - symbols[..., :-1]
-    first = (np.cumsum(flips, axis=-1) & 1).astype(np.int8)
-    halves = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.int8)
-    halves[..., 0::2] = first
-    halves[..., 1::2] = first ^ (1 - symbols)
-    return halves
-
-
-def _framed(head: list, data: np.ndarray, tail: list) -> np.ndarray:
-    """head + data + tail symbols along the last axis, on every row of ``data``."""
-    rows = data.shape[:-1]
-    return np.concatenate([np.broadcast_to(np.array(head, dtype=np.int8), rows + (len(head),)),
-                           data,
-                           np.broadcast_to(np.array(tail, dtype=np.int8), rows + (len(tail),))],
-                          axis=-1)
+    return symbol_states(_words(_as_bits(bits, "fm0 bits"), 1, trext), symbol_half(1, "gen2"))
 
 
 def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> np.ndarray:
@@ -94,24 +133,7 @@ def encode_miller(bits: Sequence[int], m: int, trext: Optional[bool] = None) -> 
     """
     if m not in (2, 4, 8):
         raise ValueError(f"Miller spread factor must be 2, 4 or 8, got {m}")
-    data = _as_bits(bits, "miller bits")
-    head: list[int] = []
-    if trext is not None:
-        head = [0] * protocol.MILLER_PILOT[bool(trext)] + list(protocol.MILLER_PREAMBLE)
-    tail = [1] if trext is not None else []
-    symbols = _framed(head, data, tail)
-    # baseband inversions before each bit's first half: one after a data-1
-    # (its mid-bit inversion), one between consecutive data-0s
-    flips = np.zeros(symbols.shape, dtype=np.int64)
-    flips[..., 1:] = symbols[..., :-1] + (1 - symbols[..., :-1]) * (1 - symbols[..., 1:])
-    first = (np.cumsum(flips, axis=-1) & 1).astype(np.int8)
-    baseband_states = np.empty(symbols.shape[:-1] + (2 * symbols.shape[-1],), dtype=np.int8)
-    baseband_states[..., 0::2] = first
-    baseband_states[..., 1::2] = first ^ symbols
-    # each half-bit holds m half-cycles of the subcarrier; the product of
-    # two +1/-1 signs is the XOR of their states
-    subcarrier = np.tile(symbol_half(m, "gen2"), baseband_states.shape[-1])
-    return np.repeat(baseband_states, m, axis=-1) ^ subcarrier
+    return symbol_states(_words(_as_bits(bits, "miller bits"), m, trext), symbol_half(m, "gen2"))
 
 
 def symbol_half(m: int, waveform_model: str) -> np.ndarray:
@@ -121,18 +143,6 @@ def symbol_half(m: int, waveform_model: str) -> np.ndarray:
     if waveform_model == "rect":
         return np.zeros(m, dtype=np.int8)
     return np.arange(m, dtype=np.int8) & 1
-
-
-def rect_states(n_symbols: int, m: int) -> np.ndarray:
-    """Simplified rectangular model: each symbol reflects for its first half.
-
-    One symbol spans 2M half-intervals: M in state 1 (reflect), then M in
-    state 0 (absorb), independent of the data.
-    """
-    if n_symbols < 1:
-        raise ValueError(f"symbol count must be >= 1, got {n_symbols}")
-    one_symbol = np.concatenate([np.ones(m, dtype=np.int8), np.zeros(m, dtype=np.int8)])
-    return np.tile(one_symbol, n_symbols)
 
 
 @dataclass(frozen=True)
@@ -302,31 +312,29 @@ def payload_bits(mode: protocol.ReaderMode, waveform_model: str, signals: Sequen
     return [n_symbols - framing for _, _, n_symbols in signals]
 
 
-def frame_states(mode: protocol.ReaderMode, waveform_model: str, signals: Sequence[tuple],
-                 bits: Optional[Sequence[int]]) -> np.ndarray:
-    """The states of every signal of a frame, concatenated in signal order.
+def frame_words(mode: protocol.ReaderMode, waveform_model: str, signals: Sequence[tuple],
+                bits: Optional[Sequence[int]]) -> np.ndarray:
+    """The int8 symbol words of every signal of a frame, concatenated in
+    signal order: the one form of a frame that encoding gives.
 
     ``signals`` are (kind, exact start time, symbol count) triples, such as
     :func:`protocol.reply_signals` gives.  Under 'gen2' a row of ``bits``
     holds the payload bits of every signal in order (:func:`payload_bits`),
     which the mode's FM0/Miller scheme encodes with preamble and end symbol;
-    a 2-D array holds one frame per row and gives one row of states each.
-    'rect' ignores ``bits`` and gives the data-independent reflect/absorb
-    symbol pattern of the simplified model, one 1-D row for every frame.
+    a 2-D array holds one frame per row and gives one row of words each.
+    'rect' ignores ``bits`` and gives one 1-D row for every frame: each
+    symbol reflects for its first half and absorbs for its second, the word
+    2 under an all-zero :func:`symbol_half`.  :func:`symbol_states` turns a
+    row into the states that :func:`synthesize_reply` samples.
     """
     sizes = payload_bits(mode, waveform_model, signals)
-    enc = mode.encoding
     if waveform_model == "rect":
-        return rect_states(sum(n_symbols for _, _, n_symbols in signals), enc.spread_factor)
+        return np.full(sum(n_symbols for _, _, n_symbols in signals), 2, dtype=np.int8)
     bits = _as_bits([] if bits is None else bits, "bits")
     if bits.shape[-1] != sum(sizes):
         raise ValueError(f"bits: expected rows of {sum(sizes)} payload bits, got {bits.shape[-1]}")
-
-    def encode(row):
-        return encode_miller(row, enc.spread_factor, mode.trext) if enc.is_miller \
-            else encode_fm0(row, mode.trext)
-    return np.concatenate([encode(row) for row in np.split(bits, np.cumsum(sizes)[:-1], axis=-1)],
-                          axis=-1)
+    return np.concatenate([_words(row, mode.encoding.spread_factor, mode.trext)
+                           for row in np.split(bits, np.cumsum(sizes)[:-1], axis=-1)], axis=-1)
 
 
 def synthesize_reply(states: np.ndarray, layout: FrameLayout, modulation: str,
@@ -334,8 +342,9 @@ def synthesize_reply(states: np.ndarray, layout: FrameLayout, modulation: str,
     """Sample, modulate, Doppler-rotate and (optionally) add noise to one frame.
 
     ``states`` is one row of states per half-interval, every part's in
-    order, such as :func:`frame_states` gives; ``layout`` places each part's
-    share of them on the sample grid.
+    order, such as :func:`symbol_states` gives for a row of
+    :func:`frame_words`; ``layout`` places each part's share of them on the
+    sample grid.
     """
     n_states = [edges.size - 1 for edges in layout.edges]
     states = np.asarray(states)

@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
+import shutil
 import sys
 
 from . import bounds, experiments
@@ -262,7 +264,12 @@ _SUBCOMMANDS = {
 
 
 def _subcommand_parser(name: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog=f"rfid-doppler {name}")
+    # argparse makes a formatter for every argument it adds, and the stock
+    # one asks the terminal for its width each time: ask once, for the
+    # width the stock one takes
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(prog=f"rfid-doppler {name}", formatter_class=formatter)
     _SUBCOMMANDS[name][1](parser)
     return parser
 

@@ -23,11 +23,11 @@ spread, as N equal blocks keep 1 - 1/N^2 of it, however short the reply.
 Block sums come in one form, a batch with one row
 per frame (:class:`BlockSums`): integrate_blocks gives the one row of a
 sampled frame, and BlockTable the rows of noiseless frames straight from
-their symbol words (the states of a symbol's two halves), one table entry
-per symbol and block, so Monte Carlo trials skip the samples.  search_peak
-searches every row on its own, and a row gives exactly what it gives when
-searched alone; search_rows searches the rows of any number of batches in
-chunks of bounded size.
+rows of their symbol words (baseband.frame_words), one table entry per
+symbol and block, so Monte Carlo trials never expand a frame into states
+or samples.  search_peak searches every row on its own, and a row gives
+exactly what it gives when searched alone; search_rows searches the rows
+of any number of batches in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -201,15 +201,16 @@ class BlockTable:
     arrays; :meth:`at` gives the same layout at another shift.  A part of a
     frame is a run of symbols of 2M half-intervals, each half holding one
     state XOR ``symbol_half`` (:func:`baseband.symbol_half`), so a symbol
-    takes one of four words: the states of its halves.  The table splits each
-    symbol into slots at the block edges of :func:`integrate_blocks` and
+    takes one of four words, 2a + b for the states a and b of its halves
+    (:func:`baseband.frame_words`).  The table splits each symbol into
+    slots at the block edges of :func:`integrate_blocks` and
     keeps, per slot and word, the sums over its masked samples of the wiped
     amplitude times the Doppler rotation, of one and of the time, and the
     first and last masked time.  :meth:`blocks` takes each slot's entry for
     its symbol's word and adds the entries of each block into a zero grid of
     every block: the sums :func:`integrate_blocks` takes from the wiped
     sampled frame.  Where the four words give the same entries (PSK), every
-    row of states gives the same block sums (:attr:`depends_on_states`).
+    row of words gives the same block sums (:attr:`depends_on_words`).
     """
 
     def __init__(self, layout: FrameLayout, symbol_half: np.ndarray, f_d_hz: float,
@@ -231,7 +232,7 @@ class BlockTable:
         starts, half = both[order], (order < half_starts.size).cumsum() - 1
         ends = np.minimum(np.concatenate([starts[1:], [layout.n_samples]]),
                           np.concatenate([e[1:] for e in edges])[half])
-        self.sample_rate_hz, self.n_half = fs, half_starts.size
+        self.sample_rate_hz, self.n_symbols = fs, half_starts.size // (2 * m)
         self._n_blocks = -(-layout.n_samples // b)
         # a slot is the pieces of one symbol in one block, in time order
         symbol, block = half // (2 * m), starts // b
@@ -241,12 +242,11 @@ class BlockTable:
         self._block_starts = _run_heads(block[slot_starts]).nonzero()[0]
         self._occupied = block[slot_starts[self._block_starts]]    # the blocks that hold slots
         self._slots = np.arange(slot_starts.size)
-        # a symbol half's m states in state 0 and in state 1, as m-byte integers
-        self._half_states = np.array([symbol_half, 1 ^ symbol_half], np.int8).view(f"u{m}").ravel()
         # a piece adds the real part of a value to its group, symbol half h
         # and state p in symbol_half, at (2 h + p) slots + slot, the imaginary
         # part 4 slots on; a table row holds word w of a slot at w slots + slot
         n = 4 * slot_starts.size
+        self._word_entries = slot_starts.size * np.arange(4)
         group = new_slot.cumsum() - 1 + slot_starts.size * (
             2 * np.arange(2)[:, None] + symbol_half).ravel()[half % (2 * m)]
         self._groups = (group[:, None] + [0, n]).ravel()
@@ -272,11 +272,11 @@ class BlockTable:
         np.minimum.at(bounds, self._groups, (self._first_s + 1j * ((1 - ends) / fs)).view(float))
         dropped = np.where(kept, 0.0, np.inf)[_WORD_STATES][:, :, None]
         self._table[4:] = (bounds.reshape(2, 1, 4, -1) + dropped).min(axis=2).reshape(2, n)
-        # whether blocks can give different rows for different states: whether
+        # whether blocks can give different rows for different words: whether
         # the words' entries differ anywhere; the words of PSK have the same
         # weights, so their entries agree bit for bit at every shift
         words = self._table.reshape(6, 4, -1)
-        self.depends_on_states = bool((words != words[:, :1]).any())
+        self.depends_on_words = bool((words != words[:, :1]).any())
 
     def _by_word(self, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Per word and slot, the sums over the slot's groups of the weight of
@@ -312,30 +312,24 @@ class BlockTable:
         """Frames per :meth:`blocks` call whose slots' entries stay within one chunk."""
         return max(1, _CHUNK_ELEMENTS // (6 * self._slots.size))
 
-    def blocks(self, states: np.ndarray) -> BlockSums:
+    def blocks(self, words: np.ndarray) -> BlockSums:
         """Noiseless block sums of a batch of frames, one row each.
 
-        A row of ``states`` holds the int8 states of all parts of one frame,
-        concatenated in order, and must be a run of this table's symbol
-        words; its row of block sums is the one :func:`integrate_blocks`
-        gives for that frame.
+        A row of ``words`` holds the int8 symbol words of all parts of one
+        frame, concatenated in order (:func:`baseband.frame_words`); its row
+        of block sums is the one :func:`integrate_blocks` gives for that
+        frame.
         """
-        states = np.ascontiguousarray(states)
-        if states.dtype != np.int8 or states.ndim != 2 or states.shape[1] != self.n_half:
-            raise ValueError(f"expected int8 states of shape (frames, {self.n_half}), got "
-                             f"{states.dtype} of shape {states.shape}")
-        halves = states.view(self._half_states.dtype)    # one integer per symbol half
-        in_state_1 = halves == self._half_states[1]
-        if not (in_state_1 | (halves == self._half_states[0])).all():
-            raise ValueError("states: a row is not a run of this table's symbol words")
-        words = 2 * in_state_1[:, 0::2] + in_state_1[:, 1::2]
-        entries = (words * self._slots.size)[:, self._slot_symbol] + self._slots
+        if words.dtype != np.int8 or words.ndim != 2 or words.shape[1] != self.n_symbols:
+            raise ValueError(f"words: expected int8 words of shape (frames, {self.n_symbols}), "
+                             f"got {words.dtype} of shape {words.shape}")
+        entries = self._word_entries.take(words.take(self._slot_symbol, axis=1)) + self._slots
         values = self._table.take(entries, axis=1)
         first, minus_last = values[4:].min(axis=2)
         if first.max() == np.inf:
             raise ValueError("support mask is empty, nothing to estimate from")
         # each block adds its slots' entries into a zero grid of every block
-        grid = np.zeros((4, states.shape[0], self._n_blocks))
+        grid = np.zeros((4, words.shape[0], self._n_blocks))
         grid[:, :, self._occupied] = np.add.reduceat(values[:4], self._block_starts, axis=2)
         re, im, cnt, tsum = grid
         return BlockSums(z=re + 1j * im, count=cnt, tau=tsum / np.maximum(cnt, 1.0),

@@ -217,6 +217,9 @@ REFERENCE_PS_N0_DBHZ = 52.8
 # the frame-size limit of baseband.
 _MAX_TRIALS = 1 << 24
 _trials = _checked(_integer, lambda n: 1 <= n <= _MAX_TRIALS, f"lie in [1, {_MAX_TRIALS}]")
+# The random streams read a seed modulo 2^64 (derive_seed): any other integer
+# would give the rows of one of these.
+_seed = _checked(_integer, lambda n: 0 <= n <= _MASK64, "lie in [0, 2^64)")
 
 
 def _setting(default, parse, flag: Optional[str] = None, help: Optional[str] = None):
@@ -248,7 +251,7 @@ class ExperimentConfig:
     v: float = _setting(1.0, _speed, "--v", "tag speed in m/s")
     v_grid: Optional[list[float]] = _setting(None, _speed_grid, "--v-grid", "tag speeds to sweep")
     trials: int = _setting(1000, _trials, "--trials", "Monte Carlo trials per grid point")
-    seed: int = _setting(0, _integer, "--seed", "Monte Carlo seed")
+    seed: int = _setting(0, _seed, "--seed", "Monte Carlo seed")
     waveform_model: str = _setting("gen2", _waveform_model, "--waveform-model", "reply waveform")
     modulation: str = _setting("ask", _modulation, "--modulation", "backscatter modulation")
     parts: str = _setting("both", _part, "--parts", "reply parts the estimate reads")
@@ -756,7 +759,8 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
 
     Returns (comments, fieldnames, rows).  ``figure_id``, ``trials`` and
     ``seed`` may be given as text, and each is read by its rule: one of
-    :data:`FIGURE_IDS`, an integer >= 0 and an integer.  Figures 4, 8, 9, 10
+    :data:`FIGURE_IDS`, an integer >= 0 and an integer in [0, 2^64).
+    Figures 4, 8, 9, 10
     and 11 are purely closed-form and reject ``trials`` > 0; figures 5 and 7
     optionally add Monte Carlo columns when ``trials`` > 0 (figure 7
     simulates its marked operating point only) and check their simulation
@@ -770,7 +774,7 @@ def figure_dataset(figure_id: int, overrides: Optional[dict] = None,
     """
     figure_id = _parsed("figure_id", _figure_id, figure_id)
     trials = _parsed("trials", _figure_trials, trials)
-    seed = _parsed("seed", _integer, seed)
+    seed = _parsed("seed", _seed, seed)
     if trials > 0 and figure_id not in (5, 7):
         raise ConfigError(f"trials: figure {figure_id} is closed-form, only figures "
                           f"5 and 7 simulate; got {trials}")

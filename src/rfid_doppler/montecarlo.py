@@ -8,29 +8,31 @@ of their functions sees every call.
 
 A run's frames are described once, as a frame source of one list of signals:
 the reply's parts (protocol.reply_signals) or a single burst at t = 0 in a t0
-sweep.  A frame's states are one row, every signal's in order
-(baseband.frame_states), and the source lays the signals out on the sample
-grid once, for all its frames.
+sweep.  A frame is one row of symbol words, every signal's in order
+(baseband.frame_words), and the source lays the signals out on the sample
+grid once, for all its frames.  Only trial 0 expands its row into states
+(baseband.symbol_states), to sample it.
 
 Everything here is deterministic for a given (config, seed).  Frame kind k of
 a grid point (k = 0: MCRB trials and the static frame of a detection trial,
 k = 1: the moving frame) has two counter-based Philox streams and a key for
-trial 0's sample noise, derived with an iterated SplitMix64 mix,
+trial 0's sample noise, each derived where it is read, with an iterated
+SplitMix64 mix,
 
     derive_seed(master_seed, grid_index, 3 k + j), j = 0 bits, 1 block noise, 2 trial 0
 
 and every trial takes a fixed stride of each stream.  Trial i's bits are the
 i-th run of ceil(bits per frame / 64) raw words of the bits stream.  Before
 any trial runs, a run draws trial 0's bits at every grid point and frame kind,
-and where each trial's states give its block sums (gen2 ASK) also those of
-its first batch, and encodes all of them in one baseband.frame_states call;
-the frame source itself encodes nothing.  Trial 0 samples its row on the
-source's layout with per-sample noise (synthesize_reply, add_awgn), after
-the other trials, so that a run never holds their rows and its frame at
-once.  The others run on the block sums the estimator reads, taken
-straight from the frames' states through the block table of their frame
-source: a run builds one table per source and rotates it to each other
-Doppler shift.  Trial i adds
+and where each trial's words give its block sums (gen2 ASK) also those of
+its first batch, and encodes all of them in one baseband.frame_words call;
+the frame source itself encodes nothing.  Trial 0 samples the states of its
+row on the source's layout with per-sample noise (synthesize_reply,
+add_awgn), after the other trials, so that a run never holds their rows and
+its frame at once.  The others run on the block sums the estimator reads,
+taken straight from the frames' words through the block table of their
+frame source: a run builds one table per source and rotates it to each
+other Doppler shift.  Trial i adds
 the (i - 1)-th run of one complex value per block of the frame's block
 grid from the block noise stream (add_block_awgn), scaled to the noise of
 the block's summed samples (0 for a block without any).  Each
@@ -92,19 +94,19 @@ class FrameSource:
 
     A frame takes one row of ``n_bits`` random bits, the payload bits of its
     signals in order; rect frames take none (``n_bits`` = 0), so all their
-    frames are the same.  ``states`` turns an array of such rows, one frame
-    per row, into one row of states per frame, every signal's in order
-    (:func:`baseband.frame_states`; rect: one 1-D row for every frame).  A
-    signal's state count depends on its symbol count only, 2M
-    half-intervals a symbol, so all frames of a source share one sample
-    ``layout``, on which :func:`baseband.synthesize_reply` samples a row and
-    from which the block table takes its sums, and every symbol the pattern
-    ``symbol_half`` (:func:`baseband.symbol_half`); the source encodes no
-    frame itself.
+    frames are the same.  ``words`` turns an array of such rows, one frame
+    per row, into one row of symbol words per frame, every signal's in order
+    (:func:`baseband.frame_words`; rect: one 1-D row for every frame).  A
+    symbol spans 2M half-intervals whatever its word, so all frames of a
+    source share one sample ``layout``, from which the block table takes
+    its sums and on which :func:`baseband.synthesize_reply` samples a row's
+    states, and every symbol half the pattern ``symbol_half``
+    (:func:`baseband.symbol_half`) that expands a row into them
+    (:func:`baseband.symbol_states`); the source encodes no frame itself.
     """
 
     n_bits: int
-    states: Callable
+    words: Callable
     layout: baseband.FrameLayout
     symbol_half: np.ndarray
 
@@ -119,7 +121,7 @@ def frame_source(setup: RunSetup, signals: list) -> FrameSource:
     m = mode.encoding.spread_factor
     counts = [(kind, start, 2 * m * n_symbols) for kind, start, n_symbols in signals]
     return FrameSource(sum(baseband.payload_bits(mode, model, signals)),
-                       functools.partial(baseband.frame_states, mode, model, signals),
+                       functools.partial(baseband.frame_words, mode, model, signals),
                        baseband.frame_layout(counts, mode.blf_hz),
                        baseband.symbol_half(m, model))
 
@@ -137,9 +139,13 @@ def _block_tables(config: ExperimentConfig, source: FrameSource, shifts: list) -
     return {f_d: table.at(f_d) for f_d in shifts}
 
 
-def _stream_keys(seed: int, grid_index: int, k: int) -> tuple[int, int, int]:
-    """(bits stream, block noise stream, trial 0's noise) keys of frame kind k at a grid point."""
-    return tuple(derive_seed(seed, grid_index, 3 * k + j) for j in range(3))
+# the three keys of a frame kind: j in derive_seed(seed, grid_index, 3 k + j)
+_BITS, _BLOCK_NOISE, _TRIAL0_NOISE = range(3)
+
+
+def _stream_key(seed: int, grid_index: int, k: int, j: int) -> int:
+    """Key j (_BITS, _BLOCK_NOISE or _TRIAL0_NOISE) of frame kind k at a grid point."""
+    return derive_seed(seed, grid_index, 3 * k + j)
 
 
 def _repeated(row: estimator.BlockSums, rows: int) -> estimator.BlockSums:
@@ -150,12 +156,12 @@ def _repeated(row: estimator.BlockSums, rows: int) -> estimator.BlockSums:
 
 def _trial0(config: ExperimentConfig, source: FrameSource, table: estimator.BlockTable,
             states: np.ndarray, ratio_dbhz: float, grid_index: int, k: int) -> float:
-    """Trial 0's estimate at a grid point: its frame, one row of ``states``
-    of ``source`` at the Doppler shift of ``table``, runs the sample-level
-    pipeline (sample on the source's layout with per-sample noise, wipe off,
-    estimate)."""
+    """Trial 0's estimate at a grid point: its frame, the ``states`` of one
+    row of words of ``source`` at the Doppler shift of ``table``, runs the
+    sample-level pipeline (sample on the source's layout with per-sample
+    noise, wipe off, estimate)."""
     params = baseband.ChannelParams(f_d_hz=table.f_d_hz, ps_n0_dbhz=ratio_dbhz,
-                                    seed=_stream_keys(config.seed, grid_index, k)[2])
+                                    seed=_stream_key(config.seed, grid_index, k, _TRIAL0_NOISE))
     # the frame is a temporary: held in a local until the return, it raised
     # the page faults of an mcrb job from about 500 to 840
     return estimator.estimate_doppler(
@@ -167,7 +173,7 @@ def _trial0(config: ExperimentConfig, source: FrameSource, table: estimator.Bloc
 
 def _batches(config: ExperimentConfig, source: FrameSource, table: estimator.BlockTable,
              shared: Optional[estimator.BlockSums], bit_generator: np.random.BitGenerator,
-             states: np.ndarray, ratio_dbhz: float, grid_index: int, k: int):
+             words: np.ndarray, ratio_dbhz: float, grid_index: int, k: int):
     """The noisy block sums of trials 1 and up of frame kind k at a grid
     point, in batches of at most ``table.batch_rows``.
 
@@ -177,17 +183,17 @@ def _batches(config: ExperimentConfig, source: FrameSource, table: estimator.Blo
     Those block sums are the one row ``shared`` by every trial when it is
     given; then these trials draw no bits and encode nothing, which changes
     no estimate, as no other trial reads the bits stream.  Otherwise the
-    first batch takes ``states``, which :func:`estimates` encodes, and each
+    first batch takes ``words``, which :func:`estimates` encodes, and each
     later batch draws its trials' bits from ``bit_generator`` and encodes
     them together.
     """
-    noise_rng = _rng(_stream_keys(config.seed, grid_index, k)[1])
+    noise_rng = _rng(_stream_key(config.seed, grid_index, k, _BLOCK_NOISE))
     for first in range(1, config.trials, table.batch_rows):
         rows = min(table.batch_rows, config.trials - first)
         if shared is None:
-            if states is None:
-                states = source.states(_random_bits(bit_generator, rows, source.n_bits))
-            blocks, states = table.blocks(states), None
+            if words is None:
+                words = source.words(_random_bits(bit_generator, rows, source.n_bits))
+            blocks, words = table.blocks(words), None
         else:
             blocks = _repeated(shared, rows)
         yield dataclasses.replace(blocks, z=baseband.add_block_awgn(
@@ -200,39 +206,39 @@ def estimates(config: ExperimentConfig, source: FrameSource, points: list) -> li
     A point is (Doppler shift, link ratio in dB-Hz, grid index, frame kind);
     every shift is checked against the search window before any trial runs.
     Before any trial, each point draws trial 0's row of its bits stream and,
-    where its table depends on the states (gen2 ASK), the rows of its first
-    batch; one :func:`baseband.frame_states` call encodes them all.  Where the
+    where its table depends on the words (gen2 ASK), the rows of its first
+    batch; one :func:`baseband.frame_words` call encodes them all.  Where the
     noiseless block sums cannot differ between frames (the source takes no
-    bits, rect, or the table does not depend on the states, PSK), each
+    bits, rect, or the table does not depend on the words, PSK), each
     table's one row of them is computed once, for every point at its shift,
     from any of these frames.  One run-level search
     (:func:`estimator.search_rows`) covers trials 1 and up of every point
-    (:func:`_batches`), and each point's trial 0 then samples a copy of its
-    row on the source's layout (:func:`_trial0`).
+    (:func:`_batches`), and each point's trial 0 then samples the states of
+    its row on the source's layout (:func:`_trial0`).
     """
     tables = _block_tables(config, source, list(dict.fromkeys(f_d for f_d, _, _, _ in points)))
     own_rows = {f_d for f_d, table in tables.items()
-                if source.n_bits > 0 and table.depends_on_states}
-    streams = [(np.random.Philox(key=_stream_keys(config.seed, grid_index, k)[0]),
+                if source.n_bits > 0 and table.depends_on_words}
+    streams = [(np.random.Philox(key=_stream_key(config.seed, grid_index, k, _BITS)),
                 min(tables[f_d].batch_rows, config.trials - 1) if f_d in own_rows else 0)
                for f_d, _, grid_index, k in points]
     # trial 0's row and the first batch's rows of each point, in stream order
     bits = np.concatenate([_random_bits(bit_generator, rows, source.n_bits)
                            for bit_generator, first in streams for rows in (1, first) if rows])
-    states = source.states(bits)
-    states = np.broadcast_to(states, (len(bits), states.shape[-1]))   # rect: one row for all
-    shared = {f_d: None if f_d in own_rows else table.blocks(states[:1])
+    words = source.words(bits)
+    words = np.broadcast_to(words, (len(bits), words.shape[-1]))   # rect: one row for all
+    shared = {f_d: None if f_d in own_rows else table.blocks(words[:1])
               for f_d, table in tables.items()}
     rows = list(itertools.accumulate((1 + first for _, first in streams), initial=0))
-    # trial 0 runs last, on copies of its rows, so that a job never holds a
-    # batch and trial 0's frame-sized arrays at once: held together, they made
-    # glibc trim the heap after each mcrb job and fault it back in the next
-    # (about 440 minor page faults a job against 15)
-    trial0 = [states[row].copy() for row in rows[:-1]]
+    # trial 0 runs last, on the states of its rows, so that a job never holds
+    # a batch and trial 0's frame-sized arrays at once: held together, they
+    # made glibc trim the heap after each mcrb job and fault it back in the
+    # next (about 440 minor page faults a job against 15)
+    trial0 = [baseband.symbol_states(words[row], source.symbol_half) for row in rows[:-1]]
     batches = [_batches(config, source, tables[f_d], shared[f_d], bit_generator,
-                        states[row + 1:row + 1 + first], *rest)
+                        words[row + 1:row + 1 + first], *rest)
                for (f_d, *rest), (bit_generator, first), row in zip(points, streams, rows)]
-    del bits, states
+    del bits, words
     later = estimator.search_rows(itertools.chain.from_iterable(batches),
                                   search_halfwidth_hz=config.search_halfwidth_hz)
     return [np.append(_trial0(config, source, tables[f_d], frame, *rest), found)

@@ -48,14 +48,26 @@ def merged_runs(states) -> list[tuple[int, int]]:
     return runs
 
 
-def reply_states(mode, waveform, bits16, bits_epc, parts="both"):
-    """One row of the states of the selected parts of a reply, from the RN16
-    bits and the EPC bits (CRC included); rect replies take no bits."""
+def reply_words(mode, waveform, bits16, bits_epc, parts="both"):
+    """One row of the symbol words of the selected parts of a reply, from the
+    RN16 bits and the EPC bits (CRC included); rect replies take no bits."""
     signals = P.reply_signals(mode, parts)
     bits = {"rn16": bits16, "epc": bits_epc}
     row = None if waveform == "rect" else np.concatenate(
         [np.asarray(bits[kind]) for kind, _, _ in signals], axis=-1)
-    return B.frame_states(mode, waveform, signals, row)
+    return B.frame_words(mode, waveform, signals, row)
+
+
+def reply_states(mode, waveform, bits16, bits_epc, parts="both"):
+    """The states of the row of :func:`reply_words`, which a sampled frame takes."""
+    return B.symbol_states(reply_words(mode, waveform, bits16, bits_epc, parts),
+                           B.symbol_half(mode.encoding.spread_factor, waveform))
+
+
+def rect_states(n_symbols, m):
+    """The states of a rect burst of ``n_symbols`` symbols: each reflects for
+    its first M half-intervals and absorbs for its last M, the word 2."""
+    return B.symbol_states(np.full(n_symbols, 2, dtype=np.int8), B.symbol_half(m, "rect"))
 
 
 def reply_layout(mode, parts="both"):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import merged_runs, part_slices, reply_frame, reply_layout, reply_states
+from conftest import (merged_runs, part_slices, rect_states, reply_frame, reply_layout,
+                      reply_states)
 from rfid_doppler import baseband as B
 from rfid_doppler import protocol as P
 
@@ -185,7 +186,11 @@ def test_batched_encoders_equal_the_row_by_row_encoders():
 
 
 def test_rect_states_reflect_first_half_of_every_symbol():
-    states = B.rect_states(3, 4)
+    mode = P.ReaderMode("m4", 160e3, P.MILLER4)
+    words = B.frame_words(mode, "rect", [("burst", Fraction(0), 3)], None)
+    assert words.dtype == np.int8 and words.tolist() == [2, 2, 2]
+    states = B.symbol_states(words, B.symbol_half(4, "rect"))
+    assert np.array_equal(states, rect_states(3, 4))
     assert states.size == 3 * 8
     assert list(states[:8]) == [1, 1, 1, 1, 0, 0, 0, 0]
     assert np.array_equal(states[:8], states[8:16])
@@ -341,7 +346,7 @@ def _rotation_frame(kind, modulation, f_d, ps_n0=None, seed=9):
         # 41,204 Hz: 1,318,528 samples a second, and the EPC starts 0.62 past a sample
         mode = MILLER8_40K if kind == "reply-32xBLF" else MILLER8_ODD
         return two_part_frame(modulation, mode=mode, f_d=f_d, ps_n0=ps_n0, seed=seed)
-    states = B.rect_states(4, 8) if kind == "burst-1024" else np.arange(37) % 2
+    states = rect_states(4, 8) if kind == "burst-1024" else np.arange(37) % 2
     return B.synthesize_burst(states, 40e3, modulation, B.ChannelParams(f_d, ps_n0, seed=seed))
 
 
@@ -482,7 +487,7 @@ def test_part_slices_and_sample_state_follow_the_half_interval_grid():
 
 
 def test_synthesize_burst_single_part():
-    states = B.rect_states(40, 8)
+    states = rect_states(40, 8)
     frame = B.synthesize_burst(states, 40e3, "ask", noiseless())
     assert np.all(frame.sample_state >= 0)
     assert frame.n_samples == 40 * round(frame.sample_rate_hz * 8 / 40e3)
@@ -501,7 +506,7 @@ def test_one_signal_burst_spec_gives_the_burst_frame(mode, waveform):
     n_bits = 40 - P.preamble_symbols(enc, mode.trext) - 1
     bits = np.random.Generator(np.random.Philox(key=8)).integers(0, 2, n_bits)
     if waveform == "rect":
-        states = B.rect_states(40, enc.spread_factor)
+        states = rect_states(40, enc.spread_factor)
     elif enc.is_miller:
         states = B.encode_miller(bits, enc.spread_factor, mode.trext)
     else:
@@ -509,7 +514,9 @@ def test_one_signal_burst_spec_gives_the_burst_frame(mode, waveform):
     params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=50.0, seed=4)
     signals = [("burst", Fraction(0), 40)]
     assert B.payload_bits(mode, waveform, signals) == [n_bits if waveform == "gen2" else 0]
-    spec_states = B.frame_states(mode, waveform, signals, bits)
+    words = B.frame_words(mode, waveform, signals, bits)
+    assert words.dtype == np.int8 and words.shape == (40,)
+    spec_states = B.symbol_states(words, B.symbol_half(enc.spread_factor, waveform))
     assert np.array_equal(spec_states, states)
     layout = B.frame_layout([("burst", Fraction(0), spec_states.size)], mode.blf_hz)
     spec = B.synthesize_reply(spec_states, layout, "ask", params)
@@ -529,13 +536,13 @@ def test_synthesize_reply_takes_one_row_of_its_layouts_states():
             B.synthesize_reply(bad, layout, "ask", noiseless())
 
 
-def test_frame_states_rejects_a_wrong_bit_count():
+def test_frame_words_rejects_a_wrong_bit_count():
     signals = P.reply_signals(MILLER8_40K, "both")
     assert B.payload_bits(MILLER8_40K, "gen2", signals) == [16, 112]
     for bits in ([0] * 127, [[0] * 129] * 2, None):
         with pytest.raises(ValueError, match="^bits: "):
-            B.frame_states(MILLER8_40K, "gen2", signals, bits)
+            B.frame_words(MILLER8_40K, "gen2", signals, bits)
     with pytest.raises(ValueError, match="^bits: bits must be 0 or 1"):
-        B.frame_states(MILLER8_40K, "gen2", signals, [2] * 128)
-    rows = B.frame_states(MILLER8_40K, "gen2", signals, np.zeros((3, 128), dtype=np.int8))
-    assert rows.shape == (3, 2 * 8 * sum(n for _, _, n in signals))
+        B.frame_words(MILLER8_40K, "gen2", signals, [2] * 128)
+    rows = B.frame_words(MILLER8_40K, "gen2", signals, np.zeros((3, 128), dtype=np.int8))
+    assert rows.shape == (3, sum(n for _, _, n in signals))

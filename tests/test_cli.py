@@ -529,6 +529,21 @@ def test_trials_above_the_ceiling_exit_2_naming_trials(capsys):
         assert "error: trials: must lie in [1, 16777216]" in captured.err
 
 
+def test_a_seed_outside_the_streams_range_exits_2_naming_seed(tmp_path, capsys):
+    # the streams read a seed modulo 2^64: -1 printed the rows of 2^64 - 1
+    cfg = tmp_path / "run.cfg"
+    for seed in ("-1", str(2 ** 64)):
+        cfg.write_text(f"seed = {seed}\n", encoding="utf-8")
+        for argv in (["simulate-mcrb", *FAST_SIM, "--trials", "3", f"--seed={seed}"],
+                     ["simulate-detect", "--trials", "3", "--config", str(cfg)],
+                     ["figure", "7", "--trials", "3", f"--seed={seed}"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"config error: seed: must lie in [0, 2^64), got {seed}\n"
+    assert main(["simulate-mcrb", *FAST_SIM, "--trials", "3", f"--seed={2 ** 64 - 1}"]) == 0
+
+
 def test_figure_takes_no_config_file(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["figure", "4", "--config", "x"])
@@ -892,6 +907,30 @@ def test_a_command_builds_one_parser(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["figure", "4"]) == 0
     assert built == ["rfid-doppler figure"]
+
+
+@pytest.mark.parametrize("columns", ["52", "137"])
+def test_a_subcommand_parser_formats_as_the_stock_formatter(columns, monkeypatch):
+    # the parser reads the terminal's width once, where the stock formatter
+    # reads it for every argument added, and formats the same help
+    monkeypatch.setenv("COLUMNS", columns)
+    sizes = []
+    terminal_size = cli.shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        sizes.append(args)
+        return terminal_size(*args, **kwargs)
+
+    for name, (_, add_arguments, _) in cli._SUBCOMMANDS.items():
+        stock = argparse.ArgumentParser(prog=f"rfid-doppler {name}")
+        add_arguments(stock)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.shutil, "get_terminal_size", counting)
+            parser = cli._subcommand_parser(name)
+            help_text = parser.format_help()
+        assert help_text == stock.format_help()
+        assert len(sizes) == 1
+        sizes.clear()
 
 
 def single_parser():

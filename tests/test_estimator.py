@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import part_slices, reply_frame, reply_layout, reply_states, sample_blocks
+from conftest import part_slices, reply_frame, reply_layout, reply_words, sample_blocks
 from rfid_doppler import baseband as B
 from rfid_doppler import bounds as bd
 from rfid_doppler import estimator as E
@@ -147,7 +147,7 @@ def block_parts(mode, waveform, parts, seed=5):
     rng = np.random.Generator(np.random.Philox(key=seed))
     bits16 = rng.integers(0, 2, 16)
     bits_epc = rng.integers(0, 2, mode.epc_bits + 16)
-    return bits16, bits_epc, reply_states(mode, waveform, bits16, bits_epc, parts)
+    return bits16, bits_epc, reply_words(mode, waveform, bits16, bits_epc, parts)
 
 
 def scaled(mode, blf_scale):
@@ -171,7 +171,7 @@ BLF_SCALES = pytest.mark.parametrize("blf_scale", [1.0, 1.0301], ids=["round-blf
 def test_block_table_matches_wiped_sample_frame(mode, halfwidth, blf_scale, modulation, zeroing,
                                                 waveform, parts):
     mode = scaled(mode, blf_scale)
-    bits16, bits_epc, states = block_parts(mode, waveform, parts)
+    bits16, bits_epc, words = block_parts(mode, waveform, parts)
     params = B.ChannelParams(f_d_hz=37.0, ps_n0_dbhz=None)
     frame = reply_frame(mode, modulation, waveform, bits16, bits_epc, params, parts=parts)
     wiped = E.wipe_modulation(frame, ask_zeroing=zeroing)
@@ -179,7 +179,7 @@ def test_block_table_matches_wiped_sample_frame(mode, halfwidth, blf_scale, modu
     table = E.BlockTable(reply_layout(mode, parts),
                          B.symbol_half(mode.encoding.spread_factor, waveform), 37.0, modulation,
                          zeroing, halfwidth)
-    got = table.blocks(states[None])
+    got = table.blocks(words[None])
     # every block of the frame, the pause's too, in both
     assert got.z.shape == want.z.shape == (1, math.ceil(frame.n_samples / E._block_samples(
         frame.sample_rate_hz, halfwidth, frame.n_samples)))
@@ -201,9 +201,9 @@ def test_a_block_is_never_longer_than_its_frame(halfwidth):
     layout = reply_layout(MILLER8_40K)
     assert E._block_samples(layout.sample_rate_hz, halfwidth, layout.n_samples) == \
         layout.n_samples // 32 == 1448
-    _, _, states = block_parts(MILLER8_40K, "gen2", "both")
+    _, _, words = block_parts(MILLER8_40K, "gen2", "both")
     capped, narrow = (E.BlockTable(layout, MILLER8_HALF, 0.0, "ask", True, w).blocks(
-        states[None]) for w in (1.0, halfwidth))
+        words[None]) for w in (1.0, halfwidth))
     wiped = E.wipe_modulation(make_frame("ask"))
     for got, want in ((narrow, capped),
                       (E.integrate_blocks(wiped, halfwidth), E.integrate_blocks(wiped, 1.0))):
@@ -250,9 +250,9 @@ def test_a_noiseless_frame_gives_its_shift(encoding, blf, parts):
 
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
 def test_block_sums_plus_sample_noise_reproduce_estimate_doppler(modulation, zeroing):
-    bits16, bits_epc, states = block_parts(MILLER8_40K, "gen2", "both")
+    bits16, bits_epc, words = block_parts(MILLER8_40K, "gen2", "both")
     table = E.BlockTable(reply_layout(MILLER8_40K), MILLER8_HALF, F_D_1MS, modulation, zeroing)
-    signal = table.blocks(states[None])
+    signal = table.blocks(words[None])
     for seed in range(4):
         # the 36 ms span makes the peak sharp enough to pin it to 1e-9 Hz
         params = B.ChannelParams(f_d_hz=F_D_1MS, ps_n0_dbhz=45.0, seed=seed)
@@ -320,12 +320,13 @@ MILLER4_160K = P.ReaderMode("m4-160k", 160e3, P.MILLER4)
 def test_word_sums_match_per_piece_sums(mode, halfwidth, blf_scale, parts):
     mode = scaled(mode, blf_scale)
     for waveform in ("gen2", "rect"):
-        states = np.stack([block_parts(mode, waveform, parts, seed)[2] for seed in range(4)])
+        words = np.stack([block_parts(mode, waveform, parts, seed)[2] for seed in range(4)])
+        half = B.symbol_half(mode.encoding.spread_factor, waveform)
+        states = B.symbol_states(words, half)
         layout = reply_layout(mode, parts)
         for modulation, zeroing in (("ask", True), ("ask", False), ("psk", True)):
-            table = E.BlockTable(layout, B.symbol_half(mode.encoding.spread_factor, waveform),
-                                 37.0, modulation, zeroing, halfwidth)
-            got = table.blocks(states)
+            table = E.BlockTable(layout, half, 37.0, modulation, zeroing, halfwidth)
+            got = table.blocks(words)
             want = per_piece_blocks(layout, 37.0, modulation, zeroing, halfwidth, states)
             assert np.array_equal(got.count, want.count)
             # relative to each block's own sums; a block without masked
@@ -338,53 +339,30 @@ def test_word_sums_match_per_piece_sums(mode, halfwidth, blf_scale, parts):
 @pytest.mark.parametrize("modulation", ["ask", "psk"])
 @pytest.mark.parametrize("zeroing", [True, False])
 def test_block_table_ignores_states_exactly_when_it_says_so(modulation, zeroing):
-    # rows of encoded random bits: the only rows a table takes
+    # rows of the words of random bits
     table = E.BlockTable(reply_layout(MILLER8_40K), MILLER8_HALF, F_D_1MS, modulation, zeroing)
-    states = np.stack([block_parts(MILLER8_40K, "gen2", "both", seed)[2]
-                       for seed in range(9, 14)])
-    assert len({row.tobytes() for row in states}) == 5
-    blocks = table.blocks(states)
+    words = np.stack([block_parts(MILLER8_40K, "gen2", "both", seed)[2]
+                      for seed in range(9, 14)])
+    assert len({row.tobytes() for row in words}) == 5
+    blocks = table.blocks(words)
     same = all(np.array_equal(a, np.broadcast_to(a[:1], a.shape))
                for a in (blocks.z, blocks.count, blocks.tau, blocks.span_s))
-    assert same == (not table.depends_on_states)
+    assert same == (not table.depends_on_words)
     # PSK wipes both states to +1 and keeps both; ASK never
-    assert table.depends_on_states == (modulation == "ask")
+    assert table.depends_on_words == (modulation == "ask")
 
 
 def test_block_table_rejects_states_of_another_layout():
-    _, _, states = block_parts(MILLER8_40K, "gen2", "epc")
+    _, _, words = block_parts(MILLER8_40K, "gen2", "epc")
     table = E.BlockTable(reply_layout(MILLER8_40K, "epc"), MILLER8_HALF, 0.0, "psk")
-    with pytest.raises(ValueError, match="states"):
-        table.blocks(states[None, :-1])
-    # one frame is a batch of one row
-    with pytest.raises(ValueError, match="states"):
-        table.blocks(states)
+    for bad in (words[None, :-1], words[None].astype(np.int64),
+                # one frame is a batch of one row
+                words):
+        with pytest.raises(ValueError, match="^words: "):
+            table.blocks(bad)
     # an FM0 part of 35 two-half symbols is no run of 16-half Miller-8 symbols
     with pytest.raises(ValueError, match="symbol_half"):
         E.BlockTable(reply_layout(FM0_160K, "rn16"), MILLER8_HALF, 0.0, "psk")
-
-
-@pytest.mark.parametrize("mode, waveform", [(MILLER8_40K, "gen2"), (FM0_160K, "gen2"),
-                                            (MILLER8_40K, "rect")])
-def test_block_table_rejects_states_that_are_not_its_symbol_words(mode, waveform):
-    # a row that no encoder gives could only come out as wrong sums
-    _, _, states = block_parts(mode, waveform, "both")
-    m = mode.encoding.spread_factor
-    table = E.BlockTable(reply_layout(mode), B.symbol_half(m, waveform), 0.0, "ask")
-    states = states[None]
-    table.blocks(states)
-    # a state other than 0 and 1 over a whole half-symbol
-    bad = [states.copy()]
-    bad[0][0, m:2 * m] += 2
-    if m > 1:
-        # one half-interval flipped, and a half-symbol holding the other
-        # waveform's pattern: Miller's without its subcarrier, rect's with one
-        bad += [states.copy(), states.copy()]
-        bad[1][0, 3 * m + 1] ^= 1
-        bad[2][0, :m] = B.symbol_half(m, {"gen2": "rect", "rect": "gen2"}[waveform])
-    for row in bad:
-        with pytest.raises(ValueError, match="states"):
-            table.blocks(row)
 
 
 def test_block_table_rejects_complex_amplitudes(monkeypatch):
@@ -466,9 +444,9 @@ def test_batched_search_equals_row_by_row_search():
     # to 115: the batch's coarse grid takes two chunks of k, a row alone one
     table = E.BlockTable(reply_layout(MILLER8_40K), MILLER8_HALF, F_D_1MS, "ask")
     rng = np.random.Generator(np.random.Philox(key=21))
-    states = np.stack([np.concatenate([B.encode_miller(rng.integers(0, 2, n_bits), 8, True)
-                                       for n_bits in (16, 112)]) for _ in range(8)])
-    signal = table.blocks(states)
+    words = np.stack([reply_words(MILLER8_40K, "gen2", rng.integers(0, 2, 16),
+                                  rng.integers(0, 2, 112)) for _ in range(8)])
+    signal = table.blocks(words)
     noise = 300.0 * (rng.standard_normal(signal.z.shape) + 1j * rng.standard_normal(signal.z.shape))
     span = signal.span_s * np.array([1.0, 0.5, 2.0, 0.1, 1.0, 1e-4, 0.9, 2.0])
     batch = E.BlockSums(z=signal.z + noise * (signal.count > 0), count=signal.count,
@@ -476,7 +454,7 @@ def test_batched_search_equals_row_by_row_search():
     k_max = np.floor(200.0 * 8 * span).astype(int)
     assert k_max.min() == 0 and k_max.max() > 100 and len(set(k_max)) > 4
     together = E.search_peak(batch)
-    for row in range(states.shape[0]):
+    for row in range(words.shape[0]):
         one = slice(row, row + 1)
         alone = E.search_peak(E.BlockSums(z=batch.z[one], count=batch.count[one],
                                           tau=batch.tau[one], span_s=span[one]))
@@ -489,9 +467,8 @@ def test_search_rows_regroups_batches_into_bounded_chunks(monkeypatch):
     # rows: the batch of 6 fills the rest of one chunk and all of the next
     table = E.BlockTable(reply_layout(MILLER8_40K), MILLER8_HALF, F_D_1MS, "ask")
     rng = np.random.Generator(np.random.Philox(key=23))
-    signal = table.blocks(np.stack([np.concatenate(
-        [B.encode_miller(rng.integers(0, 2, n_bits), 8, True) for n_bits in (16, 112)])
-        for _ in range(8)]))
+    signal = table.blocks(np.stack([reply_words(MILLER8_40K, "gen2", rng.integers(0, 2, 16),
+                                                rng.integers(0, 2, 112)) for _ in range(8)]))
     noise = 300.0 * (rng.standard_normal(signal.z.shape) + 1j * rng.standard_normal(signal.z.shape))
     rows = dataclasses.replace(signal, z=signal.z + noise * (signal.count > 0))
     whole = E.search_peak(rows).f_hat_hz
@@ -514,16 +491,16 @@ def test_search_rows_regroups_batches_into_bounded_chunks(monkeypatch):
 
 def test_a_block_table_rotated_to_a_shift_equals_one_built_there():
     # at() recomputes only the rotation sums; at the table's own shift it is the table
-    _, _, states = block_parts(MILLER8_40K, "gen2", "both")
+    _, _, words = block_parts(MILLER8_40K, "gen2", "both")
     layout = reply_layout(MILLER8_40K)
     table = E.BlockTable(layout, MILLER8_HALF, 0.0, "ask")
     assert table.at(0.0) is table
-    states = states[None]
+    words = words[None]
     for rotated, f_d in ((table.at(F_D_1MS), F_D_1MS), (table.at(-37.0), -37.0),
                          (table.at(F_D_1MS).at(0.0), 0.0)):
-        direct = E.BlockTable(layout, MILLER8_HALF, f_d, "ask").blocks(states)
+        direct = E.BlockTable(layout, MILLER8_HALF, f_d, "ask").blocks(words)
         for name in ("z", "count", "tau", "span_s"):
-            assert np.array_equal(getattr(rotated.blocks(states), name), getattr(direct, name))
+            assert np.array_equal(getattr(rotated.blocks(words), name), getattr(direct, name))
 
 
 @pytest.mark.parametrize("modulation, zeroing", [("ask", True), ("psk", True), ("ask", False)])
@@ -531,14 +508,14 @@ def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
     # FM0 blocks of 15-16 samples: ASK zeroing leaves blocks without masked samples
     rng = np.random.Generator(np.random.Philox(key=22))
     bits = [(rng.integers(0, 2, 16), rng.integers(0, 2, 112)) for _ in range(5)]
-    frames = [reply_states(FM0_160K, "gen2", *pair, "both") for pair in bits]
+    frames = [reply_words(FM0_160K, "gen2", *pair, "both") for pair in bits]
     table = E.BlockTable(reply_layout(FM0_160K), B.symbol_half(1, "gen2"), 37.0,
                          modulation, zeroing, 20e3)
     batch = table.blocks(np.stack(frames))
     if zeroing and modulation == "ask":
         assert (batch.count == 0).any()
-    for row, states in enumerate(frames):
-        alone = table.blocks(states[None])
+    for row, words in enumerate(frames):
+        alone = table.blocks(words[None])
         assert np.array_equal(batch.z[row], alone.z[0])
         assert np.array_equal(batch.count[row], alone.count[0])
         assert np.array_equal(batch.tau[row], alone.tau[0])

@@ -270,9 +270,9 @@ def test_philox_streams_split_into_uneven_pieces_as_one_draw():
 def test_stream_keys_are_distinct_across_kinds_and_grid_points():
     # trial 0's sample noise never reuses the block noise of trial 1, nor the
     # static frame the moving frame's numbers
-    point = [key for k in (0, 1) for key in MC._stream_keys(7, 2, k)]
+    point = [MC._stream_key(7, 2, k, j) for k in (0, 1) for j in range(3)]
     assert len(set(point)) == 6
-    keys = {key for g in range(4) for k in (0, 1) for key in MC._stream_keys(7, g, k)}
+    keys = {MC._stream_key(7, g, k, j) for g in range(4) for k in (0, 1) for j in range(3)}
     assert len(keys) == 4 * 6
     # nor the gaussian detection model's per-grid-point key
     assert keys.isdisjoint({X.derive_seed(7, g) for g in range(4)})
@@ -340,9 +340,9 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     batches, searches = [], []
     blocks, search = E.BlockTable.blocks, E.search_peak
 
-    def recording_blocks(table, states):
-        batches.append(states.shape[0])
-        return blocks(table, states)
+    def recording_blocks(table, words):
+        batches.append(words.shape[0])
+        return blocks(table, words)
 
     def recording_search(found, *args, **kwargs):
         searches.append(found.z.shape)
@@ -361,16 +361,15 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
 
 def per_trial_estimates(config, source, table, ratio_dbhz, k):
     """Trials 1 and up one by one, each drawing and encoding its bits and
-    taking its block sums from its own states."""
-    bits_key, noise_key, _ = MC._stream_keys(config.seed, 0, k)
-    bit_generator = np.random.Philox(key=bits_key)
+    taking its block sums from its own words."""
+    bit_generator = np.random.Philox(key=MC._stream_key(config.seed, 0, k, MC._BITS))
     MC._random_bits(bit_generator, 1, source.n_bits)   # trial 0's stride
-    noise_rng = MC._rng(noise_key)
+    noise_rng = MC._rng(MC._stream_key(config.seed, 0, k, MC._BLOCK_NOISE))
     out = []
     for _ in range(1, config.trials):
         bits = MC._random_bits(bit_generator, 1, source.n_bits)
-        states = source.states(bits)
-        blocks = table.blocks(np.broadcast_to(states, (1, states.shape[-1])))
+        words = source.words(bits)
+        blocks = table.blocks(np.broadcast_to(words, (1, words.shape[-1])))
         z = B.add_block_awgn(blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz,
                              noise_rng)
         out.append(E.search_peak(dataclasses.replace(blocks, z=z)).f_hat_hz[0])
@@ -380,7 +379,7 @@ def per_trial_estimates(config, source, table, ratio_dbhz, k):
 @pytest.mark.parametrize("modulation, waveform",
                          [("ask", "gen2"), ("psk", "gen2"), ("psk", "rect"), ("ask", "rect")])
 def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, waveform):
-    # ASK gen2 blocks come from each trial's states, the others from one shared row
+    # ASK gen2 blocks come from each trial's words, the others from one shared row
     config = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="Miller8",
                               ps_n0_dbhz=52.8, modulation=modulation, parts="both",
                               waveform_model=waveform, trials=7, seed=5)
@@ -388,7 +387,7 @@ def test_trial_estimates_do_not_depend_on_batching(monkeypatch, modulation, wave
     source = MC.frame_source(setup, P.reply_signals(setup.mode, config.parts))
     f_d = bd.doppler_shift(config.v, config.f_c_hz)
     table, = MC._block_tables(config, source, [f_d]).values()
-    assert (source.n_bits > 0 and table.depends_on_states) == (
+    assert (source.n_bits > 0 and table.depends_on_words) == (
         (modulation, waveform) == ("ask", "gen2"))
     one_batch, = MC.estimates(config, source, [(f_d, 52.8, 0, 0)])
     assert np.array_equal(one_batch[1:], per_trial_estimates(config, source, table, 52.8, 0))
@@ -478,9 +477,9 @@ def test_each_table_computes_its_shared_row_once(monkeypatch):
     calls = []
     blocks = E.BlockTable.blocks
 
-    def counting_blocks(table, states):
-        calls.append((table.f_d_hz, states.shape[0]))
-        return blocks(table, states)
+    def counting_blocks(table, words):
+        calls.append((table.f_d_hz, words.shape[0]))
+        return blocks(table, words)
 
     monkeypatch.setattr(E.BlockTable, "blocks", counting_blocks)
     X.run_detection_experiment(config)
@@ -509,16 +508,16 @@ def test_only_gen2_ask_trials_after_trial_0_draw_bits(monkeypatch, modulation, w
     assert [rows for rows, count in drawn if count] == [1, 13, 13, 13][:calls]
 
 
-def counting_frame_states(monkeypatch):
-    """The number of rows of every baseband.frame_states call from now on."""
+def counting_frame_words(monkeypatch):
+    """The number of rows of every baseband.frame_words call from now on."""
     rows = []
-    frame_states = B.frame_states
+    frame_words = B.frame_words
 
     def counting(mode, waveform_model, signals, bits):
         rows.append(np.shape(bits)[0])
-        return frame_states(mode, waveform_model, signals, bits)
+        return frame_words(mode, waveform_model, signals, bits)
 
-    monkeypatch.setattr(B, "frame_states", counting)
+    monkeypatch.setattr(B, "frame_words", counting)
     return rows
 
 
@@ -531,14 +530,16 @@ def counting_frame_states(monkeypatch):
 ], ids=["mode204-both", "miller8-epc", "miller4-burst"])
 def test_a_frame_source_encodes_nothing(monkeypatch, model, mode, signals):
     # its layout comes from the signals' state counts, the layout of every frame
-    encoded = counting_frame_states(monkeypatch)
+    encoded = counting_frame_words(monkeypatch)
     config = ExperimentConfig(mode_label=None, blf_hz=mode.blf_hz, encoding=mode.encoding.name,
                               waveform_model=model)
     source = MC.frame_source(X.resolve(config), signals)
     assert encoded == []
-    # each signal encoded on its own, laid out from its states' count
-    frame = [(kind, start, B.frame_states(mode, model, [(kind, start, n_symbols)],
-                                          np.ones(n_bits, dtype=np.int8)).size)
+    # each signal encoded on its own, laid out from the count of its words' states
+    half = B.symbol_half(mode.encoding.spread_factor, model)
+    frame = [(kind, start, B.symbol_states(B.frame_words(mode, model, [(kind, start, n_symbols)],
+                                                         np.ones(n_bits, dtype=np.int8)),
+                                           half).size)
              for (kind, start, n_symbols), n_bits
              in zip(signals, B.payload_bits(mode, model, signals))]
     layout = B.frame_layout(frame, mode.blf_hz)
@@ -573,7 +574,7 @@ MCRB_MILLER8_ASK = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="mill
                       sweep_values=[50.0, 52.8, 60.0]), [3]),
 ], ids=["detect-mode204-psk", "mcrb-miller8-ask", "mcrb-sweep-ask-batches", "mcrb-sweep-psk"])
 def test_a_run_encodes_trial_0_of_every_point_in_one_call(monkeypatch, run, config, encoded):
-    found = counting_frame_states(monkeypatch)
+    found = counting_frame_words(monkeypatch)
     run(config)
     assert found == encoded
 
