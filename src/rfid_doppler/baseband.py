@@ -351,12 +351,15 @@ def synthesize_reply(states: np.ndarray, layout: FrameLayout, modulation: str,
     if states.shape != (sum(n_states),) or not states.size:
         raise ValueError(f"states: a sampled frame takes one row of the {sum(n_states)} states "
                          f"of its layout, got shape {states.shape}")
+    # a part's half-interval boundaries are SAMPLES_PER_HALF apart (frame_layout)
     sample_state = np.full(layout.n_samples, -1, dtype=np.int8)
-    for part, edges in zip(np.split(states, np.cumsum(n_states)[:-1]), layout.edges):
-        sample_state[edges[0]:edges[-1]] = np.repeat(part, np.diff(edges))
+    start = 0
+    for n, edges in zip(n_states, layout.edges):
+        sample_state[edges[0]:edges[-1]] = states[start:start + n].repeat(protocol.SAMPLES_PER_HALF)
+        start += n
 
-    # state -1 (pause and fill) indexes the trailing 0
-    samples = np.array([*amplitudes(modulation), 0.0])[sample_state]
+    # state -1 (pause and fill) takes the trailing 0
+    samples = np.array([*amplitudes(modulation), 0.0]).take(sample_state, mode="wrap")
     fs = layout.sample_rate_hz
     _rotate_uniform(samples, params.f_d_hz, fs)
 

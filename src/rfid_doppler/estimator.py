@@ -26,8 +26,10 @@ sampled frame, and BlockTable the rows of noiseless frames straight from
 rows of their symbol words (baseband.frame_words), one table entry per
 symbol and block, so Monte Carlo trials never expand a frame into states
 or samples.  search_peak searches every row on its own, and a row gives
-exactly what it gives when searched alone; search_rows searches the rows
-of any number of batches in chunks of bounded size.
+exactly what it gives when searched alone: its Newton steps run on whole
+arrays of the rows still refining, from which a row leaves once it stops,
+with its estimate and step count; search_rows searches the rows of any
+number of batches in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -105,15 +107,14 @@ def wipe_modulation(frame: BasebandFrame, ask_zeroing: bool = True) -> WipedSign
     """
     signs, kept = _wipe_rule(frame.truth.modulation, ask_zeroing)
     state = frame.sample_state
-    samples = frame.samples.copy()
-    mask = np.zeros(state.size, dtype=bool)
+    mask = state >= 0     # the pause and fill hold state -1
     for s in (0, 1):
-        in_state = state == s
-        if kept[s]:
-            mask |= in_state
-        if signs[s] < 0:
-            samples[in_state] = -samples[in_state]
-    samples[~mask] = 0.0
+        if not kept[s]:
+            mask &= state != s
+    samples = np.where(mask, frame.samples, 0.0)
+    for s in (0, 1):
+        if signs[s] < 0 and kept[s]:
+            np.negative(samples, out=samples, where=state == s)
     return WipedSignal(samples=samples, support_mask=mask,
                        sample_rate_hz=frame.sample_rate_hz)
 
@@ -172,10 +173,10 @@ def integrate_blocks(w: WipedSignal, search_halfwidth_hz: float = 200.0) -> Bloc
     if not mask.any():
         raise ValueError("support mask is empty, nothing to estimate from")
     n = mask.size
-    t = np.arange(n) / fs
+    t = np.arange(n, dtype=np.float64) / fs
     edges = np.arange(0, n, _block_samples(fs, search_halfwidth_hz, n))
-    cnt = np.add.reduceat(mask.astype(np.float64), edges)
-    tau = np.add.reduceat(t * mask, edges) / np.maximum(cnt, 1.0)
+    cnt = np.add.reduceat(mask, edges, dtype=np.float64)
+    tau = np.add.reduceat(np.where(mask, t, 0.0), edges) / np.maximum(cnt, 1.0)
     first = int(mask.argmax())
     last = n - 1 - int(mask[::-1].argmax())
     return BlockSums(z=np.add.reduceat(w.samples, edges)[None], count=cnt[None],
@@ -324,8 +325,13 @@ class BlockTable:
             raise ValueError(f"words: expected int8 words of shape (frames, {self.n_symbols}), "
                              f"got {words.dtype} of shape {words.shape}")
         entries = self._word_entries.take(words.take(self._slot_symbol, axis=1)) + self._slots
-        values = self._table.take(entries, axis=1)
-        first, minus_last = values[4:].min(axis=2)
+        values = self._table[:4].take(entries, axis=1)
+        # slots are in time order: a row's first masked time is that of its
+        # first slot with masked samples, its last that of its last such slot
+        # (a row without any takes slot 0's infinite first time)
+        held, rows = values[2] > 0, np.arange(words.shape[0])
+        first = self._table[4].take(entries[rows, held.argmax(axis=1)])
+        minus_last = self._table[5].take(entries[rows, -1 - held[:, ::-1].argmax(axis=1)])
         if first.max() == np.inf:
             raise ValueError("support mask is empty, nothing to estimate from")
         # each block adds its slots' entries into a zero grid of every block
@@ -347,7 +353,9 @@ def _coarse_peaks(z: np.ndarray, tau: np.ndarray, df: np.ndarray,
     rows, n_blocks = z.shape
     k_top = int(k_max.max())
     step = np.exp(2j * math.pi * (df[:, None] * tau))
-    weights = np.stack([z, z.conj()], axis=-1)
+    weights = np.empty((rows, n_blocks, 2), dtype=complex)
+    weights[..., 0] = z
+    np.conjugate(z, out=weights[..., 1])
     chunk = np.empty((max(1, min(k_top, _CHUNK_ELEMENTS // z.size)), rows, n_blocks),
                      dtype=complex)
     above, below = np.empty((rows, k_top)), np.empty((rows, k_top))
@@ -390,36 +398,41 @@ def search_peak(blocks: BlockSums, search_halfwidth_hz: float = 200.0) -> Estima
     side where P' points uphill, and bisects it when P'' >= 0 or the Newton
     step would leave it.  After three steps, it stops after a Newton step of
     at most 1e-4 Hz, when the bracket is that narrow, or after a fixed
-    number of iterations.  Every row is searched on its own grid and gives
-    exactly what it gives when searched alone.
+    number of iterations.  The steps run on whole arrays of the rows still
+    refining; a row that stops has its estimate and step count written once
+    and leaves those arrays.  Every row is searched on its own grid and
+    gives exactly what it gives when searched alone.
     """
     _check_halfwidth(search_halfwidth_hz)
     z, tau = blocks.z, blocks.tau
     df = 1.0 / (_COARSE_PADDING * blocks.span_s)
     k_max = np.floor(search_halfwidth_hz / df).astype(np.int64)
-    f_hat = _coarse_peaks(z, tau, df, k_max)
+    f = _coarse_peaks(z, tau, df, k_max)
 
-    lo = np.maximum(f_hat - df, -search_halfwidth_hz)
-    hi = np.minimum(f_hat + df, search_halfwidth_hz)
-    iterations = np.zeros(f_hat.size, dtype=np.int64)
-    active = np.arange(f_hat.size)
+    lo = np.maximum(f - df, -search_halfwidth_hz)
+    hi = np.minimum(f + df, search_halfwidth_hz)
+    f_hat, iterations = np.empty_like(f), np.empty(f.size, dtype=np.int64)
+    # the working arrays hold the rows still refining, row[i] being the
+    # index of working row i; rows that stop leave them
+    row = np.arange(f.size)
     for iteration in range(1, _MAX_REFINE + 1):
-        f, lo_a, hi_a = f_hat[active], lo[active], hi[active]
-        slope, curvature = _derivatives(z[active], tau[active], f)
-        lo_a = np.where(slope > 0, f, lo_a)
-        hi_a = np.where(slope < 0, f, hi_a)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -slope / curvature
-        newton = (curvature < 0) & (f + step >= lo_a) & (f + step <= hi_a)
-        f_hat[active] = np.where(newton, f + step, 0.5 * (lo_a + hi_a))
-        lo[active], hi[active] = lo_a, hi_a
-        iterations[active] = iteration
+        slope, curvature = _derivatives(z, tau, f)
+        lo = np.where(slope > 0, f, lo)
+        hi = np.where(slope < 0, f, hi)
+        step = np.divide(-slope, curvature, out=np.zeros_like(slope), where=curvature < 0)
+        newton_f = f + step
+        newton = (curvature < 0) & (newton_f >= lo) & (newton_f <= hi)
+        f = np.where(newton, newton_f, 0.5 * (lo + hi))
         if iteration < _MIN_REFINE:
             continue
-        done = (newton & (np.abs(step) <= _FINE_TOL_HZ)) | (hi_a - lo_a <= _FINE_TOL_HZ)
-        active = active[~done]
-        if active.size == 0:
+        done = (newton & (np.abs(step) <= _FINE_TOL_HZ)) | (hi - lo <= _FINE_TOL_HZ)
+        if done.all():
             break
+        if done.any():
+            f_hat[row[done]], iterations[row[done]] = f[done], iteration
+            keep = ~done
+            row, z, tau, f, lo, hi = (a[keep] for a in (row, z, tau, f, lo, hi))
+    f_hat[row], iterations[row] = f, iteration
     return EstimateReport(f_hat_hz=f_hat, refinement_iterations=iterations)
 
 

@@ -63,7 +63,6 @@ grid_index).  Comparisons meant to be independent need distinct seeds.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -149,8 +148,9 @@ def _stream_key(seed: int, grid_index: int, k: int, j: int) -> int:
 
 
 def _repeated(row: estimator.BlockSums, rows: int) -> estimator.BlockSums:
-    """``rows`` copies of one row of block sums, as read-only broadcast views."""
-    return estimator.BlockSums(*(np.broadcast_to(a, (rows,) + a.shape[1:])
+    """``rows`` copies of one row of block sums, each field as one array: a
+    batch holds at most ``batch_rows`` rows, so the copies stay within one chunk."""
+    return estimator.BlockSums(*(a.repeat(rows, axis=0)
                                  for a in (row.z, row.count, row.tau, row.span_s)))
 
 
@@ -196,8 +196,9 @@ def _batches(config: ExperimentConfig, source: FrameSource, table: estimator.Blo
             blocks, words = table.blocks(words), None
         else:
             blocks = _repeated(shared, rows)
-        yield dataclasses.replace(blocks, z=baseband.add_block_awgn(
-            blocks.z, blocks.count, ratio_dbhz, table.sample_rate_hz, noise_rng))
+        yield estimator.BlockSums(baseband.add_block_awgn(blocks.z, blocks.count, ratio_dbhz,
+                                                          table.sample_rate_hz, noise_rng),
+                                  blocks.count, blocks.tau, blocks.span_s)
 
 
 def estimates(config: ExperimentConfig, source: FrameSource, points: list) -> list:
@@ -234,7 +235,7 @@ def estimates(config: ExperimentConfig, source: FrameSource, points: list) -> li
     # a batch and trial 0's frame-sized arrays at once: held together, they
     # made glibc trim the heap after each mcrb job and fault it back in the
     # next (about 440 minor page faults a job against 15)
-    trial0 = [baseband.symbol_states(words[row], source.symbol_half) for row in rows[:-1]]
+    trial0 = baseband.symbol_states(words[rows[:-1]], source.symbol_half)
     batches = [_batches(config, source, tables[f_d], shared[f_d], bit_generator,
                         words[row + 1:row + 1 + first], *rest)
                for (f_d, *rest), (bit_generator, first), row in zip(points, streams, rows)]

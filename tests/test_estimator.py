@@ -82,6 +82,24 @@ def test_wipe_masks_out_the_pause_in_all_cases():
         assert np.all(wiped.samples[gap] == 0)
 
 
+@pytest.mark.parametrize("modulation, waveform, zeroing", [
+    ("psk", "gen2", True), ("ask", "gen2", True), ("ask", "gen2", False),
+    ("psk", "rect", True), ("ask", "rect", True), ("ask", "rect", False),
+])
+def test_wipe_keeps_the_kept_states_signed_and_zeroes_the_rest(modulation, waveform, zeroing):
+    frame = make_frame(modulation, waveform, ps_n0=60.0, seed=4)
+    wiped = E.wipe_modulation(frame, ask_zeroing=zeroing)
+    state = frame.sample_state
+    kept = (state == 1) if modulation == "ask" and zeroing else (state >= 0)
+    assert wiped.support_mask.dtype == bool and np.array_equal(wiped.support_mask, kept)
+    sign = np.where((modulation == "psk") & (state == 1), -1.0, 1.0)
+    assert np.array_equal(wiped.samples[kept], frame.samples[kept] * sign[kept])
+    # masked-out samples are +0.0, whatever the sign of the noise they held
+    dropped = wiped.samples[~kept].view(float)
+    assert dropped.size and np.all(dropped == 0) and not np.signbit(dropped).any()
+    assert np.signbit(frame.samples[~kept].view(float)).any()
+
+
 # ---------------------------------------------------------------------------
 # Doppler estimation
 # ---------------------------------------------------------------------------
@@ -524,7 +542,9 @@ def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
         assert not batch.z[row][empty].any() and not batch.tau[row][empty].any()
 
 
-def test_degenerate_searches_end_inside_the_window():
+def _degenerate_rows():
+    """Three rows whose searches end in unusual ways: a flat periodogram, a
+    coarse grid of one cell and a peak past the window's edge."""
     # one block: the periodogram is flat and the refinement bisects the window
     flat = E.BlockSums(z=np.array([[3.0 - 1.0j]]), count=np.ones((1, 1)),
                        tau=np.array([[2e-3]]), span_s=np.array([1e-6]))
@@ -537,11 +557,42 @@ def test_degenerate_searches_end_inside_the_window():
     assert math.floor(200.0 * 8 * short.span_s[0]) == 0
     # a tone just past the window edge: the refinement runs into the edge
     beyond = E.integrate_blocks(E.wipe_modulation(make_frame("psk", f_d=203.0)))
+    return flat, short, beyond
+
+
+def test_degenerate_searches_end_inside_the_window():
+    flat, short, beyond = _degenerate_rows()
     for blocks in (flat, short, beyond):
         report = E.search_peak(blocks)
         assert math.isfinite(report.f_hat_hz[0]) and abs(report.f_hat_hz[0]) <= 200.0
         assert 1 <= report.refinement_iterations[0] <= E._MAX_REFINE
     assert 200.0 - E.search_peak(beyond).f_hat_hz[0] <= 1e-3
+
+
+def test_rows_that_stop_at_different_steps_give_their_lone_results():
+    # the degenerate rows between noisy tones, padded with empty blocks to
+    # one block count: the rows leave the refinement at different steps
+    tones = [E.integrate_blocks(E.wipe_modulation(make_frame("psk", f_d=f_d, ps_n0=55.0,
+                                                             seed=seed)))
+             for seed, f_d in enumerate((F_D_1MS, -40.0, 120.0, 3.0))]
+    rows = [tones[0], *_degenerate_rows(), *tones[1:]]
+    rows[1:4] = rows[2], rows[1], rows[3]
+    n_blocks = max(row.z.shape[1] for row in rows)
+
+    def padded(field, row):
+        value = getattr(row, field)
+        return np.pad(value, ((0, 0), (0, n_blocks - value.shape[1])))
+
+    batch = E.BlockSums(*(np.concatenate([padded(field, row) for row in rows])
+                          for field in ("z", "count", "tau")),
+                        span_s=np.concatenate([row.span_s for row in rows]))
+    together = E.search_peak(batch)
+    assert len(set(together.refinement_iterations)) >= 3
+    for i in range(len(rows)):
+        alone = E.search_peak(E.BlockSums(batch.z[i:i + 1], batch.count[i:i + 1],
+                                          batch.tau[i:i + 1], batch.span_s[i:i + 1]))
+        assert alone.f_hat_hz[0] == together.f_hat_hz[i]
+        assert alone.refinement_iterations[0] == together.refinement_iterations[i]
 
 
 @pytest.mark.parametrize("name, value", [
