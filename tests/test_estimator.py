@@ -575,8 +575,8 @@ def test_rows_that_stop_at_different_steps_give_their_lone_results():
     tones = [E.integrate_blocks(E.wipe_modulation(make_frame("psk", f_d=f_d, ps_n0=55.0,
                                                              seed=seed)))
              for seed, f_d in enumerate((F_D_1MS, -40.0, 120.0, 3.0))]
-    rows = [tones[0], *_degenerate_rows(), *tones[1:]]
-    rows[1:4] = rows[2], rows[1], rows[3]
+    flat, short, beyond = _degenerate_rows()
+    rows = [tones[0], short, flat, beyond, *tones[1:]]
     n_blocks = max(row.z.shape[1] for row in rows)
 
     def padded(field, row):
