@@ -25,8 +25,9 @@ they start.
 bounds, vmin and noise-figure print ``key = value`` lines
 (experiments.write_key_values), the other subcommands CSV
 (experiments.write_csv); a simulation CSV's ``#`` header echoes the set
-settings of its command's tuple, and no other.  Both writers refuse a
-number that is not finite, naming its key or column.  A figure whose
+settings of its command's tuple that the run reads, and no other: not
+mode_label beside --blf, v beside --v-grid, nor p_err beside --sigma-sq.
+Both writers refuse a number that is not finite, naming its key or column.  A figure whose
 ``--set`` overrides take its dataset out of floating-point range exits 2
 naming those keys.
 Exit codes: 0 success, 2 configuration error, 3 failed --check comparison.

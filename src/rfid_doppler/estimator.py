@@ -41,7 +41,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .baseband import BasebandFrame, FrameLayout, amplitudes, doppler_rotation
+from .baseband import BasebandFrame, FrameLayout, amplitudes, doppler_rotation, symbol_states
 from .bounds import doppler_shift
 
 # Refinement steps every row takes before the stop test applies.  On Mode 204
@@ -58,9 +58,9 @@ _COARSE_PADDING = 8
 # a 2 x 1e7 Hz cell down to 1e-4 Hz takes 38.
 _MAX_REFINE = 64
 # Elements of one chunk of the coarse grid's (k x rows x blocks) rotations, of
-# the table entries one BlockTable.blocks batch takes and of each block-sum
-# array of one search_rows chunk: at most 1 MB per array, whatever the trial
-# count or search window.
+# the table entries one BlockTable.blocks batch gathers (4 table rows x frames
+# x slots) and of each block-sum array of one search_rows chunk: at most 1 MB
+# per array, whatever the trial count or search window.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -191,8 +191,9 @@ def _run_heads(key: np.ndarray) -> np.ndarray:
 
 
 # Row w = 2 a + b, column g = 2 h + p: the state that symbol word (a, b) gives
-# the samples of symbol half h (in state a, then b) where symbol_half holds p.
-_WORD_STATES = ((np.arange(4)[:, None] >> (1 - np.arange(4) // 2)) & 1) ^ (np.arange(4) & 1)
+# the samples of symbol half h (in state a, then b) where symbol_half holds p,
+# as baseband.symbol_states expands a one-symbol row under a symbol_half of [0, 1].
+_WORD_STATES = symbol_states(np.arange(4, dtype=np.int8)[:, None], np.arange(2, dtype=np.int8))
 
 
 class BlockTable:
@@ -310,8 +311,9 @@ class BlockTable:
 
     @property
     def batch_rows(self) -> int:
-        """Frames per :meth:`blocks` call whose slots' entries stay within one chunk."""
-        return max(1, _CHUNK_ELEMENTS // (6 * self._slots.size))
+        """Frames per :meth:`blocks` call whose slots' entries, the 4 table
+        rows it gathers per slot, stay within one chunk."""
+        return max(1, _CHUNK_ELEMENTS // (4 * self._slots.size))
 
     def blocks(self, words: np.ndarray) -> BlockSums:
         """Noiseless block sums of a batch of frames, one row each.

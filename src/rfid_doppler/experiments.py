@@ -5,7 +5,10 @@ the figure datasets declare their own parameters in ``_FIGURES``.  Each
 setting has one rule, the parser its field declares: it reads the setting's
 text, from a flag, a config file or a figure ``--set``, stripped first, and
 checks a value set in code, so ``validate`` adds only the rules between
-settings and hands back a copy that holds each setting's parsed value.  The
+settings and hands back a copy that holds each setting's parsed value and
+one setting per concept: where two settings name one thing (blf_hz and
+encoding or mode_label, v_grid or v, sigma_sq_hz2 or p_err), the copy keeps
+only the one the run reads, so a CSV header echoes no other.  The
 field also declares its command-line flag and the flag's help, and each
 command's settings are one tuple here (``BOUNDS_SETTINGS``,
 ``VMIN_SETTINGS``, ``MCRB_SETTINGS``, ``DETECT_SETTINGS``), from which the
@@ -205,11 +208,6 @@ def _mode_label(text) -> str:
     return str(text)
 
 
-def _opt_mode_label(text) -> Optional[str]:
-    """A catalog label, or None for an empty text or 'none'."""
-    return None if str(text).lower() in ("", "none") else _mode_label(text)
-
-
 # The paper-style defaults: European band, 0.1% error target, Mode 290, and
 # the weakest reliably received tag signal (52.8 dB-Hz) unless a link is given.
 REFERENCE_PS_N0_DBHZ = 52.8
@@ -230,6 +228,13 @@ def _setting(default, parse, flag: Optional[str] = None, help: Optional[str] = N
                              metadata={"parse": parse, "flag": flag, "help": help})
 
 
+# (given, overridden) settings that name one thing, the run reading the given
+# one: an explicit BLF and encoding give the reader mode instead of its label,
+# a speed grid the speeds instead of one speed, and a pinned variance the
+# tolerable variance instead of the error target it is derived from
+_OVERRIDES = (("blf_hz", "mode_label"), ("v_grid", "v"), ("sigma_sq_hz2", "p_err"))
+
+
 @dataclass
 class ExperimentConfig:
     """The settings of a bounds or Monte Carlo run.  Each field declares its
@@ -237,18 +242,18 @@ class ExperimentConfig:
     flags and :meth:`validate` share, and its flag, whose dest is the field
     name; sweep_param and sweep_values have none, as --sweep sets both."""
 
-    mode_label: Optional[str] = _setting("Mode 290", _opt_mode_label, "--mode", "reader mode label")
+    mode_label: Optional[str] = _setting("Mode 290", _mode_label, "--mode", "reader mode label")
     blf_hz: Optional[float] = _setting(None, _blf, "--blf", "explicit BLF in Hz")
     encoding: Optional[str] = _setting(None, _encoding, "--encoding", "FM0 or MillerM, with --blf")
     trext: bool = _setting(True, _parse_bool, "--trext", "pilot tone on/off")
     epc_bits: int = _setting(96, _epc_bits, "--epc-bits", "EPC length in bits")
     f_c_hz: float = _setting(868e6, _carrier, "--f-c", "carrier frequency in Hz")
-    p_err: float = _setting(1e-3, _p_err, "--p-err", "target error probability")
+    p_err: Optional[float] = _setting(1e-3, _p_err, "--p-err", "target error probability")
     ps_n0_dbhz: Optional[float] = _setting(None, _db, "--ps-n0", "P_S/N0 in dB-Hz")
     p_s_dbm: Optional[float] = _setting(None, _db, "--p-s-dbm", "received tag power")
     n0_dbm_hz: Optional[float] = _setting(None, _noise_density, "--n0", "noise density in dBm-Hz")
     nf_db: Optional[float] = _setting(None, _noise_figure, "--nf", "receiver noise figure in dB")
-    v: float = _setting(1.0, _speed, "--v", "tag speed in m/s")
+    v: Optional[float] = _setting(1.0, _speed, "--v", "tag speed in m/s")
     v_grid: Optional[list[float]] = _setting(None, _speed_grid, "--v-grid", "tag speeds to sweep")
     trials: int = _setting(1000, _trials, "--trials", "Monte Carlo trials per grid point")
     seed: int = _setting(0, _seed, "--seed", "Monte Carlo seed")
@@ -266,10 +271,17 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """A copy that holds each set field's value as its rule parses it,
-        after the rules between fields have been checked on those values."""
+        after the rules between fields have been checked on those values.
+
+        The copy keeps one setting per concept: where the given setting of
+        a pair of _OVERRIDES is set, the overridden one, which no run then
+        reads, is None, so no header echoes it."""
         config = dataclasses.replace(self, **{
             f.name: _parsed(f.name, f.metadata["parse"], value)
             for f in dataclasses.fields(self) if (value := getattr(self, f.name)) is not None})
+        for given, overridden in _OVERRIDES:
+            if getattr(config, given) is not None:
+                setattr(config, overridden, None)
         if config.mode_label is None and config.blf_hz is None:
             raise ConfigError("mode_label: give a catalog label or explicit blf_hz/encoding")
         if (config.blf_hz is None) != (config.encoding is None):
@@ -512,16 +524,16 @@ def run_detection_experiment(config: ExperimentConfig):
     setup = resolve(config)
     config = setup.config
     # v_grid's rule takes moving tags only; v's also takes a tag at rest
-    if config.v_grid is None and config.v <= 0:
+    if config.v == 0:
         raise ConfigError(f"v: a detection run needs a moving tag, got {config.v}")
     f_c = config.f_c_hz
     comments = ["motion detection monte carlo"] + config.comment_lines(DETECT_SETTINGS)
     rows = []
-    # the setting that gives the variance: sigma_sq_hz2, or else the speed
-    key = "sigma_sq_hz2" if config.sigma_sq_hz2 is not None \
-        else "v" if config.v_grid is None else "v_grid"
+    # the setting that gives the variance: sigma_sq_hz2, or else the speed,
+    # of which the parsed copy keeps one
+    key = next(k for k in ("sigma_sq_hz2", "v_grid", "v") if getattr(config, k) is not None)
     speeds = []     # (v, f_d, sigma_sq) per grid point
-    for v in config.v_grid if config.v_grid is not None else [config.v]:
+    for v in config.v_grid or [config.v]:
         try:
             sigma_sq = config.sigma_sq_hz2 if config.sigma_sq_hz2 is not None \
                 else bounds.sigma_max_sq(bounds.MotionScenario(v, f_c, config.p_err))
@@ -593,7 +605,7 @@ def _figure5(params, trials, seed):
     fieldnames = ["t0_s", "ps_n0_dbhz", "mcrb_var_hz2"]
     rows = []
     sim_config = resolve(ExperimentConfig(
-        mode_label=None, blf_hz=params["blf_hz"], encoding=params["encoding"],
+        blf_hz=params["blf_hz"], encoding=params["encoding"],
         modulation=params["modulation"], waveform_model=params["waveform_model"])).config
     if trials > 0:
         fieldnames += ["t0_simulated_s", "trials", "emp_var_hz2"]
@@ -618,10 +630,9 @@ def _figure5(params, trials, seed):
 
 def _figure7(params, trials, seed):
     ratio, pause_grid = params["ps_n0_dbhz"], params["t_pause_grid_s"]
-    setup = resolve(ExperimentConfig(mode_label=None, blf_hz=_MILLER8_40K.blf_hz,
-                                     encoding="Miller8", ps_n0_dbhz=ratio,
-                                     modulation=params["modulation"], waveform_model="gen2",
-                                     parts="both", seed=seed))
+    setup = resolve(ExperimentConfig(blf_hz=_MILLER8_40K.blf_hz, encoding="Miller8",
+                                     ps_n0_dbhz=ratio, modulation=params["modulation"],
+                                     waveform_model="gen2", parts="both", seed=seed))
     sim_config, timing = setup.config, setup.timing
     t_rn16, t_epc = float(timing.t_rn16), float(timing.t_epc)
     operating_pause = float(timing.t_pause)

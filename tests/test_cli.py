@@ -452,6 +452,11 @@ def test_bad_figure_overrides_exit_2_naming_the_key(figure, setting, key, capsys
     # a sensitivity that gives a noise figure no receiver has: -28.8 dB and 300.19 dB
     (["noise-figure", "--p-s-dbm", "-150"], "p_s_dbm"),
     (["noise-figure", "--p-s-dbm", "179"], "p_s_dbm"),
+    # a reader mode is a catalog label; --blf and --encoding give a custom one
+    (["bounds", "--mode", "none"], "mode_label"),
+    (["bounds", "--mode", ""], "mode_label"),
+    (["simulate-mcrb", "--mode", "none", "--blf", "40e3", "--encoding", "fm0", "--trials", "2"],
+     "mode_label"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_bad_simulation_inputs_exit_2_naming_the_key(argv, key, capsys, monkeypatch):
@@ -598,7 +603,7 @@ _MILLER_160K = ["--blf", "160e3", "--ps-n0", "52.8", "--trials", "400", "--seed"
 # SHA-256 of simulation CSVs, covering every way a trial gets its block sums:
 # ASK with and without zeroing, PSK, rect frames, each sweep kind, and every
 # Gen2 encoding (FM0, Miller-2, -4 and -8).  Each header echoes only the
-# settings its command reads.  The rect run's EPC and the 0.2 ms bursts of
+# settings its run reads.  The rect run's EPC and the 0.2 ms bursts of
 # the t0 sweep and figure 5 are shorter than one 312.5 us block of the
 # default window: the cap at 1/32 of the frame gives them 32 or more blocks.
 SIMULATION_SHA256 = {
@@ -620,18 +625,18 @@ SIMULATION_SHA256 = {
         "3b703ac7149a569a11ac66c96189c6a14a2599e66e7a9bd3459b790d037c8827"),
     "mcrb_ask_both_miller2": (
         ["simulate-mcrb", *_MILLER_160K, "Miller2", "--modulation", "ask", "--parts", "both"],
-        "e76199c004be8cb85eaf23d2b0f254b22694b2fbe37063fcc05675f17e55eb50"),
+        "7ff06afa49f1661632ebe44226f6c8182ac6531d9458ff1c8d0c08fb49ae103e"),
     "mcrb_ask_both_miller4": (
         ["simulate-mcrb", *_MILLER_160K, "Miller4", "--modulation", "ask", "--parts", "both"],
-        "85f23c3ea7ca9a3fd86f1035af8ad337b07bfc47d6d66c9fb6a9b5a7f07e1d49"),
+        "93ec37040b84a7ac1d83e2d2052b616a01679929d688c2aa33288dfcc3099fff"),
     "mcrb_rect": (
         ["simulate-mcrb", *_FM0_640K, "--parts", "epc", "--waveform-model", "rect",
          "--trials", "400", "--seed", "12"],
-        "63353e82a2472838c5d1d8feea06e7a8e9ff14ac98adf6ff94d3ffcd73ad7bfb"),
+        "ec7c644957c671ed25269b003ce1117162b384a5bdc9ff695f0c92718a21b7fc"),
     "mcrb_t0_sweep": (
         ["simulate-mcrb", *_FM0_640K, "--modulation", "psk", "--trials", "300",
          "--seed", "13", "--sweep", "t0_s=2e-4,1e-3"],
-        "2afb5411efe4b4065c6ae63c093fc548d2325b25605b895c9fb760457d92a68c"),
+        "d1bf49e01d5f083725adde7ef0888c2b47f39a2b068adfc124d11fefa9cace9d"),
     "mcrb_ratio_sweep": (
         ["simulate-mcrb", "--mode", "Mode 204", "--modulation", "psk", "--trials", "300",
          "--seed", "14", "--sweep", "ps_n0_dbhz=60,70,80"],
@@ -640,13 +645,13 @@ SIMULATION_SHA256 = {
         ["simulate-detect", "--estimator", "baseband", "--mode", "Mode 204",
          "--modulation", "psk", "--p-err", "0.05", "--v-grid", "0.5,1,2",
          "--trials", "300", "--seed", "15"],
-        "149a2ca32980dbaffe5adf1dc0459f99753fc16e433f6fe23a3a1546134e3cd3"),
+        "647a2380535985905a7ff1c8fec6c3882fa995311f35480b851f163de7d68c7c"),
     # one run-level search covers trials 1-999 of both frame kinds of all three speeds
     "detect_baseband_1000": (
         ["simulate-detect", "--estimator", "baseband", "--mode", "Mode 204",
          "--modulation", "psk", "--p-err", "0.05", "--v-grid", "0.5,1,2",
          "--trials", "1000", "--seed", "18"],
-        "439e293f8ff9c6120582146bb1129b9a8e3aa202f998705569edf35a170ff6c9"),
+        "d0a151a6405687c99ded703ec33132a435f39704c915a1c16965332cfd1d4b39"),
     "figure5_trials": (
         ["figure", "5", "--trials", "30", "--seed", "16", "--set", "t0_grid_s=2e-4,1e-3,5e-3"],
         "1658a62ebb98dbf01d1ea01a5921c9c1c15af2f5ff343d52456a1a0c7f333ae8"),
@@ -666,6 +671,13 @@ def test_simulation_csvs_are_pinned(name, capsys):
 @pytest.mark.parametrize("argv, settings", [
     (["simulate-mcrb", "--trials", "2"], experiments.MCRB_SETTINGS),
     (["simulate-detect", "--trials", "2"], experiments.DETECT_SETTINGS),
+    # a setting that another one given beside it overrides is not read, nor echoed
+    (["simulate-mcrb", "--trials", "2", "--blf", "40e3", "--encoding", "miller-8"],
+     set(experiments.MCRB_SETTINGS) - {"mode_label"}),
+    (["simulate-detect", "--trials", "2", "--v-grid", "0.5,1"],
+     set(experiments.DETECT_SETTINGS) - {"v"}),
+    (["simulate-detect", "--trials", "2", "--sigma-sq", "1"],
+     set(experiments.DETECT_SETTINGS) - {"p_err"}),
 ])
 def test_a_csv_header_echoes_only_the_settings_its_command_reads(argv, settings, capsys):
     assert main(argv) == 0

@@ -532,6 +532,10 @@ def test_block_table_batch_rows_equal_single_frames(modulation, zeroing):
     batch = table.blocks(np.stack(frames))
     if zeroing and modulation == "ask":
         assert (batch.count == 0).any()
+    # a batch's largest gathered array, 4 table rows per slot of each frame,
+    # fills one chunk as far as whole frames go
+    per_frame = 4 * table._slots.size
+    assert table.batch_rows * per_frame <= E._CHUNK_ELEMENTS < (table.batch_rows + 1) * per_frame
     for row, words in enumerate(frames):
         alone = table.blocks(words[None])
         assert np.array_equal(batch.z[row], alone.z[0])

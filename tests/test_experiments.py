@@ -167,8 +167,6 @@ def test_name_settings_keep_their_text():
     config.set_field("encoding", "miller-8")
     config.set_field("mode_label", "Mode 204")
     assert (config.encoding, config.mode_label) == ("miller-8", "Mode 204")
-    config.set_field("mode_label", "none")
-    assert config.mode_label is None
     config.set_field("blf_hz", "40e3")
     config.validate()
     assert "encoding = miller-8" in config.comment_lines(X.MCRB_SETTINGS)
@@ -333,10 +331,10 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
     assert np.array_equal(estimates(1), six[:1])
     assert np.array_equal(estimates(3), six[:3])
     assert np.all(np.abs(six - f_d) < 1.0)
-    # two frames per block-sum batch (6 table rows of 277 symbol slots per
+    # two frames per block-sum batch (4 table rows of 277 symbol slots per
     # frame): runs of 4 and 6 trials end inside a batch and cross batch
     # boundaries, and one search before trial 0's covers all their batches
-    # (42 rows of 116 blocks per chunk)
+    # (28 rows of 116 blocks per chunk)
     batches, searches = [], []
     blocks, search = E.BlockTable.blocks, E.search_peak
 
@@ -350,7 +348,7 @@ def test_trial_estimates_do_not_depend_on_the_run_length(monkeypatch, k):
 
     monkeypatch.setattr(E.BlockTable, "blocks", recording_blocks)
     monkeypatch.setattr(E, "search_peak", recording_search)
-    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3 * 6 * 277 - 1)
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 3 * 4 * 277 - 1)
     assert np.array_equal(estimates(4), six[:4])
     assert batches == [2, 1]
     assert searches == [(3, 116), (1, 116)]
@@ -489,9 +487,9 @@ def test_each_table_computes_its_shared_row_once(monkeypatch):
 @pytest.mark.parametrize("modulation, waveform, calls", [
     ("psk", "gen2", 1), ("psk", "rect", 0), ("ask", "rect", 0), ("ask", "gen2", 1 + 3)])
 def test_only_gen2_ask_trials_after_trial_0_draw_bits(monkeypatch, modulation, waveform, calls):
-    # 40 trials in batches of 13 (6 table rows of 277 symbol slots per Miller-8
+    # 40 trials in batches of 13 (4 table rows of 277 symbol slots per Miller-8
     # frame) after trial 0
-    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 13 * 6 * 277)
+    monkeypatch.setattr(E, "_CHUNK_ELEMENTS", 13 * 4 * 277)
     drawn = []
     random_bits = MC._random_bits
 
@@ -560,14 +558,14 @@ MCRB_MILLER8_ASK = ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="mill
     # the benchmark's Mode 204 PSK detection: trial 0 of 3 speeds x 2 frame kinds
     (X.run_detection_experiment, DETECT_MODE204, [6]),
     # the benchmark's Miller-8 ASK job: trial 0 and its first batch of 19,
-    # all its trials (39 frames per batch)
+    # all its trials (59 frames per batch)
     (X.run_mcrb_experiment, MCRB_MILLER8_ASK, [20]),
-    # 3 ratios of 100 trials in batches of 39: trial 0 and the first batch of
+    # 3 ratios of 100 trials in batches of 59: trial 0 and the first batch of
     # each ratio up front, then each later batch on its own
     (X.run_mcrb_experiment,
      ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="miller-8", parts="both",
                       modulation="ask", trials=100, seed=4, sweep_param="ps_n0_dbhz",
-                      sweep_values=[50.0, 52.8, 60.0]), [3 * 40] + [39, 21] * 3),
+                      sweep_values=[50.0, 52.8, 60.0]), [3 * 60] + [40] * 3),
     (X.run_mcrb_experiment,
      ExperimentConfig(mode_label=None, blf_hz=40e3, encoding="miller-8", parts="both",
                       modulation="psk", trials=100, seed=4, sweep_param="ps_n0_dbhz",
